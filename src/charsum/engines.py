@@ -65,20 +65,31 @@ def shifted_sum(ctx: FieldCtx, chi: Character, D, a: int, mode: str = "auto") ->
     return SumValue.from_numeric(total)
 
 
-def shifted_abs_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
-    """|sum_{x in D} chi(x+a)| for every a in [0, p-1], via cyclic correlation."""
-    return np.abs(shifted_values_all(ctx, chi, D))
-
-
 def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
-    """Complex values of the shifted sum at every a, one FFT correlation pair."""
+    """Complex values of the shifted sum at every shift a in [0, p-1].
+
+    D is a Subgroup or any residue list.  For a subgroup H, S(r h) = chi(h) S(r)
+    for h in H, so only the k = (p-1)/|H| coset representatives g^i are summed,
+    in one gather of p-1 table entries, and every other shift is a rotation of
+    its representative's value.  Any other D goes through one FFT correlation.
+    """
     p = ctx.p
+    table = chi.value_table()
+    if isinstance(D, Subgroup):
+        k = D.index
+        h = np.array(D.elements, dtype=np.int64)
+        reps = ctx.exp[:k]
+        rep_sums = table[(reps[:, None] + h[None, :]) % p].sum(axis=1)
+        # shift g^(sk + i) is g^i times g^(sk) in H: S(g^(sk + i)) = chi(g^(sk)) S(g^i)
+        chi_H = table[ctx.exp[::k]]
+        vals = np.empty(p, dtype=complex)
+        vals[ctx.exp] = np.outer(chi_H, rep_sums).ravel()
+        vals[0] = chi_H.sum()
+        return vals
     ind = np.zeros(p)
     for x in D:
         ind[x % p] += 1.0
-    table = chi.value_table()
-    vals = np.fft.ifft(np.conj(np.fft.fft(ind)) * np.fft.fft(table))
-    return vals
+    return np.fft.ifft(np.conj(np.fft.fft(ind)) * np.fft.fft(table))
 
 
 def shifted_sum_all(ctx: FieldCtx, chi: Character, D, mode: str = "auto") -> list[SumValue]:
@@ -208,7 +219,7 @@ def kernel_closed_form(ctx: FieldCtx, chi: Character, y: int, y1: int) -> SumVal
 # nonlinear-argument sums over a subgroup
 # ---------------------------------------------------------------------------
 
-def _subset_arg_sum(ctx: FieldCtx, chi: Character, elements, args, mode: str) -> SumValue:
+def _subset_arg_sum(ctx: FieldCtx, chi: Character, args, mode: str) -> SumValue:
     """sum over precomputed arguments v (one per subgroup element) of chi(v)."""
     p = ctx.p
     m = p - 1
@@ -232,7 +243,7 @@ def nonlinear_sum_xxa(ctx: FieldCtx, chi: Character, H: Subgroup, a: int,
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
     args = [x * (x + a) % p for x in H.elements]
-    return _subset_arg_sum(ctx, chi, H.elements, args, mode)
+    return _subset_arg_sum(ctx, chi, args, mode)
 
 
 def shifted_product_sum(ctx: FieldCtx, chi: Character, H: Subgroup, a: int, b: int,
@@ -242,7 +253,7 @@ def shifted_product_sum(ctx: FieldCtx, chi: Character, H: Subgroup, a: int, b: i
     if (a % p) == 0 or (b % p) == 0 or (a - b) % p == 0:
         raise DegenerateShifts("shifts must satisfy a, b, a-b all nonzero mod p")
     args = [(x + a) * (x + b) % p for x in H.elements]
-    return _subset_arg_sum(ctx, chi, H.elements, args, mode)
+    return _subset_arg_sum(ctx, chi, args, mode)
 
 
 # ---------------------------------------------------------------------------

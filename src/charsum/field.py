@@ -91,6 +91,16 @@ def _smallest_primitive_root(p: int, prime_factors: list[int]) -> int:
     raise ArithmeticError(f"no primitive root found mod {p}")  # unreachable for prime p
 
 
+def _powers(base: int, n: int, p: int) -> list[int]:
+    """base^i mod p for i < n."""
+    out = [0] * n
+    cur = 1
+    for i in range(n):
+        out[i] = cur
+        cur = cur * base % p
+    return out
+
+
 def make_ctx(p: int) -> FieldCtx:
     """Build the full context for an odd prime p (primality-checked)."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -99,12 +109,12 @@ def make_ctx(p: int) -> FieldCtx:
         raise CapacityExceeded(f"p={p} exceeds dlog table cap {MAX_P}")
     fac = factorize(p - 1)
     g = _smallest_primitive_root(p, list(fac))
-    powers = [0] * (p - 1)
-    cur = 1
-    for t in range(p - 1):
-        powers[t] = cur
-        cur = cur * g % p
-    exp = np.array(powers, dtype=np.int64)
+    # g^(bB + s) = g^(bB) * g^s: two short power runs and one outer product.
+    # Products stay below p^2 <= MAX_P^2, inside int64.
+    B = math.isqrt(p - 2) + 1  # ceil(sqrt(p - 1))
+    small = np.array(_powers(g, B, p), dtype=np.int64)
+    big = np.array(_powers(pow(g, B, p), -(-(p - 1) // B), p), dtype=np.int64)
+    exp = ((big[:, None] * small[None, :]) % p).ravel()[: p - 1]
     dlog = np.empty(p, dtype=np.int64)
     dlog[0] = -1
     dlog[exp] = np.arange(p - 1, dtype=np.int64)
@@ -118,12 +128,8 @@ def subgroup_of_order(ctx: FieldCtx, n: int) -> Subgroup:
         raise ValueError(f"order {n} does not divide p-1={p - 1}")
     k = (p - 1) // n
     h = pow(ctx.g, k, p)
-    elems = []
-    cur = 1
-    for _ in range(n):
-        elems.append(cur)
-        cur = cur * h % p
-    return Subgroup(ctx=ctx, order=n, index=k, generator=h, elements=tuple(sorted(elems)))
+    return Subgroup(ctx=ctx, order=n, index=k, generator=h,
+                    elements=tuple(sorted(_powers(h, n, p))))
 
 
 def subgroups(ctx: FieldCtx) -> list[Subgroup]:
@@ -136,6 +142,14 @@ def subgroup_near_sqrt(ctx: FieldCtx) -> Subgroup:
     root = math.sqrt(ctx.p)
     best = max(ctx.divisors, key=lambda n: (-abs(n - root), n))
     return subgroup_of_order(ctx, best)
+
+
+def inverse_table(ctx: FieldCtx) -> np.ndarray:
+    """x^-1 mod p for every residue x as an int64 vector of length p (entry 0 is 0)."""
+    m = ctx.p - 1
+    inv = np.zeros(ctx.p, dtype=np.int64)
+    inv[1:] = ctx.exp[(m - ctx.dlog[1:]) % m]
+    return inv
 
 
 def mod_inverse(ctx: FieldCtx, x: int) -> int:

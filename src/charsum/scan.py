@@ -14,7 +14,7 @@ import numpy as np
 
 from .characters import quadratic_character
 from .engines import shifted_values_all
-from .field import make_ctx, primes_in, subgroup_near_sqrt
+from .field import inverse_table, make_ctx, primes_in, subgroup_near_sqrt
 
 PROBLEMS = ("1", "5", "6")
 
@@ -42,7 +42,7 @@ def scan_problem1(p: int, seed: int = 0) -> list[dict]:
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
     chi = quadratic_character(ctx)
-    mags = np.abs(shifted_values_all(ctx, chi, H.elements))
+    mags = np.abs(shifted_values_all(ctx, chi, H))
     a = int(np.argmax(mags[1:])) + 1
     rec = _base_record(ctx, H, "1")
     rec.update({
@@ -90,10 +90,8 @@ def scan_problem6(p: int, seed: int = 0) -> list[dict]:
     """Extremal ratios for the two inverse-argument exponential sums over H."""
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
-    m = p - 1
     h = np.array(H.elements, dtype=np.int64)
-    hinv = np.zeros(p, dtype=np.int64)
-    hinv[1:] = ctx.exp[(m - ctx.dlog[1:]) % m]
+    hinv = inverse_table(ctx)
     e_table = np.exp(2j * np.pi * np.arange(p) / p)
 
     if p <= FULL_GRID_MAX_P:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     ShiftNotCoprime,
     ZeroInD,
 )
-from .field import FieldCtx, Subgroup, make_ctx, mod_inverse, primes_in, subgroups
+from .field import FieldCtx, Subgroup, inverse_table, make_ctx, primes_in, subgroups
 from .values import Weights
 
 TOL = 1e-9
@@ -60,6 +61,14 @@ class Verdict:
     mode: str
     kind: str = "verdict"  # "verdict" | "capacity"
     note: str = ""
+
+    def __post_init__(self):
+        # numpy scalars would reach the JSON writer through default=str, as "True"
+        self.passed = bool(self.passed)
+        self.margin = float(self.margin)
+        if self.mode == "numeric":
+            self.computed = float(self.computed)
+            self.target = float(self.target)
 
     def to_record(self) -> dict:
         return {
@@ -94,23 +103,21 @@ def _reduction_matrix(m: int) -> np.ndarray:
     return np.array(reduction_rows(m), dtype=np.int64)
 
 
-def _inverse_table(ctx: FieldCtx) -> np.ndarray:
-    m = ctx.p - 1
-    inv = np.zeros(ctx.p, dtype=np.int64)
-    inv[1:] = ctx.exp[(m - ctx.dlog[1:]) % m]
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # sqrt(p) bound on the shifted subgroup sum, and its sharpened form
 # ---------------------------------------------------------------------------
 
-def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
-    """max over nonzero shifts a of |sum_{x in H} chi(x+a)| is strictly below sqrt(p)."""
+def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
+                   vals: np.ndarray | None = None) -> Verdict:
+    """max over nonzero shifts a of |sum_{x in H} chi(x+a)| is strictly below sqrt(p).
+
+    vals, if given, is shifted_values_all(ctx, chi, H), shared with the other
+    checkers of the same (H, chi)."""
     if chi.is_principal:
         raise PrincipalCharacter("bound requires a nonprincipal character")
-    mags = np.abs(shifted_values_all(ctx, chi, H.elements))
-    computed = float(np.max(mags[1:]))
+    if vals is None:
+        vals = shifted_values_all(ctx, chi, H)
+    computed = float(np.max(np.abs(vals[1:])))
     target = math.sqrt(ctx.p)
     return Verdict(
         claim="thm2",
@@ -120,11 +127,13 @@ def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
     )
 
 
-def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
+def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
+                             vals: np.ndarray | None = None) -> Verdict:
     """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a."""
     if chi.is_principal:
         raise PrincipalCharacter("bound requires a nonprincipal character")
-    vals = shifted_values_all(ctx, chi, H.elements)
+    if vals is None:
+        vals = shifted_values_all(ctx, chi, H)
     inner = abs(vals[0])  # the unshifted sum over H
     n = H.order
     target = (ctx.p * n - inner**2) / n
@@ -132,20 +141,22 @@ def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verd
     return Verdict(
         claim="thm2_sharp",
         params={"p": ctx.p, "chi": chi.index, "H": n},
-        computed=computed, target=float(target), margin=float(target) - computed,
+        computed=computed, target=target, margin=target - computed,
         passed=computed <= target + TOL, mode="numeric",
     )
 
 
-def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) -> Verdict:
+def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float,
+                        vals: np.ndarray | None = None) -> Verdict:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
     p = ctx.p
     params = {"p": p, "chi": chi.index, "H": H.order, "eps": eps}
     if H.order <= p ** (0.5 + eps):
         return Verdict(claim="eps", params=params, computed=0.0, target=0.0,
                        margin=0.0, passed=True, mode="numeric", note="vacuous")
-    mags = np.abs(shifted_values_all(ctx, chi, H.elements))
-    computed = float(np.max(mags[1:]))
+    if vals is None:
+        vals = shifted_values_all(ctx, chi, H)
+    computed = float(np.max(np.abs(vals[1:])))
     target = p ** (-eps) * H.order
     return Verdict(claim="eps", params=params, computed=computed, target=target,
                    margin=target - computed, passed=computed < target - TOL,
@@ -207,19 +218,41 @@ def eq2_via_engine(ctx: FieldCtx, chi: Character, D) -> int | None:
 # character-averaged bound  (1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|)
 # ---------------------------------------------------------------------------
 
-def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int) -> Verdict:
+# (shift x dlog) histogram cells per FFT batch; bounds the batch's memory
+_HISTOGRAM_CELLS = 1 << 20
+
+
+def meanvalue2_averages(ctx: FieldCtx, H: Subgroup, shifts) -> np.ndarray:
+    """(1/(p-1)) sum_chi |sum_{n in H} chi(n + a)| for each shift a in shifts.
+
+    Row a of a (shift x dlog) histogram counts the n in H with dlog(n + a) = t;
+    the sums over all p-1 characters are the DFT of that row.
+    """
+    p = ctx.p
+    m = p - 1
+    h = np.array(H.elements, dtype=np.int64)
+    shifts = np.asarray(shifts, dtype=np.int64)
+    out = np.empty(len(shifts))
+    step = max(1, _HISTOGRAM_CELLS // m)
+    for lo in range(0, len(shifts), step):
+        V = (shifts[lo:lo + step, None] + h[None, :]) % p
+        cells = (np.arange(len(V))[:, None] * m + ctx.dlog[V])[V != 0]
+        counts = np.bincount(cells, minlength=len(V) * m)
+        sums = np.fft.fft(counts.reshape(len(V), m), axis=1)
+        out[lo:lo + step] = np.abs(sums).sum(axis=1) / m
+    return out
+
+
+def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int,
+                     average: float | None = None) -> Verdict:
+    """average, if given, is meanvalue2_averages(ctx, H, [a])[0], possibly taken
+    at another shift of the coset aH, where the average is the same."""
     if a % ctx.p == 0:
         raise ShiftNotCoprime("shift a must be nonzero mod p")
     p = ctx.p
-    m = p - 1
-    counts = np.zeros(m)
-    for n in H.elements:
-        v = (n + a) % p
-        if v:
-            counts[ctx.dlog[v]] += 1.0
-    # the sums over all p-1 characters are the DFT of the dlog count vector
-    sums = np.fft.fft(counts)
-    computed = float(np.sum(np.abs(sums)) / m)
+    if average is None:
+        average = meanvalue2_averages(ctx, H, [a % p])[0]
+    computed = float(average)
     target = math.sqrt(H.order)
     return Verdict(
         claim="meanvalue2",
@@ -356,7 +389,7 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     R = _reduction_matrix(m)
     red = counts @ R
 
-    inv = _inverse_table(ctx)
+    inv = inverse_table(ctx)
     expected = np.zeros_like(red)
     y, y1 = grid[:, 0], grid[:, 1]
     zero_both = (y == 0) & (y1 == 0)
@@ -381,18 +414,24 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
 # nonlinear sum bound  |sum_{x in H} chi(x(x+a))| <= sqrt(p)
 # ---------------------------------------------------------------------------
 
-def nonlinear_index_matrix(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
-    """Row x, column a: the residue x(x+a) mod p; shared across characters."""
+def nonlinear_coset_index_matrix(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
+    """Row x in H, column i < k: the residue x(x + g^i) mod p; shared across characters.
+
+    x -> hx, a -> ha maps x(x + a) to h^2 x(x + a), so |sum_{x in H} chi(x(x + a))|
+    is the same on the whole coset aH, and the k representatives g^i cover
+    every nonzero shift.
+    """
     p = ctx.p
     h = np.array(H.elements, dtype=np.int64)
-    A = np.arange(p, dtype=np.int64)
-    return (h[:, None] * ((h[:, None] + A[None, :]) % p)) % p
+    reps = ctx.exp[:H.index]
+    return (h[:, None] * ((h[:, None] + reps[None, :]) % p)) % p
 
 
-def nonlinear_abs_all(ctx: FieldCtx, chi: Character, H: Subgroup,
-                      index_matrix: np.ndarray | None = None) -> np.ndarray:
+def nonlinear_coset_abs(ctx: FieldCtx, chi: Character, H: Subgroup,
+                        index_matrix: np.ndarray | None = None) -> np.ndarray:
+    """|sum_{x in H} chi(x(x + g^i))| for each coset representative g^i, i < k."""
     if index_matrix is None:
-        index_matrix = nonlinear_index_matrix(ctx, H)
+        index_matrix = nonlinear_coset_index_matrix(ctx, H)
     table = chi.value_table()
     return np.abs(table[index_matrix].sum(axis=0))
 
@@ -413,8 +452,7 @@ def check_nonlinear_bound(ctx: FieldCtx, chi: Character, H: Subgroup, a: int) ->
 def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup,
                                      index_matrix: np.ndarray | None = None) -> Verdict:
     """One verdict per (H, chi) covering every nonzero shift a."""
-    mags = nonlinear_abs_all(ctx, chi, H, index_matrix)
-    computed = float(np.max(mags[1:]))
+    computed = float(np.max(nonlinear_coset_abs(ctx, chi, H, index_matrix)))
     target = math.sqrt(ctx.p)
     return Verdict(
         claim="nonlinear",
@@ -467,12 +505,13 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
     if "thm2" in claims or "thm2_sharp" in claims or "eps" in claims:
         grid = within([(H, chi) for H in Hs for chi in nontrivial])
         for H, chi in grid:
+            vals = shifted_values_all(ctx, chi, H)
             if "thm2" in claims:
-                verdicts.append(check_theorem2(ctx, chi, H))
+                verdicts.append(check_theorem2(ctx, chi, H, vals))
             if "thm2_sharp" in claims:
-                verdicts.append(check_sharpened_theorem2(ctx, chi, H))
+                verdicts.append(check_sharpened_theorem2(ctx, chi, H, vals))
             if "eps" in claims:
-                verdicts.append(check_eps_corollary(ctx, chi, H, eps=0.1))
+                verdicts.append(check_eps_corollary(ctx, chi, H, eps=0.1, vals=vals))
 
     if "eq2" in claims:
         if m > EXACT_MAX_ORDER:
@@ -515,8 +554,13 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
 
     if "meanvalue2" in claims:
         grid = within([(H, a) for H in Hs for a in range(1, p)])
-        for H, a in grid:
-            verdicts.append(check_meanvalue2(ctx, H, a))
+        # the average is the same on each coset aH: one histogram row per coset
+        for H, items in groupby(grid, key=lambda item: item[0]):
+            shifts = [a for _, a in items]
+            cosets, row = np.unique(ctx.dlog[shifts] % H.index, return_inverse=True)
+            averages = meanvalue2_averages(ctx, H, ctx.exp[cosets])
+            for a, i in zip(shifts, row):
+                verdicts.append(check_meanvalue2(ctx, H, a, averages[i]))
 
     if "granville" in claims:
         for H in within(Hs):
@@ -528,7 +572,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
 
     if "nonlinear" in claims:
         for H in within(Hs):
-            M = nonlinear_index_matrix(ctx, H)
+            M = nonlinear_coset_index_matrix(ctx, H)
             for chi in nontrivial:
                 verdicts.append(check_nonlinear_bound_all_shifts(ctx, chi, H, M))
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from charsum.cli import main
+from charsum.verifier import CLAIMS
 
 
 def run(capsys, *argv):
@@ -72,6 +73,16 @@ class TestVerify:
         records = [json.loads(line) for line in out_file.read_text().splitlines()]
         assert records and all(r["pass"] for r in records)
         assert "fail" in err
+
+    def test_every_claim_writes_json_booleans(self, capsys, tmp_path):
+        out_file = tmp_path / "v.jsonl"
+        code, _, _ = run(capsys, "verify", "--p-max", "13", "--workers", "1",
+                         "--out", str(out_file))
+        assert code == 0
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert {r["claim"] for r in records} == set(CLAIMS)
+        assert all(r["pass"] is True for r in records)
+        assert all(isinstance(r["margin"], float) for r in records)
 
     def test_p3_nonempty(self, capsys):
         code, out, _ = run(capsys, "verify", "--p-max", "3", "--claims", "thm2")

@@ -3,6 +3,7 @@ import pytest
 
 from charsum.errors import CapacityExceeded, NotOddPrime, ZeroInverse
 from charsum.field import (
+    inverse_table,
     is_prime,
     make_ctx,
     mod_inverse,
@@ -53,6 +54,18 @@ class TestMakeCtx:
         t = np.arange(p - 1)
         assert np.array_equal(ctx.dlog[ctx.exp[t]], t)
         assert ctx.dlog[0] == -1
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 10_007, 1_000_003])
+    def test_tables_equal_power_loop(self, p):
+        ctx = make_ctx(p)
+        powers = [1] * (p - 1)
+        for t in range(1, p - 1):
+            powers[t] = powers[t - 1] * ctx.g % p
+        dlog = [-1] * p
+        for t, x in enumerate(powers):
+            dlog[x] = t
+        assert ctx.exp.dtype == np.int64 and ctx.exp.tolist() == powers
+        assert ctx.dlog.dtype == np.int64 and ctx.dlog.tolist() == dlog
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 41, 191])
     def test_smallest_primitive_root(self, p):
@@ -132,8 +145,11 @@ class TestModInverse:
 
     def test_all_residues(self):
         ctx = make_ctx(101)
+        inv = inverse_table(ctx)
+        assert inv[0] == 0
         for x in range(1, 101):
             assert x * mod_inverse(ctx, x) % 101 == 1
+            assert inv[x] == mod_inverse(ctx, x)
 
 
 def test_is_prime_small():
