@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--p-max", type=int, required=True)
     pv.add_argument("--claims", default=None,
                     help=f"comma-separated subset of {','.join(verifier.CLAIMS)}")
-    pv.add_argument("--mode", default="auto", choices=["exact", "numeric", "auto"])
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--budget", type=int, default=None,
                     help="cap on instances per claim per prime")
@@ -218,8 +217,7 @@ def cmd_verify(args) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     try:
         verdicts = verifier.run_suite(p_min=args.p_min, p_max=args.p_max, claims=claims,
-                                      mode=args.mode, seed=args.seed, workers=workers,
-                                      budget=args.budget)
+                                      seed=args.seed, workers=workers, budget=args.budget)
     except ValueError as e:
         raise CharsumError(str(e))
     records = [v.to_record() for v in verdicts]

@@ -2,30 +2,30 @@
 
 Elements are integer coefficient vectors of length m (value = sum coeffs[i] * zeta^i),
 kept unreduced so that additions stay O(m).  Equality, integrality tests and the
-canonical form reduce modulo the m-th cyclotomic polynomial Phi_m.
+canonical form reduce modulo the m-th cyclotomic polynomial Phi_m.  Every exact
+path shares one kernel: exponent_histogram counts exponents into coefficients, and
+reduce_counts reduces any stack of count rows mod Phi_m in guarded int64.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CapacityExceeded, MixedOrder
+from .field import divisors_from_factorization, factorize
 
 # Largest root order accepted in exact mode; reduction cost grows superlinearly.
 EXACT_MAX_ORDER = 10_000
 
+# (row x exponent) histogram cells per batch; bounds the memory of a chunked histogram
+HISTOGRAM_CELLS = 1 << 20
 
-def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+# 2^63 less a margin far above the float64 rounding of reduce_counts' bound
+_INT64_BOUND = 2.0**63 * (1 - 2.0**-40)
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -53,40 +53,75 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     if m > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"cyclotomic order {m} exceeds exact-mode cap {EXACT_MAX_ORDER}")
     poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m):
+    for d in divisors_from_factorization(factorize(m)):
         if d < m:
             poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row i is x^i reduced mod Phi_m, as a vector of length deg(Phi_m).
+def reduction_rows(m: int) -> np.ndarray:
+    """Read-only int64 (m x deg Phi_m) matrix whose row i is x^i reduced mod Phi_m.
 
     Reduction of any coefficient vector is then a linear map, which lets
-    callers reduce many elements at once with integer matrix arithmetic.
+    callers reduce many elements at once with reduce_counts.
     """
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    rows = []
-    for i in range(deg):
-        row = [0] * deg
-        row[i] = 1
-        rows.append(row)
+    phi = np.array(cyclotomic_poly(m)[:-1], dtype=np.int64)
+    deg = len(phi)
+    rows = np.zeros((m, deg), dtype=np.int64)
+    rows[:deg] = np.eye(deg, dtype=np.int64)
     for i in range(deg, m):
-        prev = rows[i - 1]
         # multiply by x, then cancel the leading term against monic Phi_m
-        lead = prev[deg - 1]
-        row = [0] + prev[: deg - 1]
-        if lead:
-            for k in range(deg):
-                row[k] -= lead * phi[k]
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+        rows[i, 1:] = rows[i - 1, :-1]
+        rows[i] -= rows[i - 1, -1] * phi
+    rows.flags.writeable = False
+    return rows
+
+
+def reduce_counts(counts) -> np.ndarray:
+    """Reduce each length-m row of counts mod Phi_m as counts @ reduction_rows(m).
+    Entries and partial sums of a row r are at most sum|r| * max|reduction_rows(m)|;
+    CapacityExceeded is raised before that bound reaches 2^63, where int64 wraps."""
+    try:
+        counts = np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        raise CapacityExceeded("count outside int64; cannot reduce mod Phi_m") from None
+    m = counts.shape[-1]
+    R = reduction_rows(m)
+    # summed in float64, where the int64 sum could itself wrap
+    bound = np.abs(counts, dtype=np.float64).sum(axis=-1).max(initial=0.0) * np.abs(R).max()
+    if bound >= _INT64_BOUND:
+        raise CapacityExceeded(f"reducing mod Phi_{m} could overflow int64 (bound {bound:.3g})")
+    return counts @ R
+
+
+def exponent_histogram(exponents, m: int, weights=None) -> np.ndarray:
+    """Coefficient counts of each row (last axis) e of exponents: out[..., t] sums
+    the weights w_i (1 by default) of the e_i equal to t, so out is sum_i w_i zeta_m^(e_i).
+    Entries lie in [0, m), or are -1 for a zero term (chi(0) = 0), which is skipped.
+    Integer weights, of the same shape as exponents, are added exactly in int64."""
+    e = np.asarray(exponents, dtype=np.int64)
+    lead = e.shape[:-1]
+    rows = math.prod(lead)
+    keep = e >= 0
+    if lead:
+        e = np.arange(rows).reshape(lead + (1,)) * m + e
+    cells = e[keep]
+    if weights is None:
+        counts = np.bincount(cells, minlength=rows * m)
+    else:
+        counts = np.zeros(rows * m, dtype=np.int64)
+        np.add.at(counts, cells, np.asarray(weights, dtype=np.int64)[keep])
+    return counts.reshape(lead + (m,))
 
 
 class CycInt:
-    """An element of Z[zeta_m] with arbitrary-precision integer coefficients."""
+    """An element of Z[zeta_m] with Python-integer coefficients.
+
+    Addition, multiplication and conjugation are exact at any size.  Reduction
+    mod Phi_m (equality, integrality, hashing) runs through reduce_counts in
+    int64 and raises CapacityExceeded where that could overflow.
+    """
 
     __slots__ = ("m", "coeffs")
 
@@ -122,6 +157,13 @@ class CycInt:
         c = [0] * m
         c[e % m] = 1
         return cls(m, c)
+
+    @classmethod
+    def from_exponents(cls, m: int, exponents, weights=None) -> "CycInt":
+        """sum_i w_i zeta_m^(e_i) over the entries e_i of an exponent array, skipping
+        e_i = -1 (zero terms, chi(0) = 0); integer weights of its shape default to 1."""
+        flat = None if weights is None else np.ravel(weights)
+        return cls(m, exponent_histogram(np.ravel(exponents), m, flat).tolist())
 
     # -- ring operations ----------------------------------------------
 
@@ -167,12 +209,7 @@ class CycInt:
 
     def conj(self) -> "CycInt":
         """Complex conjugation: zeta^i -> zeta^(m-i)."""
-        m = self.m
-        out = [0] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(m - i) % m] += c
-        return CycInt(m, out)
+        return CycInt(self.m, self.coeffs[:1] + self.coeffs[:0:-1])
 
     def abs_squared(self) -> "CycInt":
         return self * self.conj()
@@ -181,16 +218,7 @@ class CycInt:
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical coefficients modulo Phi_m (length deg Phi_m)."""
-        phi = cyclotomic_poly(self.m)
-        deg = len(phi) - 1
-        r = list(self.coeffs)
-        for i in range(len(r) - 1, deg - 1, -1):
-            c = r[i]
-            if c:
-                r[i] = 0
-                for k in range(deg):
-                    r[i - deg + k] -= c * phi[k]
-        return tuple(r[:deg])
+        return tuple(reduce_counts(self.coeffs).tolist())
 
     def is_zero(self) -> bool:
         return not any(self.reduced())

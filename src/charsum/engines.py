@@ -12,7 +12,7 @@ import cmath
 import numpy as np
 
 from .characters import Character
-from .cyclo import EXACT_MAX_ORDER, CycInt
+from .cyclo import EXACT_MAX_ORDER, HISTOGRAM_CELLS, CycInt
 from .errors import (
     CapacityExceeded,
     DegenerateShifts,
@@ -52,14 +52,8 @@ def shifted_sum(ctx: FieldCtx, chi: Character, D, a: int, mode: str = "auto") ->
     m = p - 1
     mode = resolve_mode(m, mode)
     if mode == EXACT:
-        counts = [0] * m
-        j = chi.index
-        dlog = ctx.dlog
-        for x in D:
-            v = (x + a) % p
-            if v:
-                counts[(j * int(dlog[v])) % m] += 1
-        return SumValue.from_exact(CycInt(m, counts))
+        x = np.asarray(D, dtype=np.int64)
+        return SumValue.from_exact(CycInt.from_exponents(m, chi.exponent_table()[(x + a % p) % p]))
     table = chi.value_table()
     total = complex(sum(table[(x + a) % p] for x in D))
     return SumValue.from_numeric(total)
@@ -117,25 +111,28 @@ def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
     m = p - 1
     mode = resolve_mode(m, mode)
     if mode == EXACT:
+        # sum|xi| * sum|eta| bounds every weight product and count; int64 must hold it
+        if np.abs(xi.values).sum() * np.abs(eta.values).sum() >= 2.0**62:
+            raise CapacityExceeded("weights too large for exact int64 counts")
         wx = xi.int_values()
         wy = eta.int_values()
-        j = chi.index
-        dlog = ctx.dlog
-        coeffs = [0] * m
-        for x, cx in enumerate(wx):
-            if cx == 0 or (twist and x == 0):
-                continue
-            for y, cy in enumerate(wy):
-                if cy == 0 or (twist and y == 0):
-                    continue
-                v = (x * y + a) % p
-                if v == 0:
-                    continue
-                e = int(dlog[v])
-                if twist:
-                    e += int(dlog[x]) + int(dlog[y])
-                coeffs[(j * e) % m] += cx * cy
-        return SumValue.from_exact(CycInt(m, coeffs))
+        E = chi.exponent_table()
+        xs = np.flatnonzero(wx)
+        ys = np.flatnonzero(wy)
+        if twist:
+            # x = 0 or y = 0 makes xy(xy + a) zero
+            xs = xs[xs != 0]
+            ys = ys[ys != 0]
+        total = CycInt.zero(m)
+        # the (x, y) grid in chunks of at most HISTOGRAM_CELLS cells
+        step = max(1, HISTOGRAM_CELLS // max(1, len(ys)))
+        for lo in range(0, len(xs), step):
+            x = xs[lo:lo + step, None]
+            e = E[(x * ys[None, :] + a % p) % p]
+            if twist:
+                e = np.where(e >= 0, (e + E[x] + E[ys][None, :]) % m, -1)
+            total = total + CycInt.from_exponents(m, e, wx[x] * wy[ys][None, :])
+        return SumValue.from_exact(total)
 
     table = chi.value_table()
     xiv = xi.values
@@ -183,18 +180,14 @@ def proof_kernel_S_yy1(ctx: FieldCtx, chi: Character, y: int, y1: int, a: int,
     p = ctx.p
     m = p - 1
     mode = resolve_mode(m, mode)
-    j = chi.index
-    dlog = ctx.dlog
-    if mode == EXACT:
-        coeffs = [0] * m
-        for x in range(p):
-            v1 = (x * y + a) % p
-            v2 = (x * y1 + a) % p
-            if v1 and v2:
-                coeffs[(j * (int(dlog[v1]) - int(dlog[v2]))) % m] += 1
-        return SumValue.from_exact(CycInt(m, coeffs))
-    table = chi.value_table()
     x = np.arange(p)
+    if mode == EXACT:
+        E = chi.exponent_table()
+        e1 = E[(x * (y % p) + a % p) % p]
+        e2 = E[(x * (y1 % p) + a % p) % p]
+        e = np.where((e1 >= 0) & (e2 >= 0), (e1 - e2) % m, -1)
+        return SumValue.from_exact(CycInt.from_exponents(m, e))
+    table = chi.value_table()
     total = complex(np.sum(table[(x * y + a) % p] * np.conj(table[(x * y1 + a) % p])))
     return SumValue.from_numeric(total)
 
@@ -225,13 +218,7 @@ def _subset_arg_sum(ctx: FieldCtx, chi: Character, args, mode: str) -> SumValue:
     m = p - 1
     mode = resolve_mode(m, mode)
     if mode == EXACT:
-        counts = [0] * m
-        j = chi.index
-        dlog = ctx.dlog
-        for v in args:
-            if v:
-                counts[(j * int(dlog[v])) % m] += 1
-        return SumValue.from_exact(CycInt(m, counts))
+        return SumValue.from_exact(CycInt.from_exponents(m, chi.exponent_table()[args]))
     table = chi.value_table()
     return SumValue.from_numeric(complex(sum(table[v] for v in args)))
 
@@ -242,8 +229,8 @@ def nonlinear_sum_xxa(ctx: FieldCtx, chi: Character, H: Subgroup, a: int,
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
-    args = [x * (x + a) % p for x in H.elements]
-    return _subset_arg_sum(ctx, chi, args, mode)
+    h = np.array(H.elements, dtype=np.int64)
+    return _subset_arg_sum(ctx, chi, h * ((h + a % p) % p) % p, mode)
 
 
 def shifted_product_sum(ctx: FieldCtx, chi: Character, H: Subgroup, a: int, b: int,
@@ -252,8 +239,8 @@ def shifted_product_sum(ctx: FieldCtx, chi: Character, H: Subgroup, a: int, b: i
     p = ctx.p
     if (a % p) == 0 or (b % p) == 0 or (a - b) % p == 0:
         raise DegenerateShifts("shifts must satisfy a, b, a-b all nonzero mod p")
-    args = [(x + a) * (x + b) % p for x in H.elements]
-    return _subset_arg_sum(ctx, chi, args, mode)
+    h = np.array(H.elements, dtype=np.int64)
+    return _subset_arg_sum(ctx, chi, (h + a % p) % p * ((h + b % p) % p) % p, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +273,9 @@ def exp_sum_subset(q: int, D, a: int, mode: str = "auto") -> SumValue:
     """sum_{x in D} e_q(ax) over a general modulus q >= 2."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
-    if mode == "auto":
-        mode = EXACT if q <= EXACT_MAX_ORDER else NUMERIC
-    elif mode == EXACT and q > EXACT_MAX_ORDER:
-        raise CapacityExceeded(f"exact mode needs root order {q} > {EXACT_MAX_ORDER}")
+    mode = resolve_mode(q, mode)
     if mode == EXACT:
-        counts = [0] * q
-        for x in D:
-            counts[(a * x) % q] += 1
-        return SumValue.from_exact(CycInt(q, counts))
+        x = np.asarray(D, dtype=np.int64) % q
+        return SumValue.from_exact(CycInt.from_exponents(q, (a % q) * x % q))
     total = complex(sum(cmath.exp(2j * cmath.pi * ((a * x) % q) / q) for x in D))
     return SumValue.from_numeric(total)

@@ -61,15 +61,12 @@ class Weights:
         """Sum of |value|^2 over all residues (the X / Y of the bilinear bound)."""
         return float(np.sum(np.abs(self.values) ** 2))
 
-    def int_values(self) -> list[int]:
-        """Weights as exact integers; raises if any value is not an integer."""
-        out = []
-        for z in self.values:
-            n = int(round(z.real))
-            if z.imag != 0.0 or z.real != n:
-                raise ValueError("exact mode requires integer-valued weights")
-            out.append(n)
-        return out
+    def int_values(self) -> np.ndarray:
+        """Weights as an exact int64 vector; raises if any value is not an integer."""
+        n = np.round(self.values.real)
+        if np.any(self.values.imag != 0.0) or np.any(self.values.real != n):
+            raise ValueError("exact mode requires integer-valued weights")
+        return n.astype(np.int64)
 
     def __len__(self):
         return len(self.values)

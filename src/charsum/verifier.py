@@ -11,19 +11,20 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
 from .characters import Character, character
-from .cyclo import EXACT_MAX_ORDER, CycInt, reduction_rows
-from .engines import (
-    bilinear_S,
-    bilinear_Sprime,
-    exp_sum_subset,
-    shifted_values_all,
+from .cyclo import (
+    EXACT_MAX_ORDER,
+    HISTOGRAM_CELLS,
+    CycInt,
+    exponent_histogram,
+    reduce_counts,
+    reduction_rows,
 )
+from .engines import bilinear_S, bilinear_Sprime, shifted_values_all
 from .errors import (
     CapacityExceeded,
     PrincipalCharacter,
@@ -97,12 +98,6 @@ def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
                    kind="capacity", note=str(err))
 
 
-@lru_cache(maxsize=None)
-def _reduction_matrix(m: int) -> np.ndarray:
-    """(m x deg) int64 matrix reducing length-m coefficient vectors mod Phi_m."""
-    return np.array(reduction_rows(m), dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # sqrt(p) bound on the shifted subgroup sum, and its sharpened form
 # ---------------------------------------------------------------------------
@@ -163,6 +158,25 @@ def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float,
                    mode="numeric")
 
 
+def _pair_difference_sum(E: np.ndarray, m: int) -> CycInt:
+    """sum over columns c of |sum_x zeta_m^E[x, c]|^2 (E in [0, m), -1 for zero terms):
+    one term zeta_m^(E[x, c] - E[y, c]) per pair of rows x, y, counted in chunks of
+    at most HISTOGRAM_CELLS cells."""
+    n, s = E.shape
+    cols = max(1, HISTOGRAM_CELLS // (n * n))
+    rows = max(1, HISTOGRAM_CELLS // (n * cols))
+    counts = np.zeros(m, dtype=np.int64)
+    for c in range(0, s, cols):
+        Y = E[None, :, c:c + cols]
+        for r in range(0, n, rows):
+            X = E[r:r + rows, None, c:c + cols]
+            both = (X >= 0) & (Y >= 0)
+            # X - Y + m lies in [1, 2m): count it on 2m cells and fold, sparing a % m
+            wide = exponent_histogram((X + m - Y)[both], 2 * m)
+            counts += wide[:m] + wide[m:]
+    return CycInt(m, counts.tolist())
+
+
 # ---------------------------------------------------------------------------
 # exact mean-value identity  sum_a |S(a)|^2 = p|D| - |D|^2
 # ---------------------------------------------------------------------------
@@ -180,23 +194,15 @@ def check_eq2_identity(ctx: FieldCtx, chi: Character, D) -> Verdict:
     if m > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"exact mode needs root order {m} > {EXACT_MAX_ORDER}")
     Da = np.array(Ds, dtype=np.int64)
-    j = chi.index
-    # exponent of chi(x+a) for every x in D and every a; -1 marks chi(0)=0 terms
-    V = (Da[:, None] + np.arange(p, dtype=np.int64)[None, :]) % p
-    E = (j * ctx.dlog[V]) % m
-    valid = V != 0
-    # |S(a)|^2 expands termwise into counts of exponent differences
-    diff = (E[:, None, :] - E[None, :, :]) % m
-    both = valid[:, None, :] & valid[None, :, :]
-    counts = np.bincount(diff[both], minlength=m)
-    total = CycInt(m, counts.tolist())
-    computed = total.as_integer()
+    # exponent of chi(x+a) for every x in D (rows) and every shift a (columns)
+    E = chi.exponent_table()[(Da[:, None] + np.arange(p, dtype=np.int64)[None, :]) % p]
+    computed = _pair_difference_sum(E, m).as_integer()
     target = p * len(Ds) - len(Ds) ** 2
     passed = computed == target
     margin = float(computed - target) if computed is not None else float("nan")
     return Verdict(
         claim="eq2",
-        params={"p": p, "chi": j, "D_size": len(Ds)},
+        params={"p": p, "chi": chi.index, "D_size": len(Ds)},
         computed=computed if computed is not None else "non-integer",
         target=target, margin=margin, passed=passed, mode="exact",
     )
@@ -218,10 +224,6 @@ def eq2_via_engine(ctx: FieldCtx, chi: Character, D) -> int | None:
 # character-averaged bound  (1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|)
 # ---------------------------------------------------------------------------
 
-# (shift x dlog) histogram cells per FFT batch; bounds the batch's memory
-_HISTOGRAM_CELLS = 1 << 20
-
-
 def meanvalue2_averages(ctx: FieldCtx, H: Subgroup, shifts) -> np.ndarray:
     """(1/(p-1)) sum_chi |sum_{n in H} chi(n + a)| for each shift a in shifts.
 
@@ -233,12 +235,11 @@ def meanvalue2_averages(ctx: FieldCtx, H: Subgroup, shifts) -> np.ndarray:
     h = np.array(H.elements, dtype=np.int64)
     shifts = np.asarray(shifts, dtype=np.int64)
     out = np.empty(len(shifts))
-    step = max(1, _HISTOGRAM_CELLS // m)
+    step = max(1, HISTOGRAM_CELLS // m)
     for lo in range(0, len(shifts), step):
-        V = (shifts[lo:lo + step, None] + h[None, :]) % p
-        cells = (np.arange(len(V))[:, None] * m + ctx.dlog[V])[V != 0]
-        counts = np.bincount(cells, minlength=len(V) * m)
-        sums = np.fft.fft(counts.reshape(len(V), m), axis=1)
+        # dlog[0] = -1 is the histogram's zero-term sentinel
+        counts = exponent_histogram(ctx.dlog[(shifts[lo:lo + step, None] + h[None, :]) % p], m)
+        sums = np.fft.fft(counts, axis=1)
         out[lo:lo + step] = np.abs(sums).sum(axis=1) / m
     return out
 
@@ -273,15 +274,14 @@ def _granville_structural(ctx: FieldCtx, H: Subgroup) -> tuple[bool, int]:
     m = p - 1
     n = H.order
     dH = ctx.dlog[np.array(H.elements, dtype=np.int64)]
-    J = np.arange(m, dtype=np.int64)
-    cols = (J[:, None] * dH[None, :]) % m
-    C = np.zeros((m, m), dtype=np.int64)
-    np.add.at(C, (np.repeat(J, n), cols.ravel()), 1)
-    red = C @ _reduction_matrix(m)
-    trivial = (J % n) == 0
-    expected = np.zeros_like(red)
-    expected[trivial, 0] = n
-    mismatches = int(np.count_nonzero(np.any(red != expected, axis=1)))
+    mismatches = 0
+    step = max(1, HISTOGRAM_CELLS // m)
+    for lo in range(0, m, step):
+        J = np.arange(lo, min(lo + step, m), dtype=np.int64)
+        red = reduce_counts(exponent_histogram((J[:, None] * dH[None, :]) % m, m))
+        expected = np.zeros_like(red)
+        expected[J % n == 0, 0] = n
+        mismatches += int(np.count_nonzero(np.any(red != expected, axis=1)))
     return mismatches == 0, mismatches
 
 
@@ -323,11 +323,9 @@ def check_konyagin(q: int, D) -> Verdict:
         raise ValueError("D must be nonempty")
     if q > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"exact mode needs root order {q} > {EXACT_MAX_ORDER}")
-    total = CycInt.zero(q)
-    for a in range(1, q):
-        s = exp_sum_subset(q, Ds, a, "exact").exact
-        total = total + s.abs_squared()
-    computed = total.as_integer()
+    # sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2: one row per x, one column per a
+    E = (np.array(Ds, dtype=np.int64)[:, None] * np.arange(1, q, dtype=np.int64)[None, :]) % q
+    computed = _pair_difference_sum(E, q).as_integer()
     target = len(Ds) * (q - len(Ds))
     return Verdict(
         claim="konyagin",
@@ -369,25 +367,18 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     m = p - 1
     if m > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"exact mode needs root order {m} > {EXACT_MAX_ORDER}")
-    j = chi.index
     if pairs is None:
         grid = np.indices((p, p)).reshape(2, -1).T
     else:
         grid = np.array(pairs, dtype=np.int64) % p
     X = np.arange(p, dtype=np.int64)
     npairs = len(grid)
-    V1 = (grid[:, 0:1] * X[None, :] + a) % p
-    V2 = (grid[:, 1:2] * X[None, :] + a) % p
-    L1 = ctx.dlog[V1]
-    L2 = ctx.dlog[V2]
-    diff = (j * (L1 - L2)) % m
-    both = (L1 >= 0) & (L2 >= 0)
-    counts = np.zeros((npairs, m), dtype=np.int64)
-    rows = np.repeat(np.arange(npairs), p)
-    sel = both.ravel()
-    np.add.at(counts, (rows[sel], diff.ravel()[sel]), 1)
-    R = _reduction_matrix(m)
-    red = counts @ R
+    E = chi.exponent_table()
+    L1 = E[(grid[:, 0:1] * X[None, :] + a) % p]
+    L2 = E[(grid[:, 1:2] * X[None, :] + a) % p]
+    diff = np.where((L1 >= 0) & (L2 >= 0), (L1 - L2) % m, -1)
+    red = reduce_counts(exponent_histogram(diff, m))
+    R = reduction_rows(m)
 
     inv = inverse_table(ctx)
     expected = np.zeros_like(red)
@@ -399,12 +390,11 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     expected[equal_pos, 0] = p - 1
     if np.any(generic):
         r = (y[generic] * inv[y1[generic]]) % p
-        e = (j * ctx.dlog[r]) % m
-        expected[generic] -= R[e]
+        expected[generic] -= R[E[r]]
     mismatches = int(np.count_nonzero(np.any(red != expected, axis=1)))
     return Verdict(
         claim="kernel",
-        params={"p": p, "chi": j, "a": a % p, "pairs": npairs},
+        params={"p": p, "chi": chi.index, "a": a % p, "pairs": npairs},
         computed=mismatches, target=0, margin=float(-mismatches),
         passed=mismatches == 0, mode="exact",
     )
@@ -597,8 +587,8 @@ def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget=None) -> list[V
     return verdicts
 
 
-def run_suite(p_min: int = 3, p_max: int = 61, claims=None, mode: str = "auto",
-              seed: int = 0, workers: int = 1, budget=None) -> list[Verdict]:
+def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
+              workers: int = 1, budget=None) -> list[Verdict]:
     """Run every applicable checker over all primes in [p_min, p_max].
 
     Deterministic for a fixed (range, claims, seed) regardless of worker count;

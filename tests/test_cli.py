@@ -111,6 +111,13 @@ class TestVerify:
         assert code == 2
         assert "unknown claims" in err
 
+    def test_mode_is_not_a_verify_option(self, capsys):
+        # every checker fixes its own mode; sum --mode stays
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p-max", "7", "--mode", "exact"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--p-max", "7", "--claims", "granville",
                            "--format", "csv")

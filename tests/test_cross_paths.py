@@ -1,34 +1,54 @@
-"""Generated cross-checks between the coset-batched kernels and the per-shift
-engines they replace, on primes p <= 200."""
+"""Generated cross-checks between independent paths to the same values: the
+coset-batched kernels against the per-shift engines, the exact histogram kernel
+against numeric mode and against sums of CycInt products, on primes p <= 200."""
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charsum import engines, verifier
 from charsum.characters import character
-from charsum.engines import nonlinear_sum_xxa, shifted_sum, shifted_values_all
-from charsum.field import make_ctx, primes_in, subgroup_of_order
+from charsum.cyclo import CycInt
+from charsum.engines import (
+    bilinear_S,
+    bilinear_Sprime,
+    exp_sum_subset,
+    nonlinear_sum_xxa,
+    proof_kernel_S_yy1,
+    shifted_product_sum,
+    shifted_sum,
+    shifted_values_all,
+)
+from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
+from charsum.values import Weights
 from charsum.verifier import (
     check_eps_corollary,
+    check_eq2_identity,
+    check_granville,
+    check_konyagin,
     check_meanvalue2,
     check_sharpened_theorem2,
     check_theorem2,
+    eq2_via_engine,
     meanvalue2_averages,
     nonlinear_coset_abs,
     run_suite,
 )
 
 PRIMES = list(primes_in(3, 200))
+SMALL_PRIMES = [p for p in PRIMES if p <= 60]
 TOL = 1e-9
 
 cross_path = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def instances(draw, nonprincipal=False, nonzero_shift=False):
+def instances(draw, nonprincipal=False, nonzero_shift=False, primes=PRIMES):
     """(ctx, chi, H, a) with chi, H and a drawn from the whole range for p."""
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(primes))
     ctx = make_ctx(p)
     H = subgroup_of_order(ctx, draw(st.sampled_from(ctx.divisors)))
     chi = character(ctx, draw(st.integers(1 if nonprincipal else 0, p - 2)))
@@ -97,3 +117,86 @@ def test_suite_verdicts_equal_standalone_checkers(budget):
                 alone = check_eps_corollary(ctx, chi, H, v.params["eps"])
         assert v.passed == alone.passed
         assert abs(v.computed - alone.computed) <= TOL, (v.claim, v.params)
+
+
+@st.composite
+def subsets(draw, n, lo=1):
+    """A nonempty sorted subset of [lo, n - 1]."""
+    return sorted(draw(st.sets(st.integers(lo, n - 1), min_size=1, max_size=n - lo)))
+
+
+@cross_path
+@given(st.integers(2, 60).flatmap(lambda q: st.tuples(st.just(q), subsets(q, lo=0))))
+def test_konyagin_histogram_equals_sum_of_norms(inst):
+    q, D = inst
+    reference = CycInt.zero(q)
+    for a in range(1, q):
+        reference = reference + exp_sum_subset(q, D, a, "exact").exact.abs_squared()
+    assert check_konyagin(q, D).computed == reference.as_integer()
+
+
+@cross_path
+@given(instances(nonprincipal=True, primes=SMALL_PRIMES), st.data())
+def test_eq2_histogram_equals_engine_route(inst, data):
+    ctx, chi, _, _ = inst
+    D = data.draw(subsets(ctx.p))
+    assert check_eq2_identity(ctx, chi, D).computed == eq2_via_engine(ctx, chi, D)
+
+
+def _int_weights(p, rng):
+    return Weights([rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(p)])
+
+
+@cross_path
+@given(instances(nonprincipal=True, nonzero_shift=True), st.data())
+def test_exact_engines_match_numeric(inst, data):
+    ctx, chi, H, a = inst
+    p = ctx.p
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    D = data.draw(subsets(p, lo=0))
+    xi, eta = _int_weights(p, rng), _int_weights(p, rng)
+    y, y1 = rng.randrange(p), rng.randrange(p)
+    b = rng.choice([b for b in range(1, p) if b != a])
+    calls = [
+        lambda mode: shifted_sum(ctx, chi, D, a, mode),
+        lambda mode: bilinear_S(ctx, chi, xi, eta, a, mode),
+        lambda mode: bilinear_Sprime(ctx, chi, xi, eta, a, mode),
+        lambda mode: proof_kernel_S_yy1(ctx, chi, y, y1, a, mode),
+        lambda mode: nonlinear_sum_xxa(ctx, chi, H, a, mode),
+        lambda mode: shifted_product_sum(ctx, chi, H, a, b, mode),
+    ]
+    for call in calls:
+        exact, numeric = call("exact"), call("numeric")
+        assert exact.mode == "exact" and numeric.mode == "numeric"
+        assert abs(exact.to_complex() - numeric.to_complex()) <= TOL
+
+
+@cross_path
+@given(st.integers(2, 200).flatmap(
+    lambda q: st.tuples(st.just(q), subsets(q, lo=0), st.integers(-q, 2 * q))))
+def test_exact_exp_sum_matches_numeric(inst):
+    q, D, a = inst
+    exact = exp_sum_subset(q, D, a, "exact").to_complex()
+    assert abs(exact - exp_sum_subset(q, D, a, "numeric").to_complex()) <= TOL
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 1024])
+def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
+    """Shrinking the histogram batch forces every chunk boundary; the counts,
+    and so every exact value, must not depend on where the chunks fall."""
+    ctx = make_ctx(31)
+    chi = character(ctx, 5)
+    rng = random.Random(cells)
+    D = rng.sample(range(1, 31), 17)
+    xi, eta = _int_weights(31, rng), _int_weights(31, rng)
+
+    def exact_values():
+        return [check_eq2_identity(ctx, chi, D).computed, check_konyagin(30, D).computed,
+                [check_granville(ctx, H).computed for H in subgroups(ctx)],
+                bilinear_S(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
+                bilinear_Sprime(ctx, chi, xi, eta, 3, "exact").exact.reduced()]
+
+    whole = exact_values()
+    monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)
+    monkeypatch.setattr(engines, "HISTOGRAM_CELLS", cells)
+    assert exact_values() == whole

@@ -1,9 +1,10 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
-from charsum.cyclo import CycInt, cyclotomic_poly, reduction_rows
+from charsum.cyclo import CycInt, cyclotomic_poly, reduce_counts, reduction_rows
 from charsum.errors import CapacityExceeded, MixedOrder
 
 
@@ -13,6 +14,20 @@ def poly_mul(a, b):
         for k, bk in enumerate(b):
             out[i + k] += ai * bk
     return out
+
+
+def long_division_remainder(coeffs, m):
+    """Reference reduction mod Phi_m by schoolbook division in Python integers."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    r = list(coeffs)
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = r[i]
+        if c:
+            r[i] = 0
+            for k in range(deg):
+                r[i - deg + k] -= c * phi[k]
+    return tuple(r[:deg])
 
 
 class TestCyclotomicPoly:
@@ -38,10 +53,57 @@ class TestCyclotomicPoly:
             cyclotomic_poly(10_001)
 
     def test_reduction_rows_match_direct_reduction(self):
-        for m in (6, 12, 30):
+        for m in (1, 2, 6, 12, 30, 105, 210):
             rows = reduction_rows(m)
+            assert rows.dtype == np.int64 and rows.shape == (m, len(cyclotomic_poly(m)) - 1)
+            assert not rows.flags.writeable
             for i in range(m):
-                assert tuple(rows[i]) == CycInt.root(m, i).reduced()
+                expected = long_division_remainder(CycInt.root(m, i).coeffs, m)
+                assert tuple(rows[i].tolist()) == expected
+
+    def test_reduced_matches_long_division(self):
+        rng = random.Random(5)
+        for m in (6, 12, 30, 105):
+            for _ in range(10):
+                a = CycInt(m, [rng.randint(-10**12, 10**12) for _ in range(m)])
+                assert a.reduced() == long_division_remainder(a.coeffs, m)
+
+
+class TestOverflowGuard:
+    def test_row_bound_past_2_63_raises(self):
+        counts = np.zeros((2, 6), dtype=np.int64)
+        counts[0, 0] = 1
+        counts[1, 4] = counts[1, 5] = 2**62  # sum|row| * max|R| = 2^63
+        with pytest.raises(CapacityExceeded):
+            reduce_counts(counts)
+        with pytest.raises(CapacityExceeded):
+            CycInt(6, counts[1].tolist()).is_zero()
+
+    def test_bound_near_2_63_is_exact(self):
+        # every x^i mod Phi_6 = x^2 - x + 1 has coefficients in {-1, 0, 1}
+        counts = np.zeros(6, dtype=np.int64)
+        counts[0] = 2**62
+        counts[3] = 2**62 - 2**30  # x^3 = -1
+        assert reduce_counts(counts).tolist() == [2**30, 0]
+
+    def test_coefficient_outside_int64_raises(self):
+        with pytest.raises(CapacityExceeded):
+            CycInt.from_int(6, 2**70).as_integer()
+
+
+class TestFromExponents:
+    def test_skips_zero_term_sentinel(self):
+        a = CycInt.from_exponents(6, np.array([[0, -1, 2], [2, 5, -1]]))
+        assert a.coeffs == [1, 0, 2, 0, 0, 1]
+
+    def test_integer_weights_add_exactly(self):
+        # 2^53 + 1 is not a float64; float bincount weights would round it
+        a = CycInt.from_exponents(4, np.array([1, 1, 3]), np.array([2**53, 1, -7]))
+        assert a.coeffs == [0, 2**53 + 1, 0, -7]
+
+    def test_rejects_exponent_out_of_range(self):
+        with pytest.raises(ValueError):
+            CycInt.from_exponents(6, np.array([6]))
 
 
 class TestRingOperations:

@@ -211,6 +211,12 @@ class TestBilinear:
         with pytest.raises(ValueError):
             bilinear_S(ctx7, quad7, w, w, 1, "exact")
 
+    def test_exact_rejects_weights_past_int64(self, ctx7, quad7):
+        # products of 2^33 weights would wrap around in int64 counts
+        w = Weights([2.0**33] * 7)
+        with pytest.raises(CapacityExceeded):
+            bilinear_Sprime(ctx7, quad7, w, w, 1, "exact")
+
 
 class TestProofKernel:
     def test_case_table_examples(self, ctx7, quad7):
@@ -350,3 +356,10 @@ class TestExpSumSubset:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             exp_sum_subset(1, [0], 0)
+
+    def test_mode_resolution(self):
+        with pytest.raises(ValueError):
+            exp_sum_subset(7, [1, 2, 4], 1, "bogus")
+        with pytest.raises(CapacityExceeded):
+            exp_sum_subset(10_001, [1], 1, "exact")
+        assert exp_sum_subset(10_001, [1], 1).mode == "numeric"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -125,6 +126,19 @@ class TestEq2Checker:
         vals = shifted_values_all(ctx7, quad7, H7.elements)
         total = float(sum(abs(z) ** 2 for z in vals))
         assert total == pytest.approx(12.0, abs=1e-9)
+
+    def test_traced_memory_is_bounded(self):
+        # 200^2 * 401 = 16M exponent differences, counted in bounded chunks
+        ctx = make_ctx(401)
+        chi = quadratic_character(ctx)
+        tracemalloc.start()
+        try:
+            v = check_eq2_identity(ctx, chi, range(1, 201))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.passed and v.computed == 401 * 200 - 200**2
+        assert peak <= 64e6
 
     def test_rejections(self, ctx7, quad7):
         with pytest.raises(PrincipalCharacter):
