@@ -7,18 +7,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from . import engines, scan, verifier
 from .characters import character
 from .errors import CharsumError
 from .field import make_ctx, subgroup_near_sqrt, subgroup_of_order
-
-
-def _default_workers() -> int:
-    env = os.environ.get("CHARSUM_WORKERS")
-    return int(env) if env else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--budget", type=int, default=None,
                     help="cap on instances per claim per prime")
-    pv.add_argument("--workers", type=int, default=None)
+    pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", default="json-lines", choices=["json-lines", "csv"])
 
@@ -62,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p-min", type=int, default=3)
     pc.add_argument("--p-max", type=int, required=True)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--workers", type=int, default=None)
+    pc.add_argument("--workers", type=int, default=1)
     pc.add_argument("--out", default=None)
     pc.add_argument("--format", default="json-lines", choices=["json-lines", "csv"])
 
@@ -214,10 +208,9 @@ def cmd_verify(args) -> int:
     claims = None
     if args.claims:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
-    workers = args.workers if args.workers is not None else _default_workers()
     try:
         verdicts = verifier.run_suite(p_min=args.p_min, p_max=args.p_max, claims=claims,
-                                      seed=args.seed, workers=workers, budget=args.budget)
+                                      seed=args.seed, workers=args.workers, budget=args.budget)
     except ValueError as e:
         raise CharsumError(str(e))
     records = [v.to_record() for v in verdicts]
@@ -231,9 +224,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
     records = scan.scan_range(args.problem, args.p_min, args.p_max,
-                              seed=args.seed, workers=workers)
+                              seed=args.seed, workers=args.workers)
     _write_records(records, args.out, args.format)
     print(f"scan: problem {args.problem}, {len(records)} records", file=sys.stderr)
     return 0

@@ -19,7 +19,7 @@ from .errors import (
     PrincipalCharacter,
     ShiftNotCoprime,
 )
-from .field import FieldCtx, Subgroup, mod_inverse
+from .field import FieldCtx, Subgroup, coset_shift_rows, mod_inverse
 from .values import EXACT, NUMERIC, SumValue, Weights
 
 
@@ -71,9 +71,7 @@ def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
     table = chi.value_table()
     if isinstance(D, Subgroup):
         k = D.index
-        h = np.array(D.elements, dtype=np.int64)
-        reps = ctx.exp[:k]
-        rep_sums = table[(reps[:, None] + h[None, :]) % p].sum(axis=1)
+        rep_sums = table[coset_shift_rows(ctx, D)].sum(axis=1)
         # shift g^(sk + i) is g^i times g^(sk) in H: S(g^(sk + i)) = chi(g^(sk)) S(g^i)
         chi_H = table[ctx.exp[::k]]
         vals = np.empty(p, dtype=complex)

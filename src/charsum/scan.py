@@ -8,23 +8,19 @@ No bound is asserted here; the scans record the observed extremal ratio
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
 from .characters import quadratic_character
 from .engines import shifted_values_all
 from .field import inverse_table, make_ctx, primes_in, subgroup_near_sqrt
+from .verifier import map_tasks, seeded_rng
 
 PROBLEMS = ("1", "5", "6")
 
 # below this, parameter grids are exhaustive; above, seeded random samples
 FULL_GRID_MAX_P = 101
 SAMPLE_SIZE = 1000
-
-
-def _rng(seed: int, p: int, label: str) -> random.Random:
-    return random.Random(f"{seed}|{p}|scan-{label}")
 
 
 def _base_record(ctx, H, problem: str) -> dict:
@@ -62,7 +58,7 @@ def scan_problem5(p: int, seed: int = 0) -> list[dict]:
     if p <= FULL_GRID_MAX_P:
         tuples = [(a, b) for a in range(1, p) for b in range(1, p) if a != b]
     else:
-        rng = _rng(seed, p, "5")
+        rng = seeded_rng(seed, p, "scan-5")
         tuples = []
         while len(tuples) < SAMPLE_SIZE:
             a = rng.randrange(1, p)
@@ -97,7 +93,7 @@ def scan_problem6(p: int, seed: int = 0) -> list[dict]:
     if p <= FULL_GRID_MAX_P:
         tuples = [(k, l) for k in range(1, p) for l in range(1, p)]
     else:
-        rng = _rng(seed, p, "6")
+        rng = seeded_rng(seed, p, "scan-6")
         tuples = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(SAMPLE_SIZE)]
     K = np.array([t[0] for t in tuples], dtype=np.int64)
     L = np.array([t[1] for t in tuples], dtype=np.int64)
@@ -142,24 +138,13 @@ def scan_prime(problem: str, p: int, seed: int = 0) -> list[dict]:
     return _SCANNERS[problem](p, seed)
 
 
-def _scan_worker(args) -> list[dict]:
-    return scan_prime(*args)
-
-
 def scan_range(problem: str, p_min: int, p_max: int, seed: int = 0,
                workers: int = 1) -> list[dict]:
     """Scan every prime in [p_min, p_max]; records sorted by (p, sum_kind)."""
     primes = list(primes_in(max(p_min, 3), p_max))
     records: list[dict] = []
-    if workers > 1 and len(primes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for recs in pool.map(_scan_worker, [(problem, p, seed) for p in primes],
-                                 chunksize=8):
-                records.extend(recs)
-    else:
-        for p in primes:
-            records.extend(scan_prime(problem, p, seed))
+    for recs in map_tasks(scan_prime, [(problem, p, seed) for p in primes], workers,
+                          chunksize=8):
+        records.extend(recs)
     records.sort(key=lambda r: (r["p"], r["sum_kind"]))
     return records

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import dataclass
-from itertools import groupby
+from functools import cache
 
 import numpy as np
 
@@ -31,7 +32,15 @@ from .errors import (
     ShiftNotCoprime,
     ZeroInD,
 )
-from .field import FieldCtx, Subgroup, inverse_table, make_ctx, primes_in, subgroups
+from .field import (
+    FieldCtx,
+    Subgroup,
+    coset_shift_rows,
+    inverse_table,
+    make_ctx,
+    primes_in,
+    subgroups,
+)
 from .values import Weights
 
 TOL = 1e-9
@@ -99,20 +108,60 @@ def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# the numeric kernel: one DFT of a dlog histogram gives every character's sum
+# ---------------------------------------------------------------------------
+
+def character_sum_moduli(ctx: FieldCtx, rows) -> tuple[np.ndarray, np.ndarray]:
+    """|sum_{x in row} chi_j(x)| for every row of residues and every character j,
+    reduced two ways: (mean over all p-1 characters, one entry per row;
+    max over all rows, one entry per character j).
+
+    Row r's dlog histogram c_r(t) = #{x in r : dlog x = t} has DFT
+    sum_t c_r(t) e^(-2 pi i jt/(p-1)), the conjugate of sum_{x in r} chi_j(x).
+    Rows are counted in chunks of at most HISTOGRAM_CELLS cells."""
+    m = ctx.p - 1
+    rows = np.asarray(rows, dtype=np.int64)
+    means = np.empty(len(rows))
+    peaks = np.zeros(m)
+    step = max(1, HISTOGRAM_CELLS // m)
+    for lo in range(0, len(rows), step):
+        # dlog[0] = -1 is the histogram's zero-term sentinel: chi(0) = 0
+        counts = exponent_histogram(ctx.dlog[rows[lo:lo + step]], m)
+        moduli = np.abs(np.fft.fft(counts, axis=1))
+        means[lo:lo + step] = moduli.sum(axis=1) / m
+        np.maximum(peaks, moduli.max(axis=0), out=peaks)
+    return means, peaks
+
+
+def nonlinear_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
+    """Row i holds x(x + g^i) for x in H.  x -> hx, a -> ha maps x(x + a) to
+    h^2 x(x + a), so |sum_{x in H} chi(x(x + a))| is the same on the whole coset
+    aH, and the k representatives g^i cover every nonzero shift."""
+    h = np.array(H.elements, dtype=np.int64)
+    return h[None, :] * coset_shift_rows(ctx, H) % ctx.p
+
+
+# ---------------------------------------------------------------------------
 # sqrt(p) bound on the shifted subgroup sum, and its sharpened form
 # ---------------------------------------------------------------------------
 
+def _shift_peak(ctx: FieldCtx, chi: Character, H: Subgroup) -> tuple[float, float]:
+    """(max over nonzero shifts a of |sum_{x in H} chi(x+a)|, |sum_{x in H} chi(x)|)
+    by the single-character route; the suite reads both off character_sum_moduli."""
+    vals = shifted_values_all(ctx, chi, H)
+    return np.max(np.abs(vals[1:])), abs(vals[0])
+
+
 def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
-                   vals: np.ndarray | None = None) -> Verdict:
+                   peak: float | None = None) -> Verdict:
     """max over nonzero shifts a of |sum_{x in H} chi(x+a)| is strictly below sqrt(p).
 
-    vals, if given, is shifted_values_all(ctx, chi, H), shared with the other
-    checkers of the same (H, chi)."""
+    peak, if given, is that maximum."""
     if chi.is_principal:
         raise PrincipalCharacter("bound requires a nonprincipal character")
-    if vals is None:
-        vals = shifted_values_all(ctx, chi, H)
-    computed = float(np.max(np.abs(vals[1:])))
+    if peak is None:
+        peak, _ = _shift_peak(ctx, chi, H)
+    computed = float(peak)
     target = math.sqrt(ctx.p)
     return Verdict(
         claim="thm2",
@@ -123,16 +172,18 @@ def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
 
 
 def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
-                             vals: np.ndarray | None = None) -> Verdict:
-    """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a."""
+                             peak: float | None = None,
+                             inner: float | None = None) -> Verdict:
+    """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a.
+
+    peak is max over nonzero a of |S(a)|, inner the unshifted |sum_{x in H} chi(x)|."""
     if chi.is_principal:
         raise PrincipalCharacter("bound requires a nonprincipal character")
-    if vals is None:
-        vals = shifted_values_all(ctx, chi, H)
-    inner = abs(vals[0])  # the unshifted sum over H
+    if peak is None or inner is None:
+        peak, inner = _shift_peak(ctx, chi, H)
     n = H.order
     target = (ctx.p * n - inner**2) / n
-    computed = float(np.max(np.abs(vals[1:]) ** 2))
+    computed = float(peak) ** 2
     return Verdict(
         claim="thm2_sharp",
         params={"p": ctx.p, "chi": chi.index, "H": n},
@@ -142,16 +193,16 @@ def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
 
 
 def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float,
-                        vals: np.ndarray | None = None) -> Verdict:
+                        peak: float | None = None) -> Verdict:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
     p = ctx.p
     params = {"p": p, "chi": chi.index, "H": H.order, "eps": eps}
     if H.order <= p ** (0.5 + eps):
         return Verdict(claim="eps", params=params, computed=0.0, target=0.0,
                        margin=0.0, passed=True, mode="numeric", note="vacuous")
-    if vals is None:
-        vals = shifted_values_all(ctx, chi, H)
-    computed = float(np.max(np.abs(vals[1:])))
+    if peak is None:
+        peak, _ = _shift_peak(ctx, chi, H)
+    computed = float(peak)
     target = p ** (-eps) * H.order
     return Verdict(claim="eps", params=params, computed=computed, target=target,
                    margin=target - computed, passed=computed < target - TOL,
@@ -224,35 +275,15 @@ def eq2_via_engine(ctx: FieldCtx, chi: Character, D) -> int | None:
 # character-averaged bound  (1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|)
 # ---------------------------------------------------------------------------
 
-def meanvalue2_averages(ctx: FieldCtx, H: Subgroup, shifts) -> np.ndarray:
-    """(1/(p-1)) sum_chi |sum_{n in H} chi(n + a)| for each shift a in shifts.
-
-    Row a of a (shift x dlog) histogram counts the n in H with dlog(n + a) = t;
-    the sums over all p-1 characters are the DFT of that row.
-    """
-    p = ctx.p
-    m = p - 1
-    h = np.array(H.elements, dtype=np.int64)
-    shifts = np.asarray(shifts, dtype=np.int64)
-    out = np.empty(len(shifts))
-    step = max(1, HISTOGRAM_CELLS // m)
-    for lo in range(0, len(shifts), step):
-        # dlog[0] = -1 is the histogram's zero-term sentinel
-        counts = exponent_histogram(ctx.dlog[(shifts[lo:lo + step, None] + h[None, :]) % p], m)
-        sums = np.fft.fft(counts, axis=1)
-        out[lo:lo + step] = np.abs(sums).sum(axis=1) / m
-    return out
-
-
 def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int,
                      average: float | None = None) -> Verdict:
-    """average, if given, is meanvalue2_averages(ctx, H, [a])[0], possibly taken
-    at another shift of the coset aH, where the average is the same."""
+    """average, if given, is the mean of character_sum_moduli over the row H + a,
+    possibly taken at another shift of the coset aH, where the average is the same."""
     if a % ctx.p == 0:
         raise ShiftNotCoprime("shift a must be nonzero mod p")
     p = ctx.p
     if average is None:
-        average = meanvalue2_averages(ctx, H, [a % p])[0]
+        (average,), _ = character_sum_moduli(ctx, [(np.array(H.elements) + a) % p])
     computed = float(average)
     target = math.sqrt(H.order)
     return Verdict(
@@ -299,8 +330,11 @@ def check_granville(ctx: FieldCtx, H: Subgroup) -> Verdict:
     )
 
 
-def check_shkredov_bound(ctx: FieldCtx, H: Subgroup) -> Verdict:
-    base = check_granville(ctx, H)
+def check_shkredov_bound(ctx: FieldCtx, H: Subgroup, base: Verdict | None = None) -> Verdict:
+    """sum_chi |sum_{n in H} chi(n)| <= p, from the granville verdict base for the
+    same H (run here when not given)."""
+    if base is None:
+        base = check_granville(ctx, H)
     total = base.computed if base.passed else float("inf")
     return Verdict(
         claim="shkredov",
@@ -404,45 +438,15 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
 # nonlinear sum bound  |sum_{x in H} chi(x(x+a))| <= sqrt(p)
 # ---------------------------------------------------------------------------
 
-def nonlinear_coset_index_matrix(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
-    """Row x in H, column i < k: the residue x(x + g^i) mod p; shared across characters.
-
-    x -> hx, a -> ha maps x(x + a) to h^2 x(x + a), so |sum_{x in H} chi(x(x + a))|
-    is the same on the whole coset aH, and the k representatives g^i cover
-    every nonzero shift.
-    """
-    p = ctx.p
-    h = np.array(H.elements, dtype=np.int64)
-    reps = ctx.exp[:H.index]
-    return (h[:, None] * ((h[:, None] + reps[None, :]) % p)) % p
-
-
-def nonlinear_coset_abs(ctx: FieldCtx, chi: Character, H: Subgroup,
-                        index_matrix: np.ndarray | None = None) -> np.ndarray:
-    """|sum_{x in H} chi(x(x + g^i))| for each coset representative g^i, i < k."""
-    if index_matrix is None:
-        index_matrix = nonlinear_coset_index_matrix(ctx, H)
-    table = chi.value_table()
-    return np.abs(table[index_matrix].sum(axis=0))
-
-
-def check_nonlinear_bound(ctx: FieldCtx, chi: Character, H: Subgroup, a: int) -> Verdict:
-    from .engines import nonlinear_sum_xxa
-
-    computed = nonlinear_sum_xxa(ctx, chi, H, a, "numeric").magnitude
-    target = math.sqrt(ctx.p)
-    return Verdict(
-        claim="nonlinear",
-        params={"p": ctx.p, "chi": chi.index, "H": H.order, "a": a % ctx.p},
-        computed=computed, target=target, margin=target - computed,
-        passed=computed <= target + TOL, mode="numeric",
-    )
-
-
 def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup,
-                                     index_matrix: np.ndarray | None = None) -> Verdict:
-    """One verdict per (H, chi) covering every nonzero shift a."""
-    computed = float(np.max(nonlinear_coset_abs(ctx, chi, H, index_matrix)))
+                                     peak: float | None = None) -> Verdict:
+    """One verdict per (H, chi) covering every nonzero shift a.
+
+    peak, if given, is max over a of |sum_{x in H} chi(x(x + a))|, the maximum
+    over the nonlinear_rows of H."""
+    if peak is None:
+        peak = np.max(np.abs(chi.value_table()[nonlinear_rows(ctx, H)].sum(axis=1)))
+    computed = float(peak)
     target = math.sqrt(ctx.p)
     return Verdict(
         claim="nonlinear",
@@ -456,7 +460,7 @@ def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup,
 # seeded instance generation
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int, p: int, label: str) -> random.Random:
+def seeded_rng(seed: int, p: int, label: str) -> random.Random:
     return random.Random(f"{seed}|{p}|{label}")
 
 
@@ -492,23 +496,30 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
     def within(items):
         return items if budget is None else items[:budget]
 
+    @cache
+    def shift_moduli(H: Subgroup):
+        # |S(a)| and the character average are constant on each coset aH: one row
+        # H + g^i per coset, every character at once; plus the unshifted row H
+        means, peaks = character_sum_moduli(ctx, coset_shift_rows(ctx, H))
+        return means, peaks, character_sum_moduli(ctx, [H.elements])[1]
+
     if "thm2" in claims or "thm2_sharp" in claims or "eps" in claims:
-        grid = within([(H, chi) for H in Hs for chi in nontrivial])
-        for H, chi in grid:
-            vals = shifted_values_all(ctx, chi, H)
+        for H, chi in within([(H, chi) for H in Hs for chi in nontrivial]):
+            _, peaks, inner = shift_moduli(H)
+            j = chi.index
             if "thm2" in claims:
-                verdicts.append(check_theorem2(ctx, chi, H, vals))
+                verdicts.append(check_theorem2(ctx, chi, H, peaks[j]))
             if "thm2_sharp" in claims:
-                verdicts.append(check_sharpened_theorem2(ctx, chi, H, vals))
+                verdicts.append(check_sharpened_theorem2(ctx, chi, H, peaks[j], inner[j]))
             if "eps" in claims:
-                verdicts.append(check_eps_corollary(ctx, chi, H, eps=0.1, vals=vals))
+                verdicts.append(check_eps_corollary(ctx, chi, H, eps=0.1, peak=peaks[j]))
 
     if "eq2" in claims:
         if m > EXACT_MAX_ORDER:
             verdicts.append(_capacity_verdict(
                 "eq2", {"p": p}, CapacityExceeded(f"p-1={m} > {EXACT_MAX_ORDER}")))
         else:
-            rng = _rng(seed, p, "eq2")
+            rng = seeded_rng(seed, p, "eq2")
             dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
             grid = within([(chi, i) for chi in nontrivial for i in range(len(dsets))])
             for chi, i in grid:
@@ -517,7 +528,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
                 verdicts.append(v)
 
     if "lemma3" in claims:
-        rng = _rng(seed, p, "lemma3")
+        rng = seeded_rng(seed, p, "lemma3")
         chis = [nontrivial[rng.randrange(len(nontrivial))] for _ in range(min(5, len(nontrivial)))]
         for ci, chi in enumerate(within(chis)):
             for w in range(5):
@@ -533,7 +544,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
             verdicts.append(_capacity_verdict(
                 "kernel", {"p": p}, CapacityExceeded(f"p-1={m} > {EXACT_MAX_ORDER}")))
         else:
-            rng = _rng(seed, p, "kernel")
+            rng = seeded_rng(seed, p, "kernel")
             combos = [(nontrivial[rng.randrange(len(nontrivial))], rng.randrange(1, p))
                       for _ in range(min(5, len(nontrivial)))]
             pairs = None
@@ -543,28 +554,23 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
                 verdicts.append(check_kernel_cases(ctx, chi, a, pairs=pairs))
 
     if "meanvalue2" in claims:
-        grid = within([(H, a) for H in Hs for a in range(1, p)])
-        # the average is the same on each coset aH: one histogram row per coset
-        for H, items in groupby(grid, key=lambda item: item[0]):
-            shifts = [a for _, a in items]
-            cosets, row = np.unique(ctx.dlog[shifts] % H.index, return_inverse=True)
-            averages = meanvalue2_averages(ctx, H, ctx.exp[cosets])
-            for a, i in zip(shifts, row):
-                verdicts.append(check_meanvalue2(ctx, H, a, averages[i]))
+        for H, a in within([(H, a) for H in Hs for a in range(1, p)]):
+            means = shift_moduli(H)[0]
+            verdicts.append(check_meanvalue2(ctx, H, a, means[ctx.dlog[a] % H.index]))
 
-    if "granville" in claims:
+    if "granville" in claims or "shkredov" in claims:
         for H in within(Hs):
-            verdicts.append(check_granville(ctx, H))
-
-    if "shkredov" in claims:
-        for H in within(Hs):
-            verdicts.append(check_shkredov_bound(ctx, H))
+            base = check_granville(ctx, H)
+            if "granville" in claims:
+                verdicts.append(base)
+            if "shkredov" in claims:
+                verdicts.append(check_shkredov_bound(ctx, H, base))
 
     if "nonlinear" in claims:
         for H in within(Hs):
-            M = nonlinear_coset_index_matrix(ctx, H)
+            _, peaks = character_sum_moduli(ctx, nonlinear_rows(ctx, H))
             for chi in nontrivial:
-                verdicts.append(check_nonlinear_bound_all_shifts(ctx, chi, H, M))
+                verdicts.append(check_nonlinear_bound_all_shifts(ctx, chi, H, peaks[chi.index]))
 
     return verdicts
 
@@ -572,7 +578,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
 def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget=None) -> list[Verdict]:
     verdicts = []
     for q in range(max(2, q_min), q_max + 1):
-        rng = _rng(seed, q, "konyagin")
+        rng = seeded_rng(seed, q, "konyagin")
         if q > EXACT_MAX_ORDER:
             verdicts.append(_capacity_verdict(
                 "konyagin", {"q": q}, CapacityExceeded(f"q={q} > {EXACT_MAX_ORDER}")))
@@ -605,16 +611,9 @@ def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
 
     verdicts: list[Verdict] = []
     if prime_claims:
-        if workers > 1 and len(primes) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for vs in pool.map(_suite_worker,
-                                   [(p, prime_claims, seed, budget) for p in primes]):
-                    verdicts.extend(vs)
-        else:
-            for p in primes:
-                verdicts.extend(_suite_for_prime(p, prime_claims, seed, budget))
+        for vs in map_tasks(_suite_for_prime, [(p, prime_claims, seed, budget) for p in primes],
+                            workers):
+            verdicts.extend(vs)
 
     if "konyagin" in claims:
         verdicts.extend(_konyagin_verdicts(p_min, p_max, seed, budget))
@@ -623,5 +622,14 @@ def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
     return verdicts
 
 
-def _suite_worker(args) -> list[Verdict]:
-    return _suite_for_prime(*args)
+def map_tasks(fn, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
+    """[fn(*task) for task in tasks], in order.  With more than one worker the
+    tasks run in a process pool of min(workers, len(tasks), CPU count) processes,
+    so a large --workers never forks more processes than can do any work."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))

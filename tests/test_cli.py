@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import json
+import os
 
 import pytest
 
@@ -139,6 +141,50 @@ class TestScanCmd:
                            "--p-max", "28")
         assert code == 0
         assert out == ""
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        return _SerialPool.sizes
+
+    @pytest.mark.parametrize("command", [["verify", "--claims", "thm2"], ["scan", "--problem", "1"]])
+    def test_pool_is_capped_by_tasks_and_cores(self, capsys, monkeypatch, pools, command):
+        outputs = []
+        for cores in (64, 2, None):
+            monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+            outputs.append(run(capsys, *command, "--p-max", "13", "--workers", "5000")[:2])
+        outputs.append(run(capsys, *command, "--p-max", "13")[:2])  # --workers defaults to 1
+        # 5 primes up to 13: 5 processes on 64 cores, 2 on 2 cores, none on an
+        # unknown core count or with one worker
+        assert pools == [5, 2]
+        assert outputs[0][0] == 0 and outputs == [outputs[0]] * 4
+
+    def test_workers_env_var_is_ignored(self, capsys, monkeypatch, pools):
+        monkeypatch.setenv("CHARSUM_WORKERS", "abc")
+        code, out, _ = run(capsys, "verify", "--p-max", "13", "--claims", "thm2")
+        assert code == 0 and out
+        assert pools == []
 
 
 class TestTable:

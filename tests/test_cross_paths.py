@@ -1,8 +1,10 @@
 """Generated cross-checks between independent paths to the same values: the
-coset-batched kernels against the per-shift engines, the exact histogram kernel
+numeric kernel (one DFT of a dlog histogram for every character) and the
+coset-batched gather against the per-shift engines, the exact histogram kernel
 against numeric mode and against sums of CycInt products, on primes p <= 200."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from charsum.engines import (
     shifted_sum,
     shifted_values_all,
 )
-from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
+from charsum.field import coset_shift_rows, make_ctx, primes_in, subgroup_of_order, subgroups
 from charsum.values import Weights
 from charsum.verifier import (
     check_eps_corollary,
@@ -30,11 +32,12 @@ from charsum.verifier import (
     check_granville,
     check_konyagin,
     check_meanvalue2,
+    check_nonlinear_bound_all_shifts,
     check_sharpened_theorem2,
     check_theorem2,
+    character_sum_moduli,
     eq2_via_engine,
-    meanvalue2_averages,
-    nonlinear_coset_abs,
+    nonlinear_rows,
     run_suite,
 )
 
@@ -71,6 +74,17 @@ def test_subgroup_path_equals_fft_and_naive(inst):
 
 
 @cross_path
+@given(instances(nonprincipal=True))
+def test_kernel_peaks_equal_shifted_values_all(inst):
+    ctx, chi, H, _ = inst
+    vals = shifted_values_all(ctx, chi, H.elements)
+    _, peaks = character_sum_moduli(ctx, coset_shift_rows(ctx, H))
+    _, inner = character_sum_moduli(ctx, [H.elements])
+    assert abs(peaks[chi.index] - np.max(np.abs(vals[1:]))) <= TOL
+    assert abs(inner[chi.index] - abs(vals[0])) <= TOL
+
+
+@cross_path
 @given(instances(nonzero_shift=True))
 def test_coset_meanvalue2_equals_per_shift_sum(inst):
     ctx, _, H, a = inst
@@ -78,29 +92,28 @@ def test_coset_meanvalue2_equals_per_shift_sum(inst):
     # (1/(p-1)) sum over every character of |sum_{n in H} chi(n + a)|, term by term
     direct = sum(abs(shifted_sum(ctx, character(ctx, j), H.elements, a, "numeric").to_complex())
                  for j in range(p - 1)) / (p - 1)
-    coset_averages = meanvalue2_averages(ctx, H, ctx.exp[:k])
-    assert abs(coset_averages[ctx.dlog[a] % k] - direct) <= TOL
+    means, _ = character_sum_moduli(ctx, coset_shift_rows(ctx, H))
+    assert means.shape == (k,)
+    assert abs(means[ctx.dlog[a] % k] - direct) <= TOL
     assert abs(check_meanvalue2(ctx, H, a).computed - direct) <= TOL
 
 
 @cross_path
-@given(instances(nonprincipal=True, nonzero_shift=True))
+@given(instances(nonprincipal=True))
 def test_coset_nonlinear_equals_per_shift_sum(inst):
-    ctx, chi, H, a = inst
-    p, k = ctx.p, H.index
-    mags = nonlinear_coset_abs(ctx, chi, H)
-    assert mags.shape == (k,)
-    direct = nonlinear_sum_xxa(ctx, chi, H, a, "numeric").magnitude
-    assert abs(mags[ctx.dlog[a] % k] - direct) <= TOL
-    every_shift = max(nonlinear_sum_xxa(ctx, chi, H, b, "numeric").magnitude for b in range(1, p))
-    assert abs(mags.max() - every_shift) <= TOL
+    ctx, chi, H, _ = inst
+    every_shift = max(nonlinear_sum_xxa(ctx, chi, H, b, "numeric").magnitude
+                      for b in range(1, ctx.p))
+    _, peaks = character_sum_moduli(ctx, nonlinear_rows(ctx, H))
+    assert abs(peaks[chi.index] - every_shift) <= TOL
+    assert abs(check_nonlinear_bound_all_shifts(ctx, chi, H).computed - every_shift) <= TOL
 
 
 @pytest.mark.parametrize("budget", [None, 20])
 def test_suite_verdicts_equal_standalone_checkers(budget):
-    """The suite shares one shifted_values_all vector per (H, chi) and one
-    meanvalue2 average per coset; each verdict matches its checker run alone."""
-    verdicts = run_suite(3, 31, claims=["thm2", "thm2_sharp", "eps", "meanvalue2"],
+    """The suite reads every bound off character_sum_moduli; each verdict matches
+    its checker run alone, which takes the single-character route."""
+    verdicts = run_suite(3, 31, claims=["thm2", "thm2_sharp", "eps", "meanvalue2", "nonlinear"],
                          budget=budget)
     for v in verdicts:
         ctx = make_ctx(v.params["p"])
@@ -113,10 +126,27 @@ def test_suite_verdicts_equal_standalone_checkers(budget):
                 alone = check_theorem2(ctx, chi, H)
             elif v.claim == "thm2_sharp":
                 alone = check_sharpened_theorem2(ctx, chi, H)
+            elif v.claim == "nonlinear":
+                alone = check_nonlinear_bound_all_shifts(ctx, chi, H)
             else:
                 alone = check_eps_corollary(ctx, chi, H, v.params["eps"])
         assert v.passed == alone.passed
         assert abs(v.computed - alone.computed) <= TOL, (v.claim, v.params)
+
+
+def test_kernel_memory_is_bounded():
+    """|H| = 1 at p = 4001 gives 4000 rows: one (4000 x 4000) histogram and its
+    DFT would take more than 256 MB."""
+    ctx = make_ctx(4001)
+    rows = coset_shift_rows(ctx, subgroup_of_order(ctx, 1))
+    tracemalloc.start()
+    try:
+        means, peaks = character_sum_moduli(ctx, rows)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert means.shape == peaks.shape == (4000,)
+    assert peak_bytes <= 64e6
 
 
 @st.composite
@@ -183,7 +213,8 @@ def test_exact_exp_sum_matches_numeric(inst):
 @pytest.mark.parametrize("cells", [1, 7, 64, 1024])
 def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     """Shrinking the histogram batch forces every chunk boundary; the counts,
-    and so every exact value, must not depend on where the chunks fall."""
+    and so every exact value and every numeric kernel value, must not depend
+    on where the chunks fall."""
     ctx = make_ctx(31)
     chi = character(ctx, 5)
     rng = random.Random(cells)
@@ -194,7 +225,9 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
         return [check_eq2_identity(ctx, chi, D).computed, check_konyagin(30, D).computed,
                 [check_granville(ctx, H).computed for H in subgroups(ctx)],
                 bilinear_S(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
-                bilinear_Sprime(ctx, chi, xi, eta, 3, "exact").exact.reduced()]
+                bilinear_Sprime(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
+                [[v.tolist() for v in character_sum_moduli(ctx, coset_shift_rows(ctx, H))]
+                 for H in subgroups(ctx)]]
 
     whole = exact_values()
     monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)

@@ -17,7 +17,7 @@ from charsum.verifier import (
     check_konyagin,
     check_lemma3,
     check_meanvalue2,
-    check_nonlinear_bound,
+    check_nonlinear_bound_all_shifts,
     check_sharpened_theorem2,
     check_shkredov_bound,
     check_theorem2,
@@ -188,6 +188,23 @@ class TestGranville:
         v = check_shkredov_bound(ctx, subgroup_of_order(ctx, 1))
         assert v.passed and v.computed == 2
 
+    def test_shkredov_reuses_the_granville_verdict(self, ctx7, H7):
+        base = check_granville(ctx7, H7)
+        assert check_shkredov_bound(ctx7, H7, base) == check_shkredov_bound(ctx7, H7)
+        failed = Verdict(claim="granville", params={}, computed="1 structural mismatches",
+                         target=6, margin=float("nan"), passed=False, mode="exact")
+        assert not check_shkredov_bound(ctx7, H7, failed).passed
+
+    def test_suite_runs_granville_once_per_subgroup(self, monkeypatch):
+        from charsum import verifier
+
+        calls = []
+        structural = verifier._granville_structural
+        monkeypatch.setattr(verifier, "_granville_structural",
+                            lambda ctx, H: calls.append(H) or structural(ctx, H))
+        vs = run_suite(13, 13, claims=["granville", "shkredov"])
+        assert len(calls) == len(make_ctx(13).divisors) == len(vs) // 2
+
 
 class TestKonyagin:
     def test_prime_modulus(self):
@@ -255,9 +272,11 @@ class TestKernelCases:
 
 class TestNonlinearChecker:
     def test_spot(self, ctx7, quad7, H7):
-        v = check_nonlinear_bound(ctx7, quad7, H7, 1)
-        assert v.passed
+        # |sum_{x in H} chi(x(x + a))| is 1 for a in {1, 2, 4} and 0 otherwise
+        v = check_nonlinear_bound_all_shifts(ctx7, quad7, H7)
+        assert v.passed and v.params["a"] == "all"
         assert v.computed == pytest.approx(1.0, abs=1e-9)
+        assert v.target == pytest.approx(math.sqrt(7))
 
 
 class TestRunSuite:
