@@ -15,6 +15,13 @@ from .errors import CharsumError
 from .field import make_ctx, subgroup_near_sqrt, subgroup_of_order
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="charsum",
                                      description="multiplicative character sums over "
@@ -45,9 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--claims", default=None,
                     help=f"comma-separated subset of {','.join(verifier.CLAIMS)}")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--budget", type=int, default=None,
+    pv.add_argument("--budget", type=positive_int, default=None,
                     help="cap on instances per claim per prime")
-    pv.add_argument("--workers", type=int, default=1)
+    pv.add_argument("--workers", type=positive_int, default=1)
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", default="json-lines", choices=["json-lines", "csv"])
 
@@ -56,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p-min", type=int, default=3)
     pc.add_argument("--p-max", type=int, required=True)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--workers", type=int, default=1)
+    pc.add_argument("--workers", type=positive_int, default=1)
     pc.add_argument("--out", default=None)
     pc.add_argument("--format", default="json-lines", choices=["json-lines", "csv"])
 

@@ -4,7 +4,8 @@ Elements are integer coefficient vectors of length m (value = sum coeffs[i] * ze
 kept unreduced so that additions stay O(m).  Equality, integrality tests and the
 canonical form reduce modulo the m-th cyclotomic polynomial Phi_m.  Every exact
 path shares one kernel: exponent_histogram counts exponents into coefficients, and
-reduce_counts reduces any stack of count rows mod Phi_m in guarded int64.
+reduce_counts reduces any stack of count rows mod Phi_m exactly, behind an int64
+overflow guard.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ EXACT_MAX_ORDER = 10_000
 # (row x exponent) histogram cells per batch; bounds the memory of a chunked histogram
 HISTOGRAM_CELLS = 1 << 20
 
-# 2^63 less a margin far above the float64 rounding of reduce_counts' bound
+# 2^63 and 2^53 less a margin far above the float64 rounding of reduce_counts' bound
 _INT64_BOUND = 2.0**63 * (1 - 2.0**-40)
+_FLOAT64_EXACT = 2.0**53 * (1 - 2.0**-40)
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -78,10 +80,20 @@ def reduction_rows(m: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _float_reduction_rows(m: int) -> np.ndarray:
+    """reduction_rows(m) as read-only float64, for reduce_counts' BLAS product."""
+    rows = reduction_rows(m).astype(np.float64)
+    rows.flags.writeable = False
+    return rows
+
+
 def reduce_counts(counts) -> np.ndarray:
     """Reduce each length-m row of counts mod Phi_m as counts @ reduction_rows(m).
     Entries and partial sums of a row r are at most sum|r| * max|reduction_rows(m)|;
-    CapacityExceeded is raised before that bound reaches 2^63, where int64 wraps."""
+    CapacityExceeded is raised before that bound reaches 2^63, where int64 wraps.
+    Below 2^53 every product and partial sum is an integer that float64 holds
+    exactly, so the product runs in float64 (BLAS, in any summation order)."""
     try:
         counts = np.asarray(counts, dtype=np.int64)
     except OverflowError:
@@ -89,7 +101,10 @@ def reduce_counts(counts) -> np.ndarray:
     m = counts.shape[-1]
     R = reduction_rows(m)
     # summed in float64, where the int64 sum could itself wrap
-    bound = np.abs(counts, dtype=np.float64).sum(axis=-1).max(initial=0.0) * np.abs(R).max()
+    row_sum = np.abs(counts, dtype=np.float64).sum(axis=-1).max(initial=0.0)
+    bound = row_sum * max(R.max(), -R.min())
+    if bound < _FLOAT64_EXACT:
+        return (counts.astype(np.float64) @ _float_reduction_rows(m)).astype(np.int64)
     if bound >= _INT64_BOUND:
         raise CapacityExceeded(f"reducing mod Phi_{m} could overflow int64 (bound {bound:.3g})")
     return counts @ R
@@ -119,8 +134,8 @@ class CycInt:
     """An element of Z[zeta_m] with Python-integer coefficients.
 
     Addition, multiplication and conjugation are exact at any size.  Reduction
-    mod Phi_m (equality, integrality, hashing) runs through reduce_counts in
-    int64 and raises CapacityExceeded where that could overflow.
+    mod Phi_m (equality, integrality, hashing) runs through reduce_counts and
+    raises CapacityExceeded where int64 could overflow.
     """
 
     __slots__ = ("m", "coeffs")

@@ -141,6 +141,8 @@ def scan_prime(problem: str, p: int, seed: int = 0) -> list[dict]:
 def scan_range(problem: str, p_min: int, p_max: int, seed: int = 0,
                workers: int = 1) -> list[dict]:
     """Scan every prime in [p_min, p_max]; records sorted by (p, sum_kind)."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     primes = list(primes_in(max(p_min, 3), p_max))
     records: list[dict] = []
     for recs in map_tasks(scan_prime, [(problem, p, seed) for p in primes], workers,

@@ -143,6 +143,22 @@ class TestScanCmd:
         assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p-max", "13", "--budget", "0"],
+    ["verify", "--p-max", "13", "--budget", "-1"],
+    ["verify", "--p-max", "13", "--workers", "0"],
+    ["verify", "--p-max", "13", "--workers", "-2"],
+    ["scan", "--problem", "1", "--p-max", "13", "--workers", "0"],
+    ["scan", "--problem", "1", "--p-max", "13", "--workers", "-2"],
+])
+def test_nonpositive_budget_or_workers_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {argv[-2]}: must be at least 1" in err
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
 

@@ -1,7 +1,8 @@
 """Generated cross-checks between independent paths to the same values: the
 numeric kernel (one DFT of a dlog histogram for every character) and the
 coset-batched gather against the per-shift engines, the exact histogram kernel
-against numeric mode and against sums of CycInt products, on primes p <= 200."""
+against numeric mode and against sums of CycInt products, and the batched eq2
+push-forward against per-character histograms, on primes p <= 200."""
 
 import random
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from charsum import engines, verifier
 from charsum.characters import character
-from charsum.cyclo import CycInt
+from charsum.cyclo import CycInt, reduce_counts
 from charsum.engines import (
     bilinear_S,
     bilinear_Sprime,
@@ -28,6 +29,7 @@ from charsum.field import coset_shift_rows, make_ctx, primes_in, subgroup_of_ord
 from charsum.values import Weights
 from charsum.verifier import (
     check_eps_corollary,
+    check_eq2_identities,
     check_eq2_identity,
     check_granville,
     check_konyagin,
@@ -36,10 +38,12 @@ from charsum.verifier import (
     check_sharpened_theorem2,
     check_theorem2,
     character_sum_moduli,
-    eq2_via_engine,
     nonlinear_rows,
+    random_subsets,
     run_suite,
+    seeded_rng,
 )
+from references import eq2_per_character, eq2_via_engine
 
 PRIMES = list(primes_in(3, 200))
 SMALL_PRIMES = [p for p in PRIMES if p <= 60]
@@ -173,6 +177,58 @@ def test_eq2_histogram_equals_engine_route(inst, data):
     assert check_eq2_identity(ctx, chi, D).computed == eq2_via_engine(ctx, chi, D)
 
 
+@cross_path
+@given(st.sampled_from(SMALL_PRIMES).flatmap(lambda p: st.tuples(st.just(p), subsets(p))))
+def test_eq2_batch_equals_per_character_routes(inst):
+    """One pushed-forward dlog histogram per D against each character's own
+    pair-difference histogram and against the generic exact engine."""
+    p, D = inst
+    ctx = make_ctx(p)
+    chis = [character(ctx, j) for j in range(1, p - 1)]
+    verdicts = check_eq2_identities(ctx, chis, D)
+    assert [v.params["chi"] for v in verdicts] == list(range(1, p - 1))
+    for chi, v in zip(chis, verdicts):
+        assert v.computed == eq2_per_character(ctx, chi, D) == eq2_via_engine(ctx, chi, D)
+
+
+def test_budgeted_eq2_suite_equals_standalone_checker():
+    """At p = 13 there are 11 characters and 26 sets D.  The grid is chi-major, so
+    budget 30 keeps chi_1 on every D and chi_2 on D_0..D_3 only: the suite's one
+    batched call per D must see exactly that D's surviving characters."""
+    p, seed = 13, 5
+    ctx = make_ctx(p)
+    dsets = ([list(H.elements) for H in subgroups(ctx)]
+             + random_subsets(p, 20, seeded_rng(seed, p, "eq2")))
+    verdicts = run_suite(p, p, claims=["eq2"], seed=seed, budget=30)
+    grid = [(j, i) for j in range(1, p - 1) for i in range(len(dsets))][:30]
+    assert sorted((v.params["chi"], v.params["D_index"]) for v in verdicts) == sorted(grid)
+    for v in verdicts:
+        alone = check_eq2_identity(ctx, character(ctx, v.params["chi"]),
+                                   dsets[v.params["D_index"]])
+        alone.params["D_index"] = v.params["D_index"]
+        assert v == alone
+
+
+def test_eq2_batch_memory_is_bounded():
+    """All 3999 nontrivial characters at p = 4001 for one D: their pushed-forward
+    rows would take 128 MB as one (3999 x 4000) histogram.  The per-order
+    reduction tables (m x phi(m) int64 and its float64 copy, 51 MB each at
+    m = 4000) are built once per process and shared by every exact checker, so
+    they are built before tracing; the bound is on what the batch allocates."""
+    ctx = make_ctx(4001)
+    chis = [character(ctx, j) for j in range(1, 4000)]
+    reduce_counts(np.zeros(4000, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        verdicts = check_eq2_identities(ctx, chis, range(1, 64))
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == 3999
+    assert all(v.passed and v.computed == 4001 * 63 - 63**2 for v in verdicts)
+    assert peak_bytes <= 64e6
+
+
 def _int_weights(p, rng):
     return Weights([rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(p)])
 
@@ -217,12 +273,14 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     on where the chunks fall."""
     ctx = make_ctx(31)
     chi = character(ctx, 5)
+    every_chi = [character(ctx, j) for j in range(1, 30)]
     rng = random.Random(cells)
     D = rng.sample(range(1, 31), 17)
     xi, eta = _int_weights(31, rng), _int_weights(31, rng)
 
     def exact_values():
         return [check_eq2_identity(ctx, chi, D).computed, check_konyagin(30, D).computed,
+                [v.computed for v in check_eq2_identities(ctx, every_chi, D)],
                 [check_granville(ctx, H).computed for H in subgroups(ctx)],
                 bilinear_S(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
                 bilinear_Sprime(ctx, chi, xi, eta, 3, "exact").exact.reduced(),

@@ -86,6 +86,14 @@ class TestOverflowGuard:
         counts[3] = 2**62 - 2**30  # x^3 = -1
         assert reduce_counts(counts).tolist() == [2**30, 0]
 
+    @pytest.mark.parametrize("c0, c3", [(2**52 + 1, 2**52 - 2**14 + 1),  # float64 product
+                                        (2**53 + 1, 2**51 - 1)])  # int64 product
+    def test_bound_either_side_of_2_53_is_exact(self, c0, c3):
+        # below 2^53 every partial sum is a float64 integer; 2^53 + 1 is not one
+        counts = np.zeros(6, dtype=np.int64)
+        counts[0], counts[3] = c0, c3  # x^3 = -1 mod Phi_6
+        assert reduce_counts(counts).tolist() == [c0 - c3, 0]
+
     def test_coefficient_outside_int64_raises(self):
         with pytest.raises(CapacityExceeded):
             CycInt.from_int(6, 2**70).as_integer()

@@ -88,3 +88,8 @@ class TestScanRange:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             scan_prime("2", 7)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            scan_range("1", 3, 13, workers=workers)

@@ -21,10 +21,10 @@ from charsum.verifier import (
     check_sharpened_theorem2,
     check_shkredov_bound,
     check_theorem2,
-    eq2_via_engine,
     random_weights,
     run_suite,
 )
+from references import eq2_via_engine
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +319,12 @@ class TestRunSuite:
         full = run_suite(13, 13, claims=["meanvalue2"], seed=0)
         capped = run_suite(13, 13, claims=["meanvalue2"], seed=0, budget=4)
         assert len(capped) == 4 < len(full)
+
+    @pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -1},
+                                        {"workers": 0}, {"workers": -2}])
+    def test_nonpositive_budget_or_workers_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            run_suite(13, 13, claims=["granville", "konyagin"], **kwargs)
 
     def test_verdict_sorting(self):
         vs = run_suite(3, 13, claims=["granville", "thm2"], seed=0)
