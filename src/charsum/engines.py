@@ -190,22 +190,6 @@ def proof_kernel_S_yy1(ctx: FieldCtx, chi: Character, y: int, y1: int, a: int,
     return SumValue.from_numeric(total)
 
 
-def kernel_closed_form(ctx: FieldCtx, chi: Character, y: int, y1: int) -> SumValue:
-    """The four-case value of the proof kernel, as an exact cyclotomic integer."""
-    p = ctx.p
-    m = p - 1
-    y %= p
-    y1 %= p
-    if y == 0 and y1 == 0:
-        return SumValue.from_exact(CycInt.from_int(m, p))
-    if y == 0 or y1 == 0:
-        return SumValue.from_exact(CycInt.zero(m))
-    if y == y1:
-        return SumValue.from_exact(CycInt.from_int(m, p - 1))
-    r = y * mod_inverse(ctx, y1) % p
-    return SumValue.from_exact(-chi.value_exact(r))
-
-
 # ---------------------------------------------------------------------------
 # nonlinear-argument sums over a subgroup
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import concurrent.futures
 import csv
 import json
+import lzma
 import os
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +109,20 @@ class TestVerify:
         assert main(args + ["--out", str(f2), "--workers", "2"]) == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_exact_stream_equals_stored_reference(self, capsys, tmp_path):
+        """The exact claims' verdict stream, record for record, against the
+        benchmark's stored reference for the same argv."""
+        ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "verify-exact.seed1.jsonl.xz"
+        out_file = tmp_path / "v.jsonl"
+        code, _, _ = run(capsys, "verify", "--p-min", "3", "--p-max", "43", "--claims",
+                         "eq2,kernel,granville,shkredov,konyagin", "--seed", "1",
+                         "--workers", "1", "--out", str(out_file))
+        assert code == 0
+        with lzma.open(ref, "rt", encoding="utf-8") as f:
+            expected = f.read().splitlines()
+        assert len(expected) == 7418
+        assert out_file.read_text(encoding="utf-8").splitlines() == expected
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--p-max", "7", "--claims", "nope")

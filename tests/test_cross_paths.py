@@ -1,8 +1,9 @@
 """Generated cross-checks between independent paths to the same values: the
 numeric kernel (one DFT of a dlog histogram for every character) and the
 coset-batched gather against the per-shift engines, the exact histogram kernel
-against numeric mode and against sums of CycInt products, and the batched eq2
-push-forward against per-character histograms, on primes p <= 200."""
+against numeric mode and against sums of CycInt products, the batched eq2
+push-forward against per-character histograms, and each identity's certificate
+against its per-character fallback, on primes p <= 200."""
 
 import random
 import tracemalloc
@@ -32,6 +33,7 @@ from charsum.verifier import (
     check_eq2_identities,
     check_eq2_identity,
     check_granville,
+    check_kernel_cases,
     check_konyagin,
     check_meanvalue2,
     check_nonlinear_bound_all_shifts,
@@ -43,7 +45,14 @@ from charsum.verifier import (
     run_suite,
     seeded_rng,
 )
-from references import eq2_per_character, eq2_via_engine
+from references import (
+    corrupted_ctx,
+    eq2_per_character,
+    eq2_via_engine,
+    granville_mismatches,
+    kernel_mismatches,
+    without_certificates,
+)
 
 PRIMES = list(primes_in(3, 200))
 SMALL_PRIMES = [p for p in PRIMES if p <= 60]
@@ -209,12 +218,14 @@ def test_budgeted_eq2_suite_equals_standalone_checker():
         assert v == alone
 
 
-def test_eq2_batch_memory_is_bounded():
-    """All 3999 nontrivial characters at p = 4001 for one D: their pushed-forward
-    rows would take 128 MB as one (3999 x 4000) histogram.  The per-order
-    reduction tables (m x phi(m) int64 and its float64 copy, 51 MB each at
-    m = 4000) are built once per process and shared by every exact checker, so
-    they are built before tracing; the bound is on what the batch allocates."""
+def test_eq2_batch_memory_is_bounded(monkeypatch):
+    """All 3999 nontrivial characters at p = 4001 for one D, on the push-forward
+    route (the certificate is forced off): their pushed-forward rows would take
+    128 MB as one (3999 x 4000) histogram.  The per-order reduction tables
+    (m x phi(m) int64 and its float64 copy, 51 MB each at m = 4000) are built
+    once per process and shared by every exact checker, so they are built before
+    tracing; the bound is on what the batch allocates."""
+    without_certificates(monkeypatch)
     ctx = make_ctx(4001)
     chis = [character(ctx, j) for j in range(1, 4000)]
     reduce_counts(np.zeros(4000, dtype=np.int64))
@@ -270,7 +281,8 @@ def test_exact_exp_sum_matches_numeric(inst):
 def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     """Shrinking the histogram batch forces every chunk boundary; the counts,
     and so every exact value and every numeric kernel value, must not depend
-    on where the chunks fall."""
+    on where the chunks fall.  The certificates are forced off, so the chunked
+    per-character routes run, mismatch counts on a corrupted dlog included."""
     ctx = make_ctx(31)
     chi = character(ctx, 5)
     every_chi = [character(ctx, j) for j in range(1, 30)]
@@ -278,8 +290,14 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     D = rng.sample(range(1, 31), 17)
     xi, eta = _int_weights(31, rng), _int_weights(31, rng)
 
+    bad = corrupted_ctx(31, 2, 7)
+    certify = verifier.kernel_certificate.__wrapped__  # uncached
+    without_certificates(monkeypatch)
+
     def exact_values():
         return [check_eq2_identity(ctx, chi, D).computed, check_konyagin(30, D).computed,
+                certify(ctx), check_kernel_cases(ctx, chi, 3).computed,
+                check_kernel_cases(bad, character(bad, 5), 3).computed,
                 [v.computed for v in check_eq2_identities(ctx, every_chi, D)],
                 [check_granville(ctx, H).computed for H in subgroups(ctx)],
                 bilinear_S(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
@@ -291,3 +309,85 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)
     monkeypatch.setattr(engines, "HISTOGRAM_CELLS", cells)
     assert exact_values() == whole
+
+
+@cross_path
+@given(instances(nonprincipal=True, nonzero_shift=True, primes=SMALL_PRIMES), st.data())
+def test_certificates_equal_fallbacks(inst, data):
+    """Each certificate holds on a true dlog, and the verdicts it gives equal
+    those of the per-character routes it replaces."""
+    ctx, chi, H, a = inst
+    D = data.draw(subsets(ctx.p))
+    every_chi = [character(ctx, j) for j in range(1, ctx.p - 1)]
+    assert verifier.kernel_certificate(ctx) and verifier.granville_certificate(ctx, H)
+
+    def records():
+        return [v.to_record() for v in [check_kernel_cases(ctx, chi, a), check_granville(ctx, H),
+                                        *check_eq2_identities(ctx, every_chi, D)]]
+
+    certified = records()
+    with pytest.MonkeyPatch.context() as mp:
+        without_certificates(mp)
+        assert records() == certified
+
+
+def test_suite_certificates_equal_fallbacks(monkeypatch):
+    claims = ["eq2", "kernel", "granville"]
+    certified = [v.to_record() for v in run_suite(3, 61, claims=claims, seed=42)]
+    without_certificates(monkeypatch)
+    assert [v.to_record() for v in run_suite(3, 61, claims=claims, seed=42)] == certified
+
+
+# Mutation tests: dlog[2] and dlog[5] swapped at p = 13 is no discrete logarithm,
+# so the "characters" built on it break every identity.  Each certificate must
+# reject, and each fallback must report what the reference route reports.
+
+def test_kernel_certificate_rejects_corrupted_dlog():
+    bad = corrupted_ctx(13, 2, 5)
+    assert not verifier.kernel_certificate(bad)
+    for j, a in [(1, 1), (4, 3), (5, 12)]:
+        chi = character(bad, j)
+        assert check_kernel_cases(bad, chi, a).computed == kernel_mismatches(bad, chi, a) > 0
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 12])
+def test_kernel_certificate_rejects_each_perturbed_row(monkeypatch, r):
+    """One count moved from t = 0 to t = 1 in row r of the certificate's
+    histogram: the y = 0 row (r = 0), the y = y1 row (r = 1), or a generic one."""
+    counted = verifier.exponent_histogram
+
+    def perturbed(exponents, m, weights=None):
+        counts = counted(exponents, m, weights)
+        counts[r, 0] -= 1
+        counts[r, 1] += 1
+        return counts
+
+    ctx = make_ctx(13)
+    monkeypatch.setattr(verifier, "exponent_histogram", perturbed)
+    assert not verifier.kernel_certificate(ctx)
+
+
+def test_eq2_certificate_rejects_corrupted_dlog(monkeypatch):
+    bad = corrupted_ctx(13, 2, 5)
+    chis = [character(bad, j) for j in range(1, 12)]
+    D = [1, 2, 3, 4, 6]
+    certify = verifier.eq2_certificate
+    seen = []
+    monkeypatch.setattr(verifier, "eq2_certificate", lambda c: seen.append(certify(c)) or seen[-1])
+    verdicts = check_eq2_identities(bad, chis, D)
+    assert seen == [False]
+    assert not all(v.passed for v in verdicts)
+    for chi, v in zip(chis, verdicts):
+        reference = eq2_via_engine(bad, chi, D)
+        assert v.computed == (reference if reference is not None else "non-integer")
+
+
+def test_granville_certificate_rejects_corrupted_dlog():
+    bad = corrupted_ctx(13, 5, 2)  # 5 lies in the subgroup of order 4, 2 does not
+    H = subgroup_of_order(bad, 4)
+    assert 5 in H.elements and 2 not in H.elements
+    assert not verifier.granville_certificate(bad, H)
+    v = check_granville(bad, H)
+    assert not v.passed
+    assert v.computed == f"{granville_mismatches(bad, H)} structural mismatches"
+    assert granville_mismatches(bad, H) > 0

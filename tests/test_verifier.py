@@ -24,7 +24,7 @@ from charsum.verifier import (
     random_weights,
     run_suite,
 )
-from references import eq2_via_engine
+from references import eq2_via_engine, without_certificates
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +268,33 @@ class TestKernelCases:
         v = check_kernel_cases(ctx, character(ctx, 3), 5,
                                pairs=[(0, 0), (0, 4), (9, 9), (2, 11)])
         assert v.passed and v.params["pairs"] == 4
+
+    def test_full_grid_memory_is_bounded(self):
+        # the per-pair route's p^2 x p grid would take about 3 GB at p = 401;
+        # the certificate counts p rows of p terms
+        ctx = make_ctx(401)
+        tracemalloc.start()
+        try:
+            v = check_kernel_cases(ctx, character(ctx, 7), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.passed and v.params["pairs"] == 401**2
+        assert peak <= 64e6
+
+    def test_fallback_memory_is_bounded(self, monkeypatch):
+        # with the certificate forced off, the 151^2 x 151 grid (168 MB at once)
+        # is reduced in chunks of at most HISTOGRAM_CELLS cells
+        without_certificates(monkeypatch)
+        ctx = make_ctx(151)
+        tracemalloc.start()
+        try:
+            v = check_kernel_cases(ctx, character(ctx, 7), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.passed and v.params["pairs"] == 151**2
+        assert peak <= 64e6
 
 
 class TestNonlinearChecker:
