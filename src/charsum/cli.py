@@ -179,14 +179,18 @@ def cmd_sum(args) -> int:
 # verify / scan output plumbing
 # ---------------------------------------------------------------------------
 
+def _write_text(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_records(records: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json-lines":
-        text = "".join(json.dumps(r, sort_keys=True, default=str) + "\n" for r in records)
-        if out:
-            with open(out, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text("".join(json.dumps(r, sort_keys=True, default=str) + "\n" for r in records),
+                    out)
         return
     # csv: flatten dict-valued fields as JSON
     keys = sorted({k for r in records for k in r})
@@ -220,8 +224,10 @@ def cmd_verify(args) -> int:
                                       seed=args.seed, workers=args.workers, budget=args.budget)
     except ValueError as e:
         raise CharsumError(str(e))
-    records = [v.to_record() for v in verdicts]
-    _write_records(records, args.out, args.format)
+    if args.format == "json-lines":
+        _write_text("".join(v.to_line() for v in verdicts), args.out)
+    else:
+        _write_records([v.to_record() for v in verdicts], args.out, args.format)
     passes = sum(1 for v in verdicts if v.passed)
     capacity = sum(1 for v in verdicts if v.kind == "capacity")
     failures = len(verdicts) - passes - capacity

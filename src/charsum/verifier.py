@@ -28,8 +28,9 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -75,6 +76,22 @@ CLAIMS = (
 )
 
 
+# One encoder for every verdict's params.  Its text is taken once per verdict:
+# it orders the run (JSON's string order included) and goes into the JSON line.
+_PARAMS_JSON = json.JSONEncoder(sort_keys=True, default=str)
+
+
+def _json_float(x: float) -> str:
+    """x spelled as json.dumps spells a float."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 @dataclass
 class Verdict:
     claim: str
@@ -86,6 +103,7 @@ class Verdict:
     mode: str
     kind: str = "verdict"  # "verdict" | "capacity"
     note: str = ""
+    _params_text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # numpy scalars would reach the JSON writer through default=str, as "True"
@@ -94,6 +112,14 @@ class Verdict:
         if self.mode == "numeric":
             self.computed = float(self.computed)
             self.target = float(self.target)
+
+    @property
+    def params_text(self) -> str:
+        """params as sorted-key JSON, encoded on first use: params are final from
+        construction (set a field with dataclasses.replace, which starts afresh)."""
+        if self._params_text is None:
+            self._params_text = _PARAMS_JSON.encode(self.params)
+        return self._params_text
 
     def to_record(self) -> dict:
         return {
@@ -108,12 +134,18 @@ class Verdict:
             "note": self.note,
         }
 
+    def to_line(self) -> str:
+        """json.dumps(self.to_record(), sort_keys=True, default=str) + "\\n", written
+        directly: keys in sorted order, params as its encoded text."""
+        s = encode_basestring_ascii
+        return (f'{{"claim": {s(self.claim)}, "computed": {s(str(self.computed))}, '
+                f'"kind": {s(self.kind)}, "margin": {_json_float(self.margin)}, '
+                f'"mode": {s(self.mode)}, "note": {s(self.note)}, '
+                f'"params": {self.params_text}, "pass": {"true" if self.passed else "false"}, '
+                f'"target": {s(str(self.target))}}}\n')
+
     def sort_key(self):
-        return (
-            self.claim,
-            self.params.get("p", self.params.get("q", 0)),
-            json.dumps(self.params, sort_keys=True, default=str),
-        )
+        return (self.claim, self.params.get("p", self.params.get("q", 0)), self.params_text)
 
 
 def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
@@ -632,9 +664,8 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
             for chi, i in within([(chi, i) for chi in nontrivial for i in range(len(dsets))]):
                 chis_of.setdefault(i, []).append(chi)
             for i, chis in chis_of.items():
-                for v in check_eq2_identities(ctx, chis, dsets[i]):
-                    v.params["D_index"] = i
-                    verdicts.append(v)
+                verdicts.extend(replace(v, params={**v.params, "D_index": i})
+                                for v in check_eq2_identities(ctx, chis, dsets[i]))
 
     if "lemma3" in claims:
         rng = seeded_rng(seed, p, "lemma3")
@@ -645,8 +676,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
                 eta = random_weights(p, rng)
                 a = rng.randrange(1, p)
                 v = check_lemma3(ctx, chi, xi, eta, a)
-                v.params["instance"] = f"{ci}:{w}"
-                verdicts.append(v)
+                verdicts.append(replace(v, params={**v.params, "instance": f"{ci}:{w}"}))
 
     if "kernel" in claims:
         if m > EXACT_MAX_ORDER:
@@ -699,8 +729,7 @@ def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget=None) -> list[V
             dsets = dsets[:budget]
         for i, D in enumerate(dsets):
             v = check_konyagin(q, D)
-            v.params["D_index"] = i
-            verdicts.append(v)
+            verdicts.append(replace(v, params={**v.params, "D_index": i}))
     return verdicts
 
 

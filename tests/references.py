@@ -2,6 +2,7 @@
 compare the suite's kernels against them."""
 
 import dataclasses
+import json
 
 import numpy as np
 
@@ -68,6 +69,13 @@ def corrupted_ctx(p: int, x: int, y: int):
     dlog = ctx.dlog.copy()
     dlog[[x, y]] = dlog[[y, x]]
     return dataclasses.replace(ctx, dlog=dlog)
+
+
+def json_sort_key(v):
+    """The run's order with the params text made afresh by json.dumps: claim,
+    then p or q, then the params object's JSON text."""
+    return (v.claim, v.params.get("p", v.params.get("q", 0)),
+            json.dumps(v.params, sort_keys=True, default=str))
 
 
 def without_certificates(monkeypatch) -> None:

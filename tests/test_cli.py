@@ -2,13 +2,17 @@ import concurrent.futures
 import csv
 import json
 import lzma
+import math
 import os
 from pathlib import Path
 
 import pytest
 
+from charsum import verifier
 from charsum.cli import main
 from charsum.verifier import CLAIMS
+
+REF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
 
 
 def run(capsys, *argv):
@@ -102,10 +106,10 @@ class TestVerify:
         assert all(r["kind"] == "capacity" for r in records)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
+        """Every claim's written stream, byte for byte, with one worker and two."""
         f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        args = ["verify", "--p-max", "13", "--seed", "42", "--claims",
-                "thm2,lemma3,meanvalue2"]
-        assert main(args + ["--out", str(f1)]) == 0
+        args = ["verify", "--p-max", "23", "--seed", "3"]
+        assert main(args + ["--out", str(f1), "--workers", "1"]) == 0
         assert main(args + ["--out", str(f2), "--workers", "2"]) == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
@@ -113,7 +117,7 @@ class TestVerify:
     def test_exact_stream_equals_stored_reference(self, capsys, tmp_path):
         """The exact claims' verdict stream, record for record, against the
         benchmark's stored reference for the same argv."""
-        ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "verify-exact.seed1.jsonl.xz"
+        ref = REF_DIR / "verify-exact.seed1.jsonl.xz"
         out_file = tmp_path / "v.jsonl"
         code, _, _ = run(capsys, "verify", "--p-min", "3", "--p-max", "43", "--claims",
                          "eq2,kernel,granville,shkredov,konyagin", "--seed", "1",
@@ -123,6 +127,51 @@ class TestVerify:
             expected = f.read().splitlines()
         assert len(expected) == 7418
         assert out_file.read_text(encoding="utf-8").splitlines() == expected
+
+    def test_numeric_stream_matches_stored_reference(self, capsys, tmp_path):
+        """The numeric claims' verdict stream against the benchmark's stored
+        reference: everything but the floats equal, and the floats within the
+        benchmark's own 1e-9, so that numpy's FFT rounding may differ."""
+        out_file = tmp_path / "v.jsonl"
+        code, _, _ = run(capsys, "verify", "--p-min", "3", "--p-max", "83", "--claims",
+                         "thm2,eps,meanvalue2,nonlinear,lemma3", "--seed", "1",
+                         "--workers", "1", "--out", str(out_file))
+        assert code == 0
+        with lzma.open(REF_DIR / "verify-numeric.seed1.jsonl.xz", "rt", encoding="utf-8") as f:
+            expected = [json.loads(line) for line in f]
+        got = [json.loads(line) for line in out_file.read_text(encoding="utf-8").splitlines()]
+        assert len(expected) == len(got) == 24775
+
+        def fields(r):
+            return [r[k] for k in ("kind", "claim", "params", "mode", "pass", "note")]
+
+        assert [fields(r) for r in got] == [fields(r) for r in expected]
+        far = [(i, k) for i, (r, e) in enumerate(zip(got, expected))
+               for k in ("computed", "target", "margin")
+               if not math.isclose(float(r[k]), float(e[k]), rel_tol=0, abs_tol=1e-9)]
+        assert far == []
+
+    def test_json_lines_encode_each_params_once(self, capsys, tmp_path, monkeypatch):
+        """The json-lines writer calls no json.dumps, and each verdict's params are
+        encoded once, for its sort key and its line together."""
+        encoded = []
+
+        class Counting(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(o)
+                return super().encode(o)
+
+        def no_dumps(*args, **kwargs):
+            raise AssertionError("json.dumps called on the json-lines path")
+
+        monkeypatch.setattr(verifier, "_PARAMS_JSON", Counting(sort_keys=True, default=str))
+        monkeypatch.setattr(json, "dumps", no_dumps)
+        out_file = tmp_path / "v.jsonl"
+        code, _, _ = run(capsys, "verify", "--p-max", "23", "--seed", "3", "--out", str(out_file))
+        monkeypatch.undo()
+        assert code == 0
+        lines = out_file.read_text(encoding="utf-8").splitlines()
+        assert len(encoded) == len(lines) > 0
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--p-max", "7", "--claims", "nope")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ from charsum.engines import shifted_values_all
 from charsum.errors import PrincipalCharacter, ShiftNotCoprime, ZeroInD
 from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
 from charsum.verifier import (
+    CLAIMS,
     Verdict,
     check_eps_corollary,
     check_eq2_identity,
@@ -24,7 +26,7 @@ from charsum.verifier import (
     random_weights,
     run_suite,
 )
-from references import eq2_via_engine, without_certificates
+from references import eq2_via_engine, json_sort_key, without_certificates
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +359,25 @@ class TestRunSuite:
         vs = run_suite(3, 13, claims=["granville", "thm2"], seed=0)
         keys = [v.sort_key() for v in vs]
         assert keys == sorted(keys)
+        # every claim, in the order of params texts made afresh by json.dumps,
+        # with JSON's string order: eq2's "D_index": 10 sorts before 2
+        vs = run_suite(3, 23, seed=0)
+        assert {v.claim for v in vs} == set(CLAIMS)
+        assert any(v.params.get("D_index") == 10 for v in vs)
+        assert sorted(vs, key=json_sort_key) == vs
+
+    def test_params_are_final_before_their_text_is_taken(self, monkeypatch):
+        # take each text as the verdict is built, the earliest it could be taken
+        post_init = Verdict.__post_init__
+
+        def eager(v):
+            post_init(v)
+            v.params_text
+
+        monkeypatch.setattr(Verdict, "__post_init__", eager)
+        vs = run_suite(3, 61, seed=42)
+        assert [v.params_text for v in vs] == [
+            json.dumps(v.params, sort_keys=True, default=str) for v in vs]
 
 
 def test_verdict_record_shape():
@@ -366,3 +387,30 @@ def test_verdict_record_shape():
     assert set(r) == {"kind", "claim", "params", "computed", "target",
                       "margin", "pass", "mode", "note"}
     assert r["computed"] == "1"
+
+
+def _dumped(v: Verdict) -> str:
+    return json.dumps(v.to_record(), sort_keys=True, default=str) + "\n"
+
+
+def test_to_line_is_json_dumps_of_the_record():
+    vs = run_suite(3, 101, seed=42)
+    assert {v.claim for v in vs} == set(CLAIMS)
+    assert [v.to_line() for v in vs] == [_dumped(v) for v in vs]
+
+
+@pytest.mark.parametrize("v", [
+    Verdict("eq2", {"p": 10007}, "skipped", "skipped", math.nan, False, "exact",
+            kind="capacity", note="p-1=10006 > 10000"),
+    Verdict("thm2", {"p": 7, "H": 3}, 1.5, 2.5, math.inf, True, "numeric"),
+    Verdict("thm2", {"p": 7, "H": 3}, 2.5, 1.5, -math.inf, False, "numeric"),
+    Verdict("thm2", {"p": 7, "H": 3}, 2.5, 2.5, -0.0, True, "numeric"),
+    Verdict("shkredov", {"p": 7, "H": 3}, math.inf, 7, math.nan, False, "exact"),
+    Verdict("x", {"p": 7, "s": 'q"\\é'}, 0, 0, 0.0, True, "exact",
+            note='a quote ", a backslash \\ and a non-ASCII \u03c7'),
+    Verdict("konyagin", {"q": 2**64 + 1, "D_index": 2**70}, 2**65, -(2**63) - 1, 0.0,
+            True, "exact"),
+], ids=["nan-margin", "inf-margin", "neg-inf-margin", "neg-zero-margin",
+        "shkredov-inf", "escapes", "big-ints"])
+def test_to_line_hand_built(v):
+    assert v.to_line() == _dumped(v)
