@@ -115,6 +115,8 @@ def _sum_value(args):
     H = _resolve_subgroup(ctx, args)
 
     if args.kind in ("kloosterman", "inverse-shift"):
+        if args.mode == "exact":
+            raise CharsumError(f"--kind {args.kind} has no exact mode; use auto or numeric")
         if H is None:
             raise CharsumError(f"--kind {args.kind} requires a subgroup selector")
         if args.kind == "kloosterman":
@@ -217,8 +219,10 @@ def _write_csv(header: list[str], rows: list[dict], out: str | None) -> None:
 
 def cmd_verify(args) -> int:
     claims = None
-    if args.claims:
+    if args.claims is not None:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not claims:
+            raise CharsumError(f"--claims {args.claims!r} names no claim")
     try:
         verdicts = verifier.run_suite(p_min=args.p_min, p_max=args.p_max, claims=claims,
                                       seed=args.seed, workers=args.workers, budget=args.budget)

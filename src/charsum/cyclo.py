@@ -61,29 +61,23 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def reduction_rows(m: int) -> np.ndarray:
-    """Read-only int64 (m x deg Phi_m) matrix whose row i is x^i reduced mod Phi_m.
+    """Read-only (m x deg Phi_m) matrix whose row i is x^i reduced mod Phi_m.
 
     Reduction of any coefficient vector is then a linear map, which lets
-    callers reduce many elements at once with reduce_counts.
+    callers reduce many elements at once with reduce_counts.  Its small integer
+    entries are exact in float64, for the BLAS product.  A table takes 8 m phi(m)
+    bytes (up to 800 MB near EXACT_MAX_ORDER), so only the two latest orders are kept.
     """
-    phi = np.array(cyclotomic_poly(m)[:-1], dtype=np.int64)
+    phi = np.array(cyclotomic_poly(m)[:-1], dtype=np.float64)
     deg = len(phi)
-    rows = np.zeros((m, deg), dtype=np.int64)
-    rows[:deg] = np.eye(deg, dtype=np.int64)
+    rows = np.zeros((m, deg))
+    rows[:deg] = np.eye(deg)
     for i in range(deg, m):
         # multiply by x, then cancel the leading term against monic Phi_m
         rows[i, 1:] = rows[i - 1, :-1]
         rows[i] -= rows[i - 1, -1] * phi
-    rows.flags.writeable = False
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _float_reduction_rows(m: int) -> np.ndarray:
-    """reduction_rows(m) as read-only float64, for reduce_counts' BLAS product."""
-    rows = reduction_rows(m).astype(np.float64)
     rows.flags.writeable = False
     return rows
 
@@ -104,10 +98,10 @@ def reduce_counts(counts) -> np.ndarray:
     row_sum = np.abs(counts, dtype=np.float64).sum(axis=-1).max(initial=0.0)
     bound = row_sum * max(R.max(), -R.min())
     if bound < _FLOAT64_EXACT:
-        return (counts.astype(np.float64) @ _float_reduction_rows(m)).astype(np.int64)
+        return (counts.astype(np.float64) @ R).astype(np.int64)
     if bound >= _INT64_BOUND:
         raise CapacityExceeded(f"reducing mod Phi_{m} could overflow int64 (bound {bound:.3g})")
-    return counts @ R
+    return counts @ R.astype(np.int64)
 
 
 def exponent_histogram(exponents, m: int, weights=None) -> np.ndarray:

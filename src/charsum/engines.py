@@ -1,25 +1,26 @@
 """Character and exponential sum engines.
 
-Every engine exists in two modes: exact (cyclotomic-integer counts, desk scale)
-and numeric (complex double, large scale).  The mode is always an explicit
-parameter; "auto" resolves to exact iff p-1 fits the exact-order cap.
+Each sum is one exponent array e, with value sum_i zeta_m^(e_i) (e_i = -1 marks
+a zero term), made by its *_exponents builder: terms on axis 0, the sum's
+parameters broadcast on the trailing axes.  One reader gives it exactly (a
+CycInt, desk scale) or numerically (complex double, large scale); "auto" mode
+is exact iff the root order fits the exact-order cap.  The bilinear forms' FFT
+and shifted_values_all are numeric routes of their own.
 """
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from .characters import Character
-from .cyclo import EXACT_MAX_ORDER, HISTOGRAM_CELLS, CycInt
+from .cyclo import EXACT_MAX_ORDER, CycInt
 from .errors import (
     CapacityExceeded,
     DegenerateShifts,
     PrincipalCharacter,
     ShiftNotCoprime,
 )
-from .field import FieldCtx, Subgroup, coset_shift_rows, mod_inverse
+from .field import FieldCtx, Subgroup, coset_shift_rows, inverse_table
 from .values import EXACT, NUMERIC, SumValue, Weights
 
 
@@ -43,20 +44,44 @@ def _require_coprime_shift(p: int, a: int) -> None:
         raise ShiftNotCoprime("shift a must be nonzero mod p")
 
 
+def _mod(v, n: int) -> np.ndarray:
+    return np.asarray(v, dtype=np.int64) % n
+
+
+def _terms(x, *params) -> np.ndarray:
+    """The terms x on axis 0, shaped to broadcast against params on the trailing axes."""
+    return np.asarray(x, dtype=np.int64).reshape((-1,) + (1,) * np.broadcast(*params).ndim)
+
+
+def numeric_sums(exponents, m: int, weights=None) -> np.ndarray:
+    """sum_i w_i exp(2 pi i e_i / m) over axis 0 (in order, term by term, when there
+    are trailing axes), for every index of the trailing axes; weights default to 1."""
+    e = np.asarray(exponents)
+    terms = np.exp(2j * np.pi * e / m)
+    terms[e < 0] = 0
+    if weights is not None:
+        terms *= weights
+    return terms.sum(axis=0)
+
+
+def _read(m: int, mode: str, exponents, weights=None) -> SumValue:
+    """sum_i w_i zeta_m^(e_i) over the whole array: a CycInt, or a complex double."""
+    if resolve_mode(m, mode) == EXACT:
+        return SumValue.from_exact(CycInt.from_exponents(m, exponents, weights))
+    return SumValue.from_numeric(numeric_sums(exponents, m, weights))
+
+
 # ---------------------------------------------------------------------------
 # shifted sums  sum_{x in D} chi(x + a)
 # ---------------------------------------------------------------------------
 
+def shifted_exponents(ctx: FieldCtx, chi: Character, D, a) -> np.ndarray:
+    """Exponents of chi(x + a), x in D."""
+    return chi.exponent_table()[(_terms(D, a) + _mod(a, ctx.p)) % ctx.p]
+
+
 def shifted_sum(ctx: FieldCtx, chi: Character, D, a: int, mode: str = "auto") -> SumValue:
-    p = ctx.p
-    m = p - 1
-    mode = resolve_mode(m, mode)
-    if mode == EXACT:
-        x = np.asarray(D, dtype=np.int64)
-        return SumValue.from_exact(CycInt.from_exponents(m, chi.exponent_table()[(x + a % p) % p]))
-    table = chi.value_table()
-    total = complex(sum(table[(x + a) % p] for x in D))
-    return SumValue.from_numeric(total)
+    return _read(ctx.p - 1, mode, shifted_exponents(ctx, chi, D, a))
 
 
 def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
@@ -90,47 +115,53 @@ def shifted_sum_all(ctx: FieldCtx, chi: Character, D, mode: str = "auto") -> lis
     Numeric mode runs in O(p log p); exact mode is the naive per-shift loop.
     """
     p = ctx.p
-    mode = resolve_mode(p - 1, mode)
-    if mode == EXACT:
+    if resolve_mode(p - 1, mode) == EXACT:
         return [shifted_sum(ctx, chi, D, a, EXACT) for a in range(p)]
-    vals = shifted_values_all(ctx, chi, D)
-    return [SumValue.from_numeric(v) for v in vals]
+    return [SumValue.from_numeric(v) for v in shifted_values_all(ctx, chi, D)]
 
 
 # ---------------------------------------------------------------------------
 # bilinear forms  S = sum_xy xi(x) eta(y) chi(xy + a)   (and the twisted S')
 # ---------------------------------------------------------------------------
 
+def _dlog_line(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
+    """The weights w at the nonzero residues, indexed by discrete log."""
+    line = np.zeros(ctx.p - 1, dtype=w.dtype)
+    line[ctx.dlog[1:]] = w[1:]
+    return line
+
+
+def _boundary(w, v):
+    """The weight of the terms with x = 0 or y = 0, where xy + a = a."""
+    return w[0] * np.sum(v) + v[0] * np.sum(w) - w[0] * v[0]
+
+
 def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
               mode: str, twist: bool) -> SumValue:
+    """The products xy = g^t carry the cyclic convolution of the weights on the
+    dlog line: exactly of integers, or numerically by FFT."""
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
     m = p - 1
-    mode = resolve_mode(m, mode)
-    if mode == EXACT:
+    if resolve_mode(m, mode) == EXACT:
         # sum|xi| * sum|eta| bounds every weight product and count; int64 must hold it
         if np.abs(xi.values).sum() * np.abs(eta.values).sum() >= 2.0**62:
             raise CapacityExceeded("weights too large for exact int64 counts")
         wx = xi.int_values()
         wy = eta.int_values()
+        conv = np.convolve(_dlog_line(ctx, wx), _dlog_line(ctx, wy))
+        counts = conv[:m]
+        counts[:m - 1] += conv[m:]
         E = chi.exponent_table()
-        xs = np.flatnonzero(wx)
-        ys = np.flatnonzero(wy)
+        e = E[(ctx.exp + a) % p]
         if twist:
-            # x = 0 or y = 0 makes xy(xy + a) zero
-            xs = xs[xs != 0]
-            ys = ys[ys != 0]
-        total = CycInt.zero(m)
-        # the (x, y) grid in chunks of at most HISTOGRAM_CELLS cells
-        step = max(1, HISTOGRAM_CELLS // max(1, len(ys)))
-        for lo in range(0, len(xs), step):
-            x = xs[lo:lo + step, None]
-            e = E[(x * ys[None, :] + a % p) % p]
-            if twist:
-                e = np.where(e >= 0, (e + E[x] + E[ys][None, :]) % m, -1)
-            total = total + CycInt.from_exponents(m, e, wx[x] * wy[ys][None, :])
-        return SumValue.from_exact(total)
+            # chi(x) chi(y) = chi(g^t); x = 0 or y = 0 makes xy(xy + a) zero
+            e = np.where(e >= 0, (e + E[ctx.exp]) % m, -1)
+        else:
+            e = np.append(e, E[a % p])
+            counts = np.append(counts, _boundary(wx, wy))
+        return _read(m, EXACT, e, counts)
 
     table = chi.value_table()
     xiv = xi.values
@@ -138,19 +169,10 @@ def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
     if twist:
         xiv = xiv * table
         etav = etav * table
-    # group nonzero x, y by discrete log and convolve multiplicatively
-    u = np.zeros(m, dtype=complex)
-    v = np.zeros(m, dtype=complex)
-    u[ctx.dlog[1:]] = xiv[1:]
-    v[ctx.dlog[1:]] = etav[1:]
-    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))
-    shifted = table[(ctx.exp + a) % p]
-    total = complex(np.dot(conv, shifted))
+    conv = np.fft.ifft(np.fft.fft(_dlog_line(ctx, xiv)) * np.fft.fft(_dlog_line(ctx, etav)))
+    total = complex(np.dot(conv, table[(ctx.exp + a) % p]))
     if not twist:
-        # x = 0 / y = 0 boundary terms, each contributing chi(a)
-        total += table[a % p] * (
-            xiv[0] * np.sum(etav) + etav[0] * np.sum(xiv) - xiv[0] * etav[0]
-        )
+        total += table[a % p] * _boundary(xiv, etav)
     return SumValue.from_numeric(total)
 
 
@@ -166,6 +188,16 @@ def bilinear_Sprime(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a:
     return _bilinear(ctx, chi, xi, eta, a, mode, twist=True)
 
 
+def kernel_exponents(ctx: FieldCtx, chi: Character, y, y1, a: int) -> np.ndarray:
+    """Exponents of chi(xy + a) conj(chi(x*y1 + a)), x in F_p."""
+    p = ctx.p
+    E = chi.exponent_table()
+    x = _terms(np.arange(p), y, y1)
+    e1 = E[(x * _mod(y, p) + a % p) % p]
+    e2 = E[(x * _mod(y1, p) + a % p) % p]
+    return np.where((e1 >= 0) & (e2 >= 0), (e1 - e2) % (p - 1), -1)
+
+
 def proof_kernel_S_yy1(ctx: FieldCtx, chi: Character, y: int, y1: int, a: int,
                        mode: str = "exact") -> SumValue:
     """sum_x chi(xy + a) * conj(chi(x*y1 + a)), computed by brute force.
@@ -175,34 +207,17 @@ def proof_kernel_S_yy1(ctx: FieldCtx, chi: Character, y: int, y1: int, a: int,
     """
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
-    p = ctx.p
-    m = p - 1
-    mode = resolve_mode(m, mode)
-    x = np.arange(p)
-    if mode == EXACT:
-        E = chi.exponent_table()
-        e1 = E[(x * (y % p) + a % p) % p]
-        e2 = E[(x * (y1 % p) + a % p) % p]
-        e = np.where((e1 >= 0) & (e2 >= 0), (e1 - e2) % m, -1)
-        return SumValue.from_exact(CycInt.from_exponents(m, e))
-    table = chi.value_table()
-    total = complex(np.sum(table[(x * y + a) % p] * np.conj(table[(x * y1 + a) % p])))
-    return SumValue.from_numeric(total)
+    return _read(ctx.p - 1, mode, kernel_exponents(ctx, chi, y, y1, a))
 
 
 # ---------------------------------------------------------------------------
 # nonlinear-argument sums over a subgroup
 # ---------------------------------------------------------------------------
 
-def _subset_arg_sum(ctx: FieldCtx, chi: Character, args, mode: str) -> SumValue:
-    """sum over precomputed arguments v (one per subgroup element) of chi(v)."""
-    p = ctx.p
-    m = p - 1
-    mode = resolve_mode(m, mode)
-    if mode == EXACT:
-        return SumValue.from_exact(CycInt.from_exponents(m, chi.exponent_table()[args]))
-    table = chi.value_table()
-    return SumValue.from_numeric(complex(sum(table[v] for v in args)))
+def nonlinear_exponents(ctx: FieldCtx, chi: Character, H: Subgroup, a) -> np.ndarray:
+    """Exponents of chi(x(x + a)), x in H."""
+    h = _terms(H.elements, a)
+    return chi.exponent_table()[h * ((h + _mod(a, ctx.p)) % ctx.p) % ctx.p]
 
 
 def nonlinear_sum_xxa(ctx: FieldCtx, chi: Character, H: Subgroup, a: int,
@@ -210,9 +225,14 @@ def nonlinear_sum_xxa(ctx: FieldCtx, chi: Character, H: Subgroup, a: int,
     """sum_{x in H} chi(x(x + a))"""
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
+    return _read(ctx.p - 1, mode, nonlinear_exponents(ctx, chi, H, a))
+
+
+def product_exponents(ctx: FieldCtx, chi: Character, H: Subgroup, a, b) -> np.ndarray:
+    """Exponents of chi((x + a)(x + b)), x in H."""
     p = ctx.p
-    h = np.array(H.elements, dtype=np.int64)
-    return _subset_arg_sum(ctx, chi, h * ((h + a % p) % p) % p, mode)
+    h = _terms(H.elements, a, b)
+    return chi.exponent_table()[(h + _mod(a, p)) % p * ((h + _mod(b, p)) % p) % p]
 
 
 def shifted_product_sum(ctx: FieldCtx, chi: Character, H: Subgroup, a: int, b: int,
@@ -221,43 +241,45 @@ def shifted_product_sum(ctx: FieldCtx, chi: Character, H: Subgroup, a: int, b: i
     p = ctx.p
     if (a % p) == 0 or (b % p) == 0 or (a - b) % p == 0:
         raise DegenerateShifts("shifts must satisfy a, b, a-b all nonzero mod p")
-    h = np.array(H.elements, dtype=np.int64)
-    return _subset_arg_sum(ctx, chi, (h + a % p) % p * ((h + b % p) % p) % p, mode)
+    return _read(p - 1, mode, product_exponents(ctx, chi, H, a, b))
 
 
 # ---------------------------------------------------------------------------
-# additive-character sums (numeric: they live in Z[zeta_p], not Z[zeta_{p-1}])
+# additive-character sums: exponents mod p, so they live in Z[zeta_p], not
+# Z[zeta_{p-1}]; these two have no exact route and are read numerically
 # ---------------------------------------------------------------------------
+
+def kloosterman_exponents(ctx: FieldCtx, H: Subgroup, k, l) -> np.ndarray:
+    """Exponents mod p of e((kx + l x^*) / p), x in H."""
+    p = ctx.p
+    x = _terms(H.elements, k, l)
+    return (_mod(k, p) * x + _mod(l, p) * inverse_table(ctx)[x]) % p
+
 
 def kloosterman_over_H(ctx: FieldCtx, H: Subgroup, k: int, l: int) -> SumValue:
     """sum_{x in H} e((kx + l x^*) / p), numeric mode."""
+    return _read(ctx.p, NUMERIC, kloosterman_exponents(ctx, H, k, l))
+
+
+def inverse_shift_exponents(ctx: FieldCtx, H: Subgroup, k, a) -> np.ndarray:
+    """Exponents mod p of e(k (x + a)^* / p), x in H; -1 where x = -a, left out."""
     p = ctx.p
-    total = 0j
-    for x in H.elements:
-        xinv = mod_inverse(ctx, x)
-        total += cmath.exp(2j * cmath.pi * ((k * x + l * xinv) % p) / p)
-    return SumValue.from_numeric(total)
+    v = (_terms(H.elements, k, a) + _mod(a, p)) % p
+    return np.where(v == 0, -1, inverse_table(ctx)[v] * _mod(k, p) % p)
 
 
 def inverse_shift_sum(ctx: FieldCtx, H: Subgroup, k: int, a: int) -> SumValue:
     """sum over x in H, x != -a, of e(k (x + a)^* / p), numeric mode."""
-    p = ctx.p
-    total = 0j
-    for x in H.elements:
-        v = (x + a) % p
-        if v == 0:
-            continue
-        total += cmath.exp(2j * cmath.pi * (k * mod_inverse(ctx, v) % p) / p)
-    return SumValue.from_numeric(total)
+    return _read(ctx.p, NUMERIC, inverse_shift_exponents(ctx, H, k, a))
+
+
+def exp_sum_exponents(q: int, D, a) -> np.ndarray:
+    """Exponents mod q of e_q(ax), x in D."""
+    return _mod(a, q) * (_terms(D, a) % q) % q
 
 
 def exp_sum_subset(q: int, D, a: int, mode: str = "auto") -> SumValue:
     """sum_{x in D} e_q(ax) over a general modulus q >= 2."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
-    mode = resolve_mode(q, mode)
-    if mode == EXACT:
-        x = np.asarray(D, dtype=np.int64) % q
-        return SumValue.from_exact(CycInt.from_exponents(q, (a % q) * x % q))
-    total = complex(sum(cmath.exp(2j * cmath.pi * ((a * x) % q) / q) for x in D))
-    return SumValue.from_numeric(total)
+    return _read(q, mode, exp_sum_exponents(q, D, a))

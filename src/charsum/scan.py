@@ -12,8 +12,14 @@ import math
 import numpy as np
 
 from .characters import quadratic_character
-from .engines import shifted_values_all
-from .field import inverse_table, make_ctx, primes_in, subgroup_near_sqrt
+from .engines import (
+    inverse_shift_exponents,
+    kloosterman_exponents,
+    numeric_sums,
+    product_exponents,
+    shifted_values_all,
+)
+from .field import make_ctx, primes_in, subgroup_near_sqrt
 from .verifier import map_tasks, seeded_rng
 
 PROBLEMS = ("1", "5", "6")
@@ -23,13 +29,21 @@ FULL_GRID_MAX_P = 101
 SAMPLE_SIZE = 1000
 
 
-def _base_record(ctx, H, problem: str) -> dict:
+def _peak_record(ctx, H, problem: str, sum_kind: str, mags: np.ndarray, achiever,
+                 tuples: int) -> dict:
+    """The record of the largest of the magnitudes mags; achiever(i) gives the
+    parameters of entry i."""
+    i = int(np.argmax(mags))
     return {
         "kind": "scan",
         "problem": problem,
         "p": ctx.p,
         "H_order": H.order,
         "order_ratio": H.order / math.sqrt(ctx.p),
+        "sum_kind": sum_kind,
+        "stat": float(mags[i] / math.sqrt(ctx.p)),
+        "achiever": achiever(i),
+        "tuples": tuples,
     }
 
 
@@ -38,16 +52,9 @@ def scan_problem1(p: int, seed: int = 0) -> list[dict]:
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
     chi = quadratic_character(ctx)
-    mags = np.abs(shifted_values_all(ctx, chi, H))
-    a = int(np.argmax(mags[1:])) + 1
-    rec = _base_record(ctx, H, "1")
-    rec.update({
-        "sum_kind": "shifted",
-        "stat": float(mags[a] / math.sqrt(p)),
-        "achiever": {"chi": chi.index, "a": a},
-        "tuples": p - 1,
-    })
-    return [rec]
+    mags = np.abs(shifted_values_all(ctx, chi, H))[1:]
+    return [_peak_record(ctx, H, "1", "shifted", mags,
+                         lambda i: {"chi": chi.index, "a": i + 1}, p - 1)]
 
 
 def scan_problem5(p: int, seed: int = 0) -> list[dict]:
@@ -65,68 +72,32 @@ def scan_problem5(p: int, seed: int = 0) -> list[dict]:
             b = rng.randrange(1, p)
             if a != b:
                 tuples.append((a, b))
-    A = np.array([t[0] for t in tuples], dtype=np.int64)
-    B = np.array([t[1] for t in tuples], dtype=np.int64)
-    h = np.array(H.elements, dtype=np.int64)
-    args = ((h[:, None] + A[None, :]) % p) * ((h[:, None] + B[None, :]) % p) % p
-    table = chi.value_table()
-    mags = np.abs(table[args].sum(axis=0))
-    i = int(np.argmax(mags))
-    rec = _base_record(ctx, H, "5")
-    rec.update({
-        "sum_kind": "shifted_product",
-        "stat": float(mags[i] / math.sqrt(p)),
-        "achiever": {"chi": chi.index, "a": int(A[i]), "b": int(B[i])},
-        "tuples": len(tuples),
-    })
-    return [rec]
+    A, B = np.array(tuples, dtype=np.int64).T
+    mags = np.abs(numeric_sums(product_exponents(ctx, chi, H, A, B), p - 1))
+    return [_peak_record(ctx, H, "5", "shifted_product", mags,
+                         lambda i: {"chi": chi.index, "a": int(A[i]), "b": int(B[i])},
+                         len(tuples))]
 
 
 def scan_problem6(p: int, seed: int = 0) -> list[dict]:
     """Extremal ratios for the two inverse-argument exponential sums over H."""
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
-    h = np.array(H.elements, dtype=np.int64)
-    hinv = inverse_table(ctx)
-    e_table = np.exp(2j * np.pi * np.arange(p) / p)
-
     if p <= FULL_GRID_MAX_P:
         tuples = [(k, l) for k in range(1, p) for l in range(1, p)]
     else:
         rng = seeded_rng(seed, p, "scan-6")
         tuples = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(SAMPLE_SIZE)]
-    K = np.array([t[0] for t in tuples], dtype=np.int64)
-    L = np.array([t[1] for t in tuples], dtype=np.int64)
+    K, L = np.array(tuples, dtype=np.int64).T
 
-    records = []
-    # sum_{x in H} e((kx + l x*) / p)
-    args = (h[:, None] * K[None, :] + hinv[h][:, None] * L[None, :]) % p
-    mags = np.abs(e_table[args].sum(axis=0))
-    i = int(np.argmax(mags))
-    rec = _base_record(ctx, H, "6")
-    rec.update({
-        "sum_kind": "kloosterman",
-        "stat": float(mags[i] / math.sqrt(p)),
-        "achiever": {"k": int(K[i]), "l": int(L[i])},
-        "tuples": len(tuples),
-    })
-    records.append(rec)
+    def record(sum_kind: str, exponents: np.ndarray, second: str) -> dict:
+        return _peak_record(ctx, H, "6", sum_kind, np.abs(numeric_sums(exponents, p)),
+                            lambda i: {"k": int(K[i]), second: int(L[i])}, len(tuples))
 
-    # sum over x in H, x != -a, of e(k (x+a)* / p); reuse the tuple grid as (k, a)
-    shifted = (h[:, None] + L[None, :]) % p
-    terms = e_table[(hinv[shifted] * K[None, :]) % p]
-    terms[shifted == 0] = 0.0
-    mags = np.abs(terms.sum(axis=0))
-    i = int(np.argmax(mags))
-    rec = _base_record(ctx, H, "6")
-    rec.update({
-        "sum_kind": "inverse_shift",
-        "stat": float(mags[i] / math.sqrt(p)),
-        "achiever": {"k": int(K[i]), "a": int(L[i])},
-        "tuples": len(tuples),
-    })
-    records.append(rec)
-    return records
+    # sum_{x in H} e((kx + l x*) / p), and the sum over x in H, x != -a, of
+    # e(k (x+a)* / p), which reads the tuple grid as (k, a)
+    return [record("kloosterman", kloosterman_exponents(ctx, H, K, L), "l"),
+            record("inverse_shift", inverse_shift_exponents(ctx, H, K, L), "a")]
 
 
 _SCANNERS = {"1": scan_problem1, "5": scan_problem5, "6": scan_problem6}

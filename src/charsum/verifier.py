@@ -42,7 +42,14 @@ from .cyclo import (
     reduce_counts,
     reduction_rows,
 )
-from .engines import bilinear_S, bilinear_Sprime, shifted_values_all
+from .engines import (
+    bilinear_S,
+    bilinear_Sprime,
+    exp_sum_exponents,
+    kernel_exponents,
+    numeric_sums,
+    shifted_values_all,
+)
 from .errors import (
     CapacityExceeded,
     PrincipalCharacter,
@@ -281,6 +288,18 @@ def _as_integers(reduced: np.ndarray) -> list[int | None]:
     return [n if ok else None for n, ok in zip(reduced[:, 0].tolist(), integer.tolist())]
 
 
+def _pushed_forward(m: int, J: np.ndarray, t: np.ndarray, weights=None):
+    """sum_s w_s zeta_m^(j t_s) reduced mod Phi_m for each j in J (weights default to
+    1), as (block of J, its reduce_counts rows) in blocks of at most HISTOGRAM_CELLS
+    cells.  t -> jt keeps sum|w|, so the overflow guard reads the same bound for all j."""
+    step = max(1, HISTOGRAM_CELLS // m)
+    for lo in range(0, len(J), step):
+        block = J[lo:lo + step]
+        exponents = block[:, None] * t[None, :] % m
+        w = None if weights is None else np.broadcast_to(weights, exponents.shape)
+        yield block, reduce_counts(exponent_histogram(exponents, m, w))
+
+
 # ---------------------------------------------------------------------------
 # exact mean-value identity  sum_a |S(a)|^2 = p|D| - |D|^2
 # ---------------------------------------------------------------------------
@@ -300,10 +319,7 @@ def check_eq2_identities(ctx: FieldCtx, chis, D) -> list[Verdict]:
     chi_j(x+a) conj chi_j(y+a) = zeta_m^(j (dlog(x+a) - dlog(y+a))), so one
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
     sum.  When eq2_certificate(c) holds, every sum is c(0) - c(1).  Otherwise
-    character j's sum is c pushed forward by t -> jt mod m, in blocks of characters
-    of at most HISTOGRAM_CELLS cells, each block reduced by one reduce_counts; the
-    push-forward keeps sum|c|, so reduce_counts' overflow guard reads the same
-    bound as on c."""
+    character j's sum is c pushed forward by t -> jt mod m and reduced."""
     if any(chi.is_principal for chi in chis):
         raise PrincipalCharacter("identity requires a nonprincipal character")
     p = ctx.p
@@ -324,12 +340,8 @@ def check_eq2_identities(ctx: FieldCtx, chis, D) -> list[Verdict]:
     else:
         t = np.flatnonzero(c)
         J = np.array([chi.index for chi in chis], dtype=np.int64)
-        step = max(1, HISTOGRAM_CELLS // m)
-        computed = []
-        for lo in range(0, len(J), step):
-            exponents = J[lo:lo + step, None] * t[None, :] % m
-            weights = np.broadcast_to(c[t], exponents.shape)
-            computed += _as_integers(reduce_counts(exponent_histogram(exponents, m, weights)))
+        computed = [n for _, reduced in _pushed_forward(m, J, t, c[t])
+                    for n in _as_integers(reduced)]
     target = p * len(Ds) - len(Ds) ** 2
     return [
         Verdict(
@@ -390,15 +402,11 @@ def _granville_structural(ctx: FieldCtx, H: Subgroup) -> tuple[bool, int]:
     per character."""
     if granville_certificate(ctx, H):
         return True, 0
-    p = ctx.p
-    m = p - 1
+    m = ctx.p - 1
     n = H.order
     dH = ctx.dlog[np.array(H.elements, dtype=np.int64)]
     mismatches = 0
-    step = max(1, HISTOGRAM_CELLS // m)
-    for lo in range(0, m, step):
-        J = np.arange(lo, min(lo + step, m), dtype=np.int64)
-        red = reduce_counts(exponent_histogram((J[:, None] * dH[None, :]) % m, m))
+    for J, red in _pushed_forward(m, np.arange(m, dtype=np.int64), dH):
         expected = np.zeros_like(red)
         expected[J % n == 0, 0] = n
         mismatches += int(np.count_nonzero(np.any(red != expected, axis=1)))
@@ -447,7 +455,7 @@ def check_konyagin(q: int, D) -> Verdict:
     if q > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"exact mode needs root order {q} > {EXACT_MAX_ORDER}")
     # sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2: one row per x, one column per a
-    E = (np.array(Ds, dtype=np.int64)[:, None] * np.arange(1, q, dtype=np.int64)[None, :]) % q
+    E = exp_sum_exponents(q, Ds, np.arange(1, q))
     (computed,) = _as_integers(reduce_counts([_pair_difference_sum(E, q)]))
     target = len(Ds) * (q - len(Ds))
     return Verdict(
@@ -541,7 +549,6 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     npairs = p * p if pairs is None else len(pairs)
     mismatches = 0
     if not kernel_certificate(ctx):
-        X = np.arange(p, dtype=np.int64)
         E = chi.exponent_table()
         R = reduction_rows(m)
         # field inverses, not ctx.exp[-dlog]: the closed form is about y / y1 in F_p
@@ -553,16 +560,13 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
                 y, y1 = np.divmod(np.arange(lo, hi, dtype=np.int64), p)
             else:
                 y, y1 = pairs[lo:hi].T
-            L1 = E[(y[:, None] * X[None, :] + a) % p]
-            L2 = E[(y1[:, None] * X[None, :] + a) % p]
-            diff = np.where((L1 >= 0) & (L2 >= 0), (L1 - L2) % m, -1)
-            del L1, L2  # freed before the histogram's own temporaries
-            red = reduce_counts(exponent_histogram(diff, m))
-            expected = np.zeros_like(red)
+            # one column of kernel exponents per pair; one histogram row per pair
+            red = reduce_counts(exponent_histogram(kernel_exponents(ctx, chi, y, y1, a).T, m))
+            expected = np.zeros(red.shape)
             expected[(y == 0) & (y1 == 0), 0] = p
             expected[(y == y1) & (y > 0), 0] = p - 1
             generic = (y != y1) & (y > 0) & (y1 > 0)
-            expected[generic] -= R[E[y[generic] * inv[y1[generic]] % p]]
+            expected[generic] = -R[E[y[generic] * inv[y1[generic]] % p]]
             mismatches += int(np.count_nonzero(np.any(red != expected, axis=1)))
     return Verdict(
         claim="kernel",
@@ -583,7 +587,8 @@ def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup,
     peak, if given, is max over a of |sum_{x in H} chi(x(x + a))|, the maximum
     over the nonlinear_rows of H."""
     if peak is None:
-        peak = np.max(np.abs(chi.value_table()[nonlinear_rows(ctx, H)].sum(axis=1)))
+        exponents = chi.exponent_table()[nonlinear_rows(ctx, H)]
+        peak = np.max(np.abs(numeric_sums(exponents.T, ctx.p - 1)))
     computed = float(peak)
     target = math.sqrt(ctx.p)
     return Verdict(

@@ -31,6 +31,19 @@ def eq2_per_character(ctx, chi, D) -> int | None:
     return CycInt(p - 1, _pair_difference_sum(E, p - 1)).as_integer()
 
 
+def bilinear_grid(ctx, chi, xi, eta, a: int, twist: bool) -> CycInt:
+    """The exact bilinear form term by term over the (x, y) grid: weight
+    xi(x) eta(y) on the exponent of chi(xy + a), plus those of chi(x) and chi(y)
+    when twisted."""
+    p, m = ctx.p, ctx.p - 1
+    E = chi.exponent_table()
+    x, y = np.divmod(np.arange(p * p), p)
+    e = E[(x * y + a) % p]
+    if twist:
+        e = np.where((e >= 0) & (x > 0) & (y > 0), (e + E[x] + E[y]) % m, -1)
+    return CycInt.from_exponents(m, e, xi.int_values()[x] * eta.int_values()[y])
+
+
 def kernel_closed_form(ctx, chi, y: int, y1: int) -> CycInt:
     """The four-case value of the proof kernel, as an exact cyclotomic integer."""
     p = ctx.p

@@ -13,6 +13,7 @@ from charsum.cli import main
 from charsum.verifier import CLAIMS
 
 REF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -53,6 +54,17 @@ class TestSum:
         assert code == 0
         rec = json.loads(out)
         assert rec["abs"] <= 2 * 7**0.5
+
+    @pytest.mark.parametrize("kind, params", [("kloosterman", ["--k", "1", "--l", "2"]),
+                                              ("inverse-shift", ["--k", "1", "--a", "2"])])
+    def test_additive_kinds_have_no_exact_mode(self, capsys, kind, params):
+        argv = ["sum", "--p", "7", "--kind", kind, "--subgroup-order", "3", *params]
+        code, out, err = run(capsys, *argv, "--mode", "exact")
+        assert (code, out) == (2, "")
+        assert f"--kind {kind} has no exact mode" in err
+        for mode in ("auto", "numeric"):
+            code, out, _ = run(capsys, *argv, "--mode", mode)
+            assert code == 0 and json.loads(out)["mode"] == "numeric"
 
     def test_not_odd_prime_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sum", "--p", "9", "--chi", "1",
@@ -178,6 +190,12 @@ class TestVerify:
         assert code == 2
         assert "unknown claims" in err
 
+    @pytest.mark.parametrize("claims", ["", ",", " , "])
+    def test_claims_naming_no_claim_is_usage_error(self, capsys, claims):
+        code, out, err = run(capsys, "verify", "--p-max", "7", "--claims", claims)
+        assert (code, out) == (2, "")
+        assert "names no claim" in err
+
     def test_mode_is_not_a_verify_option(self, capsys):
         # every checker fixes its own mode; sum --mode stays
         with pytest.raises(SystemExit) as exc:
@@ -206,6 +224,18 @@ class TestScanCmd:
                            "--p-max", "28")
         assert code == 0
         assert out == ""
+
+    @pytest.mark.parametrize("problem", ["5", "6"])
+    def test_stream_equals_stored_reference(self, capsys, tmp_path, problem):
+        """Problems 5 and 6, byte for byte, against a stored run.  Each sum over H
+        is added in the order of H's elements; another order moves the last bits
+        of |S|, and with them the achiever among shifts of equal |S|."""
+        out_file = tmp_path / "s.jsonl"
+        code, _, _ = run(capsys, "scan", "--problem", problem, "--p-min", "3",
+                         "--p-max", "101", "--seed", "3", "--out", str(out_file))
+        assert code == 0
+        expected = DATA_DIR / f"scan{problem}.p3-101.seed3.jsonl"
+        assert out_file.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

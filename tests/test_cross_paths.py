@@ -1,7 +1,8 @@
 """Generated cross-checks between independent paths to the same values: the
 numeric kernel (one DFT of a dlog histogram for every character) and the
 coset-batched gather against the per-shift engines, the exact histogram kernel
-against numeric mode and against sums of CycInt products, the batched eq2
+against numeric mode and against sums of CycInt products, the exact bilinear
+convolution against the term-by-term grid sum, the batched eq2
 push-forward against per-character histograms, and each identity's certificate
 against its per-character fallback, on primes p <= 200."""
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charsum import engines, verifier
+from charsum import verifier
 from charsum.characters import character
 from charsum.cyclo import CycInt, reduce_counts
 from charsum.engines import (
@@ -46,6 +47,7 @@ from charsum.verifier import (
     seeded_rng,
 )
 from references import (
+    bilinear_grid,
     corrupted_ctx,
     eq2_per_character,
     eq2_via_engine,
@@ -221,10 +223,10 @@ def test_budgeted_eq2_suite_equals_standalone_checker():
 def test_eq2_batch_memory_is_bounded(monkeypatch):
     """All 3999 nontrivial characters at p = 4001 for one D, on the push-forward
     route (the certificate is forced off): their pushed-forward rows would take
-    128 MB as one (3999 x 4000) histogram.  The per-order reduction tables
-    (m x phi(m) int64 and its float64 copy, 51 MB each at m = 4000) are built
-    once per process and shared by every exact checker, so they are built before
-    tracing; the bound is on what the batch allocates."""
+    128 MB as one (3999 x 4000) histogram.  The order's reduction table
+    (m x phi(m) float64, 51 MB at m = 4000) is cached and shared by every exact
+    checker, so it is built before tracing; the bound is on what the batch
+    allocates."""
     without_certificates(monkeypatch)
     ctx = make_ctx(4001)
     chis = [character(ctx, j) for j in range(1, 4000)]
@@ -269,6 +271,20 @@ def test_exact_engines_match_numeric(inst, data):
 
 
 @cross_path
+@given(instances(nonprincipal=True, nonzero_shift=True, primes=SMALL_PRIMES), st.data())
+def test_exact_bilinear_equals_grid_sum(inst, data):
+    """The exact bilinear forms convolve the weights on the dlog line; the
+    reference adds every (x, y) term of the grid.  Terms with the same product xy
+    share an exponent, so even the unreduced coefficients agree."""
+    ctx, chi, _, a = inst
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    xi, eta = _int_weights(ctx.p, rng), _int_weights(ctx.p, rng)
+    for form, twist in ((bilinear_S, False), (bilinear_Sprime, True)):
+        got = form(ctx, chi, xi, eta, a, "exact").exact
+        assert got.coeffs == bilinear_grid(ctx, chi, xi, eta, a, twist).coeffs
+
+
+@cross_path
 @given(st.integers(2, 200).flatmap(
     lambda q: st.tuples(st.just(q), subsets(q, lo=0), st.integers(-q, 2 * q))))
 def test_exact_exp_sum_matches_numeric(inst):
@@ -307,7 +323,6 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
 
     whole = exact_values()
     monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)
-    monkeypatch.setattr(engines, "HISTOGRAM_CELLS", cells)
     assert exact_values() == whole
 
 

@@ -14,6 +14,7 @@ from charsum.engines import (
     inverse_shift_sum,
     kloosterman_over_H,
     nonlinear_sum_xxa,
+    numeric_sums,
     proof_kernel_S_yy1,
     shifted_product_sum,
     shifted_sum,
@@ -329,6 +330,18 @@ class TestAdditiveSums:
         # e_7(4*) + e_7(5*) = e_7(2) + e_7(3)
         direct = cmath.exp(2j * cmath.pi * 2 / 7) + cmath.exp(2j * cmath.pi * 3 / 7)
         assert abs(v.numeric - direct) < 1e-12
+
+
+class TestNumericSums:
+    def test_columns_match_exact_with_weights(self):
+        rng = np.random.default_rng(3)
+        e = rng.integers(-1, 12, size=(9, 4))
+        w = rng.integers(-3, 4, size=(9, 4))
+        sums = numeric_sums(e, 12, w)
+        assert sums.shape == (4,)
+        for c in range(4):
+            exact = CycInt.from_exponents(12, e[:, c], w[:, c]).to_complex()
+            assert abs(sums[c] - exact) < 1e-12
 
 
 class TestExpSumSubset:

@@ -227,6 +227,19 @@ class TestKonyagin:
         with pytest.raises(ValueError):
             check_konyagin(7, [])
 
+    def test_run_retains_no_reduction_tables(self):
+        """Every q <= 150 needs its own q x phi(q) reduction table (11 MB in all);
+        once the verdicts are dropped, only the most recent tables may remain."""
+        tracemalloc.start()
+        try:
+            verdicts = run_suite(3, 150, claims=["konyagin"])
+            assert len(verdicts) == 1480 and all(v.passed for v in verdicts)
+            del verdicts
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
+
 
 class TestLemma3:
     def test_indicator_weights(self, ctx7, quad7, H7):
