@@ -82,9 +82,17 @@ def reduction_rows(m: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=2)
+def reduction_peak(m: int) -> float:
+    """max |reduction_rows(m)|, the factor of reduce_counts' overflow bound; kept for
+    the same two orders as the table, so no call scans the whole table."""
+    R = reduction_rows(m)
+    return float(max(R.max(), -R.min()))
+
+
 def reduce_counts(counts) -> np.ndarray:
     """Reduce each length-m row of counts mod Phi_m as counts @ reduction_rows(m).
-    Entries and partial sums of a row r are at most sum|r| * max|reduction_rows(m)|;
+    Entries and partial sums of a row r are at most sum|r| * reduction_peak(m);
     CapacityExceeded is raised before that bound reaches 2^63, where int64 wraps.
     Below 2^53 every product and partial sum is an integer that float64 holds
     exactly, so the product runs in float64 (BLAS, in any summation order)."""
@@ -96,7 +104,7 @@ def reduce_counts(counts) -> np.ndarray:
     R = reduction_rows(m)
     # summed in float64, where the int64 sum could itself wrap
     row_sum = np.abs(counts, dtype=np.float64).sum(axis=-1).max(initial=0.0)
-    bound = row_sum * max(R.max(), -R.min())
+    bound = row_sum * reduction_peak(m)
     if bound < _FLOAT64_EXACT:
         return (counts.astype(np.float64) @ R).astype(np.int64)
     if bound >= _INT64_BOUND:

@@ -5,7 +5,8 @@ a zero term), made by its *_exponents builder: terms on axis 0, the sum's
 parameters broadcast on the trailing axes.  One reader gives it exactly (a
 CycInt, desk scale) or numerically (complex double, large scale); "auto" mode
 is exact iff the root order fits the exact-order cap.  The bilinear forms' FFT
-and shifted_values_all are numeric routes of their own.
+(bilinear_sums, over stacked instances) and shifted_values_all are numeric
+routes of their own.
 """
 
 from __future__ import annotations
@@ -125,21 +126,52 @@ def shifted_sum_all(ctx: FieldCtx, chi: Character, D, mode: str = "auto") -> lis
 # ---------------------------------------------------------------------------
 
 def _dlog_line(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
-    """The weights w at the nonzero residues, indexed by discrete log."""
-    line = np.zeros(ctx.p - 1, dtype=w.dtype)
-    line[ctx.dlog[1:]] = w[1:]
+    """The weights w (last axis) at the nonzero residues, indexed by discrete log."""
+    line = np.zeros(w.shape[:-1] + (ctx.p - 1,), dtype=w.dtype)
+    line[..., ctx.dlog[1:]] = w[..., 1:]
     return line
 
 
+def _times(z, w):
+    """z * w, for complex arrays written out as the scalar product computes it:
+    numpy's complex array loop may fuse multiply-adds, which would round a stacked
+    row otherwise than the same instance alone."""
+    if not np.iscomplexobj(z):
+        return z * w
+    return (z.real * w.real - z.imag * w.imag) + 1j * (z.real * w.imag + z.imag * w.real)
+
+
 def _boundary(w, v):
-    """The weight of the terms with x = 0 or y = 0, where xy + a = a."""
-    return w[0] * np.sum(v) + v[0] * np.sum(w) - w[0] * v[0]
+    """The weight of the terms with x = 0 or y = 0, where xy + a = a (last axis)."""
+    w0 = w[..., 0]
+    v0 = v[..., 0]
+    return _times(w0, np.sum(v, axis=-1)) + _times(v0, np.sum(w, axis=-1)) - _times(w0, v0)
+
+
+def bilinear_sums(ctx: FieldCtx, tables: np.ndarray, xi: np.ndarray, eta: np.ndarray, a,
+                  twist: bool) -> np.ndarray:
+    """S (or S' when twist) numerically for stacked instances: the character value
+    tables and the weights xi, eta on the last axis, the shifts a on the leading axes.
+    The products xy = g^t carry the cyclic convolution of the weights on the dlog
+    line, one FFT per row."""
+    p = ctx.p
+    a = np.asarray(a, dtype=np.int64)[..., None] % p
+    if twist:
+        xi = xi * tables
+        eta = eta * tables
+    conv = np.fft.ifft(np.fft.fft(_dlog_line(ctx, xi)) * np.fft.fft(_dlog_line(ctx, eta)))
+    values = np.take_along_axis(tables, (ctx.exp + a) % p, axis=-1)
+    # a row times a column is BLAS's dot product, for one row as for a stack
+    total = (conv[..., None, :] @ values[..., :, None])[..., 0, 0]
+    if not twist:
+        total += _times(np.take_along_axis(tables, a, axis=-1)[..., 0], _boundary(xi, eta))
+    return total
 
 
 def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
               mode: str, twist: bool) -> SumValue:
     """The products xy = g^t carry the cyclic convolution of the weights on the
-    dlog line: exactly of integers, or numerically by FFT."""
+    dlog line: exactly of integers, or numerically by bilinear_sums."""
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
@@ -162,18 +194,8 @@ def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
             e = np.append(e, E[a % p])
             counts = np.append(counts, _boundary(wx, wy))
         return _read(m, EXACT, e, counts)
-
-    table = chi.value_table()
-    xiv = xi.values
-    etav = eta.values
-    if twist:
-        xiv = xiv * table
-        etav = etav * table
-    conv = np.fft.ifft(np.fft.fft(_dlog_line(ctx, xiv)) * np.fft.fft(_dlog_line(ctx, etav)))
-    total = complex(np.dot(conv, table[(ctx.exp + a) % p]))
-    if not twist:
-        total += table[a % p] * _boundary(xiv, etav)
-    return SumValue.from_numeric(total)
+    return SumValue.from_numeric(
+        bilinear_sums(ctx, chi.value_table(), xi.values, eta.values, a, twist))
 
 
 def bilinear_S(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,

@@ -24,11 +24,13 @@ characters.  Either route gives the same verdict records.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import random
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -43,8 +45,7 @@ from .cyclo import (
     reduction_rows,
 )
 from .engines import (
-    bilinear_S,
-    bilinear_Sprime,
+    bilinear_sums,
     exp_sum_exponents,
     kernel_exponents,
     numeric_sums,
@@ -99,8 +100,12 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
+    """One checked instance of a claim.  Its fields hold Python values, never numpy
+    scalars (the batch builders take them from numpy with tolist), which the JSON
+    writer would spell through default=str."""
+
     claim: str
     params: dict
     computed: object
@@ -110,23 +115,14 @@ class Verdict:
     mode: str
     kind: str = "verdict"  # "verdict" | "capacity"
     note: str = ""
-    _params_text: str | None = field(default=None, init=False, repr=False, compare=False)
+    # params as sorted-key JSON, given by the batch builders and encoded here
+    # otherwise.  params are final from construction: dataclasses.replace would
+    # copy this text, so pass params_text=None along with new params.
+    params_text: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # numpy scalars would reach the JSON writer through default=str, as "True"
-        self.passed = bool(self.passed)
-        self.margin = float(self.margin)
-        if self.mode == "numeric":
-            self.computed = float(self.computed)
-            self.target = float(self.target)
-
-    @property
-    def params_text(self) -> str:
-        """params as sorted-key JSON, encoded on first use: params are final from
-        construction (set a field with dataclasses.replace, which starts afresh)."""
-        if self._params_text is None:
-            self._params_text = _PARAMS_JSON.encode(self.params)
-        return self._params_text
+        if self.params_text is None:
+            self.params_text = _PARAMS_JSON.encode(self.params)
 
     def to_record(self) -> dict:
         return {
@@ -153,6 +149,62 @@ class Verdict:
 
     def sort_key(self):
         return (self.claim, self.params.get("p", self.params.get("q", 0)), self.params_text)
+
+
+def _params_texts(params: dict, rows: int) -> list[str]:
+    """_PARAMS_JSON.encode of each row's params (see _verdicts), from one template:
+    the keys in sorted order, each fixed value encoded once, and the row values
+    spelled per row (an int as JSON spells it, anything else encoded)."""
+    slots = []
+    columns = []
+    for key in sorted(params):
+        value = params[key]
+        if isinstance(value, list):
+            slot = "{}"
+            columns.append(value if all(type(v) is int for v in value)
+                           else [_PARAMS_JSON.encode(v) for v in value])
+        else:
+            slot = _PARAMS_JSON.encode(value).replace("{", "{{").replace("}", "}}")
+        slots.append(f"{_PARAMS_JSON.encode(key)}: {slot}")
+    template = "{{" + ", ".join(slots) + "}}"
+    if not columns:
+        return [template.format()] * rows
+    return list(itertools.starmap(template.format, zip(*columns)))
+
+
+def _verdicts(claim: str, mode: str, params: dict, computed, target, margin, passed,
+              note: str = "") -> list[Verdict]:
+    """One verdict per row of a batch.  params maps each key, in record order, to
+    one value for the whole batch or to a list of one value per row; computed,
+    target, margin and passed are lists of Python scalars, one per row."""
+    rows = len(computed)
+    keys = tuple(params)
+    columns = [v if isinstance(v, list) else itertools.repeat(v, rows)
+               for v in params.values()]
+    return [Verdict(claim, dict(zip(keys, values)), c, t, d, ok, mode, "verdict", note, text)
+            for values, c, t, d, ok, text in zip(zip(*columns), computed, target, margin,
+                                                   passed, _params_texts(params, rows))]
+
+
+def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) -> list[Verdict]:
+    """Numeric verdicts computed < target - TOL (strict) or computed <= target + TOL,
+    with margin target - computed, for a batch of computed values (target one value
+    or one per row)."""
+    computed = np.asarray(computed, dtype=np.float64)
+    target = np.broadcast_to(np.asarray(target, dtype=np.float64), computed.shape)
+    passed = computed < target - TOL if strict else computed <= target + TOL
+    return _verdicts(claim, "numeric", params, computed.tolist(), target.tolist(),
+                     (target - computed).tolist(), passed.tolist())
+
+
+def _identity_verdicts(claim: str, params: dict, computed: list, target: int) -> list[Verdict]:
+    """Exact verdicts computed == target, for a batch of computed integers (None
+    where the sum is not a rational integer)."""
+    return _verdicts(
+        claim, "exact", params,
+        [n if n is not None else "non-integer" for n in computed], [target] * len(computed),
+        [float(n - target) if n is not None else math.nan for n in computed],
+        [n == target for n in computed])
 
 
 def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
@@ -199,6 +251,35 @@ def nonlinear_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
 # sqrt(p) bound on the shifted subgroup sum, and its sharpened form
 # ---------------------------------------------------------------------------
 
+def _thm2_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks) -> list[Verdict]:
+    """thm2 for the characters J on H; peaks[i] is character J[i]'s maximum over
+    nonzero shifts a of |sum_{x in H} chi(x+a)|, which must be strictly below sqrt(p)."""
+    return _bound_verdicts("thm2", {"p": ctx.p, "chi": J, "H": H.order}, peaks,
+                           math.sqrt(ctx.p), strict=True)
+
+
+def _thm2_sharp_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, inner) -> list[Verdict]:
+    """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a, for
+    the characters J; inner[i] is the unshifted |sum_{x in H} chi(x)|.  Squares are
+    taken with float_power, the libm pow that Python's x ** 2 calls (x * x can
+    round otherwise)."""
+    n = H.order
+    target = (ctx.p * n - np.float_power(inner, 2)) / n
+    return _bound_verdicts("thm2_sharp", {"p": ctx.p, "chi": J, "H": n},
+                           np.float_power(peaks, 2), target, strict=False)
+
+
+def _eps_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, eps: float) -> list[Verdict]:
+    """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
+    p = ctx.p
+    params = {"p": p, "chi": J, "H": H.order, "eps": eps}
+    if H.order <= p ** (0.5 + eps):
+        zeros = [0.0] * len(J)
+        return _verdicts("eps", "numeric", params, zeros, zeros, zeros, [True] * len(J),
+                         note="vacuous")
+    return _bound_verdicts("eps", params, peaks, p ** (-eps) * H.order, strict=True)
+
+
 def _shift_peak(ctx: FieldCtx, chi: Character, H: Subgroup) -> tuple[float, float]:
     """(max over nonzero shifts a of |sum_{x in H} chi(x+a)|, |sum_{x in H} chi(x)|)
     by the single-character route; the suite reads both off character_sum_moduli."""
@@ -215,14 +296,7 @@ def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
         raise PrincipalCharacter("bound requires a nonprincipal character")
     if peak is None:
         peak, _ = _shift_peak(ctx, chi, H)
-    computed = float(peak)
-    target = math.sqrt(ctx.p)
-    return Verdict(
-        claim="thm2",
-        params={"p": ctx.p, "chi": chi.index, "H": H.order},
-        computed=computed, target=target, margin=target - computed,
-        passed=computed < target - TOL, mode="numeric",
-    )
+    return _thm2_batch(ctx, H, [chi.index], [peak])[0]
 
 
 def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
@@ -235,32 +309,15 @@ def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
         raise PrincipalCharacter("bound requires a nonprincipal character")
     if peak is None or inner is None:
         peak, inner = _shift_peak(ctx, chi, H)
-    n = H.order
-    target = (ctx.p * n - inner**2) / n
-    computed = float(peak) ** 2
-    return Verdict(
-        claim="thm2_sharp",
-        params={"p": ctx.p, "chi": chi.index, "H": n},
-        computed=computed, target=target, margin=target - computed,
-        passed=computed <= target + TOL, mode="numeric",
-    )
+    return _thm2_sharp_batch(ctx, H, [chi.index], [peak], [inner])[0]
 
 
 def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float,
                         peak: float | None = None) -> Verdict:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
-    p = ctx.p
-    params = {"p": p, "chi": chi.index, "H": H.order, "eps": eps}
-    if H.order <= p ** (0.5 + eps):
-        return Verdict(claim="eps", params=params, computed=0.0, target=0.0,
-                       margin=0.0, passed=True, mode="numeric", note="vacuous")
     if peak is None:
         peak, _ = _shift_peak(ctx, chi, H)
-    computed = float(peak)
-    target = p ** (-eps) * H.order
-    return Verdict(claim="eps", params=params, computed=computed, target=target,
-                   margin=target - computed, passed=computed < target - TOL,
-                   mode="numeric")
+    return _eps_batch(ctx, H, [chi.index], [peak], eps)[0]
 
 
 def _pair_difference_sum(E: np.ndarray, m: int) -> np.ndarray:
@@ -313,8 +370,9 @@ def eq2_certificate(c: np.ndarray) -> bool:
     return bool(np.all(c[1:] == c[1]))
 
 
-def check_eq2_identities(ctx: FieldCtx, chis, D) -> list[Verdict]:
-    """One eq2 verdict per nonprincipal character in chis, for the same set D.
+def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> list[Verdict]:
+    """One eq2 verdict per nonprincipal character in chis, for the same set D (its
+    suite index D_index, if given, goes into the params).
 
     chi_j(x+a) conj chi_j(y+a) = zeta_m^(j (dlog(x+a) - dlog(y+a))), so one
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
@@ -342,17 +400,10 @@ def check_eq2_identities(ctx: FieldCtx, chis, D) -> list[Verdict]:
         J = np.array([chi.index for chi in chis], dtype=np.int64)
         computed = [n for _, reduced in _pushed_forward(m, J, t, c[t])
                     for n in _as_integers(reduced)]
-    target = p * len(Ds) - len(Ds) ** 2
-    return [
-        Verdict(
-            claim="eq2",
-            params={"p": p, "chi": chi.index, "D_size": len(Ds)},
-            computed=n if n is not None else "non-integer",
-            target=target, margin=float(n - target) if n is not None else float("nan"),
-            passed=n == target, mode="exact",
-        )
-        for chi, n in zip(chis, computed)
-    ]
+    params = {"p": p, "chi": [chi.index for chi in chis], "D_size": len(Ds)}
+    if D_index is not None:
+        params["D_index"] = D_index
+    return _identity_verdicts("eq2", params, computed, p * len(Ds) - len(Ds) ** 2)
 
 
 def check_eq2_identity(ctx: FieldCtx, chi: Character, D) -> Verdict:
@@ -364,6 +415,13 @@ def check_eq2_identity(ctx: FieldCtx, chi: Character, D) -> Verdict:
 # character-averaged bound  (1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|)
 # ---------------------------------------------------------------------------
 
+def _meanvalue2_batch(ctx: FieldCtx, H: Subgroup, shifts: list, averages) -> list[Verdict]:
+    """(1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|) for the shifts a in
+    [1, p), with averages[i] that mean at shifts[i]."""
+    return _bound_verdicts("meanvalue2", {"p": ctx.p, "H": H.order, "a": shifts}, averages,
+                           math.sqrt(H.order), strict=False)
+
+
 def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int,
                      average: float | None = None) -> Verdict:
     """average, if given, is the mean of character_sum_moduli over the row H + a,
@@ -373,14 +431,7 @@ def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int,
     p = ctx.p
     if average is None:
         (average,), _ = character_sum_moduli(ctx, [(np.array(H.elements) + a) % p])
-    computed = float(average)
-    target = math.sqrt(H.order)
-    return Verdict(
-        claim="meanvalue2",
-        params={"p": p, "H": H.order, "a": a % p},
-        computed=computed, target=target, margin=target - computed,
-        passed=computed <= target + TOL, mode="numeric",
-    )
+    return _meanvalue2_batch(ctx, H, [a % p], [average])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +497,9 @@ def check_shkredov_bound(ctx: FieldCtx, H: Subgroup, base: Verdict | None = None
 # exact identity for exponential sums over a general modulus q
 # ---------------------------------------------------------------------------
 
-def check_konyagin(q: int, D) -> Verdict:
+def check_konyagin(q: int, D, D_index: int | None = None) -> Verdict:
+    """sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2 = |D|(q - |D|), exactly (D's suite
+    index D_index, if given, goes into the params)."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     Ds = sorted({x % q for x in D})
@@ -454,37 +507,47 @@ def check_konyagin(q: int, D) -> Verdict:
         raise ValueError("D must be nonempty")
     if q > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"exact mode needs root order {q} > {EXACT_MAX_ORDER}")
-    # sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2: one row per x, one column per a
+    # one row per x, one column per a
     E = exp_sum_exponents(q, Ds, np.arange(1, q))
-    (computed,) = _as_integers(reduce_counts([_pair_difference_sum(E, q)]))
-    target = len(Ds) * (q - len(Ds))
-    return Verdict(
-        claim="konyagin",
-        params={"q": q, "D_size": len(Ds)},
-        computed=computed if computed is not None else "non-integer",
-        target=target,
-        margin=float(computed - target) if computed is not None else float("nan"),
-        passed=computed == target, mode="exact",
-    )
+    computed = _as_integers(reduce_counts([_pair_difference_sum(E, q)]))
+    params = {"q": q, "D_size": len(Ds)}
+    if D_index is not None:
+        params["D_index"] = D_index
+    return _identity_verdicts("konyagin", params, computed, len(Ds) * (q - len(Ds)))[0]
 
 
 # ---------------------------------------------------------------------------
 # bilinear bound |S|, |S'| <= sqrt(pXY) and the proof kernel's case table
 # ---------------------------------------------------------------------------
 
+def _lemma3_batch(ctx: FieldCtx, chis: list, xi: np.ndarray, eta: np.ndarray, shifts: list,
+                  instances: list | None = None) -> list[Verdict]:
+    """|S|, |S'| <= sqrt(pXY) for stacked instances: row i of the weights xi and eta
+    (residues on the last axis) goes with chis[i] and shifts[i], and is tagged
+    instances[i] when given.  S and S' are one batched FFT each, over one value
+    table per character."""
+    p = ctx.p
+    if any(chi.is_principal for chi in chis):
+        raise PrincipalCharacter("this sum requires a nonprincipal character")
+    if any(a % p == 0 for a in shifts):
+        raise ShiftNotCoprime("shift a must be nonzero mod p")
+    table_of = {chi.index: chi.value_table() for chi in chis}
+    tables = np.array([table_of[chi.index] for chi in chis])
+    S = bilinear_sums(ctx, tables, xi, eta, shifts, twist=False)
+    Sp = bilinear_sums(ctx, tables, xi, eta, shifts, twist=True)
+    X = np.sum(np.abs(xi) ** 2, axis=-1)
+    Y = np.sum(np.abs(eta) ** 2, axis=-1)
+    params = {"p": p, "chi": [chi.index for chi in chis], "a": [a % p for a in shifts]}
+    if instances is not None:
+        params["instance"] = instances
+    # |z| as hypot, the libm call of Python's abs(complex); numpy's complex
+    # absolute loop can round otherwise
+    computed = np.maximum(np.hypot(S.real, S.imag), np.hypot(Sp.real, Sp.imag))
+    return _bound_verdicts("lemma3", params, computed, np.sqrt(p * X * Y), strict=False)
+
+
 def check_lemma3(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int) -> Verdict:
-    S = bilinear_S(ctx, chi, xi, eta, a, "numeric")
-    Sp = bilinear_Sprime(ctx, chi, xi, eta, a, "numeric")
-    X = xi.sq_norm
-    Y = eta.sq_norm
-    bound = math.sqrt(ctx.p * X * Y)
-    computed = max(S.magnitude, Sp.magnitude)
-    return Verdict(
-        claim="lemma3",
-        params={"p": ctx.p, "chi": chi.index, "a": a % ctx.p},
-        computed=computed, target=bound, margin=bound - computed,
-        passed=computed <= bound + TOL, mode="numeric",
-    )
+    return _lemma3_batch(ctx, [chi], xi.values[None], eta.values[None], [a])[0]
 
 
 @lru_cache(maxsize=1)
@@ -580,6 +643,13 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
 # nonlinear sum bound  |sum_{x in H} chi(x(x+a))| <= sqrt(p)
 # ---------------------------------------------------------------------------
 
+def _nonlinear_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks) -> list[Verdict]:
+    """|sum_{x in H} chi(x(x+a))| <= sqrt(p) for every nonzero shift a, one verdict
+    per character in J; peaks[i] is character J[i]'s maximum over a."""
+    return _bound_verdicts("nonlinear", {"p": ctx.p, "chi": J, "H": H.order, "a": "all"},
+                           peaks, math.sqrt(ctx.p), strict=False)
+
+
 def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup,
                                      peak: float | None = None) -> Verdict:
     """One verdict per (H, chi) covering every nonzero shift a.
@@ -589,14 +659,7 @@ def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup,
     if peak is None:
         exponents = chi.exponent_table()[nonlinear_rows(ctx, H)]
         peak = np.max(np.abs(numeric_sums(exponents.T, ctx.p - 1)))
-    computed = float(peak)
-    target = math.sqrt(ctx.p)
-    return Verdict(
-        claim="nonlinear",
-        params={"p": ctx.p, "chi": chi.index, "H": H.order, "a": "all"},
-        computed=computed, target=target, margin=target - computed,
-        passed=computed <= target + TOL, mode="numeric",
-    )
+    return _nonlinear_batch(ctx, H, [chi.index], [peak])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +681,31 @@ def random_subsets(p: int, count: int, rng: random.Random) -> list[list[int]]:
 
 
 def random_weights(p: int, rng: random.Random) -> Weights:
-    vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(p)]
-    return Weights(vals)
+    """p complex weights, real then imaginary part each -1 + 2 * rng.random(),
+    which is what rng.uniform(-1, 1) computes."""
+    r = np.array([rng.random() for _ in range(2 * p)])
+    return Weights((-1 + 2 * r).view(complex))
 
 
 # ---------------------------------------------------------------------------
 # the suite runner
 # ---------------------------------------------------------------------------
 
-def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verdict]:
+def _budgeted(sizes: list[int], budget: int) -> list[int]:
+    """The leading batch sizes that total at most budget: whole batches while the
+    budget lasts, the last one cut partway."""
+    cut = []
+    for size in sizes:
+        if budget == 0:
+            break
+        cut.append(min(size, budget))
+        budget -= cut[-1]
+    return cut
+
+
+def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verdict]:
+    """Every claim's verdicts at p, built a batch at a time; budget caps the
+    instances per claim."""
     verdicts: list[Verdict] = []
     try:
         ctx = make_ctx(p)
@@ -635,9 +714,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
     m = p - 1
     Hs = subgroups(ctx)
     nontrivial = [character(ctx, j) for j in range(1, m)]
-
-    def within(items):
-        return items if budget is None else items[:budget]
+    J = list(range(1, m))
 
     @cache
     def shift_moduli(H: Subgroup):
@@ -647,15 +724,16 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
         return means, peaks, character_sum_moduli(ctx, [H.elements])[1]
 
     if "thm2" in claims or "thm2_sharp" in claims or "eps" in claims:
-        for H, chi in within([(H, chi) for H in Hs for chi in nontrivial]):
+        # one batch per H over the characters; a budget counts (H, chi) pairs
+        for H, n in zip(Hs, _budgeted([m - 1] * len(Hs), budget)):
             _, peaks, inner = shift_moduli(H)
-            j = chi.index
+            peak = peaks[1:n + 1]
             if "thm2" in claims:
-                verdicts.append(check_theorem2(ctx, chi, H, peaks[j]))
+                verdicts += _thm2_batch(ctx, H, J[:n], peak)
             if "thm2_sharp" in claims:
-                verdicts.append(check_sharpened_theorem2(ctx, chi, H, peaks[j], inner[j]))
+                verdicts += _thm2_sharp_batch(ctx, H, J[:n], peak, inner[1:n + 1])
             if "eps" in claims:
-                verdicts.append(check_eps_corollary(ctx, chi, H, eps=0.1, peak=peaks[j]))
+                verdicts += _eps_batch(ctx, H, J[:n], peak, eps=0.1)
 
     if "eq2" in claims:
         if m > EXACT_MAX_ORDER:
@@ -664,24 +742,28 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
         else:
             rng = seeded_rng(seed, p, "eq2")
             dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
-            # the grid is chi-major, so a budget can cut one D's characters partway
-            chis_of = {}
-            for chi, i in within([(chi, i) for chi in nontrivial for i in range(len(dsets))]):
-                chis_of.setdefault(i, []).append(chi)
-            for i, chis in chis_of.items():
-                verdicts.extend(replace(v, params={**v.params, "D_index": i})
-                                for v in check_eq2_identities(ctx, chis, dsets[i]))
+            # one batch per D over the characters; the budget counts (chi, D) pairs
+            # chi-major, so D_i keeps budget // len(dsets) characters, plus one
+            # for i < budget % len(dsets)
+            whole, extra = divmod(budget, len(dsets))
+            for i, D in enumerate(dsets):
+                n = min(m - 1, whole + (i < extra))
+                if n:
+                    verdicts += check_eq2_identities(ctx, nontrivial[:n], D, D_index=i)
 
     if "lemma3" in claims:
         rng = seeded_rng(seed, p, "lemma3")
-        chis = [nontrivial[rng.randrange(len(nontrivial))] for _ in range(min(5, len(nontrivial)))]
-        for ci, chi in enumerate(within(chis)):
+        chis = [nontrivial[rng.randrange(m - 1)] for _ in range(min(5, m - 1))][:budget]
+        # five instances per drawn character, drawn in order; one batch per prime
+        instances, xi, eta, shifts = [], [], [], []
+        for ci in range(len(chis)):
             for w in range(5):
-                xi = random_weights(p, rng)
-                eta = random_weights(p, rng)
-                a = rng.randrange(1, p)
-                v = check_lemma3(ctx, chi, xi, eta, a)
-                verdicts.append(replace(v, params={**v.params, "instance": f"{ci}:{w}"}))
+                instances.append(f"{ci}:{w}")
+                xi.append(random_weights(p, rng).values)
+                eta.append(random_weights(p, rng).values)
+                shifts.append(rng.randrange(1, p))
+        verdicts += _lemma3_batch(ctx, [chi for chi in chis for _ in range(5)],
+                                  np.array(xi), np.array(eta), shifts, instances)
 
     if "kernel" in claims:
         if m > EXACT_MAX_ORDER:
@@ -691,21 +773,24 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
             # one kernel_certificate, shared by these calls, proves every (chi, a,
             # pair) at p; the seeded sample keeps the verdict stream as it was
             rng = seeded_rng(seed, p, "kernel")
-            combos = [(nontrivial[rng.randrange(len(nontrivial))], rng.randrange(1, p))
-                      for _ in range(min(5, len(nontrivial)))]
+            combos = [(nontrivial[rng.randrange(m - 1)], rng.randrange(1, p))
+                      for _ in range(min(5, m - 1))]
             pairs = None
             if p > 101:
                 pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
-            for chi, a in within(combos):
+            for chi, a in combos[:budget]:
                 verdicts.append(check_kernel_cases(ctx, chi, a, pairs=pairs))
 
     if "meanvalue2" in claims:
-        for H, a in within([(H, a) for H in Hs for a in range(1, p)]):
+        # one batch per H over the shifts a; the average depends on a's coset only
+        dlog = ctx.dlog[1:]
+        for H, n in zip(Hs, _budgeted([m] * len(Hs), budget)):
             means = shift_moduli(H)[0]
-            verdicts.append(check_meanvalue2(ctx, H, a, means[ctx.dlog[a] % H.index]))
+            verdicts += _meanvalue2_batch(ctx, H, list(range(1, n + 1)),
+                                          means[dlog[:n] % H.index])
 
     if "granville" in claims or "shkredov" in claims:
-        for H in within(Hs):
+        for H in Hs[:budget]:
             base = check_granville(ctx, H)
             if "granville" in claims:
                 verdicts.append(base)
@@ -713,15 +798,14 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget=None) -> list[Verd
                 verdicts.append(check_shkredov_bound(ctx, H, base))
 
     if "nonlinear" in claims:
-        for H in within(Hs):
+        for H in Hs[:budget]:
             _, peaks = character_sum_moduli(ctx, nonlinear_rows(ctx, H))
-            for chi in nontrivial:
-                verdicts.append(check_nonlinear_bound_all_shifts(ctx, chi, H, peaks[chi.index]))
+            verdicts += _nonlinear_batch(ctx, H, J, peaks[1:])
 
     return verdicts
 
 
-def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget=None) -> list[Verdict]:
+def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget: int) -> list[Verdict]:
     verdicts = []
     for q in range(max(2, q_min), q_max + 1):
         rng = seeded_rng(seed, q, "konyagin")
@@ -730,11 +814,8 @@ def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget=None) -> list[V
                 "konyagin", {"q": q}, CapacityExceeded(f"q={q} > {EXACT_MAX_ORDER}")))
             continue
         dsets = random_subsets(q, 10, rng) if q > 2 else [[1]] * 10
-        if budget is not None:
-            dsets = dsets[:budget]
-        for i, D in enumerate(dsets):
-            v = check_konyagin(q, D)
-            verdicts.append(replace(v, params={**v.params, "D_index": i}))
+        for i, D in enumerate(dsets[:budget]):
+            verdicts.append(check_konyagin(q, D, D_index=i))
     return verdicts
 
 
@@ -757,15 +838,17 @@ def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
         raise ValueError(f"unknown claims: {sorted(unknown)}")
     primes = list(primes_in(max(p_min, 3), p_max))
     prime_claims = tuple(c for c in claims if c != "konyagin")
+    # no budget is one larger than any grid, so every claim takes the same cut
+    limit = sys.maxsize if budget is None else budget
 
     verdicts: list[Verdict] = []
     if prime_claims:
-        for vs in map_tasks(_suite_for_prime, [(p, prime_claims, seed, budget) for p in primes],
+        for vs in map_tasks(_suite_for_prime, [(p, prime_claims, seed, limit) for p in primes],
                             workers):
             verdicts.extend(vs)
 
     if "konyagin" in claims:
-        verdicts.extend(_konyagin_verdicts(p_min, p_max, seed, budget))
+        verdicts.extend(_konyagin_verdicts(p_min, p_max, seed, limit))
 
     verdicts.sort(key=Verdict.sort_key)
     return verdicts

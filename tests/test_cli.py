@@ -164,11 +164,12 @@ class TestVerify:
         assert far == []
 
     def test_json_lines_encode_each_params_once(self, capsys, tmp_path, monkeypatch):
-        """The json-lines writer calls no json.dumps, and each verdict's params are
-        encoded once, for its sort key and its line together."""
+        """The json-lines writer calls no json.dumps, and no verdict's params are
+        encoded twice: each text is made once, for its sort key and its line
+        together (most from a batch's template, which encodes no params object)."""
         encoded = []
 
-        class Counting(json.JSONEncoder):
+        class Recording(json.JSONEncoder):
             def encode(self, o):
                 encoded.append(o)
                 return super().encode(o)
@@ -176,14 +177,16 @@ class TestVerify:
         def no_dumps(*args, **kwargs):
             raise AssertionError("json.dumps called on the json-lines path")
 
-        monkeypatch.setattr(verifier, "_PARAMS_JSON", Counting(sort_keys=True, default=str))
+        monkeypatch.setattr(verifier, "_PARAMS_JSON", Recording(sort_keys=True, default=str))
         monkeypatch.setattr(json, "dumps", no_dumps)
         out_file = tmp_path / "v.jsonl"
         code, _, _ = run(capsys, "verify", "--p-max", "23", "--seed", "3", "--out", str(out_file))
         monkeypatch.undo()
         assert code == 0
-        lines = out_file.read_text(encoding="utf-8").splitlines()
-        assert len(encoded) == len(lines) > 0
+        assert out_file.read_text(encoding="utf-8").splitlines()
+        # the recorded objects are all alive, so equal ids mean the same object
+        params = [id(o) for o in encoded if isinstance(o, dict)]
+        assert len(set(params)) == len(params)
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--p-max", "7", "--claims", "nope")

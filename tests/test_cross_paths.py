@@ -3,9 +3,13 @@ numeric kernel (one DFT of a dlog histogram for every character) and the
 coset-batched gather against the per-shift engines, the exact histogram kernel
 against numeric mode and against sums of CycInt products, the exact bilinear
 convolution against the term-by-term grid sum, the batched eq2
-push-forward against per-character histograms, and each identity's certificate
-against its per-character fallback, on primes p <= 200."""
+push-forward against per-character histograms, the suite's batched verdicts
+(budgeted too) and lemma3's stacked FFT against the standalone checkers and
+bilinear forms, and each identity's certificate against its per-character
+fallback, on primes p <= 200."""
 
+import json
+import math
 import random
 import tracemalloc
 
@@ -36,6 +40,7 @@ from charsum.verifier import (
     check_granville,
     check_kernel_cases,
     check_konyagin,
+    check_lemma3,
     check_meanvalue2,
     check_nonlinear_bound_all_shifts,
     check_sharpened_theorem2,
@@ -43,6 +48,7 @@ from charsum.verifier import (
     character_sum_moduli,
     nonlinear_rows,
     random_subsets,
+    random_weights,
     run_suite,
     seeded_rng,
 )
@@ -124,29 +130,91 @@ def test_coset_nonlinear_equals_per_shift_sum(inst):
     assert abs(check_nonlinear_bound_all_shifts(ctx, chi, H).computed - every_shift) <= TOL
 
 
-@pytest.mark.parametrize("budget", [None, 20])
+def _standalone(ctx, claim: str, budget: int | None, seed: int) -> list:
+    """The first budget instances (all for None) of claim's grid at p, as the suite
+    counts them, each as (its params tag, the standalone checker's verdict)."""
+    p, m = ctx.p, ctx.p - 1
+    Hs = subgroups(ctx)
+    chis = [character(ctx, j) for j in range(1, m)]
+    if claim in ("thm2", "thm2_sharp", "eps"):
+        check = {"thm2": check_theorem2, "thm2_sharp": check_sharpened_theorem2,
+                 "eps": lambda ctx, chi, H: check_eps_corollary(ctx, chi, H, 0.1)}[claim]
+        grid = [(H, chi) for H in Hs for chi in chis][:budget]
+        return [({}, check(ctx, chi, H)) for H, chi in grid]
+    if claim == "meanvalue2":
+        grid = [(H, a) for H in Hs for a in range(1, p)][:budget]
+        return [({}, check_meanvalue2(ctx, H, a)) for H, a in grid]
+    if claim == "nonlinear":  # the budget counts subgroups
+        return [({}, check_nonlinear_bound_all_shifts(ctx, chi, H))
+                for H in Hs[:budget] for chi in chis]
+    if claim == "eq2":  # chi-major over the sets D
+        dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, seeded_rng(seed, p, "eq2"))
+        grid = [(chi, i) for chi in chis for i in range(len(dsets))][:budget]
+        return [({"D_index": i}, check_eq2_identity(ctx, chi, dsets[i])) for chi, i in grid]
+    # lemma3: the budget counts the drawn characters, five instances each
+    rng = seeded_rng(seed, p, "lemma3")
+    drawn = [chis[rng.randrange(m - 1)] for _ in range(min(5, m - 1))][:budget]
+    out = []
+    for ci, chi in enumerate(drawn):
+        for w in range(5):
+            xi, eta = random_weights(p, rng), random_weights(p, rng)
+            alone = check_lemma3(ctx, chi, xi, eta, rng.randrange(1, p))
+            out.append(({"instance": f"{ci}:{w}"}, alone))
+    return out
+
+
+SUITE_CLAIMS = ["thm2", "thm2_sharp", "eps", "meanvalue2", "nonlinear", "lemma3", "eq2"]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 20, 40])
 def test_suite_verdicts_equal_standalone_checkers(budget):
-    """The suite reads every bound off character_sum_moduli; each verdict matches
-    its checker run alone, which takes the single-character route."""
-    verdicts = run_suite(3, 31, claims=["thm2", "thm2_sharp", "eps", "meanvalue2", "nonlinear"],
-                         budget=budget)
-    for v in verdicts:
-        ctx = make_ctx(v.params["p"])
-        H = subgroup_of_order(ctx, v.params["H"])
-        if v.claim == "meanvalue2":
-            alone = check_meanvalue2(ctx, H, v.params["a"])
-        else:
-            chi = character(ctx, v.params["chi"])
-            if v.claim == "thm2":
-                alone = check_theorem2(ctx, chi, H)
-            elif v.claim == "thm2_sharp":
-                alone = check_sharpened_theorem2(ctx, chi, H)
-            elif v.claim == "nonlinear":
-                alone = check_nonlinear_bound_all_shifts(ctx, chi, H)
-            else:
-                alone = check_eps_corollary(ctx, chi, H, v.params["eps"])
-        assert v.passed == alone.passed
-        assert abs(v.computed - alone.computed) <= TOL, (v.claim, v.params)
+    """The suite builds each claim's verdicts a batch at a time, and a budget cuts
+    the last batch it reaches partway (budgets 1, 7 and 40 each end mid-batch at
+    p <= 31).  Verdict for verdict, the suite keeps the grid's first instances and
+    matches each checker run alone: exactly for eq2 and lemma3 (the same
+    arithmetic), within TOL for the bounds, which the checkers take by the
+    single-character route."""
+    seed = 5
+    got = run_suite(3, 31, claims=SUITE_CLAIMS, seed=seed, budget=budget)
+    for claim in SUITE_CLAIMS:
+        expected = [e for p in primes_in(3, 31)
+                    for e in _standalone(make_ctx(p), claim, budget, seed)]
+        by_params = {json.dumps({**v.params, **tag}, sort_keys=True): v for tag, v in expected}
+        mine = [v for v in got if v.claim == claim]
+        assert len(mine) == len(by_params) == len(expected), claim
+        exact = claim in ("eq2", "lemma3")
+        for v in mine:
+            alone = by_params[json.dumps(v.params, sort_keys=True)]
+            assert (v.claim, v.mode, v.kind, v.note, v.passed) == (
+                alone.claim, alone.mode, alone.kind, alone.note, alone.passed)
+            for field in ("computed", "target", "margin"):
+                a, b = getattr(v, field), getattr(alone, field)
+                assert a == b if exact else abs(a - b) <= TOL, (field, v.params)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batched_lemma3_equals_bilinear_forms(seed):
+    """The suite's lemma3 runs every instance of a prime through one stacked FFT
+    for S and one for S'; each instance's |S|, |S'| and sqrt(pXY) equal, bit for
+    bit, those of bilinear_S and bilinear_Sprime on that instance alone."""
+    got = {(v.params["p"], v.params["instance"]): v
+           for v in run_suite(3, 61, claims=["lemma3"], seed=seed)}
+    for p in primes_in(3, 61):
+        ctx = make_ctx(p)
+        chis = [character(ctx, j) for j in range(1, p - 1)]
+        rng = seeded_rng(seed, p, "lemma3")
+        drawn = [chis[rng.randrange(p - 2)] for _ in range(min(5, p - 2))]
+        for ci, chi in enumerate(drawn):
+            for w in range(5):
+                xi, eta = random_weights(p, rng), random_weights(p, rng)
+                a = rng.randrange(1, p)
+                S = bilinear_S(ctx, chi, xi, eta, a, "numeric").magnitude
+                Sp = bilinear_Sprime(ctx, chi, xi, eta, a, "numeric").magnitude
+                v = got.pop((p, f"{ci}:{w}"))
+                assert (v.params["chi"], v.params["a"]) == (chi.index, a)
+                assert v.computed == max(S, Sp)
+                assert v.target == math.sqrt(p * xi.sq_norm * eta.sq_norm)
+    assert got == {}
 
 
 def test_kernel_memory_is_bounded():

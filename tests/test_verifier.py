@@ -258,6 +258,18 @@ class TestLemma3:
         v = check_lemma3(ctx7, quad7, z, z, 1)
         assert v.passed and v.computed == 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_random_weights_are_the_uniform_sequence(self, seed):
+        # -1 + 2 * random() is what uniform(-1, 1) computes: the same floats, bit for bit
+        for p in (3, 11, 101):
+            drawn, expected = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                w = random_weights(p, drawn).values
+                u = [complex(expected.uniform(-1, 1), expected.uniform(-1, 1)) for _ in range(p)]
+                assert [z.hex() for z in w.real.tolist()] == [z.real.hex() for z in u]
+                assert [z.hex() for z in w.imag.tolist()] == [z.imag.hex() for z in u]
+            assert drawn.getstate() == expected.getstate()
+
     def test_random_weights(self):
         rng = random.Random(99)
         for p in (11, 101):
