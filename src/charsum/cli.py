@@ -223,11 +223,8 @@ def cmd_verify(args) -> int:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
         if not claims:
             raise CharsumError(f"--claims {args.claims!r} names no claim")
-    try:
-        verdicts = verifier.run_suite(p_min=args.p_min, p_max=args.p_max, claims=claims,
-                                      seed=args.seed, workers=args.workers, budget=args.budget)
-    except ValueError as e:
-        raise CharsumError(str(e))
+    verdicts = verifier.run_suite(p_min=args.p_min, p_max=args.p_max, claims=claims,
+                                  seed=args.seed, workers=args.workers, budget=args.budget)
     if args.format == "json-lines":
         _write_text("".join(v.to_line() for v in verdicts), args.out)
     else:
@@ -303,7 +300,8 @@ def main(argv=None) -> int:
     handlers = {"sum": cmd_sum, "verify": cmd_verify, "scan": cmd_scan, "table": cmd_table}
     try:
         return handlers[args.command](args)
-    except CharsumError as e:
+    # the library raises ValueError for an argument it rejects: a usage error too
+    except (CharsumError, ValueError) as e:
         print(f"charsum {args.command}: {e}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,8 @@ a zero term), made by its *_exponents builder: terms on axis 0, the sum's
 parameters broadcast on the trailing axes.  One reader gives it exactly (a
 CycInt, desk scale) or numerically (complex double, large scale); "auto" mode
 is exact iff the root order fits the exact-order cap.  The bilinear forms' FFT
-(bilinear_sums, over stacked instances) and shifted_values_all are numeric
-routes of their own.
+(bilinear_sums, over stacked instances) and shifted_values_all's FFT correlation
+are numeric routes of their own.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     PrincipalCharacter,
     ShiftNotCoprime,
 )
-from .field import FieldCtx, Subgroup, coset_shift_rows, inverse_table
+from .field import FieldCtx, Subgroup, inverse_table
 from .values import EXACT, NUMERIC, SumValue, Weights
 
 
@@ -35,13 +35,13 @@ def resolve_mode(order: int, mode: str) -> str:
     return mode
 
 
-def _require_nonprincipal(chi: Character) -> None:
-    if chi.is_principal:
+def _require_nonprincipal(*chis: Character) -> None:
+    if any(chi.is_principal for chi in chis):
         raise PrincipalCharacter("this sum requires a nonprincipal character")
 
 
-def _require_coprime_shift(p: int, a: int) -> None:
-    if a % p == 0:
+def _require_coprime_shift(p: int, *shifts: int) -> None:
+    if any(a % p == 0 for a in shifts):
         raise ShiftNotCoprime("shift a must be nonzero mod p")
 
 
@@ -86,28 +86,14 @@ def shifted_sum(ctx: FieldCtx, chi: Character, D, a: int, mode: str = "auto") ->
 
 
 def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
-    """Complex values of the shifted sum at every shift a in [0, p-1].
-
-    D is a Subgroup or any residue list.  For a subgroup H, S(r h) = chi(h) S(r)
-    for h in H, so only the k = (p-1)/|H| coset representatives g^i are summed,
-    in one gather of p-1 table entries, and every other shift is a rotation of
-    its representative's value.  Any other D goes through one FFT correlation.
-    """
-    p = ctx.p
-    table = chi.value_table()
+    """Complex values of the shifted sum at every shift a in [0, p-1], by one FFT
+    correlation of D's indicator with chi's value table.  D is any residue list,
+    or a Subgroup, read as its elements."""
     if isinstance(D, Subgroup):
-        k = D.index
-        rep_sums = table[coset_shift_rows(ctx, D)].sum(axis=1)
-        # shift g^(sk + i) is g^i times g^(sk) in H: S(g^(sk + i)) = chi(g^(sk)) S(g^i)
-        chi_H = table[ctx.exp[::k]]
-        vals = np.empty(p, dtype=complex)
-        vals[ctx.exp] = np.outer(chi_H, rep_sums).ravel()
-        vals[0] = chi_H.sum()
-        return vals
-    ind = np.zeros(p)
-    for x in D:
-        ind[x % p] += 1.0
-    return np.fft.ifft(np.conj(np.fft.fft(ind)) * np.fft.fft(table))
+        D = D.elements
+    p = ctx.p
+    ind = np.bincount(_mod(D, p), minlength=p).astype(float)
+    return np.fft.ifft(np.conj(np.fft.fft(ind)) * np.fft.fft(chi.value_table()))
 
 
 def shifted_sum_all(ctx: FieldCtx, chi: Character, D, mode: str = "auto") -> list[SumValue]:

@@ -17,7 +17,7 @@ from .engines import (
     kloosterman_exponents,
     numeric_sums,
     product_exponents,
-    shifted_values_all,
+    shifted_exponents,
 )
 from .field import make_ctx, primes_in, subgroup_near_sqrt
 from .verifier import map_tasks, seeded_rng
@@ -48,13 +48,22 @@ def _peak_record(ctx, H, problem: str, sum_kind: str, mags: np.ndarray, achiever
 
 
 def scan_problem1(p: int, seed: int = 0) -> list[dict]:
-    """max over nonzero shifts of |sum_{x in H} chi(x+a)| / sqrt(p), quadratic chi."""
+    """max over nonzero shifts of |sum_{x in H} chi(x+a)| / sqrt(p), quadratic chi.
+
+    S(ah) = chi(h) S(a) for h in H, so |S| is read once per coset of H, at the
+    representatives g^i; the achiever is the smallest shift in any coset that
+    attains the peak."""
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
     chi = quadratic_character(ctx)
-    mags = np.abs(shifted_values_all(ctx, chi, H))[1:]
-    return [_peak_record(ctx, H, "1", "shifted", mags,
-                         lambda i: {"chi": chi.index, "a": i + 1}, p - 1)]
+    reps = ctx.exp[:H.index]
+    mags = np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, reps), p - 1))
+
+    def achiever(i):
+        return {"chi": chi.index,
+                "a": int((np.outer(reps[mags == mags[i]], H.elements) % p).min())}
+
+    return [_peak_record(ctx, H, "1", "shifted", mags, achiever, p - 1)]
 
 
 def scan_problem5(p: int, seed: int = 0) -> list[dict]:

@@ -45,18 +45,16 @@ from .cyclo import (
     reduction_rows,
 )
 from .engines import (
+    _require_coprime_shift,
+    _require_nonprincipal,
     bilinear_sums,
     exp_sum_exponents,
     kernel_exponents,
+    nonlinear_exponents,
     numeric_sums,
-    shifted_values_all,
+    shifted_exponents,
 )
-from .errors import (
-    CapacityExceeded,
-    PrincipalCharacter,
-    ShiftNotCoprime,
-    ZeroInD,
-)
+from .errors import CapacityExceeded, ZeroInD
 from .field import (
     FieldCtx,
     Subgroup,
@@ -282,41 +280,30 @@ def _eps_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, eps: float) -> list[V
 
 def _shift_peak(ctx: FieldCtx, chi: Character, H: Subgroup) -> tuple[float, float]:
     """(max over nonzero shifts a of |sum_{x in H} chi(x+a)|, |sum_{x in H} chi(x)|)
-    by the single-character route; the suite reads both off character_sum_moduli."""
-    vals = shifted_values_all(ctx, chi, H)
-    return np.max(np.abs(vals[1:])), abs(vals[0])
+    for one nonprincipal character, read off the rows H and H + g^i: S(ah) = chi(h) S(a)
+    for h in H, so the k coset representatives g^i give every nonzero shift.  The
+    suite reads both off character_sum_moduli."""
+    _require_nonprincipal(chi)
+    shifts = np.append(0, ctx.exp[:H.index])
+    moduli = np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, shifts), ctx.p - 1))
+    return moduli[1:].max(), moduli[0]
 
 
-def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
-                   peak: float | None = None) -> Verdict:
-    """max over nonzero shifts a of |sum_{x in H} chi(x+a)| is strictly below sqrt(p).
-
-    peak, if given, is that maximum."""
-    if chi.is_principal:
-        raise PrincipalCharacter("bound requires a nonprincipal character")
-    if peak is None:
-        peak, _ = _shift_peak(ctx, chi, H)
+def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
+    """max over nonzero shifts a of |sum_{x in H} chi(x+a)| is strictly below sqrt(p)."""
+    peak, _ = _shift_peak(ctx, chi, H)
     return _thm2_batch(ctx, H, [chi.index], [peak])[0]
 
 
-def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup,
-                             peak: float | None = None,
-                             inner: float | None = None) -> Verdict:
-    """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a.
-
-    peak is max over nonzero a of |S(a)|, inner the unshifted |sum_{x in H} chi(x)|."""
-    if chi.is_principal:
-        raise PrincipalCharacter("bound requires a nonprincipal character")
-    if peak is None or inner is None:
-        peak, inner = _shift_peak(ctx, chi, H)
+def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
+    """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a."""
+    peak, inner = _shift_peak(ctx, chi, H)
     return _thm2_sharp_batch(ctx, H, [chi.index], [peak], [inner])[0]
 
 
-def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float,
-                        peak: float | None = None) -> Verdict:
+def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) -> Verdict:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
-    if peak is None:
-        peak, _ = _shift_peak(ctx, chi, H)
+    peak, _ = _shift_peak(ctx, chi, H)
     return _eps_batch(ctx, H, [chi.index], [peak], eps)[0]
 
 
@@ -378,8 +365,7 @@ def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> 
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
     sum.  When eq2_certificate(c) holds, every sum is c(0) - c(1).  Otherwise
     character j's sum is c pushed forward by t -> jt mod m and reduced."""
-    if any(chi.is_principal for chi in chis):
-        raise PrincipalCharacter("identity requires a nonprincipal character")
+    _require_nonprincipal(*chis)
     p = ctx.p
     m = p - 1
     Ds = sorted({d % p for d in D})
@@ -422,15 +408,11 @@ def _meanvalue2_batch(ctx: FieldCtx, H: Subgroup, shifts: list, averages) -> lis
                            math.sqrt(H.order), strict=False)
 
 
-def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int,
-                     average: float | None = None) -> Verdict:
-    """average, if given, is the mean of character_sum_moduli over the row H + a,
-    possibly taken at another shift of the coset aH, where the average is the same."""
-    if a % ctx.p == 0:
-        raise ShiftNotCoprime("shift a must be nonzero mod p")
+def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int) -> Verdict:
+    """(1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|) at one nonzero shift a."""
     p = ctx.p
-    if average is None:
-        (average,), _ = character_sum_moduli(ctx, [(np.array(H.elements) + a) % p])
+    _require_coprime_shift(p, a)
+    (average,), _ = character_sum_moduli(ctx, [(np.array(H.elements) + a) % p])
     return _meanvalue2_batch(ctx, H, [a % p], [average])[0]
 
 
@@ -527,10 +509,8 @@ def _lemma3_batch(ctx: FieldCtx, chis: list, xi: np.ndarray, eta: np.ndarray, sh
     instances[i] when given.  S and S' are one batched FFT each, over one value
     table per character."""
     p = ctx.p
-    if any(chi.is_principal for chi in chis):
-        raise PrincipalCharacter("this sum requires a nonprincipal character")
-    if any(a % p == 0 for a in shifts):
-        raise ShiftNotCoprime("shift a must be nonzero mod p")
+    _require_nonprincipal(*chis)
+    _require_coprime_shift(p, *shifts)
     table_of = {chi.index: chi.value_table() for chi in chis}
     tables = np.array([table_of[chi.index] for chi in chis])
     S = bilinear_sums(ctx, tables, xi, eta, shifts, twist=False)
@@ -599,10 +579,8 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     When kernel_certificate(ctx) holds it proves every pair, and no grid is built.
     Otherwise each pair's sum is reduced mod Phi_m and compared, in chunks of at
     most HISTOGRAM_CELLS (pair x term) cells; computed counts the mismatches."""
-    if chi.is_principal:
-        raise PrincipalCharacter("kernel requires a nonprincipal character")
-    if a % ctx.p == 0:
-        raise ShiftNotCoprime("shift a must be nonzero mod p")
+    _require_nonprincipal(chi)
+    _require_coprime_shift(ctx.p, a)
     p = ctx.p
     m = p - 1
     if m > EXACT_MAX_ORDER:
@@ -650,15 +628,13 @@ def _nonlinear_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks) -> list[Verdict
                            peaks, math.sqrt(ctx.p), strict=False)
 
 
-def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup,
-                                     peak: float | None = None) -> Verdict:
-    """One verdict per (H, chi) covering every nonzero shift a.
-
-    peak, if given, is max over a of |sum_{x in H} chi(x(x + a))|, the maximum
-    over the nonlinear_rows of H."""
-    if peak is None:
-        exponents = chi.exponent_table()[nonlinear_rows(ctx, H)]
-        peak = np.max(np.abs(numeric_sums(exponents.T, ctx.p - 1)))
+def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
+    """One verdict per (H, chi) covering every nonzero shift a: the maximum of
+    |sum_{x in H} chi(x(x + a))| over the coset representatives a = g^i (see
+    nonlinear_rows)."""
+    _require_nonprincipal(chi)
+    exponents = nonlinear_exponents(ctx, chi, H, ctx.exp[:H.index])
+    peak = np.abs(numeric_sums(exponents, ctx.p - 1)).max()
     return _nonlinear_batch(ctx, H, [chi.index], [peak])[0]
 
 

@@ -16,7 +16,7 @@ import pytest
 from charsum.characters import all_characters, character, quadratic_character
 from charsum.cli import main
 from charsum.cyclo import CycInt
-from charsum.engines import bilinear_Sprime, nonlinear_sum_xxa, shifted_sum
+from charsum.engines import bilinear_Sprime, nonlinear_sum_xxa, shifted_sum, shifted_values_all
 from charsum.field import (
     is_prime,
     make_ctx,
@@ -34,7 +34,6 @@ from charsum.verifier import (
     random_subsets,
     random_weights,
     run_suite,
-    shifted_values_all,
 )
 
 SEED = 42

@@ -82,6 +82,16 @@ class TestSum:
         code, _, err = run(capsys, "sum", "--p", "7", "--chi", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "exp", "--q", "1", "--set", "0", "--a", "1"], "modulus must be >= 2"),
+        (["--chi", "1", "--subgroup-order", "5", "--a", "1"], "does not divide"),
+    ])
+    def test_rejected_argument_is_usage_error(self, capsys, argv, message):
+        # the library's ValueError, not a traceback with exit 1 (a failed check)
+        code, out, err = run(capsys, "sum", "--p", "7", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("charsum sum: ") and message in err
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys, tmp_path):

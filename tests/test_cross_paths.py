@@ -1,12 +1,12 @@
 """Generated cross-checks between independent paths to the same values: the
 numeric kernel (one DFT of a dlog histogram for every character) and the
-coset-batched gather against the per-shift engines, the exact histogram kernel
-against numeric mode and against sums of CycInt products, the exact bilinear
-convolution against the term-by-term grid sum, the batched eq2
-push-forward against per-character histograms, the suite's batched verdicts
-(budgeted too) and lemma3's stacked FFT against the standalone checkers and
-bilinear forms, and each identity's certificate against its per-character
-fallback, on primes p <= 200."""
+single-character coset-row reading against the FFT correlation and the per-shift
+engines, the exact histogram kernel against numeric mode and against sums of
+CycInt products, the exact bilinear convolution against the term-by-term grid
+sum, the batched eq2 push-forward against per-character histograms, the suite's
+batched verdicts (budgeted too) and lemma3's stacked FFT against the standalone
+checkers and bilinear forms, and each identity's certificate against its
+per-character fallback, on primes p <= 200."""
 
 import json
 import math
@@ -26,7 +26,9 @@ from charsum.engines import (
     bilinear_Sprime,
     exp_sum_subset,
     nonlinear_sum_xxa,
+    numeric_sums,
     proof_kernel_S_yy1,
+    shifted_exponents,
     shifted_product_sum,
     shifted_sum,
     shifted_values_all,
@@ -83,15 +85,20 @@ def instances(draw, nonprincipal=False, nonzero_shift=False, primes=PRIMES):
 @cross_path
 @given(instances())
 def test_subgroup_path_equals_fft_and_naive(inst):
+    # the coset-row reading of scan_problem1 and the standalone thm2 checkers: |S|
+    # at a = 0 and at the representatives g^i, entry 1 + t % k standing for g^t
     ctx, chi, H, a = inst
-    coset = shifted_values_all(ctx, chi, H)
-    fft = shifted_values_all(ctx, chi, H.elements)
-    assert coset.shape == fft.shape == (ctx.p,)
-    assert np.max(np.abs(coset - fft)) <= TOL
-    assert np.max(np.abs(np.abs(coset) - np.abs(fft))) <= TOL
-    naive = shifted_sum(ctx, chi, H.elements, a, "exact").to_complex()
-    assert abs(coset[a] - naive) <= TOL
-    assert abs(abs(coset[a]) - abs(naive)) <= TOL
+    p, k = ctx.p, H.index
+    rows = shifted_exponents(ctx, chi, H.elements, np.append(0, ctx.exp[:k]))
+    coset = np.abs(numeric_sums(rows, p - 1))
+    every = np.append(coset[0], coset[1 + ctx.dlog[1:] % k])
+    fft = np.abs(shifted_values_all(ctx, chi, H))
+    assert every.shape == fft.shape == (p,)
+    assert np.max(np.abs(every - fft)) <= TOL
+    assert abs(every[a] - shifted_sum(ctx, chi, H.elements, a, "exact").magnitude) <= TOL
+    if not chi.is_principal:
+        peak, inner = verifier._shift_peak(ctx, chi, H)
+        assert (peak, inner) == (coset[1:].max(), coset[0])
 
 
 @cross_path

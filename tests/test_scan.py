@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from charsum.characters import character
@@ -8,6 +9,7 @@ from charsum.engines import (
     kloosterman_over_H,
     shifted_product_sum,
     shifted_sum,
+    shifted_values_all,
 )
 from charsum.field import make_ctx, subgroup_of_order
 from charsum.scan import scan_prime, scan_range
@@ -29,6 +31,9 @@ class TestProblem1:
             chi = character(ctx, rec["achiever"]["chi"])
             s = shifted_sum(ctx, chi, H.elements, rec["achiever"]["a"], "numeric")
             assert s.magnitude / math.sqrt(p) == pytest.approx(rec["stat"], abs=1e-9)
+            # the coset reading misses no shift: stat is the peak over every a != 0
+            peak = np.abs(shifted_values_all(ctx, chi, H.elements)[1:]).max()
+            assert peak / math.sqrt(p) == pytest.approx(rec["stat"], abs=1e-9)
 
 
 class TestProblem5:

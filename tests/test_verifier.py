@@ -3,12 +3,14 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from charsum.characters import character, quadratic_character
 from charsum.engines import shifted_values_all
 from charsum.errors import PrincipalCharacter, ShiftNotCoprime, ZeroInD
 from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
+from charsum.values import Weights
 from charsum.verifier import (
     CLAIMS,
     Verdict,
@@ -243,17 +245,12 @@ class TestKonyagin:
 
 class TestLemma3:
     def test_indicator_weights(self, ctx7, quad7, H7):
-        from charsum.values import Weights
-
         w = Weights.indicator(7, H7.elements)
         v = check_lemma3(ctx7, quad7, w, w, 1)
         assert v.passed
         assert v.target == pytest.approx(math.sqrt(63))
 
     def test_zero_weights(self, ctx7, quad7):
-        from charsum.values import Weights
-        import numpy as np
-
         z = Weights(np.zeros(7))
         v = check_lemma3(ctx7, quad7, z, z, 1)
         assert v.passed and v.computed == 0.0
@@ -331,6 +328,34 @@ class TestNonlinearChecker:
         assert v.passed and v.params["a"] == "all"
         assert v.computed == pytest.approx(1.0, abs=1e-9)
         assert v.target == pytest.approx(math.sqrt(7))
+
+
+# every standalone checker that takes a character, as (ctx, H, chi, a)
+STANDALONE = {
+    "thm2": lambda ctx, H, chi, a: check_theorem2(ctx, chi, H),
+    "thm2_sharp": lambda ctx, H, chi, a: check_sharpened_theorem2(ctx, chi, H),
+    "eps": lambda ctx, H, chi, a: check_eps_corollary(ctx, chi, H, 0.1),
+    "eq2": lambda ctx, H, chi, a: check_eq2_identity(ctx, chi, H.elements),
+    "lemma3": lambda ctx, H, chi, a: check_lemma3(ctx, chi, Weights(np.ones(ctx.p)),
+                                                  Weights(np.ones(ctx.p)), a),
+    "kernel": lambda ctx, H, chi, a: check_kernel_cases(ctx, chi, a),
+    "nonlinear": lambda ctx, H, chi, a: check_nonlinear_bound_all_shifts(ctx, chi, H),
+}
+
+
+@pytest.mark.parametrize("claim", list(STANDALONE))
+def test_standalone_checkers_reject_the_principal_character(claim):
+    # at p = 101 with |H| = 100, chi0 sums to 99 at most shifts, which would
+    # read as a failed bound rather than a refused input
+    ctx = make_ctx(101)
+    with pytest.raises(PrincipalCharacter):
+        STANDALONE[claim](ctx, subgroup_of_order(ctx, 100), character(ctx, 0), 1)
+
+
+@pytest.mark.parametrize("claim", ["lemma3", "kernel"])
+def test_standalone_checkers_reject_a_zero_shift(claim, ctx7, quad7, H7):
+    with pytest.raises(ShiftNotCoprime):
+        STANDALONE[claim](ctx7, H7, quad7, 7)
 
 
 class TestRunSuite:
