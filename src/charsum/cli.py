@@ -255,11 +255,20 @@ def cmd_table(args) -> int:
             records = [json.loads(line) for line in f if line.strip()]
     except (OSError, json.JSONDecodeError) as e:
         raise CharsumError(f"cannot read {args.input}: {e}")
+    if not all(isinstance(r, dict) for r in records):
+        raise CharsumError(f"{args.input}: every line must be a JSON object")
 
     if not records:
         _write_csv(["claim", "verdicts", "passes", "capacity_skips", "pass_rate"], [], args.out)
         return 0
 
+    try:
+        return _write_table(records, args)
+    except KeyError as e:
+        raise CharsumError(f"{args.input}: a record lacks the key {e}")
+
+
+def _write_table(records: list[dict], args) -> int:
     if records[0].get("kind") == "scan":
         header = ["p", "problem", "sum_kind", "H_order", "order_ratio", "stat",
                   "tuples", "achiever"]

@@ -85,12 +85,16 @@ def shifted_sum(ctx: FieldCtx, chi: Character, D, a: int, mode: str = "auto") ->
     return _read(ctx.p - 1, mode, shifted_exponents(ctx, chi, D, a))
 
 
+def _residues(D):
+    """D as a residue list: a Subgroup is read as its elements."""
+    return D.elements if isinstance(D, Subgroup) else D
+
+
 def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
     """Complex values of the shifted sum at every shift a in [0, p-1], by one FFT
     correlation of D's indicator with chi's value table.  D is any residue list,
     or a Subgroup, read as its elements."""
-    if isinstance(D, Subgroup):
-        D = D.elements
+    D = _residues(D)
     p = ctx.p
     ind = np.bincount(_mod(D, p), minlength=p).astype(float)
     return np.fft.ifft(np.conj(np.fft.fft(ind)) * np.fft.fft(chi.value_table()))
@@ -99,8 +103,10 @@ def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
 def shifted_sum_all(ctx: FieldCtx, chi: Character, D, mode: str = "auto") -> list[SumValue]:
     """Entry a equals shifted_sum(ctx, chi, D, a).
 
-    Numeric mode runs in O(p log p); exact mode is the naive per-shift loop.
+    Numeric mode runs in O(p log p); exact mode is the naive per-shift loop.  D is
+    any residue list, or a Subgroup, read as its elements.
     """
+    D = _residues(D)
     p = ctx.p
     if resolve_mode(p - 1, mode) == EXACT:
         return [shifted_sum(ctx, chi, D, a, EXACT) for a in range(p)]

@@ -20,6 +20,11 @@ push-forward to the characters and no reduction mod Phi_m.
 When a certificate fails, the checker falls back to the per-character route
 (one exact reduction mod Phi_m per character), which names the failing
 characters.  Either route gives the same verdict records.
+
+Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2
+whose terms depend only on the difference d = y - x: _pair_difference_sum counts
+one exponent row per distinct d, weighted by its number of pairs, not |D|^2
+rows.  That only regroups the terms, so it gives the same counts for any dlog.
 """
 
 from __future__ import annotations
@@ -307,22 +312,20 @@ def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) 
     return _eps_batch(ctx, H, [chi.index], [peak], eps)[0]
 
 
-def _pair_difference_sum(E: np.ndarray, m: int) -> np.ndarray:
-    """sum over columns c of |sum_x zeta_m^E[x, c]|^2 (E in [0, m), -1 for zero terms),
-    as its m coefficient counts: one term zeta_m^(E[x, c] - E[y, c]) per pair of rows
-    x, y, counted in chunks of at most HISTOGRAM_CELLS cells."""
-    n, s = E.shape
-    cols = max(1, HISTOGRAM_CELLS // (n * n))
-    rows = max(1, HISTOGRAM_CELLS // (n * cols))
+def _pair_difference_sum(D: list[int], n: int, m: int, row) -> np.ndarray:
+    """The m coefficient counts of sum_{(x, y) in D^2} sum_{e in row(y - x mod n)} zeta_m^e
+    (-1 for zero terms): sum_d pairs(d) hist(row(d)), pairs the cyclic autocorrelation
+    of D's indicator, rows counted in chunks of at most HISTOGRAM_CELLS cells."""
+    ind = np.bincount(D, minlength=n)
+    lags = np.correlate(ind, ind, "full")  # lag k in (-n, n) at index n - 1 + k
+    lags[n:] += lags[:n - 1]
+    pairs = lags[n - 1:]
+    d = np.flatnonzero(pairs)
     counts = np.zeros(m, dtype=np.int64)
-    for c in range(0, s, cols):
-        Y = E[None, :, c:c + cols]
-        for r in range(0, n, rows):
-            X = E[r:r + rows, None, c:c + cols]
-            both = (X >= 0) & (Y >= 0)
-            # X - Y + m lies in [1, 2m): count it on 2m cells and fold, sparing a % m
-            wide = exponent_histogram((X + m - Y)[both], 2 * m)
-            counts += wide[:m] + wide[m:]
+    step = max(1, HISTOGRAM_CELLS // n)
+    for lo in range(0, len(d), step):
+        chunk = d[lo:lo + step]
+        counts += pairs[chunk] @ exponent_histogram(row(chunk), m)
     return counts
 
 
@@ -375,10 +378,12 @@ def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> 
         raise ZeroInD("D must be a subset of the nonzero residues")
     if m > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"exact mode needs root order {m} > {EXACT_MAX_ORDER}")
-    Da = np.array(Ds, dtype=np.int64)
-    # dlog(x+a) for every x in D (rows) and every shift a (columns); dlog[0] = -1
-    # is the zero-term sentinel
-    c = _pair_difference_sum(ctx.dlog[(Da[:, None] + np.arange(p)[None, :]) % p], m)
+
+    def row(d):  # the pair's terms at b = x + a: dlog b - dlog(b + d) over b in F_p
+        e = ctx.dlog[(np.arange(p) + d[:, None]) % p]  # dlog[0] = -1: chi(0) = 0
+        return np.where((ctx.dlog >= 0) & (e >= 0), (ctx.dlog - e) % m, -1)
+
+    c = _pair_difference_sum(Ds, p, m, row)
     if eq2_certificate(c):
         computed = [int(c[0] - c[1])] * len(chis)
     else:
@@ -489,9 +494,9 @@ def check_konyagin(q: int, D, D_index: int | None = None) -> Verdict:
         raise ValueError("D must be nonempty")
     if q > EXACT_MAX_ORDER:
         raise CapacityExceeded(f"exact mode needs root order {q} > {EXACT_MAX_ORDER}")
-    # one row per x, one column per a
-    E = exp_sum_exponents(q, Ds, np.arange(1, q))
-    computed = _as_integers(reduce_counts([_pair_difference_sum(E, q)]))
+    # e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, over the columns a in [1, q)
+    computed = _as_integers(reduce_counts([_pair_difference_sum(
+        Ds, q, q, lambda d: exp_sum_exponents(q, -d, np.arange(1, q)))]))
     params = {"q": q, "D_size": len(Ds)}
     if D_index is not None:
         params["D_index"] = D_index

@@ -7,10 +7,28 @@ import json
 import numpy as np
 
 from charsum import verifier
-from charsum.cyclo import CycInt
+from charsum.cyclo import HISTOGRAM_CELLS, CycInt, exponent_histogram
 from charsum.engines import proof_kernel_S_yy1, shifted_sum
 from charsum.field import make_ctx
-from charsum.verifier import _pair_difference_sum
+
+
+def pair_difference_grid(E: np.ndarray, m: int) -> np.ndarray:
+    """sum over columns c of |sum_x zeta_m^E[x, c]|^2 (E in [0, m), -1 for zero terms),
+    as its m coefficient counts: one term zeta_m^(E[x, c] - E[y, c]) per pair of rows
+    x, y, counted in chunks of at most HISTOGRAM_CELLS cells."""
+    n, s = E.shape
+    cols = max(1, HISTOGRAM_CELLS // (n * n))
+    rows = max(1, HISTOGRAM_CELLS // (n * cols))
+    counts = np.zeros(m, dtype=np.int64)
+    for c in range(0, s, cols):
+        Y = E[None, :, c:c + cols]
+        for r in range(0, n, rows):
+            X = E[r:r + rows, None, c:c + cols]
+            both = (X >= 0) & (Y >= 0)
+            # X - Y + m lies in [1, 2m): count it on 2m cells and fold, sparing a % m
+            wide = exponent_histogram((X + m - Y)[both], 2 * m)
+            counts += wide[:m] + wide[m:]
+    return counts
 
 
 def eq2_via_engine(ctx, chi, D) -> int | None:
@@ -23,12 +41,12 @@ def eq2_via_engine(ctx, chi, D) -> int | None:
 
 
 def eq2_per_character(ctx, chi, D) -> int | None:
-    """The same sum from chi's own exponent table: one pair-difference histogram
+    """The same sum from chi's own exponent table: one |D|^2-pair grid histogram
     per character, with no push-forward."""
     p = ctx.p
     Da = np.array(sorted({d % p for d in D}), dtype=np.int64)
     E = chi.exponent_table()[(Da[:, None] + np.arange(p)[None, :]) % p]
-    return CycInt(p - 1, _pair_difference_sum(E, p - 1)).as_integer()
+    return CycInt(p - 1, pair_difference_grid(E, p - 1)).as_integer()
 
 
 def bilinear_grid(ctx, chi, xi, eta, a: int, twist: bool) -> CycInt:

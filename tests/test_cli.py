@@ -350,3 +350,15 @@ class TestTable:
         src.write_text("not json\n")
         code, _, _ = run(capsys, "table", "--input", str(src))
         assert code == 2
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"claim": "eq2"}\n', "lacks the key 'pass'"),
+        ('5\n', "every line must be a JSON object"),
+        ('{"claim": "eq2", "pass": true}\n[1]\n', "every line must be a JSON object"),
+    ])
+    def test_malformed_record(self, capsys, tmp_path, text, reason):
+        src = tmp_path / "partial.jsonl"
+        src.write_text(text)
+        code, out, err = run(capsys, "table", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("charsum table:") and reason in err

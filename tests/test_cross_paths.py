@@ -3,10 +3,11 @@ numeric kernel (one DFT of a dlog histogram for every character) and the
 single-character coset-row reading against the FFT correlation and the per-shift
 engines, the exact histogram kernel against numeric mode and against sums of
 CycInt products, the exact bilinear convolution against the term-by-term grid
-sum, the batched eq2 push-forward against per-character histograms, the suite's
-batched verdicts (budgeted too) and lemma3's stacked FFT against the standalone
-checkers and bilinear forms, and each identity's certificate against its
-per-character fallback, on primes p <= 200."""
+sum, eq2's and konyagin's pair-difference rows against the |D|^2-pair grid (on a
+corrupted dlog too), the batched eq2 push-forward against per-character
+histograms, the suite's batched verdicts (budgeted too) and lemma3's stacked FFT
+against the standalone checkers and bilinear forms, and each identity's
+certificate against its per-character fallback, on primes p <= 211."""
 
 import json
 import math
@@ -24,6 +25,7 @@ from charsum.cyclo import CycInt, reduce_counts
 from charsum.engines import (
     bilinear_S,
     bilinear_Sprime,
+    exp_sum_exponents,
     exp_sum_subset,
     nonlinear_sum_xxa,
     numeric_sums,
@@ -61,6 +63,7 @@ from references import (
     eq2_via_engine,
     granville_mismatches,
     kernel_mismatches,
+    pair_difference_grid,
     without_certificates,
 )
 
@@ -245,14 +248,44 @@ def subsets(draw, n, lo=1):
     return sorted(draw(st.sets(st.integers(lo, n - 1), min_size=1, max_size=n - lo)))
 
 
+def _handed_to(name, call):
+    """call()'s result, and the first argument that it hands to verifier.<name>."""
+    seen = []
+    real = getattr(verifier, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, name, lambda first, *rest: seen.append(first) or real(first, *rest))
+        result = call()
+    return result, seen[0]
+
+
 @cross_path
-@given(st.integers(2, 60).flatmap(lambda q: st.tuples(st.just(q), subsets(q, lo=0))))
+@given(st.integers(2, 100).flatmap(lambda q: st.tuples(st.just(q), subsets(q, lo=0))))
 def test_konyagin_histogram_equals_sum_of_norms(inst):
+    """The pair-difference count c, one exponent row per difference y - x, equals
+    the |D|^2-pair grid's count, and its reduction the sum of CycInt norms."""
     q, D = inst
+    D = sorted({0, *D})
+    verdict, (c,) = _handed_to("reduce_counts", lambda: check_konyagin(q, D))
+    assert np.array_equal(c, pair_difference_grid(exp_sum_exponents(q, D, np.arange(1, q)), q))
     reference = CycInt.zero(q)
     for a in range(1, q):
         reference = reference + exp_sum_subset(q, D, a, "exact").exact.abs_squared()
-    assert check_konyagin(q, D).computed == reference.as_integer()
+    assert verdict.computed == reference.as_integer()
+
+
+@cross_path
+@given(st.sampled_from(list(primes_in(3, 211))).flatmap(lambda p: st.tuples(
+    st.just(p), subsets(p), st.none() | st.sets(st.integers(1, p - 1), min_size=2, max_size=2))))
+def test_eq2_pair_differences_equal_grid(inst):
+    """eq2's count c, one exponent row per difference y - x weighted by its pair
+    count, equals the |D|^2-pair grid's count, on a true dlog and on one with two
+    entries swapped: the regrouping holds for any dlog table."""
+    p, D, swap = inst
+    ctx = make_ctx(p) if swap is None else corrupted_ctx(p, *swap)
+    _, c = _handed_to("eq2_certificate",
+                      lambda: check_eq2_identities(ctx, [character(ctx, 1)], D))
+    E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
+    assert np.array_equal(c, pair_difference_grid(E, p - 1))
 
 
 @cross_path

@@ -105,6 +105,13 @@ class TestShiftedSumAll:
             expected = sum(1 for x in D if (x + a) % 7 != 0)
             assert vals[a].magnitude == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_subgroup_reads_as_its_elements(self, ctx7, H7, mode):
+        chi = character(ctx7, 3)
+        got, want = (shifted_sum_all(ctx7, chi, D, mode) for D in (H7, H7.elements))
+        assert [(v.mode, v.exact, v.numeric) for v in got] == \
+            [(v.mode, v.exact, v.numeric) for v in want]
+
     def test_exact_mode_capacity(self):
         ctx = make_ctx(10_007)
         chi = character(ctx, 1)
