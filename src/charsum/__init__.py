@@ -23,7 +23,6 @@ from .engines import (
     proof_kernel_S_yy1,
     shifted_product_sum,
     shifted_sum,
-    shifted_sum_all,
 )
 from .errors import (
     CapacityExceeded,
@@ -75,7 +74,6 @@ __all__ = [
     "run_suite",
     "shifted_product_sum",
     "shifted_sum",
-    "shifted_sum_all",
     "subgroup_character_decomposition",
     "subgroup_near_sqrt",
     "subgroup_of_order",

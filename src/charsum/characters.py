@@ -15,7 +15,7 @@ import numpy as np
 from .cyclo import CycInt
 from .errors import IndexOutOfRange
 from .field import FieldCtx, Subgroup
-from .values import SumValue
+from .values import EXACT, NUMERIC, SumValue, read, roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,26 +33,17 @@ class Character:
         return self.order == 2
 
     def value_numeric(self, x: int) -> complex:
-        p = self.ctx.p
-        x %= p
-        if x == 0:
-            return 0j
-        m = p - 1
-        e = (self.index * int(self.ctx.dlog[x])) % m
-        return np.exp(2j * np.pi * e / m)
+        return self.eval(x, NUMERIC).numeric
 
     def value_exact(self, x: int) -> CycInt:
+        return self.eval(x, EXACT).exact
+
+    def eval(self, x: int, mode: str = EXACT) -> SumValue:
+        """chi(x), read in mode as every engine sum is (chi(0) = 0)."""
         p = self.ctx.p
         x %= p
-        m = p - 1
-        if x == 0:
-            return CycInt.zero(m)
-        return CycInt.root(m, (self.index * int(self.ctx.dlog[x])) % m)
-
-    def eval(self, x: int, mode: str = "exact") -> SumValue:
-        if mode == "exact":
-            return SumValue.from_exact(self.value_exact(x))
-        return SumValue.from_numeric(self.value_numeric(x))
+        e = (self.index * int(self.ctx.dlog[x])) % (p - 1) if x else -1
+        return read(p - 1, mode, [e])
 
     def conjugate(self) -> "Character":
         m = self.ctx.p - 1
@@ -60,12 +51,7 @@ class Character:
 
     def value_table(self) -> np.ndarray:
         """chi(x) for every residue x as a complex vector of length p (table[0] = 0)."""
-        p = self.ctx.p
-        m = p - 1
-        table = np.zeros(p, dtype=complex)
-        e = (self.index * self.ctx.dlog[1:]) % m
-        table[1:] = np.exp(2j * np.pi * e / m)
-        return table
+        return roots(self.exponent_table(), self.ctx.p - 1)
 
     def exponent_table(self) -> np.ndarray:
         """Exponent e with chi(x) = zeta_m^e for x in [0, p-1]; entry -1 marks x = 0."""

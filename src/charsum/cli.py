@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sum", help="compute a single sum")
-    ps.add_argument("--p", type=int, required=True)
+    ps.add_argument("--p", type=int, default=None, help="the prime; not used by --kind exp")
     ps.add_argument("--kind", default="shifted",
                     choices=["shifted", "nonlinear", "product", "kloosterman",
                              "inverse-shift", "exp"])
@@ -111,6 +111,8 @@ def _sum_value(args):
         value = engines.exp_sum_subset(args.q, D, args.a, args.mode)
         return value, args.q, {"q": args.q, "a": args.a, "D": D}
 
+    if args.p is None:
+        raise CharsumError(f"--kind {args.kind} requires --p")
     ctx = make_ctx(args.p)
     H = _resolve_subgroup(ctx, args)
 

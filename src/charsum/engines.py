@@ -2,11 +2,10 @@
 
 Each sum is one exponent array e, with value sum_i zeta_m^(e_i) (e_i = -1 marks
 a zero term), made by its *_exponents builder: terms on axis 0, the sum's
-parameters broadcast on the trailing axes.  One reader gives it exactly (a
-CycInt, desk scale) or numerically (complex double, large scale); "auto" mode
-is exact iff the root order fits the exact-order cap.  The bilinear forms' FFT
-(bilinear_sums, over stacked instances) and shifted_values_all's FFT correlation
-are numeric routes of their own.
+parameters broadcast on the trailing axes.  values.read gives it exactly or
+numerically; the engines add the builders and the guards on their arguments.
+The bilinear forms' FFT (bilinear_sums, over stacked instances) and
+shifted_values_all's FFT correlation are numeric routes of their own.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .characters import Character
-from .cyclo import EXACT_MAX_ORDER, CycInt
 from .errors import (
     CapacityExceeded,
     DegenerateShifts,
@@ -22,17 +20,7 @@ from .errors import (
     ShiftNotCoprime,
 )
 from .field import FieldCtx, Subgroup, inverse_table
-from .values import EXACT, NUMERIC, SumValue, Weights
-
-
-def resolve_mode(order: int, mode: str) -> str:
-    if mode == "auto":
-        return EXACT if order <= EXACT_MAX_ORDER else NUMERIC
-    if mode not in (EXACT, NUMERIC):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == EXACT and order > EXACT_MAX_ORDER:
-        raise CapacityExceeded(f"exact mode needs root order {order} > {EXACT_MAX_ORDER}")
-    return mode
+from .values import EXACT, NUMERIC, SumValue, Weights, read, resolve_mode
 
 
 def _require_nonprincipal(*chis: Character) -> None:
@@ -54,24 +42,6 @@ def _terms(x, *params) -> np.ndarray:
     return np.asarray(x, dtype=np.int64).reshape((-1,) + (1,) * np.broadcast(*params).ndim)
 
 
-def numeric_sums(exponents, m: int, weights=None) -> np.ndarray:
-    """sum_i w_i exp(2 pi i e_i / m) over axis 0 (in order, term by term, when there
-    are trailing axes), for every index of the trailing axes; weights default to 1."""
-    e = np.asarray(exponents)
-    terms = np.exp(2j * np.pi * e / m)
-    terms[e < 0] = 0
-    if weights is not None:
-        terms *= weights
-    return terms.sum(axis=0)
-
-
-def _read(m: int, mode: str, exponents, weights=None) -> SumValue:
-    """sum_i w_i zeta_m^(e_i) over the whole array: a CycInt, or a complex double."""
-    if resolve_mode(m, mode) == EXACT:
-        return SumValue.from_exact(CycInt.from_exponents(m, exponents, weights))
-    return SumValue.from_numeric(numeric_sums(exponents, m, weights))
-
-
 # ---------------------------------------------------------------------------
 # shifted sums  sum_{x in D} chi(x + a)
 # ---------------------------------------------------------------------------
@@ -82,35 +52,18 @@ def shifted_exponents(ctx: FieldCtx, chi: Character, D, a) -> np.ndarray:
 
 
 def shifted_sum(ctx: FieldCtx, chi: Character, D, a: int, mode: str = "auto") -> SumValue:
-    return _read(ctx.p - 1, mode, shifted_exponents(ctx, chi, D, a))
-
-
-def _residues(D):
-    """D as a residue list: a Subgroup is read as its elements."""
-    return D.elements if isinstance(D, Subgroup) else D
+    return read(ctx.p - 1, mode, shifted_exponents(ctx, chi, D, a))
 
 
 def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
     """Complex values of the shifted sum at every shift a in [0, p-1], by one FFT
     correlation of D's indicator with chi's value table.  D is any residue list,
     or a Subgroup, read as its elements."""
-    D = _residues(D)
+    if isinstance(D, Subgroup):
+        D = D.elements
     p = ctx.p
     ind = np.bincount(_mod(D, p), minlength=p).astype(float)
     return np.fft.ifft(np.conj(np.fft.fft(ind)) * np.fft.fft(chi.value_table()))
-
-
-def shifted_sum_all(ctx: FieldCtx, chi: Character, D, mode: str = "auto") -> list[SumValue]:
-    """Entry a equals shifted_sum(ctx, chi, D, a).
-
-    Numeric mode runs in O(p log p); exact mode is the naive per-shift loop.  D is
-    any residue list, or a Subgroup, read as its elements.
-    """
-    D = _residues(D)
-    p = ctx.p
-    if resolve_mode(p - 1, mode) == EXACT:
-        return [shifted_sum(ctx, chi, D, a, EXACT) for a in range(p)]
-    return [SumValue.from_numeric(v) for v in shifted_values_all(ctx, chi, D)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +116,14 @@ def bilinear_sums(ctx: FieldCtx, tables: np.ndarray, xi: np.ndarray, eta: np.nda
 def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
               mode: str, twist: bool) -> SumValue:
     """The products xy = g^t carry the cyclic convolution of the weights on the
-    dlog line: exactly of integers, or numerically by bilinear_sums."""
+    dlog line: exactly of integers, or numerically by bilinear_sums.  "auto" mode
+    is exact only for integer weights."""
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
     m = p - 1
+    if mode == "auto" and not (xi.integral and eta.integral):
+        mode = NUMERIC
     if resolve_mode(m, mode) == EXACT:
         # sum|xi| * sum|eta| bounds every weight product and count; int64 must hold it
         if np.abs(xi.values).sum() * np.abs(eta.values).sum() >= 2.0**62:
@@ -185,7 +141,7 @@ def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
         else:
             e = np.append(e, E[a % p])
             counts = np.append(counts, _boundary(wx, wy))
-        return _read(m, EXACT, e, counts)
+        return read(m, EXACT, e, counts)
     return SumValue.from_numeric(
         bilinear_sums(ctx, chi.value_table(), xi.values, eta.values, a, twist))
 
@@ -221,7 +177,7 @@ def proof_kernel_S_yy1(ctx: FieldCtx, chi: Character, y: int, y1: int, a: int,
     """
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
-    return _read(ctx.p - 1, mode, kernel_exponents(ctx, chi, y, y1, a))
+    return read(ctx.p - 1, mode, kernel_exponents(ctx, chi, y, y1, a))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +195,7 @@ def nonlinear_sum_xxa(ctx: FieldCtx, chi: Character, H: Subgroup, a: int,
     """sum_{x in H} chi(x(x + a))"""
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
-    return _read(ctx.p - 1, mode, nonlinear_exponents(ctx, chi, H, a))
+    return read(ctx.p - 1, mode, nonlinear_exponents(ctx, chi, H, a))
 
 
 def product_exponents(ctx: FieldCtx, chi: Character, H: Subgroup, a, b) -> np.ndarray:
@@ -255,7 +211,7 @@ def shifted_product_sum(ctx: FieldCtx, chi: Character, H: Subgroup, a: int, b: i
     p = ctx.p
     if (a % p) == 0 or (b % p) == 0 or (a - b) % p == 0:
         raise DegenerateShifts("shifts must satisfy a, b, a-b all nonzero mod p")
-    return _read(p - 1, mode, product_exponents(ctx, chi, H, a, b))
+    return read(p - 1, mode, product_exponents(ctx, chi, H, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +228,7 @@ def kloosterman_exponents(ctx: FieldCtx, H: Subgroup, k, l) -> np.ndarray:
 
 def kloosterman_over_H(ctx: FieldCtx, H: Subgroup, k: int, l: int) -> SumValue:
     """sum_{x in H} e((kx + l x^*) / p), numeric mode."""
-    return _read(ctx.p, NUMERIC, kloosterman_exponents(ctx, H, k, l))
+    return read(ctx.p, NUMERIC, kloosterman_exponents(ctx, H, k, l))
 
 
 def inverse_shift_exponents(ctx: FieldCtx, H: Subgroup, k, a) -> np.ndarray:
@@ -284,7 +240,7 @@ def inverse_shift_exponents(ctx: FieldCtx, H: Subgroup, k, a) -> np.ndarray:
 
 def inverse_shift_sum(ctx: FieldCtx, H: Subgroup, k: int, a: int) -> SumValue:
     """sum over x in H, x != -a, of e(k (x + a)^* / p), numeric mode."""
-    return _read(ctx.p, NUMERIC, inverse_shift_exponents(ctx, H, k, a))
+    return read(ctx.p, NUMERIC, inverse_shift_exponents(ctx, H, k, a))
 
 
 def exp_sum_exponents(q: int, D, a) -> np.ndarray:
@@ -296,4 +252,4 @@ def exp_sum_subset(q: int, D, a: int, mode: str = "auto") -> SumValue:
     """sum_{x in D} e_q(ax) over a general modulus q >= 2."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
-    return _read(q, mode, exp_sum_exponents(q, D, a))
+    return read(q, mode, exp_sum_exponents(q, D, a))

@@ -101,12 +101,17 @@ def _powers(base: int, n: int, p: int) -> list[int]:
     return out
 
 
+def require_table_cap(p: int) -> None:
+    """Raise CapacityExceeded when p's dlog table would pass the cap MAX_P."""
+    if p > MAX_P:
+        raise CapacityExceeded(f"p={p} exceeds dlog table cap {MAX_P}")
+
+
 def make_ctx(p: int) -> FieldCtx:
     """Build the full context for an odd prime p (primality-checked)."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
-    if p > MAX_P:
-        raise CapacityExceeded(f"p={p} exceeds dlog table cap {MAX_P}")
+    require_table_cap(p)
     fac = factorize(p - 1)
     g = _smallest_primitive_root(p, list(fac))
     # g^(bB + s) = g^(bB) * g^s: two short power runs and one outer product.

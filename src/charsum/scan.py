@@ -15,11 +15,11 @@ from .characters import quadratic_character
 from .engines import (
     inverse_shift_exponents,
     kloosterman_exponents,
-    numeric_sums,
     product_exponents,
     shifted_exponents,
 )
-from .field import make_ctx, primes_in, subgroup_near_sqrt
+from .field import make_ctx, primes_in, require_table_cap, subgroup_near_sqrt
+from .values import numeric_sums
 from .verifier import map_tasks, seeded_rng
 
 PROBLEMS = ("1", "5", "6")
@@ -120,10 +120,13 @@ def scan_prime(problem: str, p: int, seed: int = 0) -> list[dict]:
 
 def scan_range(problem: str, p_min: int, p_max: int, seed: int = 0,
                workers: int = 1) -> list[dict]:
-    """Scan every prime in [p_min, p_max]; records sorted by (p, sum_kind)."""
+    """Scan every prime in [p_min, p_max]; records sorted by (p, sum_kind).  A range
+    whose largest prime passes the dlog table cap raises before any prime is scanned."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     primes = list(primes_in(max(p_min, 3), p_max))
+    if primes:
+        require_table_cap(primes[-1])
     records: list[dict] = []
     for recs in map_tasks(scan_prime, [(problem, p, seed) for p in primes], workers,
                           chunksize=8):

@@ -1,13 +1,47 @@
-"""Dual-mode scalar results and weight vectors for the sum engines."""
+"""Sum values: the one reader from exponent arrays to values, and the weight
+vectors of the bilinear forms.
+
+read gives sum_i w_i zeta_m^(e_i) (e_i = -1 marks a zero term) exactly, as a
+CycInt, or numerically, as a complex double; "auto" mode is exact iff the root
+order m fits the exact-order cap.  Character values and engine sums go through it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import CycInt
+from .cyclo import EXACT_MAX_ORDER, CycInt
+from .errors import CapacityExceeded
 
 EXACT = "exact"
 NUMERIC = "numeric"
+
+
+def resolve_mode(order: int, mode: str) -> str:
+    if mode == "auto":
+        return EXACT if order <= EXACT_MAX_ORDER else NUMERIC
+    if mode not in (EXACT, NUMERIC):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == EXACT and order > EXACT_MAX_ORDER:
+        raise CapacityExceeded(f"exact mode needs root order {order} > {EXACT_MAX_ORDER}")
+    return mode
+
+
+def roots(exponents, m: int) -> np.ndarray:
+    """exp(2 pi i e / m) for every exponent e, with 0 where e = -1."""
+    e = np.asarray(exponents)
+    terms = np.exp(2j * np.pi * e / m)
+    terms[e < 0] = 0
+    return terms
+
+
+def numeric_sums(exponents, m: int, weights=None) -> np.ndarray:
+    """sum_i w_i exp(2 pi i e_i / m) over axis 0 (in order, term by term, when there
+    are trailing axes), for every index of the trailing axes; weights default to 1."""
+    terms = roots(exponents, m)
+    if weights is not None:
+        terms *= weights
+    return terms.sum(axis=0)
 
 
 class SumValue:
@@ -43,6 +77,13 @@ class SumValue:
         return f"SumValue(numeric, {self.numeric!r})"
 
 
+def read(m: int, mode: str, exponents, weights=None) -> SumValue:
+    """sum_i w_i zeta_m^(e_i) over the whole array: a CycInt, or a complex double."""
+    if resolve_mode(m, mode) == EXACT:
+        return SumValue.from_exact(CycInt.from_exponents(m, exponents, weights))
+    return SumValue.from_numeric(numeric_sums(exponents, m, weights))
+
+
 class Weights:
     """A complex weight vector indexed by residue x in [0, p-1]."""
 
@@ -61,12 +102,16 @@ class Weights:
         """Sum of |value|^2 over all residues (the X / Y of the bilinear bound)."""
         return float(np.sum(np.abs(self.values) ** 2))
 
+    @property
+    def integral(self) -> bool:
+        """Whether every weight is an integer, as the exact bilinear route needs."""
+        return bool(np.all(self.values == np.round(self.values.real)))
+
     def int_values(self) -> np.ndarray:
         """Weights as an exact int64 vector; raises if any value is not an integer."""
-        n = np.round(self.values.real)
-        if np.any(self.values.imag != 0.0) or np.any(self.values.real != n):
+        if not self.integral:
             raise ValueError("exact mode requires integer-valued weights")
-        return n.astype(np.int64)
+        return np.round(self.values.real).astype(np.int64)
 
     def __len__(self):
         return len(self.values)

@@ -56,7 +56,6 @@ from .engines import (
     exp_sum_exponents,
     kernel_exponents,
     nonlinear_exponents,
-    numeric_sums,
     shifted_exponents,
 )
 from .errors import CapacityExceeded, ZeroInD
@@ -68,7 +67,7 @@ from .field import (
     primes_in,
     subgroups,
 )
-from .values import Weights
+from .values import EXACT, Weights, numeric_sums, resolve_mode
 
 TOL = 1e-9
 
@@ -376,8 +375,7 @@ def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> 
         raise ValueError("D must be nonempty")
     if 0 in Ds:
         raise ZeroInD("D must be a subset of the nonzero residues")
-    if m > EXACT_MAX_ORDER:
-        raise CapacityExceeded(f"exact mode needs root order {m} > {EXACT_MAX_ORDER}")
+    resolve_mode(m, EXACT)  # raises past the exact-order cap
 
     def row(d):  # the pair's terms at b = x + a: dlog b - dlog(b + d) over b in F_p
         e = ctx.dlog[(np.arange(p) + d[:, None]) % p]  # dlog[0] = -1: chi(0) = 0
@@ -492,8 +490,7 @@ def check_konyagin(q: int, D, D_index: int | None = None) -> Verdict:
     Ds = sorted({x % q for x in D})
     if not Ds:
         raise ValueError("D must be nonempty")
-    if q > EXACT_MAX_ORDER:
-        raise CapacityExceeded(f"exact mode needs root order {q} > {EXACT_MAX_ORDER}")
+    resolve_mode(q, EXACT)  # raises past the exact-order cap
     # e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, over the columns a in [1, q)
     computed = _as_integers(reduce_counts([_pair_difference_sum(
         Ds, q, q, lambda d: exp_sum_exponents(q, -d, np.arange(1, q)))]))
@@ -588,8 +585,7 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
     m = p - 1
-    if m > EXACT_MAX_ORDER:
-        raise CapacityExceeded(f"exact mode needs root order {m} > {EXACT_MAX_ORDER}")
+    resolve_mode(m, EXACT)  # raises past the exact-order cap
     if pairs is not None:
         pairs = np.array(pairs, dtype=np.int64) % p
     npairs = p * p if pairs is None else len(pairs)

@@ -8,6 +8,7 @@ from charsum.characters import (
     subgroup_character_decomposition,
 )
 from charsum.cyclo import CycInt
+from charsum.engines import shifted_sum
 from charsum.errors import IndexOutOfRange
 from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
 
@@ -66,6 +67,25 @@ class TestEvaluation:
         chi = character(ctx7, 3)
         assert chi.eval(3, "exact").exact.as_integer() == -1
         assert chi.eval(3, "numeric").numeric == pytest.approx(-1)
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    @pytest.mark.parametrize("mode", ["exact", "numeric", "auto"])
+    def test_eval_reads_as_a_one_term_shifted_sum(self, p, mode):
+        ctx = make_ctx(p)
+        for chi in all_characters(ctx):
+            for x in range(p):
+                got, want = chi.eval(x, mode), shifted_sum(ctx, chi, [x], 0, mode)
+                assert (got.mode, got.exact, got.numeric) == \
+                    (want.mode, want.exact, want.numeric), (p, chi.index, x)
+
+    def test_eval_rejects_unknown_mode(self, ctx7):
+        with pytest.raises(ValueError):
+            character(ctx7, 3).eval(3, "bogus")
+
+    def test_value_numeric_is_python_complex(self, ctx7):
+        chi = character(ctx7, 3)
+        assert type(chi.value_numeric(0)) is complex
+        assert type(chi.value_numeric(3)) is complex
 
     def test_multiplicativity_exponent_identity(self):
         # chi(xy) = chi(x)chi(y), exhaustively at the exponent level for p = 61

@@ -48,6 +48,16 @@ class TestSum:
         assert code == 0
         assert json.loads(out)["re"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_exp_kind_needs_no_p(self, capsys):
+        code, out, _ = run(capsys, "sum", "--kind", "exp", "--q", "4", "--set", "0,2", "--a", "1")
+        assert code == 0
+        assert json.loads(out)["re"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_other_kinds_require_p(self, capsys):
+        code, out, err = run(capsys, "sum", "--chi", "1", "--set", "1,2", "--a", "1")
+        assert (code, out) == (2, "")
+        assert "--kind shifted requires --p" in err
+
     def test_kloosterman_kind(self, capsys):
         code, out, _ = run(capsys, "sum", "--p", "7", "--kind", "kloosterman",
                            "--subgroup-order", "6", "--k", "1", "--l", "1")

@@ -28,7 +28,6 @@ from charsum.engines import (
     exp_sum_exponents,
     exp_sum_subset,
     nonlinear_sum_xxa,
-    numeric_sums,
     proof_kernel_S_yy1,
     shifted_exponents,
     shifted_product_sum,
@@ -36,7 +35,7 @@ from charsum.engines import (
     shifted_values_all,
 )
 from charsum.field import coset_shift_rows, make_ctx, primes_in, subgroup_of_order, subgroups
-from charsum.values import Weights
+from charsum.values import Weights, numeric_sums
 from charsum.verifier import (
     check_eps_corollary,
     check_eq2_identities,

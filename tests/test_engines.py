@@ -14,11 +14,10 @@ from charsum.engines import (
     inverse_shift_sum,
     kloosterman_over_H,
     nonlinear_sum_xxa,
-    numeric_sums,
     proof_kernel_S_yy1,
     shifted_product_sum,
     shifted_sum,
-    shifted_sum_all,
+    shifted_values_all,
 )
 from charsum.errors import (
     CapacityExceeded,
@@ -27,7 +26,7 @@ from charsum.errors import (
     ShiftNotCoprime,
 )
 from charsum.field import make_ctx, mod_inverse, primes_in, subgroup_of_order, subgroups
-from charsum.values import Weights
+from charsum.values import Weights, numeric_sums
 from references import kernel_closed_form
 
 
@@ -93,30 +92,36 @@ class TestShiftedSum:
 
 
 class TestShiftedSumAll:
+    """The shifted sum at every shift: numerically by shifted_values_all, exactly by
+    shifted_sum per shift."""
+
     def test_magnitude_table(self, ctx7, quad7, H7):
-        mags = [round(v.magnitude, 9) for v in shifted_sum_all(ctx7, quad7, H7.elements, "numeric")]
+        mags = [round(abs(v), 9) for v in shifted_values_all(ctx7, quad7, H7.elements)]
         assert mags == [3.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_principal_counts_nonzero_shifts(self, ctx7):
         chi0 = character(ctx7, 0)
         D = [1, 2, 6]
-        vals = shifted_sum_all(ctx7, chi0, D, "numeric")
+        vals = shifted_values_all(ctx7, chi0, D)
         for a in range(7):
             expected = sum(1 for x in D if (x + a) % 7 != 0)
-            assert vals[a].magnitude == pytest.approx(expected, abs=1e-9)
+            assert abs(vals[a]) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("mode", ["exact", "numeric"])
     def test_subgroup_reads_as_its_elements(self, ctx7, H7, mode):
         chi = character(ctx7, 3)
-        got, want = (shifted_sum_all(ctx7, chi, D, mode) for D in (H7, H7.elements))
-        assert [(v.mode, v.exact, v.numeric) for v in got] == \
-            [(v.mode, v.exact, v.numeric) for v in want]
+        got = shifted_values_all(ctx7, chi, H7)
+        if mode == "numeric":
+            assert np.array_equal(got, shifted_values_all(ctx7, chi, H7.elements))
+        else:
+            want = [shifted_sum(ctx7, chi, H7.elements, a, mode).to_complex() for a in range(7)]
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_exact_mode_capacity(self):
         ctx = make_ctx(10_007)
         chi = character(ctx, 1)
         with pytest.raises(CapacityExceeded):
-            shifted_sum_all(ctx, chi, [1, 2], "exact")
+            shifted_sum(ctx, chi, [1, 2], 1, "exact")
 
     def test_fast_path_matches_naive_on_random_instances(self):
         rng = random.Random(2024)
@@ -127,10 +132,10 @@ class TestShiftedSumAll:
             chi = character(ctx, rng.randrange(1, p - 1)) if p > 3 else character(ctx, 1)
             size = rng.randint(1, p - 1)
             D = rng.sample(range(1, p), size)
-            batch = shifted_sum_all(ctx, chi, D, "numeric")
+            batch = shifted_values_all(ctx, chi, D)
             for a in rng.sample(range(p), min(10, p)):
                 naive = shifted_sum(ctx, chi, D, a, "exact").to_complex()
-                assert abs(batch[a].to_complex() - naive) < 1e-9 * p
+                assert abs(batch[a] - naive) < 1e-9 * p
 
 
 class TestBilinear:
@@ -213,6 +218,16 @@ class TestBilinear:
                         lhs = H.order * nonlinear_sum_xxa(ctx, chi, H, a, "exact").exact
                         rhs = bilinear_Sprime(ctx, chi, w, w, a, "exact").exact
                         assert lhs == rhs
+
+    def test_auto_reads_complex_weights_numerically(self):
+        ctx = make_ctx(11)
+        chi = character(ctx, 3)
+        w = Weights(np.linspace(0, 1, 11) + 0.5j)
+        ind = Weights.indicator(11, [1, 3, 4])
+        for form in (bilinear_S, bilinear_Sprime):
+            got, want = form(ctx, chi, w, w, 1), form(ctx, chi, w, w, 1, "numeric")
+            assert (got.mode, got.numeric) == ("numeric", want.numeric)
+            assert form(ctx, chi, ind, ind, 1).mode == "exact"
 
     def test_exact_rejects_non_integer_weights(self, ctx7, quad7):
         w = Weights([0.5] * 7)

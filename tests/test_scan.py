@@ -11,6 +11,8 @@ from charsum.engines import (
     shifted_sum,
     shifted_values_all,
 )
+from charsum import scan
+from charsum.errors import CapacityExceeded
 from charsum.field import make_ctx, subgroup_of_order
 from charsum.scan import scan_prime, scan_range
 
@@ -98,3 +100,11 @@ class TestScanRange:
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             scan_range("1", 3, 13, workers=workers)
+
+    def test_range_past_the_table_cap_fails_before_scanning(self, monkeypatch):
+        def scanned(*task):
+            raise AssertionError(f"scanned {task} before the cap check")
+
+        monkeypatch.setattr(scan, "scan_prime", scanned)
+        with pytest.raises(CapacityExceeded, match="p=10000079 exceeds dlog table cap 10000000"):
+            scan_range("1", 9_999_900, 10_000_100)
