@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sum", help="compute a single sum")
-    ps.add_argument("--p", type=int, default=None, help="the prime; not used by --kind exp")
+    ps.add_argument("--p", type=int, default=None, help="the prime; --kind exp takes --q instead")
     ps.add_argument("--kind", default="shifted",
                     choices=["shifted", "nonlinear", "product", "kloosterman",
                              "inverse-shift", "exp"])
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"comma-separated subset of {','.join(verifier.CLAIMS)}")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--budget", type=positive_int, default=None,
-                    help="cap on instances per claim per prime")
+                    help="cap on verdicts per claim per prime (per q for konyagin)")
     pv.add_argument("--workers", type=positive_int, default=1)
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", default="json-lines", choices=["json-lines", "csv"])
@@ -105,6 +105,8 @@ def _resolve_subgroup(ctx, args):
 
 def _sum_value(args):
     if args.kind == "exp":
+        if args.p is not None:
+            raise CharsumError("--kind exp takes its modulus from --q; --p is not used")
         if args.q is None or args.subset is None or args.a is None:
             raise CharsumError("--kind exp requires --q, --set and --a")
         D = _parse_subset(args.subset)

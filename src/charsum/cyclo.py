@@ -30,6 +30,13 @@ _INT64_BOUND = 2.0**63 * (1 - 2.0**-40)
 _FLOAT64_EXACT = 2.0**53 * (1 - 2.0**-40)
 
 
+def require_exact_order(m: int) -> None:
+    """Raise CapacityExceeded for a root order m past EXACT_MAX_ORDER: every exact
+    path decides the cap here."""
+    if m > EXACT_MAX_ORDER:
+        raise CapacityExceeded(f"exact mode needs root order {m} > {EXACT_MAX_ORDER}")
+
+
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     """Divide num by monic den (ascending coefficients); remainder must vanish."""
     num = list(num)
@@ -52,8 +59,7 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     by the cyclotomic polynomials of the proper divisors of m."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
-    if m > EXACT_MAX_ORDER:
-        raise CapacityExceeded(f"cyclotomic order {m} exceeds exact-mode cap {EXACT_MAX_ORDER}")
+    require_exact_order(m)
     poly = [-1] + [0] * (m - 1) + [1]
     for d in divisors_from_factorization(factorize(m)):
         if d < m:
@@ -145,8 +151,7 @@ class CycInt:
     def __init__(self, m: int, coeffs=None):
         if m < 1:
             raise ValueError(f"root order must be positive, got {m}")
-        if m > EXACT_MAX_ORDER:
-            raise CapacityExceeded(f"cyclotomic order {m} exceeds exact-mode cap {EXACT_MAX_ORDER}")
+        require_exact_order(m)
         if coeffs is None:
             coeffs = [0] * m
         else:

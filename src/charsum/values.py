@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import EXACT_MAX_ORDER, CycInt
-from .errors import CapacityExceeded
+from .cyclo import EXACT_MAX_ORDER, CycInt, require_exact_order
 
 EXACT = "exact"
 NUMERIC = "numeric"
@@ -22,8 +21,8 @@ def resolve_mode(order: int, mode: str) -> str:
         return EXACT if order <= EXACT_MAX_ORDER else NUMERIC
     if mode not in (EXACT, NUMERIC):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == EXACT and order > EXACT_MAX_ORDER:
-        raise CapacityExceeded(f"exact mode needs root order {order} > {EXACT_MAX_ORDER}")
+    if mode == EXACT:
+        require_exact_order(order)
     return mode
 
 

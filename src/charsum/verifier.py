@@ -43,11 +43,11 @@ import numpy as np
 
 from .characters import Character, character
 from .cyclo import (
-    EXACT_MAX_ORDER,
     HISTOGRAM_CELLS,
     exponent_histogram,
     reduce_counts,
     reduction_rows,
+    require_exact_order,
 )
 from .engines import (
     _require_coprime_shift,
@@ -67,7 +67,7 @@ from .field import (
     primes_in,
     subgroups,
 )
-from .values import EXACT, Weights, numeric_sums, resolve_mode
+from .values import Weights, numeric_sums
 
 TOL = 1e-9
 
@@ -375,7 +375,7 @@ def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> 
         raise ValueError("D must be nonempty")
     if 0 in Ds:
         raise ZeroInD("D must be a subset of the nonzero residues")
-    resolve_mode(m, EXACT)  # raises past the exact-order cap
+    require_exact_order(m)
 
     def row(d):  # the pair's terms at b = x + a: dlog b - dlog(b + d) over b in F_p
         e = ctx.dlog[(np.arange(p) + d[:, None]) % p]  # dlog[0] = -1: chi(0) = 0
@@ -490,7 +490,7 @@ def check_konyagin(q: int, D, D_index: int | None = None) -> Verdict:
     Ds = sorted({x % q for x in D})
     if not Ds:
         raise ValueError("D must be nonempty")
-    resolve_mode(q, EXACT)  # raises past the exact-order cap
+    require_exact_order(q)
     # e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, over the columns a in [1, q)
     computed = _as_integers(reduce_counts([_pair_difference_sum(
         Ds, q, q, lambda d: exp_sum_exponents(q, -d, np.arange(1, q)))]))
@@ -585,7 +585,7 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
     m = p - 1
-    resolve_mode(m, EXACT)  # raises past the exact-order cap
+    require_exact_order(m)
     if pairs is not None:
         pairs = np.array(pairs, dtype=np.int64) % p
     npairs = p * p if pairs is None else len(pairs)
@@ -668,70 +668,51 @@ def random_weights(p: int, rng: random.Random) -> Weights:
 # the suite runner
 # ---------------------------------------------------------------------------
 
-def _budgeted(sizes: list[int], budget: int) -> list[int]:
-    """The leading batch sizes that total at most budget: whole batches while the
-    budget lasts, the last one cut partway."""
-    cut = []
-    for size in sizes:
-        if budget == 0:
-            break
-        cut.append(min(size, budget))
-        budget -= cut[-1]
-    return cut
+def _first(claim: str, params: dict, batches, budget: int) -> list[Verdict]:
+    """The first budget verdicts of claim's batches, building them only as far as
+    needed and cutting the last one partway; or, when building raises
+    CapacityExceeded, the claim's one capacity record (params), with no partial batch."""
+    try:
+        return list(itertools.islice(itertools.chain.from_iterable(batches), budget))
+    except CapacityExceeded as e:
+        return [_capacity_verdict(claim, params, e)]
 
 
 def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verdict]:
-    """Every claim's verdicts at p, built a batch at a time; budget caps the
-    instances per claim."""
-    verdicts: list[Verdict] = []
+    """Every claim's verdicts at p.  Each claim is a lazily built sequence of
+    verdict batches, of which _first keeps the first budget verdicts."""
     try:
         ctx = make_ctx(p)
     except CapacityExceeded as e:
-        return [_capacity_verdict(c, {"p": p}, e) for c in claims if c != "konyagin"]
+        return [_capacity_verdict(c, {"p": p}, e) for c in claims]
     m = p - 1
     Hs = subgroups(ctx)
     nontrivial = [character(ctx, j) for j in range(1, m)]
     J = list(range(1, m))
+    dlog = ctx.dlog[1:]
 
     @cache
     def shift_moduli(H: Subgroup):
         # |S(a)| and the character average are constant on each coset aH: one row
-        # H + g^i per coset, every character at once; plus the unshifted row H
+        # H + g^i per coset, every character at once; plus the unshifted row H.
+        # Gives the coset means and the nontrivial characters' peaks and inner
+        # sums, shared by thm2, thm2_sharp, eps and meanvalue2.
         means, peaks = character_sum_moduli(ctx, coset_shift_rows(ctx, H))
-        return means, peaks, character_sum_moduli(ctx, [H.elements])[1]
+        return means, peaks[1:], character_sum_moduli(ctx, [H.elements])[1][1:]
 
-    if "thm2" in claims or "thm2_sharp" in claims or "eps" in claims:
-        # one batch per H over the characters; a budget counts (H, chi) pairs
-        for H, n in zip(Hs, _budgeted([m - 1] * len(Hs), budget)):
-            _, peaks, inner = shift_moduli(H)
-            peak = peaks[1:n + 1]
-            if "thm2" in claims:
-                verdicts += _thm2_batch(ctx, H, J[:n], peak)
-            if "thm2_sharp" in claims:
-                verdicts += _thm2_sharp_batch(ctx, H, J[:n], peak, inner[1:n + 1])
-            if "eps" in claims:
-                verdicts += _eps_batch(ctx, H, J[:n], peak, eps=0.1)
+    @cache
+    def granville(H: Subgroup) -> Verdict:  # one verdict per H, shared with shkredov
+        return check_granville(ctx, H)
 
-    if "eq2" in claims:
-        if m > EXACT_MAX_ORDER:
-            verdicts.append(_capacity_verdict(
-                "eq2", {"p": p}, CapacityExceeded(f"p-1={m} > {EXACT_MAX_ORDER}")))
-        else:
-            rng = seeded_rng(seed, p, "eq2")
-            dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
-            # one batch per D over the characters; the budget counts (chi, D) pairs
-            # chi-major, so D_i keeps budget // len(dsets) characters, plus one
-            # for i < budget % len(dsets)
-            whole, extra = divmod(budget, len(dsets))
-            for i, D in enumerate(dsets):
-                n = min(m - 1, whole + (i < extra))
-                if n:
-                    verdicts += check_eq2_identities(ctx, nontrivial[:n], D, D_index=i)
+    def eq2():  # one batch per set D, over the characters
+        rng = seeded_rng(seed, p, "eq2")
+        dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
+        for i, D in enumerate(dsets):
+            yield check_eq2_identities(ctx, nontrivial, D, D_index=i)
 
-    if "lemma3" in claims:
+    def lemma3():  # five instances per drawn character, drawn in order; one batch
         rng = seeded_rng(seed, p, "lemma3")
-        chis = [nontrivial[rng.randrange(m - 1)] for _ in range(min(5, m - 1))][:budget]
-        # five instances per drawn character, drawn in order; one batch per prime
+        chis = [nontrivial[rng.randrange(m - 1)] for _ in range(min(5, m - 1))]
         instances, xi, eta, shifts = [], [], [], []
         for ci in range(len(chis)):
             for w in range(5):
@@ -739,69 +720,62 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verd
                 xi.append(random_weights(p, rng).values)
                 eta.append(random_weights(p, rng).values)
                 shifts.append(rng.randrange(1, p))
-        verdicts += _lemma3_batch(ctx, [chi for chi in chis for _ in range(5)],
-                                  np.array(xi), np.array(eta), shifts, instances)
+        yield _lemma3_batch(ctx, [chi for chi in chis for _ in range(5)],
+                            np.array(xi), np.array(eta), shifts, instances)
 
-    if "kernel" in claims:
-        if m > EXACT_MAX_ORDER:
-            verdicts.append(_capacity_verdict(
-                "kernel", {"p": p}, CapacityExceeded(f"p-1={m} > {EXACT_MAX_ORDER}")))
-        else:
-            # one kernel_certificate, shared by these calls, proves every (chi, a,
-            # pair) at p; the seeded sample keeps the verdict stream as it was
-            rng = seeded_rng(seed, p, "kernel")
-            combos = [(nontrivial[rng.randrange(m - 1)], rng.randrange(1, p))
-                      for _ in range(min(5, m - 1))]
-            pairs = None
-            if p > 101:
-                pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
-            for chi, a in combos[:budget]:
-                verdicts.append(check_kernel_cases(ctx, chi, a, pairs=pairs))
+    def kernel():
+        # one kernel_certificate, shared by these calls, proves every (chi, a,
+        # pair) at p; the seeded sample keeps the verdict stream as it was
+        rng = seeded_rng(seed, p, "kernel")
+        combos = [(nontrivial[rng.randrange(m - 1)], rng.randrange(1, p))
+                  for _ in range(min(5, m - 1))]
+        pairs = None
+        if p > 101:
+            pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
+        for chi, a in combos:
+            yield [check_kernel_cases(ctx, chi, a, pairs=pairs)]
 
-    if "meanvalue2" in claims:
-        # one batch per H over the shifts a; the average depends on a's coset only
-        dlog = ctx.dlog[1:]
-        for H, n in zip(Hs, _budgeted([m] * len(Hs), budget)):
-            means = shift_moduli(H)[0]
-            verdicts += _meanvalue2_batch(ctx, H, list(range(1, n + 1)),
-                                          means[dlog[:n] % H.index])
-
-    if "granville" in claims or "shkredov" in claims:
-        for H in Hs[:budget]:
-            base = check_granville(ctx, H)
-            if "granville" in claims:
-                verdicts.append(base)
-            if "shkredov" in claims:
-                verdicts.append(check_shkredov_bound(ctx, H, base))
-
-    if "nonlinear" in claims:
-        for H in Hs[:budget]:
-            _, peaks = character_sum_moduli(ctx, nonlinear_rows(ctx, H))
-            verdicts += _nonlinear_batch(ctx, H, J, peaks[1:])
-
-    return verdicts
+    # one batch per H, over the characters (over the shifts a for meanvalue2)
+    batches = {
+        "thm2": (_thm2_batch(ctx, H, J, shift_moduli(H)[1]) for H in Hs),
+        "thm2_sharp": (_thm2_sharp_batch(ctx, H, J, *shift_moduli(H)[1:]) for H in Hs),
+        "eps": (_eps_batch(ctx, H, J, shift_moduli(H)[1], eps=0.1) for H in Hs),
+        "eq2": eq2(),
+        "lemma3": lemma3(),
+        "kernel": kernel(),
+        "meanvalue2": (_meanvalue2_batch(ctx, H, list(range(1, p)),
+                                         shift_moduli(H)[0][dlog % H.index]) for H in Hs),
+        "granville": ([granville(H)] for H in Hs),
+        "shkredov": ([check_shkredov_bound(ctx, H, granville(H))] for H in Hs),
+        "nonlinear": (_nonlinear_batch(ctx, H, J,
+                                       character_sum_moduli(ctx, nonlinear_rows(ctx, H))[1][1:])
+                      for H in Hs),
+    }
+    return [v for c in claims for v in _first(c, {"p": p}, batches[c], budget)]
 
 
 def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget: int) -> list[Verdict]:
+    """konyagin's verdicts for each modulus q, one batch per set D."""
     verdicts = []
     for q in range(max(2, q_min), q_max + 1):
         rng = seeded_rng(seed, q, "konyagin")
-        if q > EXACT_MAX_ORDER:
-            verdicts.append(_capacity_verdict(
-                "konyagin", {"q": q}, CapacityExceeded(f"q={q} > {EXACT_MAX_ORDER}")))
-            continue
         dsets = random_subsets(q, 10, rng) if q > 2 else [[1]] * 10
-        for i, D in enumerate(dsets[:budget]):
-            verdicts.append(check_konyagin(q, D, D_index=i))
+        verdicts += _first("konyagin", {"q": q},
+                           ([check_konyagin(q, D, D_index=i)] for i, D in enumerate(dsets)),
+                           budget)
     return verdicts
 
 
 def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
               workers: int = 1, budget=None) -> list[Verdict]:
-    """Run every applicable checker over all primes in [p_min, p_max].
+    """Run every applicable checker over all primes in [p_min, p_max] (konyagin over
+    every modulus q there).  A budget keeps each claim's first budget verdicts per
+    prime (per q for konyagin), and a claim that meets a capacity cap gives one
+    capacity record there instead.
 
     Deterministic for a fixed (range, claims, seed) regardless of worker count;
-    verdicts come back sorted by (claim, modulus, parameters).
+    verdicts come back sorted by (claim, modulus, parameters), so the order in
+    which a prime's verdicts are built never shows.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -809,7 +783,7 @@ def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
         raise ValueError(f"workers must be at least 1, got {workers}")
     if claims is None:
         claims = CLAIMS
-    claims = tuple(claims)
+    claims = tuple(dict.fromkeys(claims))  # each claim's batches are read once
     unknown = set(claims) - set(CLAIMS)
     if unknown:
         raise ValueError(f"unknown claims: {sorted(unknown)}")

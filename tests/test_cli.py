@@ -42,16 +42,23 @@ class TestSum:
         assert "coeffs" not in rec
 
     def test_exp_kind(self, capsys):
-        # 1 + e^(pi*i) = 0
-        code, out, _ = run(capsys, "sum", "--p", "7", "--kind", "exp",
-                           "--q", "4", "--set", "0,2", "--a", "1")
+        # 1 + e^(pi*i) = 0, exactly 0 in Z[zeta_4]
+        code, out, _ = run(capsys, "sum", "--kind", "exp", "--q", "4", "--set", "0,2", "--a", "1")
         assert code == 0
-        assert json.loads(out)["re"] == pytest.approx(0.0, abs=1e-12)
+        rec = json.loads(out)
+        assert rec["re"] == pytest.approx(0.0, abs=1e-12)
+        assert (rec["mode"], rec["coeffs"]) == ("exact", [0, 0])
 
     def test_exp_kind_needs_no_p(self, capsys):
         code, out, _ = run(capsys, "sum", "--kind", "exp", "--q", "4", "--set", "0,2", "--a", "1")
         assert code == 0
         assert json.loads(out)["re"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_exp_kind_rejects_p(self, capsys):
+        code, out, err = run(capsys, "sum", "--p", "9", "--kind", "exp",
+                             "--q", "4", "--set", "0,2", "--a", "1")
+        assert (code, out) == (2, "")
+        assert "--kind exp takes its modulus from --q; --p is not used" in err
 
     def test_other_kinds_require_p(self, capsys):
         code, out, err = run(capsys, "sum", "--chi", "1", "--set", "1,2", "--a", "1")
@@ -94,11 +101,11 @@ class TestSum:
 
     @pytest.mark.parametrize("argv, message", [
         (["--kind", "exp", "--q", "1", "--set", "0", "--a", "1"], "modulus must be >= 2"),
-        (["--chi", "1", "--subgroup-order", "5", "--a", "1"], "does not divide"),
+        (["--p", "7", "--chi", "1", "--subgroup-order", "5", "--a", "1"], "does not divide"),
     ])
     def test_rejected_argument_is_usage_error(self, capsys, argv, message):
         # the library's ValueError, not a traceback with exit 1 (a failed check)
-        code, out, err = run(capsys, "sum", "--p", "7", *argv)
+        code, out, err = run(capsys, "sum", *argv)
         assert code == 2 and out == ""
         assert err.startswith("charsum sum: ") and message in err
 

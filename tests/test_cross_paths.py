@@ -140,36 +140,34 @@ def test_coset_nonlinear_equals_per_shift_sum(inst):
 
 
 def _standalone(ctx, claim: str, budget: int | None, seed: int) -> list:
-    """The first budget instances (all for None) of claim's grid at p, as the suite
-    counts them, each as (its params tag, the standalone checker's verdict)."""
+    """The first budget instances (all for None) of claim's grid at p, in the
+    suite's batch order, each as (its params tag, the standalone checker's verdict)."""
     p, m = ctx.p, ctx.p - 1
     Hs = subgroups(ctx)
     chis = [character(ctx, j) for j in range(1, m)]
-    if claim in ("thm2", "thm2_sharp", "eps"):
+    if claim in ("thm2", "thm2_sharp", "eps", "nonlinear"):  # H-major over the characters
         check = {"thm2": check_theorem2, "thm2_sharp": check_sharpened_theorem2,
-                 "eps": lambda ctx, chi, H: check_eps_corollary(ctx, chi, H, 0.1)}[claim]
+                 "eps": lambda ctx, chi, H: check_eps_corollary(ctx, chi, H, 0.1),
+                 "nonlinear": check_nonlinear_bound_all_shifts}[claim]
         grid = [(H, chi) for H in Hs for chi in chis][:budget]
         return [({}, check(ctx, chi, H)) for H, chi in grid]
     if claim == "meanvalue2":
         grid = [(H, a) for H in Hs for a in range(1, p)][:budget]
         return [({}, check_meanvalue2(ctx, H, a)) for H, a in grid]
-    if claim == "nonlinear":  # the budget counts subgroups
-        return [({}, check_nonlinear_bound_all_shifts(ctx, chi, H))
-                for H in Hs[:budget] for chi in chis]
-    if claim == "eq2":  # chi-major over the sets D
+    if claim == "eq2":  # D-major over the characters
         dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, seeded_rng(seed, p, "eq2"))
-        grid = [(chi, i) for chi in chis for i in range(len(dsets))][:budget]
-        return [({"D_index": i}, check_eq2_identity(ctx, chi, dsets[i])) for chi, i in grid]
-    # lemma3: the budget counts the drawn characters, five instances each
+        grid = [(i, chi) for i in range(len(dsets)) for chi in chis][:budget]
+        return [({"D_index": i}, check_eq2_identity(ctx, chi, dsets[i])) for i, chi in grid]
+    # lemma3: five instances per drawn character, drawn in order
     rng = seeded_rng(seed, p, "lemma3")
-    drawn = [chis[rng.randrange(m - 1)] for _ in range(min(5, m - 1))][:budget]
-    out = []
+    drawn = [chis[rng.randrange(m - 1)] for _ in range(min(5, m - 1))]
+    grid = []
     for ci, chi in enumerate(drawn):
         for w in range(5):
             xi, eta = random_weights(p, rng), random_weights(p, rng)
-            alone = check_lemma3(ctx, chi, xi, eta, rng.randrange(1, p))
-            out.append(({"instance": f"{ci}:{w}"}, alone))
-    return out
+            grid.append((f"{ci}:{w}", chi, xi, eta, rng.randrange(1, p)))
+    return [({"instance": tag}, check_lemma3(ctx, chi, xi, eta, a))
+            for tag, chi, xi, eta, a in grid[:budget]]
 
 
 SUITE_CLAIMS = ["thm2", "thm2_sharp", "eps", "meanvalue2", "nonlinear", "lemma3", "eq2"]
@@ -310,15 +308,15 @@ def test_eq2_batch_equals_per_character_routes(inst):
 
 
 def test_budgeted_eq2_suite_equals_standalone_checker():
-    """At p = 13 there are 11 characters and 26 sets D.  The grid is chi-major, so
-    budget 30 keeps chi_1 on every D and chi_2 on D_0..D_3 only: the suite's one
-    batched call per D must see exactly that D's surviving characters."""
+    """At p = 13 there are 11 characters and 26 sets D.  The grid is D-major, so
+    budget 30 keeps every character on D_0 and D_1 and chi_1..chi_8 on D_2: the
+    suite's batched call per D, cut partway, must keep exactly those."""
     p, seed = 13, 5
     ctx = make_ctx(p)
     dsets = ([list(H.elements) for H in subgroups(ctx)]
              + random_subsets(p, 20, seeded_rng(seed, p, "eq2")))
     verdicts = run_suite(p, p, claims=["eq2"], seed=seed, budget=30)
-    grid = [(j, i) for j in range(1, p - 1) for i in range(len(dsets))][:30]
+    grid = [(j, i) for i in range(len(dsets)) for j in range(1, p - 1)][:30]
     assert sorted((v.params["chi"], v.params["D_index"]) for v in verdicts) == sorted(grid)
     for v in verdicts:
         alone = check_eq2_identity(ctx, character(ctx, v.params["chi"]),

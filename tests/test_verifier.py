@@ -2,13 +2,15 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from charsum.characters import character, quadratic_character
-from charsum.engines import shifted_values_all
-from charsum.errors import PrincipalCharacter, ShiftNotCoprime, ZeroInD
+from charsum.cyclo import EXACT_MAX_ORDER, CycInt, cyclotomic_poly
+from charsum.engines import shifted_sum, shifted_values_all
+from charsum.errors import CapacityExceeded, PrincipalCharacter, ShiftNotCoprime, ZeroInD
 from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
 from charsum.values import Weights
 from charsum.verifier import (
@@ -399,6 +401,51 @@ class TestRunSuite:
         capped = run_suite(13, 13, claims=["meanvalue2"], seed=0, budget=4)
         assert len(capped) == 4 < len(full)
 
+    @pytest.mark.parametrize("budget", [1, 2, 7])
+    def test_budget_counts_verdicts_per_claim_and_modulus(self, budget):
+        # one rule for every claim: nonlinear's batches hold 11 verdicts each and
+        # lemma3's one batch 25, and konyagin counts per q
+        def counts(vs):
+            return Counter((v.claim, v.params.get("p", v.params.get("q"))) for v in vs)
+
+        full = counts(run_suite(13, 13, claims=CLAIMS, seed=0))
+        capped = counts(run_suite(13, 13, claims=CLAIMS, seed=0, budget=budget))
+        assert set(full) == {(c, 13) for c in CLAIMS}
+        assert capped == {key: min(n, budget) for key, n in full.items()}
+
+    def test_capacity_in_any_claim_is_its_record(self, monkeypatch):
+        # past the cap granville's per-character route needs Phi_10006; the
+        # suite turns what the checker raises into one record per claim
+        without_certificates(monkeypatch)
+        vs = run_suite(10_007, 10_007, claims=["granville", "shkredov", "thm2"], budget=1)
+        note = f"exact mode needs root order 10006 > {EXACT_MAX_ORDER}"
+        assert [(v.claim, v.kind, v.note, v.params) for v in vs] == [
+            ("granville", "capacity", note, {"p": 10_007}),
+            ("shkredov", "capacity", note, {"p": 10_007}),
+            ("thm2", "verdict", "", {"p": 10_007, "chi": 1, "H": 1})]
+
+    def test_one_exact_order_cap_message(self):
+        def cap(m):
+            return f"exact mode needs root order {m} > {EXACT_MAX_ORDER}"
+
+        vs = run_suite(10_007, 10_007, claims=["eq2", "kernel"], budget=1)
+        vs += run_suite(10_001, 10_001, claims=["konyagin"], budget=1)
+        assert [(v.claim, v.kind, v.note) for v in vs] == [
+            ("eq2", "capacity", cap(10_006)), ("kernel", "capacity", cap(10_006)),
+            ("konyagin", "capacity", cap(10_001))]
+        ctx = make_ctx(10_007)
+        raisers = [(10_001, lambda: cyclotomic_poly(10_001)),
+                   (10_001, lambda: CycInt.zero(10_001)),
+                   (10_006, lambda: shifted_sum(ctx, character(ctx, 1), [1, 2], 1, "exact"))]
+        for m, call in raisers:
+            with pytest.raises(CapacityExceeded) as info:
+                call()
+            assert str(info.value) == cap(m)
+
+    def test_repeated_claims_run_once(self):
+        once = run_suite(3, 31, claims=["thm2", "konyagin"])
+        assert run_suite(3, 31, claims=["thm2", "thm2", "konyagin", "konyagin"]) == once
+
     @pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -1},
                                         {"workers": 0}, {"workers": -2}])
     def test_nonpositive_budget_or_workers_rejected(self, kwargs):
@@ -451,7 +498,7 @@ def test_to_line_is_json_dumps_of_the_record():
 
 @pytest.mark.parametrize("v", [
     Verdict("eq2", {"p": 10007}, "skipped", "skipped", math.nan, False, "exact",
-            kind="capacity", note="p-1=10006 > 10000"),
+            kind="capacity", note="exact mode needs root order 10006 > 10000"),
     Verdict("thm2", {"p": 7, "H": 3}, 1.5, 2.5, math.inf, True, "numeric"),
     Verdict("thm2", {"p": 7, "H": 3}, 2.5, 1.5, -math.inf, False, "numeric"),
     Verdict("thm2", {"p": 7, "H": 3}, 2.5, 2.5, -0.0, True, "numeric"),
