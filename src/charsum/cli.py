@@ -292,9 +292,11 @@ def _write_table(records: list[dict], args) -> int:
         raise CharsumError(f"{args.input} holds neither verify nor scan records")
     summary: dict[str, dict] = {}
     for r in records:
+        if not isinstance(r["pass"], bool):
+            raise CharsumError(f"{args.input}: pass must be true or false, got {r['pass']!r}")
         s = summary.setdefault(r["claim"], {"verdicts": 0, "passes": 0, "capacity_skips": 0})
         s["verdicts"] += 1
-        s["passes"] += bool(r["pass"])
+        s["passes"] += r["pass"]
         s["capacity_skips"] += r.get("kind") == "capacity"
     rows = [
         {"claim": claim, **counts,

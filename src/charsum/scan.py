@@ -120,16 +120,14 @@ def scan_prime(problem: str, p: int, seed: int = 0) -> list[dict]:
 
 def scan_range(problem: str, p_min: int, p_max: int, seed: int = 0,
                workers: int = 1) -> list[dict]:
-    """Scan every prime in [p_min, p_max]; records sorted by (p, sum_kind).  A range
-    whose largest prime passes the dlog table cap raises before any prime is scanned."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    """Scan every prime in [p_min, p_max]; records sorted by (p, sum_kind).  p_min
+    above p_max raises ValueError, and a range whose largest prime passes the dlog
+    table cap raises before any prime is scanned."""
+    if p_min > p_max:
+        raise ValueError(f"p_min {p_min} is above p_max {p_max}")
     primes = list(primes_in(max(p_min, 3), p_max))
     if primes:
         require_table_cap(primes[-1])
-    records: list[dict] = []
-    for recs in map_tasks(scan_prime, [(problem, p, seed) for p in primes], workers,
-                          chunksize=8):
-        records.extend(recs)
+    records = map_tasks(scan_prime, [(problem, p, seed) for p in primes], workers, chunksize=8)
     records.sort(key=lambda r: (r["p"], r["sum_kind"]))
     return records

@@ -63,8 +63,8 @@ from .field import (
     FieldCtx,
     Subgroup,
     coset_shift_rows,
+    is_prime,
     make_ctx,
-    primes_in,
     subgroups,
 )
 from .values import Weights, numeric_sums
@@ -754,65 +754,63 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verd
     return [v for c in claims for v in _first(c, {"p": p}, batches[c], budget)]
 
 
-def _konyagin_verdicts(q_min: int, q_max: int, seed: int, budget: int) -> list[Verdict]:
-    """konyagin's verdicts for each modulus q, one batch per set D."""
+def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Verdict]:
+    """Every claim's verdicts at the modulus n: konyagin's for q = n (one batch per
+    set D), then the other claims' when n is an odd prime (_suite_for_prime)."""
     verdicts = []
-    for q in range(max(2, q_min), q_max + 1):
-        rng = seeded_rng(seed, q, "konyagin")
-        dsets = random_subsets(q, 10, rng) if q > 2 else [[1]] * 10
-        verdicts += _first("konyagin", {"q": q},
-                           ([check_konyagin(q, D, D_index=i)] for i, D in enumerate(dsets)),
-                           budget)
+    if "konyagin" in claims:
+        dsets = random_subsets(n, 10, seeded_rng(seed, n, "konyagin")) if n > 2 else [[1]] * 10
+        verdicts = _first("konyagin", {"q": n},
+                          ([check_konyagin(n, D, D_index=i)] for i, D in enumerate(dsets)),
+                          budget)
+    prime_claims = tuple(c for c in claims if c != "konyagin")
+    if prime_claims and n > 2 and is_prime(n):
+        verdicts += _suite_for_prime(n, prime_claims, seed, budget)
     return verdicts
 
 
 def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
               workers: int = 1, budget=None) -> list[Verdict]:
     """Run every applicable checker over all primes in [p_min, p_max] (konyagin over
-    every modulus q there).  A budget keeps each claim's first budget verdicts per
-    prime (per q for konyagin), and a claim that meets a capacity cap gives one
-    capacity record there instead.
+    every modulus q there), one map_tasks task per modulus.  A budget keeps each
+    claim's first budget verdicts per prime (per q for konyagin), and a claim that
+    meets a capacity cap gives one capacity record there instead.  p_min above
+    p_max raises ValueError.
 
     Deterministic for a fixed (range, claims, seed) regardless of worker count;
     verdicts come back sorted by (claim, modulus, parameters), so the order in
-    which a prime's verdicts are built never shows.
+    which tasks run and build their verdicts never shows.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if p_min > p_max:
+        raise ValueError(f"p_min {p_min} is above p_max {p_max}")
     if claims is None:
         claims = CLAIMS
     claims = tuple(dict.fromkeys(claims))  # each claim's batches are read once
     unknown = set(claims) - set(CLAIMS)
     if unknown:
         raise ValueError(f"unknown claims: {sorted(unknown)}")
-    primes = list(primes_in(max(p_min, 3), p_max))
-    prime_claims = tuple(c for c in claims if c != "konyagin")
     # no budget is one larger than any grid, so every claim takes the same cut
     limit = sys.maxsize if budget is None else budget
-
-    verdicts: list[Verdict] = []
-    if prime_claims:
-        for vs in map_tasks(_suite_for_prime, [(p, prime_claims, seed, limit) for p in primes],
-                            workers):
-            verdicts.extend(vs)
-
-    if "konyagin" in claims:
-        verdicts.extend(_konyagin_verdicts(p_min, p_max, seed, limit))
-
+    tasks = [(n, claims, seed, limit) for n in range(max(p_min, 2), p_max + 1)
+             if "konyagin" in claims or (n > 2 and is_prime(n))]
+    verdicts = map_tasks(_suite_for_modulus, tasks, workers)
     verdicts.sort(key=Verdict.sort_key)
     return verdicts
 
 
 def map_tasks(fn, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
-    """[fn(*task) for task in tasks], in order.  With more than one worker the
-    tasks run in a process pool of min(workers, len(tasks), CPU count) processes,
-    so a large --workers never forks more processes than can do any work."""
+    """Each task's list fn(*task), flattened in task order; workers below 1 raises
+    ValueError, with tasks or without.  More than one worker runs the tasks in a pool
+    of min(workers, len(tasks), CPU count) processes, chunksize tasks at a time, each
+    process with its own tables; the parent unpickles every item of every list."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(*task) for task in tasks]
+        return [x for task in tasks for x in fn(*task)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
+        return [x for xs in pool.map(fn, *zip(*tasks), chunksize=chunksize) for x in xs]

@@ -284,6 +284,14 @@ def test_nonpositive_budget_or_workers_is_usage_error(capsys, argv):
     assert out == "" and f"argument {argv[-2]}: must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["scan", "--problem", "1"]])
+def test_inverted_range_is_usage_error(capsys, command):
+    # it checks nothing, so it must not exit 0 as a run whose checks all pass
+    code, out, err = run(capsys, *command, "--p-min", "100", "--p-max", "50")
+    assert code == 2 and out == ""
+    assert err == f"charsum {command[0]}: p_min 100 is above p_max 50\n"
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
 
@@ -379,3 +387,13 @@ class TestTable:
         code, out, err = run(capsys, "table", "--input", str(src))
         assert code == 2 and out == ""
         assert err.startswith("charsum table:") and reason in err
+
+    @pytest.mark.parametrize("value, shown", [('"false"', "'false'"), ("0", "0"), ("1", "1"),
+                                              ("null", "None")])
+    def test_pass_must_be_a_boolean(self, capsys, tmp_path, value, shown):
+        # a truthy "false" string would count as a pass
+        src = tmp_path / "v.jsonl"
+        src.write_text(f'{{"claim": "eq2", "pass": true}}\n{{"claim": "eq2", "pass": {value}}}\n')
+        code, out, err = run(capsys, "table", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err == f"charsum table: {src}: pass must be true or false, got {shown}\n"

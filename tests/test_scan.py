@@ -101,6 +101,15 @@ class TestScanRange:
         with pytest.raises(ValueError, match="workers"):
             scan_range("1", 3, 13, workers=workers)
 
+    def test_workers_checked_before_any_task(self):
+        # 24..28 holds no prime, so no task runs; the worker count is still checked
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            scan_range("1", 24, 28, workers=0)
+
+    def test_inverted_range_rejected(self):
+        with pytest.raises(ValueError, match="p_min 100 is above p_max 50"):
+            scan_range("1", 100, 50)
+
     def test_range_past_the_table_cap_fails_before_scanning(self, monkeypatch):
         def scanned(*task):
             raise AssertionError(f"scanned {task} before the cap check")

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from charsum import verifier
 from charsum.characters import character, quadratic_character
 from charsum.cyclo import EXACT_MAX_ORDER, CycInt, cyclotomic_poly
 from charsum.engines import shifted_sum, shifted_values_all
@@ -27,6 +28,7 @@ from charsum.verifier import (
     check_sharpened_theorem2,
     check_shkredov_bound,
     check_theorem2,
+    map_tasks,
     random_weights,
     run_suite,
 )
@@ -452,6 +454,36 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             run_suite(13, 13, claims=["granville", "konyagin"], **kwargs)
 
+    def test_workers_checked_before_any_task(self):
+        # 24..28 holds no prime, so no task runs; the worker count is still checked
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            run_suite(24, 28, claims=["thm2"], workers=0)
+
+    @pytest.mark.parametrize("claims", [["thm2"], ["konyagin"]])
+    def test_inverted_range_rejected(self, claims):
+        with pytest.raises(ValueError, match="p_min 100 is above p_max 50"):
+            run_suite(100, 50, claims=claims)
+
+    def test_every_verdict_comes_from_one_map_tasks_call(self, monkeypatch):
+        # konyagin's moduli and eq2's primes are tasks of the same fan-out
+        calls = []
+
+        def spy(*args, **kwargs):
+            out = map_tasks(*args, **kwargs)
+            calls.append(list(out))
+            return out
+
+        monkeypatch.setattr(verifier, "map_tasks", spy)
+        vs = run_suite(2, 40, claims=["konyagin", "eq2"], seed=3)
+        assert len(calls) == 1
+        assert {v.claim for v in vs} == {"konyagin", "eq2"}
+        assert sorted(map(id, vs)) == sorted(map(id, calls[0]))
+
+    def test_konyagin_output_does_not_depend_on_workers(self):
+        one = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=1)
+        two = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=2)
+        assert [v.to_record() for v in two] == [v.to_record() for v in one]
+
     def test_verdict_sorting(self):
         vs = run_suite(3, 13, claims=["granville", "thm2"], seed=0)
         keys = [v.sort_key() for v in vs]
@@ -511,3 +543,14 @@ def test_to_line_is_json_dumps_of_the_record():
         "shkredov-inf", "escapes", "big-ints"])
 def test_to_line_hand_built(v):
     assert v.to_line() == _dumped(v)
+
+
+class TestMapTasks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flattens_in_task_order(self, workers):
+        assert map_tasks(range, [(3,), (0,), (2,)], workers) == [0, 1, 2, 0, 1]
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected_without_tasks(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            map_tasks(range, [], workers)
