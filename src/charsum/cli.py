@@ -185,18 +185,19 @@ def cmd_sum(args) -> int:
 # verify / scan output plumbing
 # ---------------------------------------------------------------------------
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(lines, out: str | None) -> None:
+    """Write the lines, an iterable of strings, as they come: the whole text is
+    never held at once."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _write_records(records: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json-lines":
-        _write_text("".join(json.dumps(r, sort_keys=True, default=str) + "\n" for r in records),
-                    out)
+        _write_text((json.dumps(r, sort_keys=True, default=str) + "\n" for r in records), out)
         return
     # csv: flatten dict-valued fields as JSON
     keys = sorted({k for r in records for k in r})
@@ -230,11 +231,11 @@ def cmd_verify(args) -> int:
     verdicts = verifier.run_suite(p_min=args.p_min, p_max=args.p_max, claims=claims,
                                   seed=args.seed, workers=args.workers, budget=args.budget)
     if args.format == "json-lines":
-        _write_text("".join(v.to_line() for v in verdicts), args.out)
+        _write_text(verdicts.lines(), args.out)
     else:
         _write_records([v.to_record() for v in verdicts], args.out, args.format)
-    passes = sum(1 for v in verdicts if v.passed)
-    capacity = sum(1 for v in verdicts if v.kind == "capacity")
+    passes = verdicts.passes
+    capacity = verdicts.capacity
     failures = len(verdicts) - passes - capacity
     print(f"verify: {len(verdicts)} verdicts, {passes} pass, {failures} fail, "
           f"{capacity} capacity-skipped", file=sys.stderr)

@@ -29,12 +29,14 @@ rows.  That only regroups the terms, so it gives the same counts for any dlog.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 import os
 import random
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
@@ -140,21 +142,16 @@ class Verdict:
         }
 
     def to_line(self) -> str:
-        """json.dumps(self.to_record(), sort_keys=True, default=str) + "\\n", written
-        directly: keys in sorted order, params as its encoded text."""
-        s = encode_basestring_ascii
-        return (f'{{"claim": {s(self.claim)}, "computed": {s(str(self.computed))}, '
-                f'"kind": {s(self.kind)}, "margin": {_json_float(self.margin)}, '
-                f'"mode": {s(self.mode)}, "note": {s(self.note)}, '
-                f'"params": {self.params_text}, "pass": {"true" if self.passed else "false"}, '
-                f'"target": {s(str(self.target))}}}\n')
+        """json.dumps(self.to_record(), sort_keys=True, default=str) + "\\n", from
+        the batch line writer."""
+        return Batch.of(self).lines()[0]
 
     def sort_key(self):
         return (self.claim, self.params.get("p", self.params.get("q", 0)), self.params_text)
 
 
 def _params_texts(params: dict, rows: int) -> list[str]:
-    """_PARAMS_JSON.encode of each row's params (see _verdicts), from one template:
+    """_PARAMS_JSON.encode of each row's params (see Batch), from one template:
     the keys in sorted order, each fixed value encoded once, and the row values
     spelled per row (an int as JSON spells it, anything else encoded)."""
     slots = []
@@ -174,39 +171,99 @@ def _params_texts(params: dict, rows: int) -> list[str]:
     return list(itertools.starmap(template.format, zip(*columns)))
 
 
-def _verdicts(claim: str, mode: str, params: dict, computed, target, margin, passed,
-              note: str = "") -> list[Verdict]:
-    """One verdict per row of a batch.  params maps each key, in record order, to
-    one value for the whole batch or to a list of one value per row; computed,
-    target, margin and passed are lists of Python scalars, one per row."""
-    rows = len(computed)
-    keys = tuple(params)
-    columns = [v if isinstance(v, list) else itertools.repeat(v, rows)
-               for v in params.values()]
-    return [Verdict(claim, dict(zip(keys, values)), c, t, d, ok, mode, "verdict", note, text)
-            for values, c, t, d, ok, text in zip(zip(*columns), computed, target, margin,
-                                                   passed, _params_texts(params, rows))]
+def _spelled(values: list) -> list[str]:
+    """encode_basestring_ascii(str(v)) for each value, each distinct value spelled
+    once.  Equal values spell alike unless their types differ or they are zeros
+    (0.0 and -0.0); then every value is spelled on its own."""
+    distinct = dict.fromkeys(values)
+    if len(distinct) == len(values) or 0 in distinct or len(set(map(type, distinct))) > 1:
+        return [encode_basestring_ascii(str(v)) for v in values]
+    for v in distinct:
+        distinct[v] = encode_basestring_ascii(str(v))
+    return list(map(distinct.__getitem__, values))
 
 
-def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) -> list[Verdict]:
+@dataclass(slots=True)
+class Batch:
+    """The verdicts of one claim at one modulus, kept as columns: one kind, mode
+    and note, and one entry per row in computed, target, margin and passed (Python
+    scalars, as in Verdict).  params maps each key, in record order, to one value
+    for the whole batch or to a list of one value per row; texts holds each row's
+    params as sorted-key JSON (_params_texts, taken when not given).
+
+    len(b) is the row count, b[i] builds row i's Verdict, b[i:j] is a cut batch
+    and b.lines() writes every row's JSON line.  Batch.of wraps one Verdict."""
+
+    claim: str
+    params: dict
+    computed: list
+    target: list
+    margin: list
+    passed: list
+    mode: str
+    kind: str = "verdict"
+    note: str = ""
+    texts: list | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.texts is None:
+            self.texts = _params_texts(self.params, len(self.computed))
+
+    @classmethod
+    def of(cls, v: Verdict) -> Batch:
+        # a list-valued param is one row's value, so it becomes a column of one row
+        return cls(v.claim, {k: [x] if isinstance(x, list) else x for k, x in v.params.items()},
+                   [v.computed], [v.target], [v.margin], [v.passed], v.mode, v.kind, v.note,
+                   [v.params_text])
+
+    def __len__(self) -> int:
+        return len(self.computed)
+
+    def __getitem__(self, i):
+        # Batch and Verdict take the same fields in the same order
+        cut = isinstance(i, slice)
+        if not cut:
+            i = range(len(self))[i]
+        return (Batch if cut else Verdict)(
+            self.claim, {k: v[i] if isinstance(v, list) else v for k, v in self.params.items()},
+            self.computed[i], self.target[i], self.margin[i], self.passed[i],
+            self.mode, self.kind, self.note, self.texts[i])
+
+    def lines(self) -> list[str]:
+        """Each row's json.dumps(record, sort_keys=True, default=str) + "\\n" (see
+        Verdict.to_record), written from one template: the fixed fields are encoded
+        once per batch, and each distinct target is spelled once."""
+        s = encode_basestring_ascii
+        claim = f'{{"claim": {s(self.claim)}, "computed": '
+        kind = f', "kind": {s(self.kind)}, "margin": '
+        mode = f', "mode": {s(self.mode)}, "note": {s(self.note)}, "params": '
+        margin = self.margin
+        spell = float.__repr__ if all(map(math.isfinite, margin)) else _json_float
+        return [f'{claim}{s(str(c))}{kind}{spell(d)}{mode}{text}'
+                f', "pass": {"true" if ok else "false"}, "target": {t}}}\n'
+                for c, d, text, ok, t in zip(self.computed, margin, self.texts, self.passed,
+                                             _spelled(self.target))]
+
+
+def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) -> Batch:
     """Numeric verdicts computed < target - TOL (strict) or computed <= target + TOL,
     with margin target - computed, for a batch of computed values (target one value
     or one per row)."""
     computed = np.asarray(computed, dtype=np.float64)
     target = np.broadcast_to(np.asarray(target, dtype=np.float64), computed.shape)
     passed = computed < target - TOL if strict else computed <= target + TOL
-    return _verdicts(claim, "numeric", params, computed.tolist(), target.tolist(),
-                     (target - computed).tolist(), passed.tolist())
+    return Batch(claim, params, computed.tolist(), target.tolist(),
+                 (target - computed).tolist(), passed.tolist(), "numeric")
 
 
-def _identity_verdicts(claim: str, params: dict, computed: list, target: int) -> list[Verdict]:
+def _identity_verdicts(claim: str, params: dict, computed: list, target: int) -> Batch:
     """Exact verdicts computed == target, for a batch of computed integers (None
     where the sum is not a rational integer)."""
-    return _verdicts(
-        claim, "exact", params,
+    return Batch(
+        claim, params,
         [n if n is not None else "non-integer" for n in computed], [target] * len(computed),
         [float(n - target) if n is not None else math.nan for n in computed],
-        [n == target for n in computed])
+        [n == target for n in computed], "exact")
 
 
 def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
@@ -253,14 +310,14 @@ def nonlinear_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
 # sqrt(p) bound on the shifted subgroup sum, and its sharpened form
 # ---------------------------------------------------------------------------
 
-def _thm2_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks) -> list[Verdict]:
+def _thm2_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks) -> Batch:
     """thm2 for the characters J on H; peaks[i] is character J[i]'s maximum over
     nonzero shifts a of |sum_{x in H} chi(x+a)|, which must be strictly below sqrt(p)."""
     return _bound_verdicts("thm2", {"p": ctx.p, "chi": J, "H": H.order}, peaks,
                            math.sqrt(ctx.p), strict=True)
 
 
-def _thm2_sharp_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, inner) -> list[Verdict]:
+def _thm2_sharp_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, inner) -> Batch:
     """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a, for
     the characters J; inner[i] is the unshifted |sum_{x in H} chi(x)|.  Squares are
     taken with float_power, the libm pow that Python's x ** 2 calls (x * x can
@@ -271,14 +328,14 @@ def _thm2_sharp_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, inner) -> list
                            np.float_power(peaks, 2), target, strict=False)
 
 
-def _eps_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, eps: float) -> list[Verdict]:
+def _eps_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks, eps: float) -> Batch:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
     p = ctx.p
     params = {"p": p, "chi": J, "H": H.order, "eps": eps}
     if H.order <= p ** (0.5 + eps):
         zeros = [0.0] * len(J)
-        return _verdicts("eps", "numeric", params, zeros, zeros, zeros, [True] * len(J),
-                         note="vacuous")
+        return Batch("eps", params, zeros, zeros, zeros, [True] * len(J), "numeric",
+                     note="vacuous")
     return _bound_verdicts("eps", params, peaks, p ** (-eps) * H.order, strict=True)
 
 
@@ -359,9 +416,9 @@ def eq2_certificate(c: np.ndarray) -> bool:
     return bool(np.all(c[1:] == c[1]))
 
 
-def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> list[Verdict]:
-    """One eq2 verdict per nonprincipal character in chis, for the same set D (its
-    suite index D_index, if given, goes into the params).
+def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> Batch:
+    """One eq2 verdict per nonprincipal character in chis, as one batch, for the
+    same set D (its suite index D_index, if given, goes into the params).
 
     chi_j(x+a) conj chi_j(y+a) = zeta_m^(j (dlog(x+a) - dlog(y+a))), so one
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
@@ -404,7 +461,7 @@ def check_eq2_identity(ctx: FieldCtx, chi: Character, D) -> Verdict:
 # character-averaged bound  (1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|)
 # ---------------------------------------------------------------------------
 
-def _meanvalue2_batch(ctx: FieldCtx, H: Subgroup, shifts: list, averages) -> list[Verdict]:
+def _meanvalue2_batch(ctx: FieldCtx, H: Subgroup, shifts: list, averages) -> Batch:
     """(1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|) for the shifts a in
     [1, p), with averages[i] that mean at shifts[i]."""
     return _bound_verdicts("meanvalue2", {"p": ctx.p, "H": H.order, "a": shifts}, averages,
@@ -505,7 +562,7 @@ def check_konyagin(q: int, D, D_index: int | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _lemma3_batch(ctx: FieldCtx, chis: list, xi: np.ndarray, eta: np.ndarray, shifts: list,
-                  instances: list | None = None) -> list[Verdict]:
+                  instances: list | None = None) -> Batch:
     """|S|, |S'| <= sqrt(pXY) for stacked instances: row i of the weights xi and eta
     (residues on the last axis) goes with chis[i] and shifts[i], and is tagged
     instances[i] when given.  S and S' are one batched FFT each, over one value
@@ -622,7 +679,7 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
 # nonlinear sum bound  |sum_{x in H} chi(x(x+a))| <= sqrt(p)
 # ---------------------------------------------------------------------------
 
-def _nonlinear_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks) -> list[Verdict]:
+def _nonlinear_batch(ctx: FieldCtx, H: Subgroup, J: list, peaks) -> Batch:
     """|sum_{x in H} chi(x(x+a))| <= sqrt(p) for every nonzero shift a, one verdict
     per character in J; peaks[i] is character J[i]'s maximum over a."""
     return _bound_verdicts("nonlinear", {"p": ctx.p, "chi": J, "H": H.order, "a": "all"},
@@ -668,23 +725,30 @@ def random_weights(p: int, rng: random.Random) -> Weights:
 # the suite runner
 # ---------------------------------------------------------------------------
 
-def _first(claim: str, params: dict, batches, budget: int) -> list[Verdict]:
-    """The first budget verdicts of claim's batches, building them only as far as
+def _first(claim: str, params: dict, batches, budget: int) -> list[Batch]:
+    """The first budget rows of claim's batches, building batches only as far as
     needed and cutting the last one partway; or, when building raises
     CapacityExceeded, the claim's one capacity record (params), with no partial batch."""
+    kept = []
     try:
-        return list(itertools.islice(itertools.chain.from_iterable(batches), budget))
+        for b in batches:
+            kept.append(b if len(b) <= budget else b[:budget])
+            budget -= len(b)
+            if budget <= 0:
+                break
     except CapacityExceeded as e:
-        return [_capacity_verdict(claim, params, e)]
+        return [Batch.of(_capacity_verdict(claim, params, e))]
+    return kept
 
 
-def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verdict]:
-    """Every claim's verdicts at p.  Each claim is a lazily built sequence of
-    verdict batches, of which _first keeps the first budget verdicts."""
+def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batch]:
+    """Every claim's batches at p.  Each claim is a lazily built sequence of
+    batches, of which _first keeps the first budget rows; eq2 and lemma3 build
+    only the rows that the budget keeps."""
     try:
         ctx = make_ctx(p)
     except CapacityExceeded as e:
-        return [_capacity_verdict(c, {"p": p}, e) for c in claims]
+        return [Batch.of(_capacity_verdict(c, {"p": p}, e)) for c in claims]
     m = p - 1
     Hs = subgroups(ctx)
     nontrivial = [character(ctx, j) for j in range(1, m)]
@@ -704,23 +768,26 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verd
     def granville(H: Subgroup) -> Verdict:  # one verdict per H, shared with shkredov
         return check_granville(ctx, H)
 
-    def eq2():  # one batch per set D, over the characters
+    def eq2():  # one batch per set D, over the characters that the budget keeps
         rng = seeded_rng(seed, p, "eq2")
         dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
+        left = budget
         for i, D in enumerate(dsets):
-            yield check_eq2_identities(ctx, nontrivial, D, D_index=i)
+            yield check_eq2_identities(ctx, nontrivial[:left], D, D_index=i)
+            left -= len(nontrivial)
 
     def lemma3():  # five instances per drawn character, drawn in order; one batch
         rng = seeded_rng(seed, p, "lemma3")
         chis = [nontrivial[rng.randrange(m - 1)] for _ in range(min(5, m - 1))]
+        # weights are drawn for the kept instances only, the first ones drawn
+        grid = [(ci, w) for ci in range(len(chis)) for w in range(5)][:budget]
         instances, xi, eta, shifts = [], [], [], []
-        for ci in range(len(chis)):
-            for w in range(5):
-                instances.append(f"{ci}:{w}")
-                xi.append(random_weights(p, rng).values)
-                eta.append(random_weights(p, rng).values)
-                shifts.append(rng.randrange(1, p))
-        yield _lemma3_batch(ctx, [chi for chi in chis for _ in range(5)],
+        for ci, w in grid:
+            instances.append(f"{ci}:{w}")
+            xi.append(random_weights(p, rng).values)
+            eta.append(random_weights(p, rng).values)
+            shifts.append(rng.randrange(1, p))
+        yield _lemma3_batch(ctx, [chis[ci] for ci, _ in grid],
                             np.array(xi), np.array(eta), shifts, instances)
 
     def kernel():
@@ -733,7 +800,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verd
         if p > 101:
             pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
         for chi, a in combos:
-            yield [check_kernel_cases(ctx, chi, a, pairs=pairs)]
+            yield Batch.of(check_kernel_cases(ctx, chi, a, pairs=pairs))
 
     # one batch per H, over the characters (over the shifts a for meanvalue2)
     batches = {
@@ -745,41 +812,105 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Verd
         "kernel": kernel(),
         "meanvalue2": (_meanvalue2_batch(ctx, H, list(range(1, p)),
                                          shift_moduli(H)[0][dlog % H.index]) for H in Hs),
-        "granville": ([granville(H)] for H in Hs),
-        "shkredov": ([check_shkredov_bound(ctx, H, granville(H))] for H in Hs),
+        "granville": (Batch.of(granville(H)) for H in Hs),
+        "shkredov": (Batch.of(check_shkredov_bound(ctx, H, granville(H))) for H in Hs),
         "nonlinear": (_nonlinear_batch(ctx, H, J,
                                        character_sum_moduli(ctx, nonlinear_rows(ctx, H))[1][1:])
                       for H in Hs),
     }
-    return [v for c in claims for v in _first(c, {"p": p}, batches[c], budget)]
+    return [b for c in claims for b in _first(c, {"p": p}, batches[c], budget)]
 
 
-def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Verdict]:
-    """Every claim's verdicts at the modulus n: konyagin's for q = n (one batch per
-    set D), then the other claims' when n is an odd prime (_suite_for_prime)."""
-    verdicts = []
+def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Batch]:
+    """Every claim's batches at the modulus n: konyagin's for q = n (one verdict
+    per set D), then the other claims' when n is an odd prime (_suite_for_prime)."""
+    batches = []
     if "konyagin" in claims:
         dsets = random_subsets(n, 10, seeded_rng(seed, n, "konyagin")) if n > 2 else [[1]] * 10
-        verdicts = _first("konyagin", {"q": n},
-                          ([check_konyagin(n, D, D_index=i)] for i, D in enumerate(dsets)),
-                          budget)
+        batches = _first("konyagin", {"q": n},
+                         (Batch.of(check_konyagin(n, D, D_index=i)) for i, D in enumerate(dsets)),
+                         budget)
     prime_claims = tuple(c for c in claims if c != "konyagin")
     if prime_claims and n > 2 and is_prime(n):
-        verdicts += _suite_for_prime(n, prime_claims, seed, budget)
-    return verdicts
+        batches += _suite_for_prime(n, prime_claims, seed, budget)
+    return batches
+
+
+class Verdicts(Sequence):
+    """A run's verdicts, a sequence of Verdict kept as the batches that built them.
+
+    The order is that of a stable sort of every verdict by Verdict.sort_key: the
+    batches are grouped by (claim, modulus) with a stable sort, and each group's
+    rows are sorted by params text.  An item is built on first read.  lines()
+    writes the JSON lines group by group from the columns, and passes and capacity
+    are counted there; == compares with any sequence item by item."""
+
+    def __init__(self, batches):
+        def key(b):
+            return b.claim, b.params.get("p", b.params.get("q", 0))
+
+        self._batches = sorted(batches, key=key)
+        self._groups = []  # (its batches, the batches' row ends, its rows in order)
+        self._starts = []  # index of each group's first item
+        self._len = 0
+        for _, group in itertools.groupby(self._batches, key):
+            group = list(group)
+            texts = [t for b in group for t in b.texts]
+            self._groups.append((group, list(itertools.accumulate(map(len, group))),
+                                 sorted(range(len(texts)), key=texts.__getitem__)))
+            self._starts.append(self._len)
+            self._len += len(texts)
+        self._items = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        i = range(self._len)[i]
+        if self._items is None:
+            self._items = [None] * self._len
+        v = self._items[i]
+        if v is None:
+            g = bisect.bisect_right(self._starts, i) - 1
+            group, ends, order = self._groups[g]
+            j = order[i - self._starts[g]]
+            k = bisect.bisect_right(ends, j)
+            v = self._items[i] = group[k][j - (ends[k - 1] if k else 0)]
+        return v
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def lines(self):
+        """Each verdict's JSON line (Verdict.to_line), in order, written batch by
+        batch and yielded group by group."""
+        for group, _, order in self._groups:
+            lines = [line for b in group for line in b.lines()]
+            yield from map(lines.__getitem__, order)
+
+    @property
+    def passes(self) -> int:
+        return sum(sum(map(bool, b.passed)) for b in self._batches)
+
+    @property
+    def capacity(self) -> int:
+        return sum(len(b) for b in self._batches if b.kind == "capacity")
 
 
 def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
-              workers: int = 1, budget=None) -> list[Verdict]:
+              workers: int = 1, budget=None) -> Verdicts:
     """Run every applicable checker over all primes in [p_min, p_max] (konyagin over
     every modulus q there), one map_tasks task per modulus.  A budget keeps each
     claim's first budget verdicts per prime (per q for konyagin), and a claim that
     meets a capacity cap gives one capacity record there instead.  p_min above
     p_max raises ValueError.
 
-    Deterministic for a fixed (range, claims, seed) regardless of worker count;
-    verdicts come back sorted by (claim, modulus, parameters), so the order in
-    which tasks run and build their verdicts never shows.
+    Returns Verdicts: a sequence of Verdict, each built on first read, plus lines()
+    for the JSON lines.  Deterministic for a fixed (range, claims, seed) regardless
+    of worker count; verdicts come sorted by (claim, modulus, parameters), so the
+    order in which tasks run and build their batches never shows.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -795,9 +926,7 @@ def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
     limit = sys.maxsize if budget is None else budget
     tasks = [(n, claims, seed, limit) for n in range(max(p_min, 2), p_max + 1)
              if "konyagin" in claims or (n > 2 and is_prime(n))]
-    verdicts = map_tasks(_suite_for_modulus, tasks, workers)
-    verdicts.sort(key=Verdict.sort_key)
-    return verdicts
+    return Verdicts(map_tasks(_suite_for_modulus, tasks, workers))
 
 
 def map_tasks(fn, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:

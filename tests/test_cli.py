@@ -153,6 +153,15 @@ class TestVerify:
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_stdout_and_out_file_get_the_same_bytes(self, capsys, tmp_path):
+        out_file = tmp_path / "v.jsonl"
+        args = ["verify", "--p-max", "23", "--seed", "3"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert main(args + ["--out", str(out_file)]) == 0
+        capsys.readouterr()
+        assert out.encode("utf-8") == out_file.read_bytes()
+
     def test_exact_stream_equals_stored_reference(self, capsys, tmp_path):
         """The exact claims' verdict stream, record for record, against the
         benchmark's stored reference for the same argv."""

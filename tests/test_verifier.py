@@ -14,8 +14,10 @@ from charsum.engines import shifted_sum, shifted_values_all
 from charsum.errors import CapacityExceeded, PrincipalCharacter, ShiftNotCoprime, ZeroInD
 from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
 from charsum.values import Weights
+from charsum.cli import main
 from charsum.verifier import (
     CLAIMS,
+    Batch,
     Verdict,
     check_eps_corollary,
     check_eq2_identity,
@@ -430,8 +432,8 @@ class TestRunSuite:
         def cap(m):
             return f"exact mode needs root order {m} > {EXACT_MAX_ORDER}"
 
-        vs = run_suite(10_007, 10_007, claims=["eq2", "kernel"], budget=1)
-        vs += run_suite(10_001, 10_001, claims=["konyagin"], budget=1)
+        vs = [*run_suite(10_007, 10_007, claims=["eq2", "kernel"], budget=1),
+              *run_suite(10_001, 10_001, claims=["konyagin"], budget=1)]
         assert [(v.claim, v.kind, v.note) for v in vs] == [
             ("eq2", "capacity", cap(10_006)), ("kernel", "capacity", cap(10_006)),
             ("konyagin", "capacity", cap(10_001))]
@@ -477,7 +479,45 @@ class TestRunSuite:
         vs = run_suite(2, 40, claims=["konyagin", "eq2"], seed=3)
         assert len(calls) == 1
         assert {v.claim for v in vs} == {"konyagin", "eq2"}
-        assert sorted(map(id, vs)) == sorted(map(id, calls[0]))
+        # items are built on read, so the rows are compared as lines
+        assert sorted(line for b in calls[0] for line in b.lines()) == sorted(vs.lines())
+
+    def test_workers_give_the_same_dense_batches(self):
+        # thm2, meanvalue2 and lemma3 send batches of many rows through the pool
+        claims = ["thm2", "meanvalue2", "lemma3"]
+        one = run_suite(3, 61, claims=claims, seed=9, workers=1)
+        two = run_suite(3, 61, claims=claims, seed=9, workers=2)
+        assert [v.to_record() for v in two] == [v.to_record() for v in one]
+
+    def test_lemma3_draws_weights_only_for_kept_instances(self, monkeypatch):
+        calls = []
+
+        def spy(p, rng):
+            calls.append(p)
+            return random_weights(p, rng)
+
+        monkeypatch.setattr(verifier, "random_weights", spy)
+        vs = run_suite(3, 31, claims=["lemma3"], seed=0, budget=1)
+        primes = list(primes_in(3, 31))
+        assert calls == [p for p in primes for _ in range(2)]
+        # the random stream is unchanged: each kept instance is the full run's first
+        monkeypatch.undo()
+        full = {(v.params["p"], v.params["instance"]): v.to_record()
+                for v in run_suite(3, 31, claims=["lemma3"], seed=0)}
+        assert [v.to_record() for v in vs] == [full[p, "0:0"] for p in primes]
+
+    def test_eq2_checks_only_kept_characters(self, monkeypatch):
+        checked = []
+        batch = verifier.check_eq2_identities
+
+        def spy(ctx, chis, D, D_index=None):
+            checked.extend((chi.index, D_index) for chi in chis)
+            return batch(ctx, chis, D, D_index)
+
+        monkeypatch.setattr(verifier, "check_eq2_identities", spy)
+        vs = run_suite(13, 13, claims=["eq2"], seed=5, budget=30)
+        assert sorted(checked) == sorted((v.params["chi"], v.params["D_index"]) for v in vs)
+        assert len(checked) == 30
 
     def test_konyagin_output_does_not_depend_on_workers(self):
         one = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=1)
@@ -526,6 +566,34 @@ def test_to_line_is_json_dumps_of_the_record():
     vs = run_suite(3, 101, seed=42)
     assert {v.claim for v in vs} == set(CLAIMS)
     assert [v.to_line() for v in vs] == [_dumped(v) for v in vs]
+    assert list(vs.lines()) == [_dumped(v) for v in vs]
+
+
+@pytest.mark.parametrize("b", [
+    Batch("x", {"p": 7, "chi": [1, 2, 3, 4], "a": "all"}, [1.5, math.inf, -math.inf, 2.0],
+          [2.5, 2.5, 3.0, 2.5], [1.0, math.nan, -0.0, 0.5], [True, False, False, True],
+          "numeric", note='a quote ", braces { } and \u00e9'),
+    Batch("x", {"q": 9, "D_index": [0, 1, 2, 3], "s": ["a", 'b"', "{c}", None]},
+          [3, "non-integer", 5, 6], [0.0, -0.0, 1, 1.0], [3.0, math.nan, 4.0, 5.0],
+          [False, False, False, False], "exact"),
+    Batch("x", {"p": 5, "chi": [1, 2]}, [0.5, 0.25], [1.0, 1.0], [0.5, 0.75], [True, True],
+          "numeric", kind="capacity"),
+], ids=["floats-and-escapes", "mixed-targets", "one-target"])
+def test_batch_lines_hand_built(b):
+    assert b.lines() == [_dumped(v) for v in b]
+    assert [v.to_line() for v in b] == b.lines()
+    assert b[1:3].lines() == b.lines()[1:3]
+
+
+def test_json_lines_build_no_verdict_per_row(monkeypatch, tmp_path):
+    def refuse(v):
+        raise AssertionError(f"a Verdict was built for {v.claim}")
+
+    monkeypatch.setattr(Verdict, "__post_init__", refuse)
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--p-max", "83", "--claims", "thm2,eps,meanvalue2,nonlinear,lemma3",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 24775
 
 
 @pytest.mark.parametrize("v", [
