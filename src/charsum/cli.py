@@ -195,18 +195,19 @@ def _write_text(lines, out: str | None) -> None:
         sys.stdout.writelines(lines)
 
 
-def _write_records(records: list[dict], out: str | None, fmt: str) -> None:
+def _write_records(records: list[dict], out: str | None, fmt: str, keys) -> None:
+    """The records as JSON lines, or as csv with the columns keys in sorted order:
+    a header even when there are no records."""
     if fmt == "json-lines":
         _write_text((json.dumps(r, sort_keys=True, default=str) + "\n" for r in records), out)
         return
     # csv: flatten dict-valued fields as JSON
-    keys = sorted({k for r in records for k in r})
     rows = [
-        {k: json.dumps(r[k], sort_keys=True) if isinstance(r.get(k), (dict, list))
-         else r.get(k, "") for k in keys}
+        {k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+         for k, v in r.items()}
         for r in records
     ]
-    _write_csv(keys, rows, out)
+    _write_csv(sorted(keys), rows, out)
 
 
 def _write_csv(header: list[str], rows: list[dict], out: str | None) -> None:
@@ -233,7 +234,8 @@ def cmd_verify(args) -> int:
     if args.format == "json-lines":
         _write_text(verdicts.lines(), args.out)
     else:
-        _write_records([v.to_record() for v in verdicts], args.out, args.format)
+        _write_records([v.to_record() for v in verdicts], args.out, args.format,
+                       verifier.RECORD_KEYS)
     passes = verdicts.passes
     capacity = verdicts.capacity
     failures = len(verdicts) - passes - capacity
@@ -245,7 +247,7 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     records = scan.scan_range(args.problem, args.p_min, args.p_max,
                               seed=args.seed, workers=args.workers)
-    _write_records(records, args.out, args.format)
+    _write_records(records, args.out, args.format, scan.RECORD_KEYS)
     print(f"scan: problem {args.problem}, {len(records)} records", file=sys.stderr)
     return 0
 

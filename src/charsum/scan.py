@@ -29,6 +29,11 @@ FULL_GRID_MAX_P = 101
 SAMPLE_SIZE = 1000
 
 
+# the keys of every scan record, the columns of scan's csv
+RECORD_KEYS = ("H_order", "achiever", "kind", "order_ratio", "p", "problem", "stat", "sum_kind",
+               "tuples")
+
+
 def _peak_record(ctx, H, problem: str, sum_kind: str, mags: np.ndarray, achiever,
                  tuples: int) -> dict:
     """The record of the largest of the magnitudes mags; achiever(i) gives the

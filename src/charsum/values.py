@@ -8,6 +8,8 @@ order m fits the exact-order cap.  Character values and engine sums go through i
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cyclo import EXACT_MAX_ORDER, CycInt, require_exact_order
@@ -27,8 +29,22 @@ def resolve_mode(order: int, mode: str) -> str:
 
 
 def roots(exponents, m: int) -> np.ndarray:
-    """exp(2 pi i e / m) for every exponent e, with 0 where e = -1."""
+    """exp(2 pi i e / m) for every exponent e in [0, m), with 0 where e = -1, as a
+    fresh array.
+
+    Each distinct root is computed once.  The exponents are multiples of
+    s = gcd(m, every e >= 0), so they take at most d = m / s values; when there are
+    at least 2d terms, entry e // s of a table of those d roots and a trailing 0
+    (which -1 // s = -1 reads) gives each.  A table entry is the direct formula on
+    the same integer r * s, so both routes give the same bits."""
     e = np.asarray(exponents)
+    # gcd(g, 0) = g: the -1 entries, read as 0, leave the gcd alone
+    s = math.gcd(m, int(np.gcd.reduce(np.maximum(e, 0), axis=None)))
+    d = m // s
+    if 2 * d <= e.size:
+        table = np.zeros(d + 1, dtype=complex)
+        table[:d] = np.exp(2j * np.pi * (np.arange(d) * s) / m)
+        return table[e // s]
     terms = np.exp(2j * np.pi * e / m)
     terms[e < 0] = 0
     return terms

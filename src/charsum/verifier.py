@@ -104,6 +104,10 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
+# the keys of Verdict.to_record, the columns of verify's csv
+RECORD_KEYS = ("claim", "computed", "kind", "margin", "mode", "note", "params", "pass", "target")
+
+
 @dataclass(slots=True)
 class Verdict:
     """One checked instance of a claim.  Its fields hold Python values, never numpy
@@ -145,9 +149,6 @@ class Verdict:
         """json.dumps(self.to_record(), sort_keys=True, default=str) + "\\n", from
         the batch line writer."""
         return Batch.of(self).lines()[0]
-
-    def sort_key(self):
-        return (self.claim, self.params.get("p", self.params.get("q", 0)), self.params_text)
 
 
 def _params_texts(params: dict, rows: int) -> list[str]:
@@ -839,11 +840,12 @@ def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Ba
 class Verdicts(Sequence):
     """A run's verdicts, a sequence of Verdict kept as the batches that built them.
 
-    The order is that of a stable sort of every verdict by Verdict.sort_key: the
-    batches are grouped by (claim, modulus) with a stable sort, and each group's
-    rows are sorted by params text.  An item is built on first read.  lines()
-    writes the JSON lines group by group from the columns, and passes and capacity
-    are counted there; == compares with any sequence item by item."""
+    The order is that of a stable sort of every verdict by (claim, params["p"] or
+    params["q"], params text): the batches are grouped by (claim, modulus) with a
+    stable sort, and each group's rows are sorted by params text.  An item is built
+    on first read.  lines() writes the JSON lines group by group from the columns,
+    and passes and capacity are counted there; == compares with any sequence item
+    by item."""
 
     def __init__(self, batches):
         def key(b):

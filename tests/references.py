@@ -31,6 +31,15 @@ def pair_difference_grid(E: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
+def direct_roots(exponents, m: int) -> np.ndarray:
+    """exp(2 pi i e / m) term by term, with 0 where e = -1: the formula that
+    values.roots reads from a table of distinct roots."""
+    e = np.asarray(exponents)
+    terms = np.exp(2j * np.pi * e / m)
+    terms[e < 0] = 0
+    return terms
+
+
 def eq2_via_engine(ctx, chi, D) -> int | None:
     """sum_a |sum_{x in D} chi(x+a)|^2 through the generic exact engine: one
     shifted_sum and one CycInt norm per shift a."""

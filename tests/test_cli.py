@@ -301,6 +301,19 @@ def test_inverted_range_is_usage_error(capsys, command):
     assert err == f"charsum {command[0]}: p_min 100 is above p_max 50\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "--claims", "thm2"], ["scan", "--problem", "1"]])
+def test_empty_csv_is_the_header(capsys, tmp_path, command):
+    # 24..28 holds no prime: the csv is the header alone, a record's keys in order
+    _, lines, _ = run(capsys, *command, "--p-max", "13")
+    header = ",".join(sorted(json.loads(lines.splitlines()[0]))) + "\r\n"
+    code, out, _ = run(capsys, *command, "--p-min", "24", "--p-max", "28", "--format", "csv")
+    assert code == 0 and out == header
+    out_file = tmp_path / "empty.csv"
+    run(capsys, *command, "--p-min", "24", "--p-max", "28", "--format", "csv",
+        "--out", str(out_file))
+    assert out_file.read_bytes() == header.encode()
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
 

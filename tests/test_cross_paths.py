@@ -35,7 +35,7 @@ from charsum.engines import (
     shifted_values_all,
 )
 from charsum.field import coset_shift_rows, make_ctx, primes_in, subgroup_of_order, subgroups
-from charsum.values import Weights, numeric_sums
+from charsum.values import Weights, numeric_sums, roots
 from charsum.verifier import (
     check_eps_corollary,
     check_eq2_identities,
@@ -58,6 +58,7 @@ from charsum.verifier import (
 from references import (
     bilinear_grid,
     corrupted_ctx,
+    direct_roots,
     eq2_per_character,
     eq2_via_engine,
     granville_mismatches,
@@ -137,6 +138,46 @@ def test_coset_nonlinear_equals_per_shift_sum(inst):
     _, peaks = character_sum_moduli(ctx, nonlinear_rows(ctx, H))
     assert abs(peaks[chi.index] - every_shift) <= TOL
     assert abs(check_nonlinear_bound_all_shifts(ctx, chi, H).computed - every_shift) <= TOL
+
+
+def _same_bits(got, exponents, m: int) -> None:
+    want = direct_roots(exponents, m)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(float), want.view(float))
+
+
+def test_roots_have_the_direct_formula_bits():
+    """roots reads a character of order d from a table of its d roots when there
+    are at least 2d terms, and computes the rest term by term: either way every
+    value, and every numeric_sums total, has the direct formula's bits."""
+    rng = np.random.default_rng(5)
+    for p in primes_in(3, 61):
+        ctx = make_ctx(p)
+        m = p - 1
+        for j in range(m):
+            chi = character(ctx, j)
+            _same_bits(chi.value_table(), chi.exponent_table(), m)
+        # every shift of every residue, x + a = 0 giving the zero terms
+        for d in sorted({2, 3, m}):
+            if m % d:
+                continue
+            chi = character(ctx, m // d)
+            assert chi.order == d
+            rows = shifted_exponents(ctx, chi, np.arange(p), np.arange(p))
+            assert rows.shape == (p, p)
+            _same_bits(roots(rows, m), rows, m)
+            w = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+            first = numeric_sums(rows, m, w)
+            # numeric_sums weights the roots in place: no table may be shared
+            assert np.array_equal(numeric_sums(rows, m, w).view(float), first.view(float))
+            want = (direct_roots(rows, m) * w).sum(axis=0)
+            assert np.array_equal(first.view(float), want.view(float))
+    for m in (1, 2, 12):
+        for e in (np.array([], dtype=np.int64), np.full(5, -1), np.full((3, 2), -1)):
+            _same_bits(roots(e, m), e, m)
+        for e in range(-1, m):  # a single term, given as a list as Character.eval does
+            _same_bits(roots([e], m), [e], m)
+            _same_bits(roots([e] * 2 * m, m), [e] * 2 * m, m)
 
 
 def _standalone(ctx, claim: str, budget: int | None, seed: int) -> list:

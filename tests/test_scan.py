@@ -11,10 +11,11 @@ from charsum.engines import (
     shifted_sum,
     shifted_values_all,
 )
-from charsum import scan
+from charsum import scan, values
 from charsum.errors import CapacityExceeded
 from charsum.field import make_ctx, subgroup_of_order
 from charsum.scan import scan_prime, scan_range
+from references import direct_roots
 
 
 class TestProblem1:
@@ -117,3 +118,20 @@ class TestScanRange:
         monkeypatch.setattr(scan, "scan_prime", scanned)
         with pytest.raises(CapacityExceeded, match="p=10000079 exceeds dlog table cap 10000000"):
             scan_range("1", 9_999_900, 10_000_100)
+
+
+@pytest.mark.parametrize("problem", scan.PROBLEMS)
+def test_records_equal_the_direct_formula(problem, monkeypatch):
+    # roots reads the quadratic character's values from a table; the records must
+    # be the ones the term-by-term formula gives, bit for bit
+    primes = (13, 103, 100003)
+    got = [scan_prime(problem, p, seed=3) for p in primes]
+    calls = []
+
+    def direct(exponents, m):
+        calls.append(m)
+        return direct_roots(exponents, m)
+
+    monkeypatch.setattr(values, "roots", direct)
+    assert [scan_prime(problem, p, seed=3) for p in primes] == got
+    assert calls

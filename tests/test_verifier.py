@@ -526,7 +526,8 @@ class TestRunSuite:
 
     def test_verdict_sorting(self):
         vs = run_suite(3, 13, claims=["granville", "thm2"], seed=0)
-        keys = [v.sort_key() for v in vs]
+        # the Verdicts order: (claim, p or q, params text)
+        keys = [(v.claim, v.params.get("p", v.params.get("q", 0)), v.params_text) for v in vs]
         assert keys == sorted(keys)
         # every claim, in the order of params texts made afresh by json.dumps,
         # with JSON's string order: eq2's "D_index": 10 sorts before 2
