@@ -195,25 +195,12 @@ def _write_text(lines, out: str | None) -> None:
         sys.stdout.writelines(lines)
 
 
-def _write_records(records: list[dict], out: str | None, fmt: str, keys) -> None:
-    """The records as JSON lines, or as csv with the columns keys in sorted order:
-    a header even when there are no records."""
-    if fmt == "json-lines":
-        _write_text((json.dumps(r, sort_keys=True, default=str) + "\n" for r in records), out)
-        return
-    # csv: flatten dict-valued fields as JSON
-    rows = [
-        {k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
-         for k, v in r.items()}
-        for r in records
-    ]
-    _write_csv(sorted(keys), rows, out)
-
-
-def _write_csv(header: list[str], rows: list[dict], out: str | None) -> None:
+def _write_csv(header, rows, out: str | None) -> None:
+    """The header row, then each row, a sequence of cells in header order; rows
+    may be any iterable, and are written as they come."""
     def emit(f):
-        w = csv.DictWriter(f, fieldnames=header)
-        w.writeheader()
+        w = csv.writer(f)
+        w.writerow(header)
         w.writerows(rows)
 
     if out:
@@ -234,8 +221,7 @@ def cmd_verify(args) -> int:
     if args.format == "json-lines":
         _write_text(verdicts.lines(), args.out)
     else:
-        _write_records([v.to_record() for v in verdicts], args.out, args.format,
-                       verifier.RECORD_KEYS)
+        _write_csv(verifier.RECORD_KEYS, verdicts.rows(), args.out)
     passes = verdicts.passes
     capacity = verdicts.capacity
     failures = len(verdicts) - passes - capacity
@@ -247,7 +233,14 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     records = scan.scan_range(args.problem, args.p_min, args.p_max,
                               seed=args.seed, workers=args.workers)
-    _write_records(records, args.out, args.format, scan.RECORD_KEYS)
+    if args.format == "json-lines":
+        _write_text((json.dumps(r, sort_keys=True, default=str) + "\n" for r in records),
+                    args.out)
+    else:  # the achiever dict as JSON
+        _write_csv(scan.RECORD_KEYS,
+                   ([json.dumps(v, sort_keys=True) if isinstance(v, dict) else v
+                     for v in map(r.__getitem__, scan.RECORD_KEYS)] for r in records),
+                   args.out)
     print(f"scan: problem {args.problem}, {len(records)} records", file=sys.stderr)
     return 0
 
@@ -255,6 +248,10 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
+
+# the columns of table's verify summary, one row per claim
+SUMMARY_HEADER = ["claim", "verdicts", "passes", "capacity_skips", "pass_rate"]
+
 
 def cmd_table(args) -> int:
     try:
@@ -266,7 +263,7 @@ def cmd_table(args) -> int:
         raise CharsumError(f"{args.input}: every line must be a JSON object")
 
     if not records:
-        _write_csv(["claim", "verdicts", "passes", "capacity_skips", "pass_rate"], [], args.out)
+        _write_csv(SUMMARY_HEADER, [], args.out)
         return 0
 
     try:
@@ -280,12 +277,8 @@ def _write_table(records: list[dict], args) -> int:
         header = ["p", "problem", "sum_kind", "H_order", "order_ratio", "stat",
                   "tuples", "achiever"]
         rows = [
-            {
-                "p": r["p"], "problem": r["problem"], "sum_kind": r["sum_kind"],
-                "H_order": r["H_order"], "order_ratio": r["order_ratio"],
-                "stat": r["stat"], "tuples": r["tuples"],
-                "achiever": json.dumps(r["achiever"], sort_keys=True),
-            }
+            [r["p"], r["problem"], r["sum_kind"], r["H_order"], r["order_ratio"], r["stat"],
+             r["tuples"], json.dumps(r["achiever"], sort_keys=True)]
             for r in sorted(records, key=lambda r: (r["p"], r["sum_kind"]))
         ]
         _write_csv(header, rows, args.out)
@@ -302,11 +295,10 @@ def _write_table(records: list[dict], args) -> int:
         s["passes"] += r["pass"]
         s["capacity_skips"] += r.get("kind") == "capacity"
     rows = [
-        {"claim": claim, **counts,
-         "pass_rate": counts["passes"] / counts["verdicts"]}
+        [claim, *counts.values(), counts["passes"] / counts["verdicts"]]
         for claim, counts in sorted(summary.items())
     ]
-    _write_csv(["claim", "verdicts", "passes", "capacity_skips", "pass_rate"], rows, args.out)
+    _write_csv(SUMMARY_HEADER, rows, args.out)
     return 0
 
 

@@ -29,14 +29,12 @@ rows.  That only regroups the terms, so it gives the same counts for any dlog.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
 import os
 import random
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
@@ -192,8 +190,9 @@ class Batch:
     for the whole batch or to a list of one value per row; texts holds each row's
     params as sorted-key JSON (_params_texts, taken when not given).
 
-    len(b) is the row count, b[i] builds row i's Verdict, b[i:j] is a cut batch
-    and b.lines() writes every row's JSON line.  Batch.of wraps one Verdict."""
+    len(b) is the row count, b[i] builds row i's Verdict, b[i:j] is a cut batch,
+    b.lines() writes every row's JSON line and b.rows() every row's csv cells.
+    Batch.of wraps one Verdict."""
 
     claim: str
     params: dict
@@ -244,6 +243,13 @@ class Batch:
                 f', "pass": {"true" if ok else "false"}, "target": {t}}}\n'
                 for c, d, text, ok, t in zip(self.computed, margin, self.texts, self.passed,
                                              _spelled(self.target))]
+
+    def rows(self) -> list[list]:
+        """Each row's csv cells, in RECORD_KEYS order: the values of
+        Verdict.to_record, with the params text as the params cell."""
+        return [[self.claim, str(c), self.kind, d, self.mode, self.note, text, ok, str(t)]
+                for c, d, text, ok, t in zip(self.computed, self.margin, self.texts,
+                                             self.passed, self.target)]
 
 
 def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) -> Batch:
@@ -827,7 +833,7 @@ def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Ba
     per set D), then the other claims' when n is an odd prime (_suite_for_prime)."""
     batches = []
     if "konyagin" in claims:
-        dsets = random_subsets(n, 10, seeded_rng(seed, n, "konyagin")) if n > 2 else [[1]] * 10
+        dsets = random_subsets(n, 10, seeded_rng(seed, n, "konyagin"))
         batches = _first("konyagin", {"q": n},
                          (Batch.of(check_konyagin(n, D, D_index=i)) for i, D in enumerate(dsets)),
                          budget)
@@ -837,60 +843,52 @@ def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Ba
     return batches
 
 
-class Verdicts(Sequence):
-    """A run's verdicts, a sequence of Verdict kept as the batches that built them.
+class Verdicts:
+    """A run's verdicts, kept as the batches that built them and read in one order:
+    that of a stable sort of every verdict by (claim, params["p"] or params["q"],
+    params text).  The batches are grouped by (claim, modulus) with a stable sort,
+    and each group's rows are sorted by params text.
 
-    The order is that of a stable sort of every verdict by (claim, params["p"] or
-    params["q"], params text): the batches are grouped by (claim, modulus) with a
-    stable sort, and each group's rows are sorted by params text.  An item is built
-    on first read.  lines() writes the JSON lines group by group from the columns,
-    and passes and capacity are counted there; == compares with any sequence item
-    by item."""
+    Every read walks the groups in that order and builds one group's items at a
+    time: iterating gives each Verdict, lines() each JSON line (Batch.lines) and
+    rows() each csv row (Batch.rows).  passes and capacity are counted from the
+    columns; == compares with a list, a tuple or another Verdicts item by item."""
 
     def __init__(self, batches):
         def key(b):
             return b.claim, b.params.get("p", b.params.get("q", 0))
 
         self._batches = sorted(batches, key=key)
-        self._groups = []  # (its batches, the batches' row ends, its rows in order)
-        self._starts = []  # index of each group's first item
-        self._len = 0
+        self._groups = []  # (its batches, its rows in order)
         for _, group in itertools.groupby(self._batches, key):
             group = list(group)
             texts = [t for b in group for t in b.texts]
-            self._groups.append((group, list(itertools.accumulate(map(len, group))),
-                                 sorted(range(len(texts)), key=texts.__getitem__)))
-            self._starts.append(self._len)
-            self._len += len(texts)
-        self._items = None
+            self._groups.append((group, sorted(range(len(texts)), key=texts.__getitem__)))
 
     def __len__(self) -> int:
-        return self._len
+        return sum(map(len, self._batches))
 
-    def __getitem__(self, i):
-        i = range(self._len)[i]
-        if self._items is None:
-            self._items = [None] * self._len
-        v = self._items[i]
-        if v is None:
-            g = bisect.bisect_right(self._starts, i) - 1
-            group, ends, order = self._groups[g]
-            j = order[i - self._starts[g]]
-            k = bisect.bisect_right(ends, j)
-            v = self._items[i] = group[k][j - (ends[k - 1] if k else 0)]
-        return v
+    def _walk(self, make):
+        """Every row's item, in order; make(batch) gives a list of one per row."""
+        for group, order in self._groups:
+            items = [x for b in group for x in make(b)]
+            yield from map(items.__getitem__, order)
+
+    def __iter__(self):
+        return self._walk(list)
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if not isinstance(other, (Verdicts, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def lines(self):
-        """Each verdict's JSON line (Verdict.to_line), in order, written batch by
-        batch and yielded group by group."""
-        for group, _, order in self._groups:
-            lines = [line for b in group for line in b.lines()]
-            yield from map(lines.__getitem__, order)
+        """Each verdict's JSON line (Verdict.to_line), in order."""
+        return self._walk(Batch.lines)
+
+    def rows(self):
+        """Each verdict's csv row (Batch.rows), in order."""
+        return self._walk(Batch.rows)
 
     @property
     def passes(self) -> int:
@@ -909,10 +907,11 @@ def run_suite(p_min: int = 3, p_max: int = 61, claims=None, seed: int = 0,
     meets a capacity cap gives one capacity record there instead.  p_min above
     p_max raises ValueError.
 
-    Returns Verdicts: a sequence of Verdict, each built on first read, plus lines()
-    for the JSON lines.  Deterministic for a fixed (range, claims, seed) regardless
-    of worker count; verdicts come sorted by (claim, modulus, parameters), so the
-    order in which tasks run and build their batches never shows.
+    Returns Verdicts, walked in order: iterating builds each Verdict, and lines()
+    and rows() stream the JSON lines and csv rows from the batches' columns.
+    Deterministic for a fixed (range, claims, seed) regardless of worker count;
+    verdicts come sorted by (claim, modulus, parameters), so the order in which
+    tasks run and build their batches never shows.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import io
 import json
 import lzma
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from charsum import verifier
+from charsum import scan, verifier
 from charsum.cli import main
 from charsum.verifier import CLAIMS
 
@@ -249,6 +250,40 @@ class TestVerify:
         rows = list(csv.DictReader(out.splitlines()))
         assert rows and all(r["pass"] == "True" for r in rows)
 
+    @pytest.mark.parametrize("argv, kwargs", [
+        (["--p-max", "61", "--seed", "42"], {"p_max": 61, "seed": 42}),
+        (["--p-max", "31", "--seed", "5", "--budget", "7"], {"p_max": 31, "seed": 5, "budget": 7}),
+        (["--p-min", "10007", "--p-max", "10007", "--claims", "eq2"],
+         {"p_min": 10007, "p_max": 10007, "claims": ["eq2"]}),
+    ])
+    def test_csv_equals_one_dict_writer_over_the_records(self, capsys, tmp_path, argv, kwargs):
+        """The streamed csv, byte for byte, against a DictWriter over every
+        Verdict's record, with the params dict as sorted-key JSON."""
+        out_file = tmp_path / "v.csv"
+        main(["verify", *argv, "--format", "csv", "--out", str(out_file)])
+        capsys.readouterr()
+        verdicts = verifier.run_suite(**kwargs)
+        expected = io.StringIO()
+        w = csv.DictWriter(expected, fieldnames=sorted(verifier.RECORD_KEYS))
+        w.writeheader()
+        w.writerows({k: json.dumps(x, sort_keys=True) if isinstance(x, dict) else x
+                     for k, x in v.to_record().items()} for v in verdicts)
+        assert len(verdicts) > 0
+        assert out_file.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_csv_builds_no_verdict(self, capsys, tmp_path, monkeypatch):
+        """The csv is written from the batches' columns, as the JSON lines are."""
+        def no_verdict(self):
+            raise AssertionError("a Verdict was built on the csv path")
+
+        monkeypatch.setattr(verifier.Verdict, "__post_init__", no_verdict)
+        out_file = tmp_path / "v.csv"
+        code, _, _ = run(capsys, "verify", "--p-min", "3", "--p-max", "83", "--claims",
+                         "thm2,eps,meanvalue2,nonlinear,lemma3", "--seed", "1",
+                         "--format", "csv", "--out", str(out_file))
+        assert code == 0
+        assert len(out_file.read_text(encoding="utf-8").splitlines()) == 1 + 24775
+
 
 class TestScanCmd:
     def test_problem1(self, capsys):
@@ -263,6 +298,13 @@ class TestScanCmd:
                            "--p-max", "28")
         assert code == 0
         assert out == ""
+
+    @pytest.mark.parametrize("problem", scan.PROBLEMS)
+    def test_records_have_the_csv_columns(self, problem):
+        # the csv writes each record's values in RECORD_KEYS order, its header
+        for p in (3, 101, 103):
+            for r in scan.scan_prime(problem, p, seed=3):
+                assert sorted(r) == list(scan.RECORD_KEYS)
 
     @pytest.mark.parametrize("problem", ["5", "6"])
     def test_stream_equals_stored_reference(self, capsys, tmp_path, problem):

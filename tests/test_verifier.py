@@ -385,8 +385,8 @@ class TestRunSuite:
 
     def test_capacity_records(self):
         vs = run_suite(10_007, 10_007, claims=["eq2"], seed=0)
-        assert len(vs) == 1
-        assert vs[0].kind == "capacity" and not vs[0].passed
+        [v] = vs
+        assert v.kind == "capacity" and not v.passed
 
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
