@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -256,50 +257,67 @@ SUMMARY_HEADER = ["claim", "verdicts", "passes", "capacity_skips", "pass_rate"]
 def cmd_table(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as f:
-            records = [json.loads(line) for line in f if line.strip()]
+            header, rows = _table(args.input,
+                                  (json.loads(line) for line in f if line.strip()))
     except (OSError, json.JSONDecodeError) as e:
         raise CharsumError(f"cannot read {args.input}: {e}")
-    if not all(isinstance(r, dict) for r in records):
-        raise CharsumError(f"{args.input}: every line must be a JSON object")
-
-    if not records:
-        _write_csv(SUMMARY_HEADER, [], args.out)
-        return 0
-
-    try:
-        return _write_table(records, args)
-    except KeyError as e:
-        raise CharsumError(f"{args.input}: a record lacks the key {e}")
+    _write_csv(header, rows, args.out)
+    return 0
 
 
-def _write_table(records: list[dict], args) -> int:
-    if records[0].get("kind") == "scan":
-        header = ["p", "problem", "sum_kind", "H_order", "order_ratio", "stat",
-                  "tuples", "achiever"]
-        rows = [
-            [r["p"], r["problem"], r["sum_kind"], r["H_order"], r["order_ratio"], r["stat"],
-             r["tuples"], json.dumps(r["achiever"], sort_keys=True)]
-            for r in sorted(records, key=lambda r: (r["p"], r["sum_kind"]))
-        ]
-        _write_csv(header, rows, args.out)
-        return 0
+def _table(name: str, records) -> tuple[list, list]:
+    """The header and rows of table's csv for the records of the file name.  A scan
+    file (one record per prime) is kept whole and sorted; a verify file is counted
+    one record at a time.  Every line is read before a fault is raised, so a line
+    that is no JSON is reported first, then one that is no JSON object, then a
+    first record of neither kind, then the first faulty record."""
+    first = next(records, None)
+    if first is None:
+        return SUMMARY_HEADER, []
+    if isinstance(first, dict) and first.get("kind") == "scan":
+        records = [first, *records]
+        if not all(isinstance(r, dict) for r in records):
+            raise CharsumError(f"{name}: every line must be a JSON object")
+        header = ["p", "problem", "sum_kind", "H_order", "order_ratio", "stat", "tuples",
+                  "achiever"]
+        try:
+            return header, [
+                [r["p"], r["problem"], r["sum_kind"], r["H_order"], r["order_ratio"], r["stat"],
+                 r["tuples"], json.dumps(r["achiever"], sort_keys=True)]
+                for r in sorted(records, key=lambda r: (r["p"], r["sum_kind"]))
+            ]
+        except KeyError as e:
+            raise CharsumError(f"{name}: a record lacks the key {e}")
 
-    if "claim" not in records[0]:
-        raise CharsumError(f"{args.input} holds neither verify nor scan records")
     summary: dict[str, dict] = {}
-    for r in records:
-        if not isinstance(r["pass"], bool):
-            raise CharsumError(f"{args.input}: pass must be true or false, got {r['pass']!r}")
-        s = summary.setdefault(r["claim"], {"verdicts": 0, "passes": 0, "capacity_skips": 0})
-        s["verdicts"] += 1
-        s["passes"] += r["pass"]
-        s["capacity_skips"] += r.get("kind") == "capacity"
-    rows = [
+    objects = True
+    fault = None
+    for r in itertools.chain([first], records):
+        if not isinstance(r, dict):
+            objects = False
+        elif fault is None:
+            try:
+                if not isinstance(r["pass"], bool):
+                    raise CharsumError(f"{name}: pass must be true or false, got {r['pass']!r}")
+                s = summary.setdefault(r["claim"],
+                                       {"verdicts": 0, "passes": 0, "capacity_skips": 0})
+                s["verdicts"] += 1
+                s["passes"] += r["pass"]
+                s["capacity_skips"] += r.get("kind") == "capacity"
+            except (CharsumError, KeyError, TypeError) as e:
+                fault = e
+    if not objects:
+        raise CharsumError(f"{name}: every line must be a JSON object")
+    if "claim" not in first:
+        raise CharsumError(f"{name} holds neither verify nor scan records")
+    if isinstance(fault, KeyError):
+        raise CharsumError(f"{name}: a record lacks the key {fault}")
+    if fault is not None:
+        raise fault
+    return SUMMARY_HEADER, [
         [claim, *counts.values(), counts["passes"] / counts["verdicts"]]
         for claim, counts in sorted(summary.items())
     ]
-    _write_csv(SUMMARY_HEADER, rows, args.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------

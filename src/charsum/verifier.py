@@ -25,6 +25,9 @@ Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2
 whose terms depend only on the difference d = y - x: _pair_difference_sum counts
 one exponent row per distinct d, weighted by its number of pairs, not |D|^2
 rows.  That only regroups the terms, so it gives the same counts for any dlog.
+The rows depend on the modulus and d alone, so it takes every set of one modulus
+at once and counts each row once for all of them: the suite gives eq2 one batch
+per prime and konyagin one batch per modulus q.
 """
 
 from __future__ import annotations
@@ -263,14 +266,14 @@ def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) ->
                  (target - computed).tolist(), passed.tolist(), "numeric")
 
 
-def _identity_verdicts(claim: str, params: dict, computed: list, target: int) -> Batch:
+def _identity_verdicts(claim: str, params: dict, computed: list, targets: list) -> Batch:
     """Exact verdicts computed == target, for a batch of computed integers (None
-    where the sum is not a rational integer)."""
+    where the sum is not a rational integer) and their targets."""
     return Batch(
         claim, params,
-        [n if n is not None else "non-integer" for n in computed], [target] * len(computed),
-        [float(n - target) if n is not None else math.nan for n in computed],
-        [n == target for n in computed], "exact")
+        [n if n is not None else "non-integer" for n in computed], targets,
+        [float(n - t) if n is not None else math.nan for n, t in zip(computed, targets)],
+        [n == t for n, t in zip(computed, targets)], "exact")
 
 
 def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
@@ -375,21 +378,30 @@ def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) 
     return _eps_batch(ctx, H, [chi.index], [peak], eps)[0]
 
 
-def _pair_difference_sum(D: list[int], n: int, m: int, row) -> np.ndarray:
-    """The m coefficient counts of sum_{(x, y) in D^2} sum_{e in row(y - x mod n)} zeta_m^e
-    (-1 for zero terms): sum_d pairs(d) hist(row(d)), pairs the cyclic autocorrelation
-    of D's indicator, rows counted in chunks of at most HISTOGRAM_CELLS cells."""
-    ind = np.bincount(D, minlength=n)
-    lags = np.correlate(ind, ind, "full")  # lag k in (-n, n) at index n - 1 + k
-    lags[n:] += lags[:n - 1]
-    pairs = lags[n - 1:]
-    d = np.flatnonzero(pairs)
-    counts = np.zeros(m, dtype=np.int64)
+def _pair_difference_sum(dsets: list[list[int]], n: int, m: int, row) -> np.ndarray:
+    """Row i holds the m coefficient counts of
+    sum_{(x, y) in D^2} sum_{e in row(y - x mod n)} zeta_m^e (-1 for zero terms) for
+    the i-th set D of residues mod n: sum_d pairs(d) hist(row(d)), pairs the cyclic
+    autocorrelation of D's indicator.  Each difference d that any set has is counted
+    once for all of them, in chunks of at most HISTOGRAM_CELLS cells, with one
+    (sets x chunk) @ (chunk x m) product per chunk.
+
+    The products run in float64 (BLAS) and are exact: a row(d) holds at most n
+    terms, so every count and partial sum is at most |D|^2 n <= n^3, below 2^53 for
+    every order that require_exact_order lets through, which callers check first."""
+    pairs = np.empty((len(dsets), n))
+    for i, D in enumerate(dsets):
+        ind = np.bincount(D, minlength=n)
+        lags = np.correlate(ind, ind, "full")  # lag k in (-n, n) at index n - 1 + k
+        pairs[i] = lags[n - 1:]
+        pairs[i, 1:] += lags[:n - 1]
+    d = np.flatnonzero(pairs.any(axis=0))
+    counts = np.zeros((len(dsets), m))
     step = max(1, HISTOGRAM_CELLS // n)
     for lo in range(0, len(d), step):
         chunk = d[lo:lo + step]
-        counts += pairs[chunk] @ exponent_histogram(row(chunk), m)
-    return counts
+        counts += pairs[:, chunk] @ exponent_histogram(row(chunk), m).astype(np.float64)
+    return counts.astype(np.int64)
 
 
 def _as_integers(reduced: np.ndarray) -> list[int | None]:
@@ -423,40 +435,55 @@ def eq2_certificate(c: np.ndarray) -> bool:
     return bool(np.all(c[1:] == c[1]))
 
 
-def check_eq2_identities(ctx: FieldCtx, chis, D, D_index: int | None = None) -> Batch:
-    """One eq2 verdict per nonprincipal character in chis, as one batch, for the
-    same set D (its suite index D_index, if given, goes into the params).
+def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
+    """One eq2 verdict per (D, chi) row, as one batch: sets lists (D, chis) pairs,
+    and each set D gives one row per nonprincipal character in chis, D-major.
+    D_index, if given, holds each set's suite index, which goes into the params.
 
     chi_j(x+a) conj chi_j(y+a) = zeta_m^(j (dlog(x+a) - dlog(y+a))), so one
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
-    sum.  When eq2_certificate(c) holds, every sum is c(0) - c(1).  Otherwise
-    character j's sum is c pushed forward by t -> jt mod m and reduced."""
-    _require_nonprincipal(*chis)
+    sum for a set D; one _pair_difference_sum counts c for all the sets.  When
+    eq2_certificate(c) holds, every sum is c(0) - c(1).  Otherwise character j's
+    sum is c pushed forward by t -> jt mod m and reduced."""
     p = ctx.p
     m = p - 1
-    Ds = sorted({d % p for d in D})
-    if not Ds:
-        raise ValueError("D must be nonempty")
-    if 0 in Ds:
-        raise ZeroInD("D must be a subset of the nonzero residues")
+    dsets = []
+    for D, chis in sets:
+        _require_nonprincipal(*chis)
+        Ds = sorted({d % p for d in D})
+        if not Ds:
+            raise ValueError("D must be nonempty")
+        if 0 in Ds:
+            raise ZeroInD("D must be a subset of the nonzero residues")
+        dsets.append(Ds)
     require_exact_order(m)
 
     def row(d):  # the pair's terms at b = x + a: dlog b - dlog(b + d) over b in F_p
         e = ctx.dlog[(np.arange(p) + d[:, None]) % p]  # dlog[0] = -1: chi(0) = 0
         return np.where((ctx.dlog >= 0) & (e >= 0), (ctx.dlog - e) % m, -1)
 
-    c = _pair_difference_sum(Ds, p, m, row)
-    if eq2_certificate(c):
-        computed = [int(c[0] - c[1])] * len(chis)
-    else:
-        t = np.flatnonzero(c)
-        J = np.array([chi.index for chi in chis], dtype=np.int64)
-        computed = [n for _, reduced in _pushed_forward(m, J, t, c[t])
-                    for n in _as_integers(reduced)]
-    params = {"p": p, "chi": [chi.index for chi in chis], "D_size": len(Ds)}
+    computed = []
+    for (_, chis), c in zip(sets, _pair_difference_sum(dsets, p, m, row)):
+        if eq2_certificate(c):
+            computed += [int(c[0] - c[1])] * len(chis)
+        else:
+            t = np.flatnonzero(c)
+            J = np.array([chi.index for chi in chis], dtype=np.int64)
+            computed += [n for _, reduced in _pushed_forward(m, J, t, c[t])
+                         for n in _as_integers(reduced)]
+    rows = [len(chis) for _, chis in sets]  # a set's params repeat on each of its rows
+    sizes = np.repeat([len(Ds) for Ds in dsets], rows)
+    params = {"p": p, "chi": [chi.index for _, chis in sets for chi in chis],
+              "D_size": sizes.tolist()}
     if D_index is not None:
-        params["D_index"] = D_index
-    return _identity_verdicts("eq2", params, computed, p * len(Ds) - len(Ds) ** 2)
+        params["D_index"] = np.repeat(D_index, rows).tolist()
+    return _identity_verdicts("eq2", params, computed, (p * sizes - sizes**2).tolist())
+
+
+def check_eq2_identities(ctx: FieldCtx, chis, D) -> Batch:
+    """One eq2 verdict per nonprincipal character in chis, as one batch, for the
+    same set D."""
+    return _eq2_batch(ctx, [(D, chis)])
 
 
 def check_eq2_identity(ctx: FieldCtx, chi: Character, D) -> Verdict:
@@ -546,22 +573,30 @@ def check_shkredov_bound(ctx: FieldCtx, H: Subgroup, base: Verdict | None = None
 # exact identity for exponential sums over a general modulus q
 # ---------------------------------------------------------------------------
 
-def check_konyagin(q: int, D, D_index: int | None = None) -> Verdict:
-    """sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2 = |D|(q - |D|), exactly (D's suite
-    index D_index, if given, goes into the params)."""
+def _konyagin_batch(q: int, dsets: list, D_index: list | None = None) -> Batch:
+    """sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2 = |D|(q - |D|), exactly, one verdict
+    per set D in dsets, as one batch; one _pair_difference_sum counts every set.
+    D_index, if given, holds each set's suite index, which goes into the params."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
-    Ds = sorted({x % q for x in D})
-    if not Ds:
+    dsets = [sorted({x % q for x in D}) for D in dsets]
+    if not all(dsets):
         raise ValueError("D must be nonempty")
     require_exact_order(q)
     # e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, over the columns a in [1, q)
-    computed = _as_integers(reduce_counts([_pair_difference_sum(
-        Ds, q, q, lambda d: exp_sum_exponents(q, -d, np.arange(1, q)))]))
-    params = {"q": q, "D_size": len(Ds)}
+    counts = _pair_difference_sum(dsets, q, q,
+                                  lambda d: exp_sum_exponents(q, -d, np.arange(1, q)))
+    sizes = [len(D) for D in dsets]
+    params = {"q": q, "D_size": sizes}
     if D_index is not None:
         params["D_index"] = D_index
-    return _identity_verdicts("konyagin", params, computed, len(Ds) * (q - len(Ds)))[0]
+    return _identity_verdicts("konyagin", params, _as_integers(reduce_counts(counts)),
+                              [s * (q - s) for s in sizes])
+
+
+def check_konyagin(q: int, D) -> Verdict:
+    """sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2 = |D|(q - |D|), exactly."""
+    return _konyagin_batch(q, [D])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +810,12 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     def granville(H: Subgroup) -> Verdict:  # one verdict per H, shared with shkredov
         return check_granville(ctx, H)
 
-    def eq2():  # one batch per set D, over the characters that the budget keeps
+    def eq2():  # one batch of the (D, character) rows that the budget keeps, D-major
         rng = seeded_rng(seed, p, "eq2")
         dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
-        left = budget
-        for i, D in enumerate(dsets):
-            yield check_eq2_identities(ctx, nontrivial[:left], D, D_index=i)
-            left -= len(nontrivial)
+        kept = [(D, nontrivial[:budget - i * len(nontrivial)]) for i, D in enumerate(dsets)
+                if i * len(nontrivial) < budget]
+        yield _eq2_batch(ctx, kept, list(range(len(kept))))
 
     def lemma3():  # five instances per drawn character, drawn in order; one batch
         rng = seeded_rng(seed, p, "lemma3")
@@ -829,14 +863,16 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
 
 
 def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Batch]:
-    """Every claim's batches at the modulus n: konyagin's for q = n (one verdict
-    per set D), then the other claims' when n is an odd prime (_suite_for_prime)."""
+    """Every claim's batches at the modulus n: konyagin's for q = n (one batch over
+    the sets D that the budget keeps), then the other claims' when n is an odd
+    prime (_suite_for_prime)."""
+    def konyagin():
+        dsets = random_subsets(n, 10, seeded_rng(seed, n, "konyagin"))[:budget]
+        yield _konyagin_batch(n, dsets, list(range(len(dsets))))
+
     batches = []
     if "konyagin" in claims:
-        dsets = random_subsets(n, 10, seeded_rng(seed, n, "konyagin"))
-        batches = _first("konyagin", {"q": n},
-                         (Batch.of(check_konyagin(n, D, D_index=i)) for i, D in enumerate(dsets)),
-                         budget)
+        batches = _first("konyagin", {"q": n}, konyagin(), budget)
     prime_claims = tuple(c for c in claims if c != "konyagin")
     if prime_claims and n > 2 and is_prime(n):
         batches += _suite_for_prime(n, prime_claims, seed, budget)

@@ -5,6 +5,7 @@ import json
 import lzma
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -451,6 +452,39 @@ class TestTable:
         code, out, err = run(capsys, "table", "--input", str(src))
         assert code == 2 and out == ""
         assert err.startswith("charsum table:") and reason in err
+
+    @pytest.mark.parametrize("last, reason", [
+        ("not json", "cannot read"),
+        ("[1]", "every line must be a JSON object"),
+        ('{"claim": "eq2", "pass": true}', "pass must be true or false, got 1"),
+    ])
+    def test_every_line_is_read_before_a_record_fault(self, capsys, tmp_path, last, reason):
+        # the first record's bad pass is reported only if no later line is worse
+        src = tmp_path / "v.jsonl"
+        src.write_text(f'{{"claim": "eq2", "pass": 1}}\n{{"claim": "eq2"}}\n{last}\n')
+        code, out, err = run(capsys, "table", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("charsum table:") and reason in err
+
+    def test_verify_summary_is_counted_line_by_line(self, tmp_path):
+        # 20 000 verify records: held as dicts they would take tens of MB
+        record = {"claim": "thm2", "computed": "1.5", "kind": "verdict", "margin": 0.5,
+                  "mode": "numeric", "note": "", "params": {"p": 7, "chi": 1, "H": 3},
+                  "pass": True, "target": "2.0"}
+        src = tmp_path / "v.jsonl"
+        with open(src, "w") as f:
+            for claim in ("eq2", "thm2") * 10_000:
+                f.write(json.dumps({**record, "claim": claim}) + "\n")
+        out = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            assert main(["table", "--input", str(src), "--out", str(out)]) == 0
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().splitlines()[1:] == ["eq2,10000,10000,0,1.0",
+                                                    "thm2,10000,10000,0,1.0"]
+        assert peak_bytes <= 2e6
 
     @pytest.mark.parametrize("value, shown", [('"false"', "'false'"), ("0", "0"), ("1", "1"),
                                               ("null", "None")])

@@ -4,7 +4,8 @@ single-character coset-row reading against the FFT correlation and the per-shift
 engines, the exact histogram kernel against numeric mode and against sums of
 CycInt products, the exact bilinear convolution against the term-by-term grid
 sum, eq2's and konyagin's pair-difference rows against the |D|^2-pair grid (on a
-corrupted dlog too), the batched eq2 push-forward against per-character
+corrupted dlog too), each row of their one count for several sets against that
+set's grid and one-set call, the batched eq2 push-forward against per-character
 histograms, the suite's batched verdicts (budgeted too) and lemma3's stacked FFT
 against the standalone checkers and bilinear forms, and each identity's
 certificate against its per-character fallback, on primes p <= 211."""
@@ -34,7 +35,14 @@ from charsum.engines import (
     shifted_sum,
     shifted_values_all,
 )
-from charsum.field import coset_shift_rows, make_ctx, primes_in, subgroup_of_order, subgroups
+from charsum.field import (
+    coset_shift_rows,
+    is_prime,
+    make_ctx,
+    primes_in,
+    subgroup_of_order,
+    subgroups,
+)
 from charsum.values import Weights, numeric_sums, roots
 from charsum.verifier import (
     check_eps_corollary,
@@ -324,6 +332,73 @@ def test_eq2_pair_differences_equal_grid(inst):
                       lambda: check_eq2_identities(ctx, [character(ctx, 1)], D))
     E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
     assert np.array_equal(c, pair_difference_grid(E, p - 1))
+
+
+def _returned_by(name, call):
+    """call()'s result, and what its first call of verifier.<name> returned."""
+    seen = []
+    real = getattr(verifier, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, name, lambda *args: seen.append(real(*args)) or seen[-1])
+        result = call()
+    return result, seen[0]
+
+
+@cross_path
+@given(st.sampled_from(list(primes_in(3, 211))).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(subsets(p), min_size=2, max_size=5),
+    st.none() | st.sets(st.integers(1, p - 1), min_size=2, max_size=2))))
+def test_eq2_shared_count_equals_each_sets_own(inst):
+    """The count matrix of several sets at one p: each row equals that set's
+    |D|^2-pair grid and the count of the one-set call, and the batch equals the
+    one-set calls, on a true dlog and on one with two entries swapped (where
+    the certificate fails for most sets and the push-forward runs)."""
+    p, dsets, swap = inst
+    ctx = make_ctx(p) if swap is None else corrupted_ctx(p, *swap)
+    chis = [character(ctx, j) for j in (1, p - 2)]
+    batch, C = _returned_by("_pair_difference_sum", lambda: verifier._eq2_batch(
+        ctx, [(D, chis) for D in dsets]))
+    assert C.shape == (len(dsets), p - 1)
+    alone = []
+    for D, c in zip(dsets, C):
+        E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
+        assert np.array_equal(c, pair_difference_grid(E, p - 1))
+        one, own = _handed_to("eq2_certificate", lambda: check_eq2_identities(ctx, chis, D))
+        assert np.array_equal(c, own)
+        alone += [v.to_record() for v in one]
+    assert [v.to_record() for v in batch] == alone
+
+
+def test_eq2_shared_count_takes_the_fallback_on_a_corrupted_dlog():
+    """The swapped dlog at p = 31 leaves one set certified and the rest on the
+    push-forward route, in one batch; each verdict equals its one-set call."""
+    ctx = corrupted_ctx(31, 2, 7)
+    chis = [character(ctx, j) for j in range(1, 30)]
+    dsets = [[5], [1, 2], [3, 4, 9], list(range(1, 16))]
+    batch, C = _returned_by("_pair_difference_sum", lambda: verifier._eq2_batch(
+        ctx, [(D, chis) for D in dsets]))
+    assert [verifier.eq2_certificate(c) for c in C] == [True, False, False, False]
+    alone = [v.to_record() for D in dsets for v in check_eq2_identities(ctx, chis, D)]
+    assert [v.to_record() for v in batch] == alone
+    assert not all(v.passed for v in batch)
+
+
+@cross_path
+@given(st.sampled_from([q for q in range(4, 101) if not is_prime(q)]).flatmap(
+    lambda q: st.tuples(st.just(q), st.lists(subsets(q, lo=0), min_size=2, max_size=5))))
+def test_konyagin_shared_count_equals_each_sets_own(inst):
+    """The count matrix of several sets at one composite q, each holding 0: each
+    row equals that set's |D|^2-pair grid and the count of the one-set call, and
+    the batch equals the one-set calls."""
+    q, dsets = inst
+    dsets = [sorted({0, *D}) for D in dsets]
+    batch, C = _returned_by("_pair_difference_sum", lambda: verifier._konyagin_batch(q, dsets))
+    assert C.shape == (len(dsets), q)
+    for D, c, v in zip(dsets, C, batch):
+        assert np.array_equal(c, pair_difference_grid(exp_sum_exponents(q, D, np.arange(1, q)), q))
+        one, (own,) = _handed_to("reduce_counts", lambda: check_konyagin(q, D))
+        assert np.array_equal(c, own)
+        assert v == one
 
 
 @cross_path

@@ -507,17 +507,25 @@ class TestRunSuite:
         assert [v.to_record() for v in vs] == [full[p, "0:0"] for p in primes]
 
     def test_eq2_checks_only_kept_characters(self, monkeypatch):
-        checked = []
-        batch = verifier.check_eq2_identities
+        # the suite hands eq2's builder the kept (D, characters) rows; only the
+        # sets that keep a row are counted
+        checked, counted = [], []
+        batch, count = verifier._eq2_batch, verifier._pair_difference_sum
 
-        def spy(ctx, chis, D, D_index=None):
-            checked.extend((chi.index, D_index) for chi in chis)
-            return batch(ctx, chis, D, D_index)
+        def spy(ctx, sets, D_index=None):
+            checked.extend((chi.index, i) for (_, chis), i in zip(sets, D_index) for chi in chis)
+            return batch(ctx, sets, D_index)
 
-        monkeypatch.setattr(verifier, "check_eq2_identities", spy)
+        def count_spy(dsets, n, m, row):
+            counted.append(len(dsets))
+            return count(dsets, n, m, row)
+
+        monkeypatch.setattr(verifier, "_eq2_batch", spy)
+        monkeypatch.setattr(verifier, "_pair_difference_sum", count_spy)
         vs = run_suite(13, 13, claims=["eq2"], seed=5, budget=30)
         assert sorted(checked) == sorted((v.params["chi"], v.params["D_index"]) for v in vs)
         assert len(checked) == 30
+        assert counted == [math.ceil(30 / (13 - 2))]
 
     def test_konyagin_output_does_not_depend_on_workers(self):
         one = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=1)
