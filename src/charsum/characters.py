@@ -40,10 +40,7 @@ class Character:
 
     def eval(self, x: int, mode: str = EXACT) -> SumValue:
         """chi(x), read in mode as every engine sum is (chi(0) = 0)."""
-        p = self.ctx.p
-        x %= p
-        e = (self.index * int(self.ctx.dlog[x])) % (p - 1) if x else -1
-        return read(p - 1, mode, [e])
+        return read(self.ctx.p - 1, mode, self.exponents(np.array([x % self.ctx.p])))
 
     def conjugate(self) -> "Character":
         m = self.ctx.p - 1
@@ -53,12 +50,16 @@ class Character:
         """chi(x) for every residue x as a complex vector of length p (table[0] = 0)."""
         return roots(self.exponent_table(), self.ctx.p - 1)
 
+    def exponents(self, x: np.ndarray) -> np.ndarray:
+        """Exponent e with chi(x) = zeta_m^e at each residue x in [0, p-1] of the
+        integer array x, read from dlog; entry -1 marks x = 0."""
+        e = self.index * self.ctx.dlog[x] % (self.ctx.p - 1)
+        e[x == 0] = -1
+        return e
+
     def exponent_table(self) -> np.ndarray:
         """Exponent e with chi(x) = zeta_m^e for x in [0, p-1]; entry -1 marks x = 0."""
-        m = self.ctx.p - 1
-        e = (self.index * self.ctx.dlog) % m
-        e[0] = -1
-        return e
+        return self.exponents(np.arange(self.ctx.p))
 
 
 def character(ctx: FieldCtx, j: int) -> Character:

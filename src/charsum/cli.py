@@ -288,6 +288,8 @@ def _table(name: str, records) -> tuple[list, list]:
             ]
         except KeyError as e:
             raise CharsumError(f"{name}: a record lacks the key {e}")
+        except TypeError as e:
+            raise CharsumError(f"{name}: records cannot be ordered by p and sum_kind ({e})")
 
     summary: dict[str, dict] = {}
     objects = True
@@ -299,12 +301,14 @@ def _table(name: str, records) -> tuple[list, list]:
             try:
                 if not isinstance(r["pass"], bool):
                     raise CharsumError(f"{name}: pass must be true or false, got {r['pass']!r}")
+                if not isinstance(r["claim"], str):
+                    raise CharsumError(f"{name}: claim must be a string, got {r['claim']!r}")
                 s = summary.setdefault(r["claim"],
                                        {"verdicts": 0, "passes": 0, "capacity_skips": 0})
                 s["verdicts"] += 1
                 s["passes"] += r["pass"]
                 s["capacity_skips"] += r.get("kind") == "capacity"
-            except (CharsumError, KeyError, TypeError) as e:
+            except (CharsumError, KeyError) as e:
                 fault = e
     if not objects:
         raise CharsumError(f"{name}: every line must be a JSON object")

@@ -47,8 +47,12 @@ def _terms(x, *params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def shifted_exponents(ctx: FieldCtx, chi: Character, D, a) -> np.ndarray:
-    """Exponents of chi(x + a), x in D."""
-    return chi.exponent_table()[(_terms(D, a) + _mod(a, ctx.p)) % ctx.p]
+    """Exponents of chi(x + a), x in D, read at just those residues: with D and a
+    reduced mod p once, x + a < 2p wraps by one subtraction."""
+    p = ctx.p
+    x = _terms(_mod(D, p), a) + _mod(a, p)
+    np.subtract(x, p, out=x, where=x >= p)
+    return chi.exponents(x)
 
 
 def shifted_sum(ctx: FieldCtx, chi: Character, D, a: int, mode: str = "auto") -> SumValue:

@@ -29,6 +29,9 @@ FULL_GRID_MAX_P = 101
 SAMPLE_SIZE = 1000
 
 
+# cells of one chunk of problem 1's sums: each chunk's temporaries stay near 128 KB
+SUM_CELLS = 1 << 14
+
 # the keys of every scan record, the columns of scan's csv
 RECORD_KEYS = ("H_order", "achiever", "kind", "order_ratio", "p", "problem", "stat", "sum_kind",
                "tuples")
@@ -52,21 +55,37 @@ def _peak_record(ctx, H, problem: str, sum_kind: str, mags: np.ndarray, achiever
     }
 
 
+def _chunks(n: int, rows: int) -> list[slice]:
+    """[0, n) cut into even slices of at most SUM_CELLS / rows entries, each at
+    least two long unless n is 1: numpy sums one column pairwise, not term by term
+    as it sums wider ones, so a lone column would change the bits."""
+    count = max(1, min(n // 2, -(-n // max(2, SUM_CELLS // rows))))
+    q, r = divmod(n, count)
+    starts = [i * q + min(i, r) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
 def scan_problem1(p: int, seed: int = 0) -> list[dict]:
     """max over nonzero shifts of |sum_{x in H} chi(x+a)| / sqrt(p), quadratic chi.
 
     S(ah) = chi(h) S(a) for h in H, so |S| is read once per coset of H, at the
-    representatives g^i; the achiever is the smallest shift in any coset that
-    attains the peak."""
+    representatives g^i, in chunks of cosets; the achiever is the smallest shift in
+    any coset that attains the peak.  Each column of a chunk sums its terms in the
+    same order as the whole grid would, so the chunking leaves the bits alone."""
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
     chi = quadratic_character(ctx)
     reps = ctx.exp[:H.index]
-    mags = np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, reps), p - 1))
+    mags = np.empty(H.index)
+    for cols in _chunks(H.index, H.order):
+        mags[cols] = np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, reps[cols]),
+                                         p - 1))
 
     def achiever(i):
-        return {"chi": chi.index,
-                "a": int((np.outer(reps[mags == mags[i]], H.elements) % p).min())}
+        tied = reps[mags == mags[i]]
+        a = min((np.outer(tied[rows], H.elements) % p).min()
+                for rows in _chunks(len(tied), H.order))
+        return {"chi": chi.index, "a": int(a)}
 
     return [_peak_record(ctx, H, "1", "shifted", mags, achiever, p - 1)]
 

@@ -319,6 +319,18 @@ class TestScanCmd:
         expected = DATA_DIR / f"scan{problem}.p3-101.seed3.jsonl"
         assert out_file.read_bytes() == expected.read_bytes()
 
+    def test_problem1_equals_stored_reference(self, capsys, tmp_path):
+        """Problem 1, byte for byte, against a stored run over a range holding
+        100043 and 100103, where H has order 2 and about 25 000 cosets tie for
+        the peak: the chunked sums and the achiever's chunked minimum must give
+        the unchunked grid's bits."""
+        out_file = tmp_path / "s.jsonl"
+        code, _, _ = run(capsys, "scan", "--problem", "1", "--p-min", "100000",
+                         "--p-max", "100150", "--out", str(out_file))
+        assert code == 0
+        expected = DATA_DIR / "scan1.p100000-100150.jsonl"
+        assert out_file.read_bytes() == expected.read_bytes()
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--p-max", "13", "--budget", "0"],
@@ -465,6 +477,24 @@ class TestTable:
         code, out, err = run(capsys, "table", "--input", str(src))
         assert code == 2 and out == ""
         assert err.startswith("charsum table:") and reason in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"claim": ["x"], "pass": true}\n', "claim must be a string, got ['x']"),
+        ('{"claim": 3, "pass": true}\n{"claim": "eq2", "pass": true}\n',
+         "claim must be a string, got 3"),
+        ('{"kind": "scan", "p": 7, "problem": "1", "sum_kind": "shifted", "H_order": 3, '
+         '"order_ratio": 1.1, "stat": 0.4, "tuples": 6, "achiever": {"a": 1}}\n'
+         '{"kind": "scan", "p": "5", "problem": "1", "sum_kind": "shifted", "H_order": 2, '
+         '"order_ratio": 0.9, "stat": 0.4, "tuples": 4, "achiever": {"a": 1}}\n',
+         "records cannot be ordered by p and sum_kind"),
+    ])
+    def test_bad_record_values_are_usage_errors(self, capsys, tmp_path, text, reason):
+        # each once raised a TypeError out of main: a traceback and exit 1
+        src = tmp_path / "bad.jsonl"
+        src.write_text(text)
+        code, out, err = run(capsys, "table", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith(f"charsum table: {src}: ") and reason in err
 
     def test_verify_summary_is_counted_line_by_line(self, tmp_path):
         # 20 000 verify records: held as dicts they would take tens of MB

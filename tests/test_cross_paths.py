@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charsum import verifier
+from charsum import scan, verifier
 from charsum.characters import character
 from charsum.cyclo import CycInt, reduce_counts
 from charsum.engines import (
@@ -146,6 +146,56 @@ def test_coset_nonlinear_equals_per_shift_sum(inst):
     _, peaks = character_sum_moduli(ctx, nonlinear_rows(ctx, H))
     assert abs(peaks[chi.index] - every_shift) <= TOL
     assert abs(check_nonlinear_bound_all_shifts(ctx, chi, H).computed - every_shift) <= TOL
+
+
+def test_exponents_at_residues_equal_the_table():
+    # residue arrays of several shapes, each holding 0, in any order and repeated;
+    # the reference reads chi_j(g^t) = zeta^(jt) off the power table, not dlog
+    rng = np.random.default_rng(11)
+    for p in SMALL_PRIMES:
+        ctx = make_ctx(p)
+        m = p - 1
+        for x in (np.arange(p), np.append(0, rng.integers(0, p, size=20)).reshape(3, 7),
+                  rng.permutation(np.repeat(np.arange(p), 2)).reshape(2, p, 1)):
+            for j in range(m):
+                chi = character(ctx, j)
+                table = np.full(p, -1)
+                table[ctx.exp] = j * np.arange(m) % m
+                assert np.array_equal(chi.exponent_table(), table)
+                assert np.array_equal(chi.exponents(x), table[x])
+
+
+@pytest.mark.parametrize("p", [3, 7, 103, 1019, 4003, 10037])
+@pytest.mark.parametrize("j", ["quadratic", 1])
+def test_scan_problem1_chunks_leave_the_records_alone(p, j, monkeypatch):
+    # 1019 = 2 * 509 + 1: H has order 2 and many cosets tie for the peak; one
+    # chunk (SUM_CELLS >= p) is the whole (|H|, k) grid of the unchunked reading.
+    # The quadratic character's |S| is an integer in any term order; a primitive
+    # character's moves with it, so only it shows a chunk that sums out of order
+    if j != "quadratic":
+        monkeypatch.setattr(scan, "quadratic_character", lambda ctx: character(ctx, j))
+    records = []
+    for cells in (1, 1 << 14, 2 * p):
+        monkeypatch.setattr(scan, "SUM_CELLS", cells)
+        records.append(scan.scan_problem1(p))
+    assert records[0] == records[1] == records[2]
+
+
+@cross_path
+@given(instances(), st.integers(-3, 3), st.integers(-3, 3))
+def test_unreduced_shifted_sum_equals_reduced(inst, wrap_D, wrap_a):
+    # D and a moved by multiples of p, negative ones too, name the same residues
+    ctx, chi, H, a = inst
+    p = ctx.p
+    D = H.elements
+    moved_D = D + p * wrap_D * np.arange(1, len(D) + 1)
+    moved_a = a + p * wrap_a
+    assert np.array_equal(shifted_exponents(ctx, chi, moved_D, moved_a),
+                          shifted_exponents(ctx, chi, D, a))
+    for mode in ("exact", "numeric"):
+        got = shifted_sum(ctx, chi, moved_D, moved_a, mode)
+        want = shifted_sum(ctx, chi, D, a, mode)
+        assert (got.exact, got.numeric) == (want.exact, want.numeric)
 
 
 def _same_bits(got, exponents, m: int) -> None:
