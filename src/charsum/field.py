@@ -119,10 +119,14 @@ def make_ctx(p: int) -> FieldCtx:
     B = math.isqrt(p - 2) + 1  # ceil(sqrt(p - 1))
     small = np.array(_powers(g, B, p), dtype=np.int64)
     big = np.array(_powers(pow(g, B, p), -(-(p - 1) // B), p), dtype=np.int64)
-    exp = ((big[:, None] * small[None, :]) % p).ravel()[: p - 1]
+    # The product is reduced in place, and dlog is filled from an int32 arange
+    # (p <= MAX_P fits): two p-length int64 tables and no other p-length int64.
+    table = np.multiply.outer(big, small)
+    np.remainder(table, p, out=table)
+    exp = table.ravel()[: p - 1]
     dlog = np.empty(p, dtype=np.int64)
     dlog[0] = -1
-    dlog[exp] = np.arange(p - 1, dtype=np.int64)
+    dlog[exp] = np.arange(p - 1, dtype=np.int32)
     return FieldCtx(p=p, g=g, dlog=dlog, exp=exp,
                     divisors=divisors_from_factorization(fac), factorization=fac)
 

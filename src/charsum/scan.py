@@ -12,12 +12,7 @@ import math
 import numpy as np
 
 from .characters import quadratic_character
-from .engines import (
-    inverse_shift_exponents,
-    kloosterman_exponents,
-    product_exponents,
-    shifted_exponents,
-)
+from .engines import inverse_shift_exponents, kloosterman_exponents, product_exponents
 from .field import make_ctx, primes_in, require_table_cap, subgroup_near_sqrt
 from .values import numeric_sums
 from .verifier import map_tasks, seeded_rng
@@ -29,7 +24,7 @@ FULL_GRID_MAX_P = 101
 SAMPLE_SIZE = 1000
 
 
-# cells of one chunk of problem 1's sums: each chunk's temporaries stay near 128 KB
+# cells of one chunk of problem 1's counts: each chunk's temporaries stay near 128 KB
 SUM_CELLS = 1 << 14
 
 # the keys of every scan record, the columns of scan's csv
@@ -57,29 +52,47 @@ def _peak_record(ctx, H, problem: str, sum_kind: str, mags: np.ndarray, achiever
 
 def _chunks(n: int, rows: int) -> list[slice]:
     """[0, n) cut into even slices of at most SUM_CELLS / rows entries, each at
-    least two long unless n is 1: numpy sums one column pairwise, not term by term
-    as it sums wider ones, so a lone column would change the bits."""
+    least two long unless n is 1, so that a slice of rows x entries bounds the
+    temporaries built from it."""
     count = max(1, min(n // 2, -(-n // max(2, SUM_CELLS // rows))))
     q, r = divmod(n, count)
     starts = [i * q + min(i, r) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
 
 
+def quadratic_coset_sums(ctx, H) -> np.ndarray:
+    """S(g^i) = sum_{x in H} chi(x + g^i) for the quadratic chi, at the k = (p-1)/|H|
+    coset representatives g^i of H, as int64 counts: the residues among H + g^i
+    less the non-residues.
+
+    chi is read from a table of signs (0 at 0, +1 at the even powers of g, -1 at
+    the odd ones), laid twice end to end so that x + g^i < 2p needs no reduction,
+    in chunks of cosets, which bound the temporaries; integer sums are exact in
+    any order, so the chunking does not change them."""
+    p = ctx.p
+    sign = np.zeros(2 * p, dtype=np.int8)
+    sign[ctx.exp[0::2]] = 1
+    sign[ctx.exp[1::2]] = -1
+    sign[p:] = sign[:p]
+    h = np.array(H.elements, dtype=np.int64)[:, None]
+    reps = ctx.exp[:H.index]
+    sums = np.empty(H.index, dtype=np.int64)
+    for cols in _chunks(H.index, H.order):
+        sums[cols] = sign[h + reps[cols]].sum(axis=0, dtype=np.int64)
+    return sums
+
+
 def scan_problem1(p: int, seed: int = 0) -> list[dict]:
     """max over nonzero shifts of |sum_{x in H} chi(x+a)| / sqrt(p), quadratic chi.
 
     S(ah) = chi(h) S(a) for h in H, so |S| is read once per coset of H, at the
-    representatives g^i, in chunks of cosets; the achiever is the smallest shift in
-    any coset that attains the peak.  Each column of a chunk sums its terms in the
-    same order as the whole grid would, so the chunking leaves the bits alone."""
+    representatives g^i, as exact integer counts; the achiever is the smallest
+    shift in any coset that attains the peak, found in chunks of tied cosets."""
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
     chi = quadratic_character(ctx)
     reps = ctx.exp[:H.index]
-    mags = np.empty(H.index)
-    for cols in _chunks(H.index, H.order):
-        mags[cols] = np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, reps[cols]),
-                                         p - 1))
+    mags = np.abs(quadratic_coset_sums(ctx, H))
 
     def achiever(i):
         tied = reps[mags == mags[i]]

@@ -51,8 +51,14 @@ def roots(exponents, m: int) -> np.ndarray:
 
 
 def numeric_sums(exponents, m: int, weights=None) -> np.ndarray:
-    """sum_i w_i exp(2 pi i e_i / m) over axis 0 (in order, term by term, when there
-    are trailing axes), for every index of the trailing axes; weights default to 1."""
+    """sum_i w_i exp(2 pi i e_i / m) over axis 0, for every index of the trailing
+    axes; weights default to 1.
+
+    numpy adds the terms in order, a row at a time, when the trailing axes hold two
+    or more entries, and pairwise when they hold one (a vector, or an (n, 1)
+    column), so a sum's last bits depend on the shape of the call it is in.  The
+    one-sum reads (values.read, behind shifted_sum and the other engine sums) and
+    verifier.check_nonlinear_bound_all_shifts at index k = 1 get the pairwise bits."""
     terms = roots(exponents, m)
     if weights is not None:
         terms *= weights

@@ -612,7 +612,7 @@ def _lemma3_batch(ctx: FieldCtx, chis: list, xi: np.ndarray, eta: np.ndarray, sh
     p = ctx.p
     _require_nonprincipal(*chis)
     _require_coprime_shift(p, *shifts)
-    table_of = {chi.index: chi.value_table() for chi in chis}
+    table_of = {j: chi.value_table() for j, chi in {chi.index: chi for chi in chis}.items()}
     tables = np.array([table_of[chi.index] for chi in chis])
     S = bilinear_sums(ctx, tables, xi, eta, shifts, twist=False)
     Sp = bilinear_sums(ctx, tables, xi, eta, shifts, twist=True)

@@ -331,6 +331,16 @@ class TestScanCmd:
         expected = DATA_DIR / "scan1.p100000-100150.jsonl"
         assert out_file.read_bytes() == expected.read_bytes()
 
+    def test_problem1_small_primes_equal_stored_reference(self, capsys, tmp_path):
+        """Problem 1, byte for byte, against a stored run over every prime up to
+        3000 (429 records), whose |S| was summed from complex roots of unity."""
+        out_file = tmp_path / "s.jsonl"
+        code, _, _ = run(capsys, "scan", "--problem", "1", "--p-min", "3",
+                         "--p-max", "3000", "--out", str(out_file))
+        assert code == 0
+        expected = DATA_DIR / "scan1.p3-3000.jsonl"
+        assert out_file.read_bytes() == expected.read_bytes()
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--p-max", "13", "--budget", "0"],

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charsum import scan, verifier
-from charsum.characters import character
+from charsum.characters import character, quadratic_character
 from charsum.cyclo import CycInt, reduce_counts
 from charsum.engines import (
     bilinear_S,
@@ -40,6 +40,7 @@ from charsum.field import (
     is_prime,
     make_ctx,
     primes_in,
+    subgroup_near_sqrt,
     subgroup_of_order,
     subgroups,
 )
@@ -166,19 +167,30 @@ def test_exponents_at_residues_equal_the_table():
 
 
 @pytest.mark.parametrize("p", [3, 7, 103, 1019, 4003, 10037])
-@pytest.mark.parametrize("j", ["quadratic", 1])
+@pytest.mark.parametrize("j", ["quadratic"])
 def test_scan_problem1_chunks_leave_the_records_alone(p, j, monkeypatch):
     # 1019 = 2 * 509 + 1: H has order 2 and many cosets tie for the peak; one
-    # chunk (SUM_CELLS >= p) is the whole (|H|, k) grid of the unchunked reading.
-    # The quadratic character's |S| is an integer in any term order; a primitive
-    # character's moves with it, so only it shows a chunk that sums out of order
-    if j != "quadratic":
-        monkeypatch.setattr(scan, "quadratic_character", lambda ctx: character(ctx, j))
+    # chunk (SUM_CELLS >= p) is the whole (|H|, k) grid of the unchunked reading
     records = []
     for cells in (1, 1 << 14, 2 * p):
         monkeypatch.setattr(scan, "SUM_CELLS", cells)
         records.append(scan.scan_problem1(p))
     assert records[0] == records[1] == records[2]
+
+
+@pytest.mark.parametrize("p", [3, 7, 103, 1019, 4003, 10037])
+def test_scan_problem1_counts_equal_the_shifted_sums(p):
+    # problem 1's signed counts at every coset representative g^i against the
+    # engine's shifted sum of the quadratic character, numeric and (p <= 103) exact
+    ctx = make_ctx(p)
+    H = subgroup_near_sqrt(ctx)
+    chi = quadratic_character(ctx)
+    counts = scan.quadratic_coset_sums(ctx, H)
+    assert counts.dtype == np.int64 and len(counts) == H.index
+    for a, n in zip(ctx.exp[:H.index].tolist(), counts.tolist()):
+        assert abs(shifted_sum(ctx, chi, H.elements, a, "numeric").magnitude - abs(n)) <= TOL
+        if p <= 103:
+            assert shifted_sum(ctx, chi, H.elements, a, "exact").exact.as_integer() == n
 
 
 @cross_path

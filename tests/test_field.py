@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,19 @@ class TestMakeCtx:
             dlog[x] = t
         assert ctx.exp.dtype == np.int64 and ctx.exp.tolist() == powers
         assert ctx.dlog.dtype == np.int64 and ctx.dlog.tolist() == dlog
+
+    def test_tables_peak_at_two_int64_and_one_int32_array(self):
+        # the power table is reduced in place, exp is its head, and dlog is filled
+        # from an int32 arange: about 8 + 8 + 4 bytes a residue at the peak
+        p = 100_003
+        make_ctx(101)
+        tracemalloc.start()
+        try:
+            make_ctx(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21 * p
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 41, 191])
     def test_smallest_primitive_root(self, p):

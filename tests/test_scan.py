@@ -7,6 +7,7 @@ from charsum.characters import character
 from charsum.engines import (
     inverse_shift_sum,
     kloosterman_over_H,
+    shifted_exponents,
     shifted_product_sum,
     shifted_sum,
     shifted_values_all,
@@ -150,4 +151,17 @@ def test_records_equal_the_direct_formula(problem, monkeypatch):
 
     monkeypatch.setattr(values, "roots", direct)
     assert [scan_prime(problem, p, seed=3) for p in primes] == got
+    if problem == "1":
+        # problem 1 counts residues and reads no root: its peak must be the
+        # formula's over every coset representative, and be reached at the achiever
+        for p, (rec,) in zip(primes, got):
+            ctx = make_ctx(p)
+            H = subgroup_of_order(ctx, rec["H_order"])
+            chi = character(ctx, rec["achiever"]["chi"])
+            sums = values.numeric_sums(
+                shifted_exponents(ctx, chi, H.elements, ctx.exp[:H.index]), p - 1)
+            peak = np.hypot(sums.real, sums.imag).max()
+            assert rec["stat"] == float(peak / math.sqrt(p))
+            a = rec["achiever"]["a"]
+            assert shifted_sum(ctx, chi, H.elements, a, "numeric").magnitude == peak
     assert calls

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from charsum import verifier
-from charsum.characters import character, quadratic_character
+from charsum.characters import Character, character, quadratic_character
 from charsum.cyclo import EXACT_MAX_ORDER, CycInt, cyclotomic_poly
 from charsum.engines import shifted_sum, shifted_values_all
 from charsum.errors import CapacityExceeded, PrincipalCharacter, ShiftNotCoprime, ZeroInD
@@ -505,6 +505,21 @@ class TestRunSuite:
         full = {(v.params["p"], v.params["instance"]): v.to_record()
                 for v in run_suite(3, 31, claims=["lemma3"], seed=0)}
         assert [v.to_record() for v in vs] == [full[p, "0:0"] for p in primes]
+
+    def test_lemma3_builds_one_value_table_per_distinct_character(self, monkeypatch):
+        # lemma3's five instances per drawn character share its value table
+        built = []
+        value_table = Character.value_table
+
+        def spy(chi):
+            built.append((chi.ctx.p, chi.index))
+            return value_table(chi)
+
+        monkeypatch.setattr(Character, "value_table", spy)
+        vs = run_suite(3, 61, claims=["lemma3"], seed=0)
+        used = [(v.params["p"], v.params["chi"]) for v in vs]
+        assert len(built) == len(set(built)) == len(set(used)) < len(used)
+        assert set(built) == set(used)
 
     def test_eq2_checks_only_kept_characters(self, monkeypatch):
         # the suite hands eq2's builder the kept (D, characters) rows; only the
