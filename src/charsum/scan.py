@@ -51,10 +51,9 @@ def _peak_record(ctx, H, problem: str, sum_kind: str, mags: np.ndarray, achiever
 
 
 def _chunks(n: int, rows: int) -> list[slice]:
-    """[0, n) cut into even slices of at most SUM_CELLS / rows entries, each at
-    least two long unless n is 1, so that a slice of rows x entries bounds the
-    temporaries built from it."""
-    count = max(1, min(n // 2, -(-n // max(2, SUM_CELLS // rows))))
+    """[0, n) cut into even slices of at most max(1, SUM_CELLS // rows) entries, so
+    that a slice of rows x entries bounds the temporaries built from it."""
+    count = max(1, -(-n // max(1, SUM_CELLS // rows)))
     q, r = divmod(n, count)
     starts = [i * q + min(i, r) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]

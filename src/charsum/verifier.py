@@ -4,18 +4,16 @@ Identity checkers (eq2, granville, konyagin, kernel) work in exact cyclotomic
 arithmetic and demand margin exactly zero.  Inequality checkers work on
 magnitudes with a fixed absolute tolerance of 1e-9.
 
-Three identity families hold for every nonprincipal character at once, and by
-orthogonality of characters on Z/(p-1) each reduces to one integer statement
-about a character-free dlog histogram: a certificate.  The certificate needs no
-push-forward to the characters and no reduction mod Phi_m.
+Each identity holds for every character at once and reduces to a statement
+about a character-free count, a certificate, which needs no push-forward to the
+characters and no reduction mod Phi_m.  There are two:
 
 - kernel_certificate(ctx): one row per r in F_p of the histogram of
   dlog(ru + 1) - dlog(u + 1) over u has the shape of the kernel's case table;
   this proves every kernel verdict at p (every character, shift and pair).
-- eq2_certificate(c): the pair-difference histogram c of a set D is flat off
-  t = 0, so every character's mean-square sum is c(0) - c(1).
-- granville_certificate(ctx, H): dlog(H) is {0, k, 2k, ...}, so every inner
-  sum over H is |H| or 0.
+- gcd_class_certificate(counts, m): a count c over Z/m is constant on each class
+  {t : gcd(t, m) = g}, so every sum_t c(t) zeta_m^(jt) is an integer (a sum of
+  Ramanujan sums); eq2, granville and konyagin read theirs so, by integer_sums.
 
 When a certificate fails, the checker falls back to the per-character route
 (one exact reduction mod Phi_m per character), which names the failing
@@ -66,6 +64,8 @@ from .field import (
     FieldCtx,
     Subgroup,
     coset_shift_rows,
+    divisors_from_factorization,
+    factorize,
     is_prime,
     make_ctx,
     subgroups,
@@ -404,36 +404,57 @@ def _pair_difference_sum(dsets: list[list[int]], n: int, m: int, row) -> np.ndar
     return counts.astype(np.int64)
 
 
-def _as_integers(reduced: np.ndarray) -> list[int | None]:
-    """Each row of reduce_counts' output as a rational integer, or None if it is not one."""
-    integer = ~reduced[:, 1:].any(axis=1)
-    return [n if ok else None for n, ok in zip(reduced[:, 0].tolist(), integer.tolist())]
+@lru_cache(maxsize=4)
+def _gcd_classes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cls, reps, table) for Z/m, kept for the four latest m: cls[t] = gcd(t, m)
+    mod m names t's gcd class, reps holds g mod m for each divisor g of m, and
+    table[i, j] is the Ramanujan sum c_(m/g_i)(j).  c_n is multiplicative in n,
+    and c_(q^a)(j) = q^a [q^a | j] - q^(a-1) [q^(a-1) | j] for a >= 1."""
+    fac = factorize(m)
+    divs = np.array(divisors_from_factorization(fac), dtype=np.int64)
+    n = m // divs[:, None]
+    j = np.arange(m)
+    table = np.ones((len(divs), m), dtype=np.int64)
+    for q, e in fac.items():
+        qa = np.gcd(n, q**e)  # q^a, a the power of q in n; a = 0 gives a factor 1
+        table *= (j % qa == 0) * qa - (j % np.maximum(qa // q, 1) == 0) * (qa // q)
+    return np.gcd(j, m) % m, divs % m, table
 
 
-def _pushed_forward(m: int, J: np.ndarray, t: np.ndarray, weights=None):
-    """sum_s w_s zeta_m^(j t_s) reduced mod Phi_m for each j in J (weights default to
-    1), as (block of J, its reduce_counts rows) in blocks of at most HISTOGRAM_CELLS
-    cells.  t -> jt keeps sum|w|, so the overflow guard reads the same bound for all j."""
+def gcd_class_certificate(counts: np.ndarray, m: int) -> np.ndarray:
+    """Whether each row c of counts over Z/m is constant on every gcd class.  The t
+    of class g sum zeta_m^(jt) to c_(m/g)(j) (Hardy & Wright, An Introduction to the
+    Theory of Numbers, 16.6), so then sum_t c(t) zeta_m^(jt) = sum_g c(g) c_(m/g)(j)."""
+    return (counts == counts[:, _gcd_classes(m)[0]]).all(axis=1)
+
+
+def _pushed_forward(m: int, J: np.ndarray, t: np.ndarray, w: np.ndarray):
+    """sum_s w_s zeta_m^(j t_s) reduced mod Phi_m for each j in J, as reduce_counts rows
+    in blocks of at most HISTOGRAM_CELLS cells; t -> jt keeps sum|w|, the overflow bound."""
     step = max(1, HISTOGRAM_CELLS // m)
     for lo in range(0, len(J), step):
-        block = J[lo:lo + step]
-        exponents = block[:, None] * t[None, :] % m
-        w = None if weights is None else np.broadcast_to(weights, exponents.shape)
-        yield block, reduce_counts(exponent_histogram(exponents, m, w))
+        exponents = J[lo:lo + step, None] * t[None, :] % m
+        yield reduce_counts(exponent_histogram(exponents, m, np.broadcast_to(w, exponents.shape)))
+
+
+def integer_sums(counts, m: int, J) -> list[list[int | None]]:
+    """sum_t c(t) zeta_m^(jt) for each row c of the int64 counts over Z/m and each j
+    in J (0 <= j < m), as an integer, or None where it is not one.  A row that passes
+    gcd_class_certificate is read off _gcd_classes' table (each term c(g) c_(m/g)(j)
+    is at most the class's sum of |c|); any other is pushed forward and reduced."""
+    J = np.asarray(J, dtype=np.int64)
+    _, reps, table = _gcd_classes(m)
+    sums = (counts[:, reps] @ table[:, J]).tolist()
+    for i in np.flatnonzero(~gcd_class_certificate(counts, m)):
+        t = np.flatnonzero(counts[i])
+        sums[i] = [n if ok else None for reduced in _pushed_forward(m, J, t, counts[i, t])
+                   for n, ok in zip(reduced[:, 0].tolist(), (~reduced[:, 1:].any(axis=1)).tolist())]
+    return sums
 
 
 # ---------------------------------------------------------------------------
 # exact mean-value identity  sum_a |S(a)|^2 = p|D| - |D|^2
 # ---------------------------------------------------------------------------
-
-def eq2_certificate(c: np.ndarray) -> bool:
-    """True when the pair-difference histogram c is flat off t = 0: c(t) = c(1)
-    for every t != 0.  Then sum_t c(t) zeta_m^(jt) = c(0) - c(1) for every j != 0
-    mod m, since sum_t zeta_m^(jt) = 0 in Z[zeta_m], so every nonprincipal
-    character's sum is that integer.  (The Mobius map a -> (x+a)/(y+a) makes c
-    flat for every D: c(0) = |D|(p-1), c(t != 0) = |D|(|D|-1).)"""
-    return bool(np.all(c[1:] == c[1]))
-
 
 def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
     """One eq2 verdict per (D, chi) row, as one batch: sets lists (D, chis) pairs,
@@ -442,9 +463,9 @@ def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
 
     chi_j(x+a) conj chi_j(y+a) = zeta_m^(j (dlog(x+a) - dlog(y+a))), so one
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
-    sum for a set D; one _pair_difference_sum counts c for all the sets.  When
-    eq2_certificate(c) holds, every sum is c(0) - c(1).  Otherwise character j's
-    sum is c pushed forward by t -> jt mod m and reduced."""
+    sum for a set D; one _pair_difference_sum counts c for all the sets, and one
+    integer_sums call reads their sums (the Mobius map a -> (x+a)/(y+a) makes c
+    flat off t = 0, so it passes the gcd-class certificate)."""
     p = ctx.p
     m = p - 1
     dsets = []
@@ -462,19 +483,12 @@ def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
         e = ctx.dlog[(np.arange(p) + d[:, None]) % p]  # dlog[0] = -1: chi(0) = 0
         return np.where((ctx.dlog >= 0) & (e >= 0), (ctx.dlog - e) % m, -1)
 
-    computed = []
-    for (_, chis), c in zip(sets, _pair_difference_sum(dsets, p, m, row)):
-        if eq2_certificate(c):
-            computed += [int(c[0] - c[1])] * len(chis)
-        else:
-            t = np.flatnonzero(c)
-            J = np.array([chi.index for chi in chis], dtype=np.int64)
-            computed += [n for _, reduced in _pushed_forward(m, J, t, c[t])
-                         for n in _as_integers(reduced)]
+    chi_index = [chi.index for _, chis in sets for chi in chis]
+    sums = integer_sums(_pair_difference_sum(dsets, p, m, row), m, range(m))
+    computed = [s[chi.index] for s, (_, chis) in zip(sums, sets) for chi in chis]
     rows = [len(chis) for _, chis in sets]  # a set's params repeat on each of its rows
     sizes = np.repeat([len(Ds) for Ds in dsets], rows)
-    params = {"p": p, "chi": [chi.index for _, chis in sets for chi in chis],
-              "D_size": sizes.tolist()}
+    params = {"p": p, "chi": chi_index, "D_size": sizes.tolist()}
     if D_index is not None:
         params["D_index"] = np.repeat(D_index, rows).tolist()
     return _identity_verdicts("eq2", params, computed, (p * sizes - sizes**2).tolist())
@@ -514,29 +528,14 @@ def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int) -> Verdict:
 # exact full-dual-group identity  sum_chi |sum_{n in H} chi(n)| = p - 1
 # ---------------------------------------------------------------------------
 
-def granville_certificate(ctx: FieldCtx, H: Subgroup) -> bool:
-    """True when dlog(H) is exactly {0, k, 2k, ...} (k = H.index).  Then
-    sum_{x in H} chi_j(x) = sum_{i < |H|} zeta_|H|^(ji): |H| when |H| divides j,
-    that is when chi_j is trivial on H, and 0 otherwise."""
-    dH = np.sort(ctx.dlog[np.array(H.elements, dtype=np.int64)])
-    return np.array_equal(dH, np.arange(0, ctx.p - 1, H.index))
-
-
 def _granville_structural(ctx: FieldCtx, H: Subgroup) -> tuple[bool, int]:
     """Exact inner sums over H for every character: |H| when the character is
-    trivial on H, 0 otherwise.  Returns (structure holds, number of mismatches),
-    from granville_certificate, or when it fails from one reduction mod Phi_m
-    per character."""
-    if granville_certificate(ctx, H):
-        return True, 0
+    trivial on H (|H| divides j), 0 otherwise.  Returns (structure holds, number
+    of mismatches), read by one integer_sums call on the histogram of dlog(H)
+    (on a true dlog, {0, k, 2k, ...}: constant on the gcd classes)."""
     m = ctx.p - 1
-    n = H.order
-    dH = ctx.dlog[np.array(H.elements, dtype=np.int64)]
-    mismatches = 0
-    for J, red in _pushed_forward(m, np.arange(m, dtype=np.int64), dH):
-        expected = np.zeros_like(red)
-        expected[J % n == 0, 0] = n
-        mismatches += int(np.count_nonzero(np.any(red != expected, axis=1)))
+    (sums,) = integer_sums(exponent_histogram(ctx.dlog[list(H.elements)][None], m), m, range(m))
+    mismatches = sum(s != (0 if j % H.order else H.order) for j, s in enumerate(sums))
     return mismatches == 0, mismatches
 
 
@@ -576,7 +575,8 @@ def check_shkredov_bound(ctx: FieldCtx, H: Subgroup, base: Verdict | None = None
 def _konyagin_batch(q: int, dsets: list, D_index: list | None = None) -> Batch:
     """sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2 = |D|(q - |D|), exactly, one verdict
     per set D in dsets, as one batch; one _pair_difference_sum counts every set.
-    D_index, if given, holds each set's suite index, which goes into the params."""
+    D_index, if given, holds each set's suite index, which goes into the params.
+    Each count depends on t only through gcd(t, q), so no Phi_q is built."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     dsets = [sorted({x % q for x in D}) for D in dsets]
@@ -590,7 +590,7 @@ def _konyagin_batch(q: int, dsets: list, D_index: list | None = None) -> Batch:
     params = {"q": q, "D_size": sizes}
     if D_index is not None:
         params["D_index"] = D_index
-    return _identity_verdicts("konyagin", params, _as_integers(reduce_counts(counts)),
+    return _identity_verdicts("konyagin", params, [s for s, in integer_sums(counts, q, [1])],
                               [s * (q - s) for s in sizes])
 
 

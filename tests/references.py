@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from charsum import verifier
-from charsum.cyclo import HISTOGRAM_CELLS, CycInt, exponent_histogram
+from charsum.cyclo import HISTOGRAM_CELLS, CycInt, exponent_histogram, reduce_counts
 from charsum.engines import proof_kernel_S_yy1, shifted_sum
 from charsum.field import make_ctx
 
@@ -29,6 +29,15 @@ def pair_difference_grid(E: np.ndarray, m: int) -> np.ndarray:
             wide = exponent_histogram((X + m - Y)[both], 2 * m)
             counts += wide[:m] + wide[m:]
     return counts
+
+
+def reduced_sums(c: np.ndarray, m: int) -> list[int | None]:
+    """sum_t c(t) zeta_m^(jt) for every j in [0, m): c pushed forward by t -> jt
+    and reduced mod Phi_m, as the integer, or None where it is not one."""
+    j = np.arange(m)
+    exponents = j[:, None] * j[None, :] % m
+    reduced = reduce_counts(exponent_histogram(exponents, m, np.broadcast_to(c, exponents.shape)))
+    return [None if any(r[1:]) else r[0] for r in reduced.tolist()]
 
 
 def direct_roots(exponents, m: int) -> np.ndarray:
@@ -120,5 +129,6 @@ def json_sort_key(v):
 
 def without_certificates(monkeypatch) -> None:
     """Make every certificate fail, so each checker takes its per-character route."""
-    for name in ("kernel_certificate", "eq2_certificate", "granville_certificate"):
-        monkeypatch.setattr(verifier, name, lambda *args: False)
+    monkeypatch.setattr(verifier, "kernel_certificate", lambda ctx: False)
+    monkeypatch.setattr(verifier, "gcd_class_certificate",
+                        lambda counts, m: np.zeros(len(counts), dtype=bool))

@@ -7,8 +7,9 @@ sum, eq2's and konyagin's pair-difference rows against the |D|^2-pair grid (on a
 corrupted dlog too), each row of their one count for several sets against that
 set's grid and one-set call, the batched eq2 push-forward against per-character
 histograms, the suite's batched verdicts (budgeted too) and lemma3's stacked FFT
-against the standalone checkers and bilinear forms, and each identity's
-certificate against its per-character fallback, on primes p <= 211."""
+against the standalone checkers and bilinear forms, each identity's
+certificate against its per-character fallback, on primes p <= 211, and
+integer_sums' gcd-class reading against reduction mod Phi_m, for m <= 300."""
 
 import json
 import math
@@ -17,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charsum import scan, verifier
@@ -58,6 +59,7 @@ from charsum.verifier import (
     check_sharpened_theorem2,
     check_theorem2,
     character_sum_moduli,
+    integer_sums,
     nonlinear_rows,
     random_subsets,
     random_weights,
@@ -73,6 +75,7 @@ from references import (
     granville_mismatches,
     kernel_mismatches,
     pair_difference_grid,
+    reduced_sums,
     without_certificates,
 )
 
@@ -373,7 +376,7 @@ def test_konyagin_histogram_equals_sum_of_norms(inst):
     the |D|^2-pair grid's count, and its reduction the sum of CycInt norms."""
     q, D = inst
     D = sorted({0, *D})
-    verdict, (c,) = _handed_to("reduce_counts", lambda: check_konyagin(q, D))
+    verdict, (c,) = _handed_to("integer_sums", lambda: check_konyagin(q, D))
     assert np.array_equal(c, pair_difference_grid(exp_sum_exponents(q, D, np.arange(1, q)), q))
     reference = CycInt.zero(q)
     for a in range(1, q):
@@ -390,8 +393,8 @@ def test_eq2_pair_differences_equal_grid(inst):
     entries swapped: the regrouping holds for any dlog table."""
     p, D, swap = inst
     ctx = make_ctx(p) if swap is None else corrupted_ctx(p, *swap)
-    _, c = _handed_to("eq2_certificate",
-                      lambda: check_eq2_identities(ctx, [character(ctx, 1)], D))
+    _, (c,) = _handed_to("integer_sums",
+                         lambda: check_eq2_identities(ctx, [character(ctx, 1)], D))
     E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
     assert np.array_equal(c, pair_difference_grid(E, p - 1))
 
@@ -425,7 +428,7 @@ def test_eq2_shared_count_equals_each_sets_own(inst):
     for D, c in zip(dsets, C):
         E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
         assert np.array_equal(c, pair_difference_grid(E, p - 1))
-        one, own = _handed_to("eq2_certificate", lambda: check_eq2_identities(ctx, chis, D))
+        one, (own,) = _handed_to("integer_sums", lambda: check_eq2_identities(ctx, chis, D))
         assert np.array_equal(c, own)
         alone += [v.to_record() for v in one]
     assert [v.to_record() for v in batch] == alone
@@ -439,7 +442,7 @@ def test_eq2_shared_count_takes_the_fallback_on_a_corrupted_dlog():
     dsets = [[5], [1, 2], [3, 4, 9], list(range(1, 16))]
     batch, C = _returned_by("_pair_difference_sum", lambda: verifier._eq2_batch(
         ctx, [(D, chis) for D in dsets]))
-    assert [verifier.eq2_certificate(c) for c in C] == [True, False, False, False]
+    assert verifier.gcd_class_certificate(C, 30).tolist() == [True, False, False, False]
     alone = [v.to_record() for D in dsets for v in check_eq2_identities(ctx, chis, D)]
     assert [v.to_record() for v in batch] == alone
     assert not all(v.passed for v in batch)
@@ -458,7 +461,7 @@ def test_konyagin_shared_count_equals_each_sets_own(inst):
     assert C.shape == (len(dsets), q)
     for D, c, v in zip(dsets, C, batch):
         assert np.array_equal(c, pair_difference_grid(exp_sum_exponents(q, D, np.arange(1, q)), q))
-        one, (own,) = _handed_to("reduce_counts", lambda: check_konyagin(q, D))
+        one, (own,) = _handed_to("integer_sums", lambda: check_konyagin(q, D))
         assert np.array_equal(c, own)
         assert v == one
 
@@ -609,31 +612,93 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     assert exact_values() == whole
 
 
+# m in [1, 300], with prime powers, 2 * odd and 240 (20 divisors) drawn more often
+GCD_MODULI = st.integers(1, 300) | st.sampled_from([8, 27, 49, 64, 125, 243, 256, 289, 210,
+                                                     270, 286, 240])
+
+
+@cross_path
+@given(GCD_MODULI, st.integers(0, 2**32))
+@example(1, 0)
+@example(240, 0)
+@example(256, 0)
+@example(270, 0)
+def test_integer_sums_equal_reduction(m, seed):
+    """integer_sums reads a row that is constant on the gcd classes of Z/m off
+    the Ramanujan sums, and reduces any other row mod Phi_m.  At every j, taken
+    in a shuffled order, its integers and its None pattern are those of each row
+    pushed forward and reduced, and a row's sums are all integers exactly when
+    the certificate passes it."""
+    rng = np.random.default_rng(seed)
+    g = np.gcd(np.arange(m), m)
+    rows = [rng.integers(-9, 10, size=m + 1)[g] for _ in range(3)]  # class-constant
+    rows += [rng.integers(-3, 4, size=m) for _ in range(2)]
+    rows.append(np.zeros(m, dtype=np.int64))
+    rows[-1][rng.integers(m)] = rng.integers(1, 5)  # one term
+    counts = np.array(rows)
+    J = rng.permutation(m)
+    want = [reduced_sums(c, m) for c in counts]
+    assert integer_sums(counts, m, J) == [[w[j] for j in J] for w in want]
+    certified = verifier.gcd_class_certificate(counts, m).tolist()
+    assert certified[:3] == [True] * 3
+    assert certified == [None not in w for w in want]
+
+
+def _certified(monkeypatch) -> list:
+    """The list of what each later call of verifier.gcd_class_certificate returns,
+    one list of booleans per call."""
+    seen = []
+    certify = verifier.gcd_class_certificate
+
+    def recorded(counts, m):
+        seen.append(certify(counts, m).tolist())
+        return np.array(seen[-1])
+
+    monkeypatch.setattr(verifier, "gcd_class_certificate", recorded)
+    return seen
+
+
 @cross_path
 @given(instances(nonprincipal=True, nonzero_shift=True, primes=SMALL_PRIMES), st.data())
 def test_certificates_equal_fallbacks(inst, data):
-    """Each certificate holds on a true dlog, and the verdicts it gives equal
-    those of the per-character routes it replaces."""
+    """Each certificate holds on a true dlog (the gcd-class one on granville's
+    dlog(H) histogram and on eq2's count), and the verdicts it gives equal those
+    of the per-character routes it replaces."""
     ctx, chi, H, a = inst
     D = data.draw(subsets(ctx.p))
     every_chi = [character(ctx, j) for j in range(1, ctx.p - 1)]
-    assert verifier.kernel_certificate(ctx) and verifier.granville_certificate(ctx, H)
 
     def records():
         return [v.to_record() for v in [check_kernel_cases(ctx, chi, a), check_granville(ctx, H),
                                         *check_eq2_identities(ctx, every_chi, D)]]
 
-    certified = records()
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _certified(mp)
+        certified = records()
+    assert verifier.kernel_certificate(ctx)
+    assert seen == [[True], [True]]
     with pytest.MonkeyPatch.context() as mp:
         without_certificates(mp)
         assert records() == certified
 
 
 def test_suite_certificates_equal_fallbacks(monkeypatch):
-    claims = ["eq2", "kernel", "granville"]
-    certified = [v.to_record() for v in run_suite(3, 61, claims=claims, seed=42)]
+    claims = ["eq2", "kernel", "granville", "konyagin"]
+    certified = [v.to_record() for v in run_suite(2, 61, claims=claims, seed=42)]
     without_certificates(monkeypatch)
-    assert [v.to_record() for v in run_suite(3, 61, claims=claims, seed=42)] == certified
+    assert [v.to_record() for v in run_suite(2, 61, claims=claims, seed=42)] == certified
+
+
+def test_suite_identities_need_no_reduction(monkeypatch):
+    """On a true dlog every eq2, granville and konyagin count passes the gcd-class
+    certificate, so none of them reduces mod Phi_m."""
+    def reduced(counts):
+        raise AssertionError("reduced mod Phi_m")
+
+    monkeypatch.setattr(verifier, "reduce_counts", reduced)
+    vs = run_suite(2, 150, claims=["konyagin", "eq2", "granville", "shkredov"], seed=7)
+    assert {v.claim for v in vs} == {"konyagin", "eq2", "granville", "shkredov"}
+    assert vs.capacity == 0 and vs.passes == len(vs)
 
 
 # Mutation tests: dlog[2] and dlog[5] swapped at p = 13 is no discrete logarithm,
@@ -669,23 +734,22 @@ def test_eq2_certificate_rejects_corrupted_dlog(monkeypatch):
     bad = corrupted_ctx(13, 2, 5)
     chis = [character(bad, j) for j in range(1, 12)]
     D = [1, 2, 3, 4, 6]
-    certify = verifier.eq2_certificate
-    seen = []
-    monkeypatch.setattr(verifier, "eq2_certificate", lambda c: seen.append(certify(c)) or seen[-1])
+    seen = _certified(monkeypatch)
     verdicts = check_eq2_identities(bad, chis, D)
-    assert seen == [False]
+    assert seen == [[False]]
     assert not all(v.passed for v in verdicts)
     for chi, v in zip(chis, verdicts):
         reference = eq2_via_engine(bad, chi, D)
         assert v.computed == (reference if reference is not None else "non-integer")
 
 
-def test_granville_certificate_rejects_corrupted_dlog():
+def test_granville_certificate_rejects_corrupted_dlog(monkeypatch):
     bad = corrupted_ctx(13, 5, 2)  # 5 lies in the subgroup of order 4, 2 does not
     H = subgroup_of_order(bad, 4)
     assert 5 in H.elements and 2 not in H.elements
-    assert not verifier.granville_certificate(bad, H)
+    seen = _certified(monkeypatch)
     v = check_granville(bad, H)
+    assert seen == [[False]]
     assert not v.passed
     assert v.computed == f"{granville_mismatches(bad, H)} structural mismatches"
     assert granville_mismatches(bad, H) > 0

@@ -130,9 +130,7 @@ def test_chunks_cover_the_range_in_bounded_slices(n, rows, cells, monkeypatch):
     assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
     assert chunks[-1].stop == n
     widths = [c.stop - c.start for c in chunks]
-    # a lone column only when there is one; at most cells cells a chunk, or three
-    # columns where no more than two fit
-    assert min(widths) >= min(n, 2)
+    # at most cells cells a chunk, or at most three columns where fewer fit
     assert max(widths) <= max(cells // rows, 3)
     assert max(widths) - min(widths) <= 1
 
