@@ -16,8 +16,9 @@ characters and no reduction mod Phi_m.  There are two:
   Ramanujan sums); eq2, granville and konyagin read theirs so, by integer_sums.
 
 When a certificate fails, the checker falls back to the per-character route
-(one exact reduction mod Phi_m per character), which names the failing
-characters.  Either route gives the same verdict records.
+(one exact reduction mod Phi_m per character, or per gcd class of the characters
+asked for in integer_sums), which names the failing characters.  Either route
+gives the same verdict records.
 
 Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2
 whose terms depend only on the difference d = y - x: _pair_difference_sum counts
@@ -404,51 +405,72 @@ def _pair_difference_sum(dsets: list[list[int]], n: int, m: int, row) -> np.ndar
     return counts.astype(np.int64)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _gcd_classes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cls, reps, table) for Z/m, kept for the four latest m: cls[t] = gcd(t, m)
-    mod m names t's gcd class, reps holds g mod m for each divisor g of m, and
-    table[i, j] is the Ramanujan sum c_(m/g_i)(j).  c_n is multiplicative in n,
-    and c_(q^a)(j) = q^a [q^a | j] - q^(a-1) [q^(a-1) | j] for a >= 1."""
+    """(cls, reps, table) for Z/m, kept for the two latest m (a suite task reads
+    q = n for konyagin, then m = n - 1 for eq2 and granville).  reps holds g mod m
+    for the divisors g of m, ascending; cls[t] is the index in reps of gcd(t, m),
+    t's gcd class; and table[i, k] is the Ramanujan sum c_(m/g_i)(g_k), its value at
+    every j of class k, so table[:, -1] (j = 0) holds the class sizes phi(m/g_i).
+    c_n is multiplicative in n, and c_(q^a)(j) = q^a [q^a | j] - q^(a-1) [q^(a-1) | j]."""
     fac = factorize(m)
     divs = np.array(divisors_from_factorization(fac), dtype=np.int64)
-    n = m // divs[:, None]
-    j = np.arange(m)
-    table = np.ones((len(divs), m), dtype=np.int64)
+    cls = np.empty(m, dtype=np.intp)
+    for k, g in enumerate(divs.tolist()):  # the last divisor written at t is gcd(t, m)
+        cls[::g] = k
+    n, j = m // divs[:, None], divs[None, :]
+    table = np.ones((len(divs), len(divs)), dtype=np.int64)
     for q, e in fac.items():
         qa = np.gcd(n, q**e)  # q^a, a the power of q in n; a = 0 gives a factor 1
         table *= (j % qa == 0) * qa - (j % np.maximum(qa // q, 1) == 0) * (qa // q)
-    return np.gcd(j, m) % m, divs % m, table
+    return cls, divs % m, table
 
 
 def gcd_class_certificate(counts: np.ndarray, m: int) -> np.ndarray:
     """Whether each row c of counts over Z/m is constant on every gcd class.  The t
-    of class g sum zeta_m^(jt) to c_(m/g)(j) (Hardy & Wright, An Introduction to the
-    Theory of Numbers, 16.6), so then sum_t c(t) zeta_m^(jt) = sum_g c(g) c_(m/g)(j)."""
-    return (counts == counts[:, _gcd_classes(m)[0]]).all(axis=1)
+    of class g sum zeta_m^(jt) to the Ramanujan sum c_(m/g)(j) (Hardy & Wright, An
+    Introduction to the Theory of Numbers, 16.6), so then
+    sum_t c(t) zeta_m^(jt) = sum_g c(g) c_(m/g)(j)."""
+    cls, reps, _ = _gcd_classes(m)
+    return (counts == np.take(counts[:, reps], cls, axis=1)).all(axis=1)
+
+
+def _as_integers(reduced: np.ndarray) -> list[int | None]:
+    """Each row of reduce_counts' output as a rational integer, or None if it is not one."""
+    integer = ~reduced[:, 1:].any(axis=1)
+    return [n if ok else None for n, ok in zip(reduced[:, 0].tolist(), integer.tolist())]
 
 
 def _pushed_forward(m: int, J: np.ndarray, t: np.ndarray, w: np.ndarray):
     """sum_s w_s zeta_m^(j t_s) reduced mod Phi_m for each j in J, as reduce_counts rows
-    in blocks of at most HISTOGRAM_CELLS cells; t -> jt keeps sum|w|, the overflow bound."""
+    in blocks of at most HISTOGRAM_CELLS cells.  t -> jt keeps sum|w|, so the overflow
+    guard reads the same bound for all j."""
     step = max(1, HISTOGRAM_CELLS // m)
     for lo in range(0, len(J), step):
         exponents = J[lo:lo + step, None] * t[None, :] % m
         yield reduce_counts(exponent_histogram(exponents, m, np.broadcast_to(w, exponents.shape)))
 
 
-def integer_sums(counts, m: int, J) -> list[list[int | None]]:
+def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int | None]]:
     """sum_t c(t) zeta_m^(jt) for each row c of the int64 counts over Z/m and each j
-    in J (0 <= j < m), as an integer, or None where it is not one.  A row that passes
+    in J (0 <= j < m), as an integer, or None where it is not one.
+
+    A sum depends on j only through gcd(j, m): for a unit u, zeta_m -> zeta_m^u maps
+    the sum at j to the sum at ju, and fixes the integers and nothing else.  So each
+    row's sums are found once per gcd class, at j = g.  A row that passes
     gcd_class_certificate is read off _gcd_classes' table (each term c(g) c_(m/g)(j)
-    is at most the class's sum of |c|); any other is pushed forward and reduced."""
-    J = np.asarray(J, dtype=np.int64)
-    _, reps, table = _gcd_classes(m)
-    sums = (counts[:, reps] @ table[:, J]).tolist()
+    is at most the class's sum of |c|); any other is pushed forward and reduced at
+    the classes of J alone."""
+    cls, reps, table = _gcd_classes(m)
+    at = cls[np.asarray(J, dtype=np.int64)]
+    sums = (counts[:, reps] @ table)[:, at].tolist()
     for i in np.flatnonzero(~gcd_class_certificate(counts, m)):
+        K = np.unique(at)  # only the classes asked for are reduced
         t = np.flatnonzero(counts[i])
-        sums[i] = [n if ok else None for reduced in _pushed_forward(m, J, t, counts[i, t])
-                   for n, ok in zip(reduced[:, 0].tolist(), (~reduced[:, 1:].any(axis=1)).tolist())]
+        reduced = [n for r in _pushed_forward(m, reps[K], t, counts[i, t])
+                   for n in _as_integers(r)]
+        by_class = dict(zip(K.tolist(), reduced))
+        sums[i] = [by_class[k] for k in at.tolist()]
     return sums
 
 
@@ -484,8 +506,10 @@ def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
         return np.where((ctx.dlog >= 0) & (e >= 0), (ctx.dlog - e) % m, -1)
 
     chi_index = [chi.index for _, chis in sets for chi in chis]
-    sums = integer_sums(_pair_difference_sum(dsets, p, m, row), m, range(m))
-    computed = [s[chi.index] for s, (_, chis) in zip(sums, sets) for chi in chis]
+    J = sorted(set(chi_index))  # every character asked for, read for every set
+    at = {j: k for k, j in enumerate(J)}
+    sums = integer_sums(_pair_difference_sum(dsets, p, m, row), m, J)
+    computed = [s[at[chi.index]] for s, (_, chis) in zip(sums, sets) for chi in chis]
     rows = [len(chis) for _, chis in sets]  # a set's params repeat on each of its rows
     sizes = np.repeat([len(Ds) for Ds in dsets], rows)
     params = {"p": p, "chi": chi_index, "D_size": sizes.tolist()}
@@ -532,10 +556,16 @@ def _granville_structural(ctx: FieldCtx, H: Subgroup) -> tuple[bool, int]:
     """Exact inner sums over H for every character: |H| when the character is
     trivial on H (|H| divides j), 0 otherwise.  Returns (structure holds, number
     of mismatches), read by one integer_sums call on the histogram of dlog(H)
-    (on a true dlog, {0, k, 2k, ...}: constant on the gcd classes)."""
+    (on a true dlog, {0, k, 2k, ...}: constant on the gcd classes).  The sum and
+    its target depend on j only through g = gcd(j, m), so they are read at j = g
+    alone, and a mismatch there counts for the phi(m/g) characters of class g."""
     m = ctx.p - 1
-    (sums,) = integer_sums(exponent_histogram(ctx.dlog[list(H.elements)][None], m), m, range(m))
-    mismatches = sum(s != (0 if j % H.order else H.order) for j, s in enumerate(sums))
+    _, reps, table = _gcd_classes(m)
+    dH = ctx.dlog[np.array(H.elements, dtype=np.int64)]
+    (sums,) = integer_sums(np.bincount(dH, minlength=m)[None], m, reps)
+    sizes = table[:, -1].tolist()
+    mismatches = sum(size for g, s, size in zip(reps.tolist(), sums, sizes)
+                     if s != (0 if g % H.order else H.order))
     return mismatches == 0, mismatches
 
 

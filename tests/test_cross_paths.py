@@ -753,3 +753,15 @@ def test_granville_certificate_rejects_corrupted_dlog(monkeypatch):
     assert not v.passed
     assert v.computed == f"{granville_mismatches(bad, H)} structural mismatches"
     assert granville_mismatches(bad, H) > 0
+
+
+@pytest.mark.parametrize("p, x, y", [(13, 5, 2), (31, 2, 7), (37, 6, 10), (41, 3, 40)])
+def test_granville_counts_mismatches_by_gcd_class(p, x, y):
+    """check_granville reads one j per gcd class of Z/(p-1) and counts a mismatch
+    there for every character of the class: its count is the reference's, one
+    CycInt per character, for every subgroup of a corrupted dlog."""
+    bad = corrupted_ctx(p, x, y)
+    counts = [granville_mismatches(bad, H) for H in subgroups(bad)]
+    assert [check_granville(bad, H).computed for H in subgroups(bad)] == [
+        f"{n} structural mismatches" if n else p - 1 for n in counts]
+    assert any(counts)

@@ -205,6 +205,22 @@ class TestGranville:
                          target=6, margin=float("nan"), passed=False, mode="exact")
         assert not check_shkredov_bound(ctx7, H7, failed).passed
 
+    def test_memory_is_linear_in_the_order(self):
+        # p - 1 = 110880 = 2^5 3^2 5 7 11 has 144 divisors.  Each subgroup's check
+        # reads one histogram over Z/(p - 1) and a table over the 144 gcd classes,
+        # so the traced peak stays within a few int64 arrays of length p - 1; a
+        # table of 144 rows of length p - 1 would take 144 of them.
+        ctx = make_ctx(110_881)
+        Hs = subgroups(ctx)
+        tracemalloc.start()
+        try:
+            verdicts = [check_granville(ctx, H) for H in Hs]
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(verdicts) == 144 and all(v.passed for v in verdicts)
+        assert peak_bytes <= 8 * 8 * 110_880
+
     def test_suite_runs_granville_once_per_subgroup(self, monkeypatch):
         from charsum import verifier
 
