@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityExceeded, NotOddPrime, ZeroInverse
 
-# Eager dlog/exp tables take O(p) memory; refuse beyond this.
+# The exp and dlog tables take O(p) memory; refuse beyond this.
 MAX_P = 10_000_000
 
 
@@ -62,15 +63,25 @@ class FieldCtx:
     """Immutable precomputed context for F_p.
 
     dlog maps each nonzero residue to its index with respect to the smallest
-    primitive root g; dlog[0] = -1 is an explicit "undefined" sentinel.
+    primitive root g; dlog[0] = -1 is an explicit "undefined" sentinel.  It is
+    built from exp on first read and kept, so a caller that reads only exp
+    never builds it.
     """
 
     p: int
     g: int
-    dlog: np.ndarray  # length p, int64, dlog[0] == -1
     exp: np.ndarray  # length p-1, int64, exp[t] == g^t mod p
     divisors: tuple[int, ...]  # divisors of p-1
     factorization: dict[int, int]  # of p-1
+
+    @cached_property
+    def dlog(self) -> np.ndarray:
+        """length p, int64, dlog[exp[t]] == t and dlog[0] == -1."""
+        # the indices come from an int32 arange (p <= MAX_P fits), half an int64 one
+        dlog = np.empty(self.p, dtype=np.int64)
+        dlog[0] = -1
+        dlog[self.exp] = np.arange(self.p - 1, dtype=np.int32)
+        return dlog
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +119,8 @@ def require_table_cap(p: int) -> None:
 
 
 def make_ctx(p: int) -> FieldCtx:
-    """Build the full context for an odd prime p (primality-checked)."""
+    """Build the context for an odd prime p (primality-checked): g, exp and the
+    divisors of p-1; dlog waits for its first read."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     require_table_cap(p)
@@ -119,15 +131,10 @@ def make_ctx(p: int) -> FieldCtx:
     B = math.isqrt(p - 2) + 1  # ceil(sqrt(p - 1))
     small = np.array(_powers(g, B, p), dtype=np.int64)
     big = np.array(_powers(pow(g, B, p), -(-(p - 1) // B), p), dtype=np.int64)
-    # The product is reduced in place, and dlog is filled from an int32 arange
-    # (p <= MAX_P fits): two p-length int64 tables and no other p-length int64.
+    # The product is reduced in place: one p-length int64 table.
     table = np.multiply.outer(big, small)
     np.remainder(table, p, out=table)
-    exp = table.ravel()[: p - 1]
-    dlog = np.empty(p, dtype=np.int64)
-    dlog[0] = -1
-    dlog[exp] = np.arange(p - 1, dtype=np.int32)
-    return FieldCtx(p=p, g=g, dlog=dlog, exp=exp,
+    return FieldCtx(p=p, g=g, exp=table.ravel()[: p - 1],
                     divisors=divisors_from_factorization(fac), factorization=fac)
 
 
@@ -138,7 +145,7 @@ def subgroup_of_order(ctx: FieldCtx, n: int) -> Subgroup:
     k = (p - 1) // n
     h = pow(ctx.g, k, p)
     return Subgroup(ctx=ctx, order=n, index=k, generator=h,
-                    elements=tuple(sorted(_powers(h, n, p))))
+                    elements=tuple(np.sort(ctx.exp[::k]).tolist()))
 
 
 def subgroups(ctx: FieldCtx) -> list[Subgroup]:

@@ -823,8 +823,12 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         return [Batch.of(_capacity_verdict(c, {"p": p}, e)) for c in claims]
     m = p - 1
     Hs = subgroups(ctx)
-    nontrivial = [character(ctx, j) for j in range(1, m)]
     J = list(range(1, m))
+
+    @cache
+    def nontrivial() -> list[Character]:  # built only for the claims that read it
+        return [character(ctx, j) for j in J]
+
     dlog = ctx.dlog[1:]
 
     @cache
@@ -843,13 +847,13 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     def eq2():  # one batch of the (D, character) rows that the budget keeps, D-major
         rng = seeded_rng(seed, p, "eq2")
         dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
-        kept = [(D, nontrivial[:budget - i * len(nontrivial)]) for i, D in enumerate(dsets)
-                if i * len(nontrivial) < budget]
+        kept = [(D, nontrivial()[:budget - i * (m - 1)]) for i, D in enumerate(dsets)
+                if i * (m - 1) < budget]
         yield _eq2_batch(ctx, kept, list(range(len(kept))))
 
     def lemma3():  # five instances per drawn character, drawn in order; one batch
         rng = seeded_rng(seed, p, "lemma3")
-        chis = [nontrivial[rng.randrange(m - 1)] for _ in range(min(5, m - 1))]
+        chis = [nontrivial()[rng.randrange(m - 1)] for _ in range(min(5, m - 1))]
         # weights are drawn for the kept instances only, the first ones drawn
         grid = [(ci, w) for ci in range(len(chis)) for w in range(5)][:budget]
         instances, xi, eta, shifts = [], [], [], []
@@ -865,7 +869,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         # one kernel_certificate, shared by these calls, proves every (chi, a,
         # pair) at p; the seeded sample keeps the verdict stream as it was
         rng = seeded_rng(seed, p, "kernel")
-        combos = [(nontrivial[rng.randrange(m - 1)], rng.randrange(1, p))
+        combos = [(nontrivial()[rng.randrange(m - 1)], rng.randrange(1, p))
                   for _ in range(min(5, m - 1))]
         pairs = None
         if p > 101:

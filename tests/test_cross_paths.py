@@ -66,6 +66,7 @@ from charsum.verifier import (
     run_suite,
     seeded_rng,
 )
+import references
 from references import (
     bilinear_grid,
     corrupted_ctx,
@@ -704,6 +705,21 @@ def test_suite_identities_need_no_reduction(monkeypatch):
 # Mutation tests: dlog[2] and dlog[5] swapped at p = 13 is no discrete logarithm,
 # so the "characters" built on it break every identity.  Each certificate must
 # reject, and each fallback must report what the reference route reports.
+
+def test_corrupted_ctx_swaps_two_dlog_entries_of_a_copy(monkeypatch):
+    built = []
+
+    def kept_ctx(p):
+        built.append(make_ctx(p))
+        return built[-1]
+
+    monkeypatch.setattr(references, "make_ctx", kept_ctx)
+    bad = corrupted_ctx(13, 2, 5)
+    true = make_ctx(13).dlog
+    assert np.flatnonzero(bad.dlog != true).tolist() == [2, 5]
+    assert bad.dlog[[2, 5]].tolist() == true[[5, 2]].tolist()
+    assert np.array_equal(built[0].dlog, true) and bad.exp is built[0].exp
+
 
 def test_kernel_certificate_rejects_corrupted_dlog():
     bad = corrupted_ctx(13, 2, 5)

@@ -5,6 +5,7 @@ import pytest
 
 from charsum.errors import CapacityExceeded, NotOddPrime, ZeroInverse
 from charsum.field import (
+    _powers,
     inverse_table,
     is_prime,
     make_ctx,
@@ -69,18 +70,26 @@ class TestMakeCtx:
         assert ctx.exp.dtype == np.int64 and ctx.exp.tolist() == powers
         assert ctx.dlog.dtype == np.int64 and ctx.dlog.tolist() == dlog
 
-    def test_tables_peak_at_two_int64_and_one_int32_array(self):
-        # the power table is reduced in place, exp is its head, and dlog is filled
-        # from an int32 arange: about 8 + 8 + 4 bytes a residue at the peak
-        p = 100_003
-        make_ctx(101)
-        tracemalloc.start()
-        try:
-            make_ctx(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 21 * p
+    def test_ctx_peaks_at_one_int64_array_and_dlog_read_at_two_and_one_int32(self):
+        # the power table is reduced in place and exp is its head: about 8 bytes a
+        # residue; dlog's first read adds its int64 table and an int32 arange.
+        # numpy's ufunc buffers add a fixed ~128 KB, under 0.2 bytes a residue here
+        p = 1_000_003
+        make_ctx(101).dlog
+        for read_dlog, bound in ((False, 9 * p), (True, 21 * p)):
+            tracemalloc.start()
+            try:
+                ctx = make_ctx(p)
+                if read_dlog:
+                    ctx.dlog
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, read_dlog
+
+    def test_dlog_is_built_once(self):
+        ctx = make_ctx(101)
+        assert ctx.dlog is ctx.dlog
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 41, 191])
     def test_smallest_primitive_root(self, p):
@@ -126,6 +135,15 @@ class TestSubgroups:
                 products = set((arr[:, None] * arr[None, :] % p).ravel().tolist())
                 assert products <= elems
                 assert all(pow(x, -1, p) in elems for x in elems)
+
+    def test_elements_equal_power_loop(self):
+        for p in primes_in(3, 2000):
+            ctx = make_ctx(p)
+            for n in ctx.divisors:
+                H = subgroup_of_order(ctx, n)
+                expected = tuple(sorted(_powers(H.generator, n, p)))
+                assert H.elements == expected
+                assert all(type(x) is int for x in H.elements)
 
     def test_generator_consistency(self):
         ctx = make_ctx(31)

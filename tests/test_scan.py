@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from charsum.engines import (
 )
 from charsum import scan, values
 from charsum.errors import CapacityExceeded
-from charsum.field import make_ctx, subgroup_of_order
+from charsum.field import FieldCtx, make_ctx, subgroup_of_order
 from charsum.scan import scan_prime, scan_range
 from references import direct_roots
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 class TestProblem1:
@@ -93,6 +97,17 @@ class TestScanRange:
 
     def test_empty_range(self):
         assert scan_range("1", 24, 28) == []
+
+    def test_problem1_never_builds_dlog(self, monkeypatch):
+        """Problem 1 reads chi off the signs of exp, so a context whose dlog
+        cannot be built still gives the stored reference, byte for byte."""
+        def unbuilt(ctx):
+            raise AssertionError(f"dlog built at p={ctx.p}")
+
+        monkeypatch.setattr(FieldCtx, "dlog", property(unbuilt))
+        text = "".join(json.dumps(r, sort_keys=True, default=str) + "\n"
+                       for r in scan_range("1", 3, 3000))
+        assert text.encode() == (DATA_DIR / "scan1.p3-3000.jsonl").read_bytes()
 
     def test_unknown_problem(self):
         with pytest.raises(ValueError):

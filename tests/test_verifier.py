@@ -462,6 +462,18 @@ class TestRunSuite:
                 call()
             assert str(info.value) == cap(m)
 
+    def test_characters_built_only_for_the_claims_that_read_them(self, monkeypatch):
+        claims = ("granville", "shkredov")
+        expected = [v.to_record() for v in run_suite(3, 200, claims=claims)]
+
+        def unbuilt(ctx, j):
+            raise AssertionError(f"character {j} built at p={ctx.p}")
+
+        monkeypatch.setattr(verifier, "character", unbuilt)
+        vs = run_suite(3, 200, claims=claims)
+        assert len(vs) == 2 * sum(len(make_ctx(p).divisors) for p in primes_in(3, 200))
+        assert [v.to_record() for v in vs] == expected
+
     def test_repeated_claims_run_once(self):
         once = run_suite(3, 31, claims=["thm2", "konyagin"])
         assert run_suite(3, 31, claims=["thm2", "thm2", "konyagin", "konyagin"]) == once
