@@ -156,33 +156,41 @@ class Verdict:
 def _params_texts(params: dict, rows: int) -> list[str]:
     """_PARAMS_JSON.encode of each row's params (see Batch), from one template:
     the keys in sorted order, each fixed value encoded once, and the row values
-    spelled per row (an int as JSON spells it, anything else encoded)."""
+    spelled per row (an int as JSON spells it, anything else encoded).  Keys are
+    strings, which JSON spells as encode_basestring_ascii does."""
     slots = []
     columns = []
     for key in sorted(params):
         value = params[key]
         if isinstance(value, list):
             slot = "{}"
-            columns.append(value if all(type(v) is int for v in value)
+            columns.append(value if set(map(type, value)) <= {int}
                            else [_PARAMS_JSON.encode(v) for v in value])
         else:
             slot = _PARAMS_JSON.encode(value).replace("{", "{{").replace("}", "}}")
-        slots.append(f"{_PARAMS_JSON.encode(key)}: {slot}")
+        slots.append(f"{encode_basestring_ascii(key)}: {slot}")
     template = "{{" + ", ".join(slots) + "}}"
     if not columns:
         return [template.format()] * rows
     return list(itertools.starmap(template.format, zip(*columns)))
 
 
-def _spelled(values: list) -> list[str]:
-    """encode_basestring_ascii(str(v)) for each value, each distinct value spelled
-    once.  Equal values spell alike unless their types differ or they are zeros
-    (0.0 and -0.0); then every value is spelled on its own."""
+def _quoted(v) -> str:
+    """str(v) as a JSON string."""
+    return encode_basestring_ascii(str(v))
+
+
+def _spelled(values: list, spell) -> list[str]:
+    """spell(v) for each value, each distinct value spelled once.  Equal values
+    spell alike unless their types differ (1, 1.0 and True) or they are zeros of
+    both signs (0.0 and -0.0); then every value is spelled on its own.  NaNs are
+    never equal, so each NaN object is spelled once."""
     distinct = dict.fromkeys(values)
-    if len(distinct) == len(values) or 0 in distinct or len(set(map(type, distinct))) > 1:
-        return [encode_basestring_ascii(str(v)) for v in values]
+    if (len(distinct) == len(values) or len(set(map(type, values))) > 1
+            or 0 in distinct and len({math.copysign(1.0, v) for v in values if v == 0}) > 1):
+        return list(map(spell, values))
     for v in distinct:
-        distinct[v] = encode_basestring_ascii(str(v))
+        distinct[v] = spell(v)
     return list(map(distinct.__getitem__, values))
 
 
@@ -236,17 +244,19 @@ class Batch:
     def lines(self) -> list[str]:
         """Each row's json.dumps(record, sort_keys=True, default=str) + "\\n" (see
         Verdict.to_record), written from one template: the fixed fields are encoded
-        once per batch, and each distinct target is spelled once."""
+        once per batch, and each distinct computed value, margin and target is
+        spelled once (_spelled)."""
         s = encode_basestring_ascii
         claim = f'{{"claim": {s(self.claim)}, "computed": '
         kind = f', "kind": {s(self.kind)}, "margin": '
         mode = f', "mode": {s(self.mode)}, "note": {s(self.note)}, "params": '
         margin = self.margin
         spell = float.__repr__ if all(map(math.isfinite, margin)) else _json_float
-        return [f'{claim}{s(str(c))}{kind}{spell(d)}{mode}{text}'
+        return [f'{claim}{c}{kind}{d}{mode}{text}'
                 f', "pass": {"true" if ok else "false"}, "target": {t}}}\n'
-                for c, d, text, ok, t in zip(self.computed, margin, self.texts, self.passed,
-                                             _spelled(self.target))]
+                for c, d, text, ok, t in zip(_spelled(self.computed, _quoted),
+                                             _spelled(margin, spell), self.texts, self.passed,
+                                             _spelled(self.target, _quoted))]
 
     def rows(self) -> list[list]:
         """Each row's csv cells, in RECORD_KEYS order: the values of
@@ -786,11 +796,36 @@ def random_subsets(p: int, count: int, rng: random.Random) -> list[list[int]]:
     return out
 
 
+def _decoded_weights(draws: list[int], p: int) -> np.ndarray:
+    """Row i: the p complex weights of draws[i] = rng.getrandbits(128 p), real then
+    imaginary part each -1 + 2 * random() of the next two of its 32-bit words.
+
+    getrandbits fills its result from the least significant word up, one word per
+    Mersenne Twister output, and random() reads two outputs as
+    ((w0 >> 5) 2^26 + (w1 >> 6)) / 2^53, exact in float64; so the bits and the
+    generator's state are those of 2p random() calls."""
+    words = np.frombuffer(b"".join(d.to_bytes(16 * p, "little") for d in draws),
+                          dtype="<u4").reshape(-1, 2)
+    r = ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * 2.0**-53
+    return (-1 + 2 * r).view(complex).reshape(len(draws), p)
+
+
 def random_weights(p: int, rng: random.Random) -> Weights:
     """p complex weights, real then imaginary part each -1 + 2 * rng.random(),
     which is what rng.uniform(-1, 1) computes."""
-    r = np.array([rng.random() for _ in range(2 * p)])
-    return Weights((-1 + 2 * r).view(complex))
+    return Weights(_decoded_weights([rng.getrandbits(128 * p)], p)[0])
+
+
+def _lemma3_draws(p: int, rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """count lemma3 instances (xi, eta, shift), drawn as random_weights(p, rng),
+    random_weights(p, rng) and rng.randrange(1, p) in turn would draw them, and
+    decoded in one pass: (xi rows, eta rows, shifts)."""
+    draws, shifts = [], []
+    for _ in range(count):
+        draws += rng.getrandbits(128 * p), rng.getrandbits(128 * p)
+        shifts.append(rng.randrange(1, p))
+    weights = _decoded_weights(draws, p)
+    return weights[0::2], weights[1::2], shifts
 
 
 # ---------------------------------------------------------------------------
@@ -824,11 +859,6 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     m = p - 1
     Hs = subgroups(ctx)
     J = list(range(1, m))
-
-    @cache
-    def nontrivial() -> list[Character]:  # built only for the claims that read it
-        return [character(ctx, j) for j in J]
-
     dlog = ctx.dlog[1:]
 
     @cache
@@ -847,29 +877,25 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     def eq2():  # one batch of the (D, character) rows that the budget keeps, D-major
         rng = seeded_rng(seed, p, "eq2")
         dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
-        kept = [(D, nontrivial()[:budget - i * (m - 1)]) for i, D in enumerate(dsets)
+        chis = [character(ctx, j) for j in J[:budget]]
+        kept = [(D, chis[:budget - i * (m - 1)]) for i, D in enumerate(dsets)
                 if i * (m - 1) < budget]
         yield _eq2_batch(ctx, kept, list(range(len(kept))))
 
     def lemma3():  # five instances per drawn character, drawn in order; one batch
         rng = seeded_rng(seed, p, "lemma3")
-        chis = [nontrivial()[rng.randrange(m - 1)] for _ in range(min(5, m - 1))]
+        chis = [character(ctx, 1 + rng.randrange(m - 1)) for _ in range(min(5, m - 1))]
         # weights are drawn for the kept instances only, the first ones drawn
         grid = [(ci, w) for ci in range(len(chis)) for w in range(5)][:budget]
-        instances, xi, eta, shifts = [], [], [], []
-        for ci, w in grid:
-            instances.append(f"{ci}:{w}")
-            xi.append(random_weights(p, rng).values)
-            eta.append(random_weights(p, rng).values)
-            shifts.append(rng.randrange(1, p))
-        yield _lemma3_batch(ctx, [chis[ci] for ci, _ in grid],
-                            np.array(xi), np.array(eta), shifts, instances)
+        xi, eta, shifts = _lemma3_draws(p, rng, len(grid))
+        yield _lemma3_batch(ctx, [chis[ci] for ci, _ in grid], xi, eta, shifts,
+                            [f"{ci}:{w}" for ci, w in grid])
 
     def kernel():
         # one kernel_certificate, shared by these calls, proves every (chi, a,
         # pair) at p; the seeded sample keeps the verdict stream as it was
         rng = seeded_rng(seed, p, "kernel")
-        combos = [(nontrivial()[rng.randrange(m - 1)], rng.randrange(1, p))
+        combos = [(character(ctx, 1 + rng.randrange(m - 1)), rng.randrange(1, p))
                   for _ in range(min(5, m - 1))]
         pairs = None
         if p > 101:

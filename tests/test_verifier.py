@@ -289,6 +289,18 @@ class TestLemma3:
                 assert [z.hex() for z in w.imag.tolist()] == [z.imag.hex() for z in u]
             assert drawn.getstate() == expected.getstate()
 
+    @pytest.mark.parametrize("p", [3, 11, 101, 10007])
+    def test_suite_draws_decode_to_random_weights_drawn_in_turn(self, p):
+        # the suite draws a prime's weights as raw words and decodes them in one
+        # pass: the same bits, shifts and generator state as drawing in turn
+        drawn, expected = random.Random(p), random.Random(p)
+        xi, eta, shifts = verifier._lemma3_draws(p, drawn, 3)
+        for i in range(3):
+            assert xi[i].tobytes() == random_weights(p, expected).values.tobytes()
+            assert eta[i].tobytes() == random_weights(p, expected).values.tobytes()
+            assert shifts[i] == expected.randrange(1, p)
+        assert drawn.getstate() == expected.getstate()
+
     def test_random_weights(self):
         rng = random.Random(99)
         for p in (11, 101):
@@ -474,6 +486,22 @@ class TestRunSuite:
         assert len(vs) == 2 * sum(len(make_ctx(p).divisors) for p in primes_in(3, 200))
         assert [v.to_record() for v in vs] == expected
 
+        # lemma3 and kernel build the characters they draw, five each, not all p - 2
+        monkeypatch.undo()
+        claims = ("lemma3", "kernel")
+        expected = [v.to_record() for v in run_suite(3, 200, claims=claims, seed=4)]
+        built = []
+
+        def counted(ctx, j):
+            built.append((ctx.p, j))
+            return character(ctx, j)
+
+        monkeypatch.setattr(verifier, "character", counted)
+        vs = run_suite(3, 200, claims=claims, seed=4)
+        assert [v.to_record() for v in vs] == expected
+        assert Counter(p for p, _ in built) == {p: 2 * min(5, p - 2) for p in primes_in(3, 200)}
+        assert set(built) == {(v.params["p"], v.params["chi"]) for v in vs}
+
     def test_repeated_claims_run_once(self):
         once = run_suite(3, 31, claims=["thm2", "konyagin"])
         assert run_suite(3, 31, claims=["thm2", "thm2", "konyagin", "konyagin"]) == once
@@ -519,15 +547,17 @@ class TestRunSuite:
 
     def test_lemma3_draws_weights_only_for_kept_instances(self, monkeypatch):
         calls = []
+        decoded = verifier._decoded_weights
 
-        def spy(p, rng):
-            calls.append(p)
-            return random_weights(p, rng)
+        def spy(draws, p):
+            calls.append((p, len(draws)))
+            return decoded(draws, p)
 
-        monkeypatch.setattr(verifier, "random_weights", spy)
+        monkeypatch.setattr(verifier, "_decoded_weights", spy)
         vs = run_suite(3, 31, claims=["lemma3"], seed=0, budget=1)
         primes = list(primes_in(3, 31))
-        assert calls == [p for p in primes for _ in range(2)]
+        # one decode per prime, of the kept instance's two weight vectors
+        assert calls == [(p, 2) for p in primes]
         # the random stream is unchanged: each kept instance is the full run's first
         monkeypatch.undo()
         full = {(v.params["p"], v.params["instance"]): v.to_record()
@@ -630,7 +660,19 @@ def test_to_line_is_json_dumps_of_the_record():
           [False, False, False, False], "exact"),
     Batch("x", {"p": 5, "chi": [1, 2]}, [0.5, 0.25], [1.0, 1.0], [0.5, 0.75], [True, True],
           "numeric", kind="capacity"),
-], ids=["floats-and-escapes", "mixed-targets", "one-target"])
+    Batch("x", {"p": 7, "chi": [1, 2, 3, 4, 5]}, [0.0, -0.0, 0.0, -0.0, 0.0],
+          [0.0, 0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, -0.0, 0.0], [True] * 5, "numeric"),
+    Batch("x", {"p": 7, "chi": [1, 2, 3, 4, 5, 6]},
+          [math.nan, math.nan, float("nan"), math.inf, math.inf, -math.inf], [2.5] * 6,
+          [math.inf, -math.inf, -math.inf, math.nan, float("nan"), math.nan], [False] * 6,
+          "numeric"),
+    Batch("x", {"q": 9, "D_index": [0, 1, 2, 3, 4]}, [1, 1.0, 1, 1.0, True],
+          [2, 2.0, 2.0, 2, 2], [1.0, 1.0, 1.0, 1.0, 1.0], [False] * 5, "exact"),
+    Batch("x", {"q": 9, "D_index": [0, 1, 2, 3, 4]},
+          ["non-integer", "non-integer", 'q"', 'q"', "\u03c7"], ["skipped"] * 5, [math.nan] * 5,
+          [False] * 5, "exact", kind="capacity"),
+], ids=["floats-and-escapes", "mixed-targets", "one-target", "signed-zeros",
+        "repeated-non-finite", "ints-beside-floats", "repeated-strings"])
 def test_batch_lines_hand_built(b):
     assert b.lines() == [_dumped(v) for v in b]
     assert [v.to_line() for v in b] == b.lines()
