@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityExceeded, MixedOrder
-from .field import divisors_from_factorization, factorize
+from .field import factorize
 
 # Largest root order accepted in exact mode; reduction cost grows superlinearly.
 EXACT_MAX_ORDER = 10_000
@@ -37,34 +37,31 @@ def require_exact_order(m: int) -> None:
         raise CapacityExceeded(f"exact mode needs root order {m} > {EXACT_MAX_ORDER}")
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Divide num by monic den (ascending coefficients); remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q[i - dd] = c
-            for k in range(dd + 1):
-                num[i - dd + k] -= c * den[k]
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m(x), ascending, computed by dividing x^m - 1
-    by the cyclotomic polynomials of the proper divisors of m."""
+    """Coefficients of Phi_m(x), ascending.  For m > 1 they are those of
+    prod_{d | m} (1 - x^d)^mu(m/d) (Arnold & Monagan, "Calculating cyclotomic
+    polynomials", Math. Comp. 80, 2011) as an int64 series cut past degree phi(m).
+    The mu = +1 factors go in first, so every partial product is Phi_m times the
+    factors still to divide: a polynomial with small coefficients."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
     require_exact_order(m)
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in divisors_from_factorization(factorize(m)):
-        if d < m:
-            poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
-    return tuple(poly)
+    if m == 1:
+        return (-1, 1)
+    factors, deg = [(m, 1)], m  # (d, mu(m/d)) for the squarefree m/d; phi(m)
+    for q in factorize(m):
+        factors += [(d // q, -mu) for d, mu in factors]
+        deg -= deg // q
+    poly = np.zeros(deg + 1, dtype=np.int64)
+    poly[0] = 1
+    for d, mu in sorted(factors, key=lambda f: -f[1]):
+        if mu > 0:  # times 1 - x^d
+            poly[d:] -= poly[:-d]
+        else:  # over 1 - x^d: a running sum along each residue class mod d
+            rows = np.concatenate([poly, np.zeros(-poly.size % d, dtype=np.int64)])
+            poly = rows.reshape(-1, d).cumsum(axis=0).ravel()[:deg + 1]
+    return tuple(poly.tolist())
 
 
 @lru_cache(maxsize=2)

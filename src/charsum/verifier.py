@@ -16,9 +16,10 @@ characters and no reduction mod Phi_m.  There are two:
   Ramanujan sums); eq2, granville and konyagin read theirs so, by integer_sums.
 
 When a certificate fails, the checker falls back to the per-character route
-(one exact reduction mod Phi_m per character, or per gcd class of the characters
-asked for in integer_sums), which names the failing characters.  Either route
-gives the same verdict records.
+through integer_sums, which reduces each failing count mod Phi_m once per gcd
+class of the characters asked for (kernel: each pair's count less its closed
+form, at j = 1), and so names the failing characters.  Either route gives the
+same verdict records.
 
 Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2
 whose terms depend only on the difference d = y - x: _pair_difference_sum counts
@@ -48,7 +49,6 @@ from .cyclo import (
     HISTOGRAM_CELLS,
     exponent_histogram,
     reduce_counts,
-    reduction_rows,
     require_exact_order,
 )
 from .engines import (
@@ -260,10 +260,12 @@ class Batch:
 
     def rows(self) -> list[list]:
         """Each row's csv cells, in RECORD_KEYS order: the values of
-        Verdict.to_record, with the params text as the params cell."""
-        return [[self.claim, str(c), self.kind, d, self.mode, self.note, text, ok, str(t)]
-                for c, d, text, ok, t in zip(self.computed, self.margin, self.texts,
-                                             self.passed, self.target)]
+        Verdict.to_record, with the params text as the params cell, and each
+        distinct computed value and target spelled once (_spelled)."""
+        return [[self.claim, c, self.kind, d, self.mode, self.note, text, ok, t]
+                for c, d, text, ok, t in zip(_spelled(self.computed, str), self.margin,
+                                             self.texts, self.passed,
+                                             _spelled(self.target, str))]
 
 
 def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) -> Batch:
@@ -451,16 +453,6 @@ def _as_integers(reduced: np.ndarray) -> list[int | None]:
     return [n if ok else None for n, ok in zip(reduced[:, 0].tolist(), integer.tolist())]
 
 
-def _pushed_forward(m: int, J: np.ndarray, t: np.ndarray, w: np.ndarray):
-    """sum_s w_s zeta_m^(j t_s) reduced mod Phi_m for each j in J, as reduce_counts rows
-    in blocks of at most HISTOGRAM_CELLS cells.  t -> jt keeps sum|w|, so the overflow
-    guard reads the same bound for all j."""
-    step = max(1, HISTOGRAM_CELLS // m)
-    for lo in range(0, len(J), step):
-        exponents = J[lo:lo + step, None] * t[None, :] % m
-        yield reduce_counts(exponent_histogram(exponents, m, np.broadcast_to(w, exponents.shape)))
-
-
 def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int | None]]:
     """sum_t c(t) zeta_m^(jt) for each row c of the int64 counts over Z/m and each j
     in J (0 <= j < m), as an integer, or None where it is not one.
@@ -469,18 +461,26 @@ def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int | None]]:
     the sum at j to the sum at ju, and fixes the integers and nothing else.  So each
     row's sums are found once per gcd class, at j = g.  A row that passes
     gcd_class_certificate is read off _gcd_classes' table (each term c(g) c_(m/g)(j)
-    is at most the class's sum of |c|); any other is pushed forward and reduced at
-    the classes of J alone."""
+    is at most the class's sum of |c|).  The other rows are pushed forward to each
+    class of J alone and reduced, as stacks of at most HISTOGRAM_CELLS cells: g | m,
+    so t -> gt sums c over each residue class mod m/g onto every g-th cell (g = m
+    for the class of 0).  That adds nothing to sum|c|, so no class raises the
+    overflow guard's bound."""
     cls, reps, table = _gcd_classes(m)
-    at = cls[np.asarray(J, dtype=np.int64)]
+    at = cls[np.asarray(J, dtype=np.int64)].tolist()
     sums = (counts[:, reps] @ table)[:, at].tolist()
-    for i in np.flatnonzero(~gcd_class_certificate(counts, m)):
-        K = np.unique(at)  # only the classes asked for are reduced
-        t = np.flatnonzero(counts[i])
-        reduced = [n for r in _pushed_forward(m, reps[K], t, counts[i, t])
-                   for n in _as_integers(r)]
-        by_class = dict(zip(K.tolist(), reduced))
-        sums[i] = [by_class[k] for k in at.tolist()]
+    failed = np.flatnonzero(~gcd_class_certificate(counts, m))
+    step = max(1, HISTOGRAM_CELLS // m)
+    for lo in range(0, len(failed), step):
+        rows = failed[lo:lo + step]
+        by_class = {}
+        for k in set(at):  # only the classes asked for are reduced
+            g = int(reps[k]) or m
+            pushed = np.zeros((len(rows), m), dtype=np.int64)
+            pushed[:, ::g] = counts[rows].reshape(-1, g, m // g).sum(axis=1)
+            by_class[k] = _as_integers(reduce_counts(pushed))
+        for n, i in enumerate(rows.tolist()):
+            sums[i] = [by_class[k][n] for k in at]
     return sums
 
 
@@ -718,8 +718,9 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     closed form for every requested (y, y1) pair (default: the full grid).
 
     When kernel_certificate(ctx) holds it proves every pair, and no grid is built.
-    Otherwise each pair's sum is reduced mod Phi_m and compared, in chunks of at
-    most HISTOGRAM_CELLS (pair x term) cells; computed counts the mismatches."""
+    Otherwise each pair's sum less its closed form is counted over Z/m, in chunks of
+    at most HISTOGRAM_CELLS (pair x term) cells, and decided by integer_sums at
+    j = 1; computed counts the mismatches."""
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
@@ -731,7 +732,6 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
     mismatches = 0
     if not kernel_certificate(ctx):
         E = chi.exponent_table()
-        R = reduction_rows(m)
         # field inverses, not ctx.exp[-dlog]: the closed form is about y / y1 in F_p
         inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
         step = max(1, HISTOGRAM_CELLS // p)
@@ -741,14 +741,13 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
                 y, y1 = np.divmod(np.arange(lo, hi, dtype=np.int64), p)
             else:
                 y, y1 = pairs[lo:hi].T
-            # one column of kernel exponents per pair; one histogram row per pair
-            red = reduce_counts(exponent_histogram(kernel_exponents(ctx, chi, y, y1, a).T, m))
-            expected = np.zeros(red.shape)
-            expected[(y == 0) & (y1 == 0), 0] = p
-            expected[(y == y1) & (y > 0), 0] = p - 1
-            generic = (y != y1) & (y > 0) & (y1 > 0)
-            expected[generic] = -R[E[y[generic] * inv[y1[generic]] % p]]
-            mismatches += int(np.count_nonzero(np.any(red != expected, axis=1)))
+            # one column of kernel exponents per pair; one count row per pair
+            counts = exponent_histogram(kernel_exponents(ctx, chi, y, y1, a).T, m)
+            counts[(y == 0) & (y1 == 0), 0] -= p
+            counts[(y == y1) & (y > 0), 0] -= p - 1
+            generic = np.flatnonzero((y != y1) & (y > 0) & (y1 > 0))
+            counts[generic, E[y[generic] * inv[y1[generic]] % p]] += 1  # -chi(y / y1)
+            mismatches += sum(s != [0] for s in integer_sums(counts, m, [1]))
     return Verdict(
         claim="kernel",
         params={"p": p, "chi": chi.index, "a": a % p, "pairs": npairs},

@@ -3,6 +3,7 @@ compare the suite's kernels against them."""
 
 import copy
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -10,6 +11,28 @@ from charsum import verifier
 from charsum.cyclo import HISTOGRAM_CELLS, CycInt, exponent_histogram, reduce_counts
 from charsum.engines import proof_kernel_S_yy1, shifted_sum
 from charsum.field import make_ctx
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(m: int) -> tuple[int, ...]:
+    """Coefficients of Phi_m, ascending: x^m - 1 divided, in Python integers, by
+    Phi_d for every proper divisor d of m, each built the same way."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d:
+            continue
+        den = cyclotomic_by_division(d)
+        dd = len(den) - 1
+        quotient = [0] * (len(poly) - dd)
+        for i in range(len(poly) - 1, dd - 1, -1):
+            c = poly[i]
+            if c:
+                quotient[i - dd] = c
+                for k in range(dd + 1):
+                    poly[i - dd + k] -= c * den[k]
+        assert not any(poly), f"Phi_{d} does not divide at m = {m}"
+        poly = quotient
+    return tuple(poly)
 
 
 def pair_difference_grid(E: np.ndarray, m: int) -> np.ndarray:

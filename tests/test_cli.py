@@ -5,6 +5,8 @@ import json
 import lzma
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -377,6 +379,27 @@ def test_empty_csv_is_the_header(capsys, tmp_path, command):
     run(capsys, *command, "--p-min", "24", "--p-max", "28", "--format", "csv",
         "--out", str(out_file))
     assert out_file.read_bytes() == header.encode()
+
+
+def test_benchmark_argvs_never_import_numpy_ma(tmp_path):
+    """The first np.unique of a process imports numpy.ma, about 11 ms with numpy
+    2.4: one fresh process that runs each of the benchmark's three argvs must
+    never import it."""
+    argvs = [["verify", "--p-min", "3", "--p-max", "43",
+              "--claims", "eq2,kernel,granville,shkredov,konyagin"],
+             ["verify", "--p-min", "3", "--p-max", "83",
+              "--claims", "thm2,eps,meanvalue2,nonlinear,lemma3"],
+             ["scan", "--problem", "1", "--p-min", "100000", "--p-max", "100150"]]
+    script = ("import sys\nfrom charsum.cli import main\n"
+              f"for argv in {argvs!r}:\n"
+              "    assert main(argv + ['--seed', '1', '--out', sys.argv[1]]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(verifier.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, check=True, timeout=300)
+    assert done.stdout == "False\n"
 
 
 class _SerialPool:

@@ -74,6 +74,7 @@ from references import (
     eq2_per_character,
     eq2_via_engine,
     granville_mismatches,
+    kernel_closed_form,
     kernel_mismatches,
     pair_difference_grid,
     reduced_sums,
@@ -629,7 +630,8 @@ def test_integer_sums_equal_reduction(m, seed):
     the Ramanujan sums, and reduces any other row mod Phi_m.  At every j, taken
     in a shuffled order, its integers and its None pattern are those of each row
     pushed forward and reduced, and a row's sums are all integers exactly when
-    the certificate passes it."""
+    the certificate passes it; and so they are when each failing row is reduced
+    in a stack of its own."""
     rng = np.random.default_rng(seed)
     g = np.gcd(np.arange(m), m)
     rows = [rng.integers(-9, 10, size=m + 1)[g] for _ in range(3)]  # class-constant
@@ -640,6 +642,9 @@ def test_integer_sums_equal_reduction(m, seed):
     J = rng.permutation(m)
     want = [reduced_sums(c, m) for c in counts]
     assert integer_sums(counts, m, J) == [[w[j] for j in J] for w in want]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "HISTOGRAM_CELLS", m)
+        assert integer_sums(counts, m, J) == [[w[j] for j in J] for w in want]
     certified = verifier.gcd_class_certificate(counts, m).tolist()
     assert certified[:3] == [True] * 3
     assert certified == [None not in w for w in want]
@@ -727,6 +732,46 @@ def test_kernel_certificate_rejects_corrupted_dlog():
     for j, a in [(1, 1), (4, 3), (5, 12)]:
         chi = character(bad, j)
         assert check_kernel_cases(bad, chi, a).computed == kernel_mismatches(bad, chi, a) > 0
+
+
+@pytest.mark.parametrize("p, x, y", [(13, 2, 5), (31, 2, 7)])
+def test_kernel_fallback_decides_each_case_as_the_reference(p, x, y):
+    """Pairs of all four cases of the closed form, (0, 0), (0, y), (y, 0) and
+    (y, y), and generic pairs: each pair's count, alone and in one call, is the
+    per-pair reference's on a corrupted dlog.  The swap moves no sum over all of
+    F_p, so only generic pairs mismatch; the quadratic character, which the swap
+    of two non-residues leaves alone, has none."""
+    bad = corrupted_ctx(p, x, y)
+    rng = random.Random(p)
+    pairs = [(0, 0), (0, 1), (0, x), (y, 0), (p - 1, 0), (1, 1), (x, x), (y, y)]
+    pairs += [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(24)]
+    found = []
+    for j, a in [(1, 1), (5, 3), ((p - 1) // 2, p - 1)]:
+        chi = character(bad, j)
+        want = [int(proof_kernel_S_yy1(bad, chi, u, v, a).exact != kernel_closed_form(bad, chi, u, v))
+                for u, v in pairs]
+        assert [check_kernel_cases(bad, chi, a, [pair]).computed for pair in pairs] == want
+        assert check_kernel_cases(bad, chi, a, pairs).computed == sum(want)
+        found.append(sum(want))
+    assert found[0] > 0 and found[1] > 0 and found[2] == 0
+
+
+def test_kernel_fallback_decides_through_integer_sums(monkeypatch):
+    """The fallback hands integer_sums one count row per pair, read at j = 1, and
+    the verifier keeps no reduction table of its own."""
+    bad = corrupted_ctx(13, 2, 5)
+    chi = character(bad, 1)
+    calls = []
+    decide = verifier.integer_sums
+
+    def spy(counts, m, J):
+        calls.append((counts.shape, m, list(J)))
+        return decide(counts, m, J)
+
+    monkeypatch.setattr(verifier, "integer_sums", spy)
+    assert check_kernel_cases(bad, chi, 1).computed == kernel_mismatches(bad, chi, 1) > 0
+    assert calls == [((169, 12), 12, [1])]
+    assert not hasattr(verifier, "reduction_rows")
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 12])

@@ -6,6 +6,8 @@ import pytest
 
 from charsum.cyclo import CycInt, cyclotomic_poly, reduce_counts, reduction_rows
 from charsum.errors import CapacityExceeded, MixedOrder
+from charsum.field import divisors_from_factorization, factorize
+from references import cyclotomic_by_division
 
 
 def poly_mul(a, b):
@@ -45,6 +47,24 @@ class TestCyclotomicPoly:
                     prod = poly_mul(prod, list(cyclotomic_poly(d)))
             expected = [-1] + [0] * (m - 1) + [1]
             assert prod == expected, f"failed at m={m}"
+
+    def test_binomial_product_equals_division(self):
+        for m in range(1, 501):
+            assert cyclotomic_poly(m) == cyclotomic_by_division(m), f"failed at m={m}"
+
+    @pytest.mark.parametrize("m", [5040, 9240])
+    def test_product_over_many_divisors_is_x_pow_m_minus_1(self, m):
+        """5040 has 60 divisors and 9240 has 64; the product is taken in Python
+        integers (object dtype), since int64 partial products can overflow."""
+        prod = np.array([1], dtype=object)
+        for d in divisors_from_factorization(factorize(m)):
+            prod = np.convolve(prod, np.array(cyclotomic_poly(d), dtype=object))
+        assert prod.tolist() == [-1] + [0] * (m - 1) + [1]
+
+    def test_cold_build_caches_only_its_order(self):
+        cyclotomic_poly.cache_clear()
+        cyclotomic_poly(9240)
+        assert cyclotomic_poly.cache_info().currsize == 1
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
