@@ -8,6 +8,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import engines, scan, verifier
@@ -339,7 +340,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main's exit code.  A reader that closes stdout early
+    (charsum verify ... | head -1) ends the run quietly with code 1: stdout is
+    pointed at devnull, so the flush at exit finds no broken pipe either."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import numpy as np
 from charsum import verifier
 from charsum.cyclo import HISTOGRAM_CELLS, CycInt, exponent_histogram, reduce_counts
 from charsum.engines import proof_kernel_S_yy1, shifted_sum
-from charsum.field import make_ctx
+from charsum.field import coset_shift_rows, make_ctx
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +143,35 @@ def corrupted_ctx(p: int, x: int, y: int):
     bad = copy.copy(ctx)
     bad.__dict__["dlog"] = dlog  # where FieldCtx.dlog keeps the table it built
     return bad
+
+
+def row_moduli(ctx, rows) -> tuple[np.ndarray, np.ndarray]:
+    """|sum_{x in row} chi_j(x)| for the rows of one 2-d residue array, reduced to
+    (the mean over every character j, per row; the max over the rows, per j): one
+    DFT of each row's dlog histogram, in chunks of at most HISTOGRAM_CELLS cells."""
+    m = ctx.p - 1
+    rows = np.asarray(rows, dtype=np.int64)
+    means = np.empty(len(rows))
+    peaks = np.zeros(m)
+    step = max(1, HISTOGRAM_CELLS // m)
+    for lo in range(0, len(rows), step):
+        moduli = np.abs(np.fft.fft(exponent_histogram(ctx.dlog[rows[lo:lo + step]], m), axis=1))
+        means[lo:lo + step] = moduli.sum(axis=1) / m
+        np.maximum(peaks, moduli.max(axis=0), out=peaks)
+    return means, peaks
+
+
+def per_subgroup_moduli(ctx, Hs):
+    """verifier.subgroup_moduli's (means, peaks, inner, nonlinear_peaks) with every
+    part asked for, one row_moduli call per subgroup and kind of row."""
+    means, peaks, inner, nonlinear = [], [], [], []
+    for H in Hs:
+        mu, top = row_moduli(ctx, coset_shift_rows(ctx, H))
+        means.append(mu)
+        peaks.append(top)
+        inner.append(row_moduli(ctx, [H.elements])[1])
+        nonlinear.append(row_moduli(ctx, verifier.nonlinear_rows(ctx, H))[1])
+    return means, np.array(peaks), np.array(inner), np.array(nonlinear)
 
 
 def json_sort_key(v):

@@ -402,6 +402,29 @@ def test_benchmark_argvs_never_import_numpy_ma(tmp_path):
     assert done.stdout == "False\n"
 
 
+@pytest.mark.parametrize("argv", [["verify", "--p-max", "23"],
+                                  ["scan", "--problem", "1", "--p-max", "3000"]])
+def test_reader_that_closes_early_ends_the_run_quietly(argv):
+    """Piped into a reader that takes one line and closes (charsum ... | head -1),
+    the console script exits with code 1 and writes nothing to stderr: no
+    BrokenPipeError traceback.  Both outputs pass 64 KiB, a full pipe buffer, so
+    the writer is still writing when the reader closes."""
+    src = str(Path(verifier.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", "from charsum.cli import entry; entry()",
+                             *argv], env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
 

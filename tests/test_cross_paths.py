@@ -65,6 +65,7 @@ from charsum.verifier import (
     random_weights,
     run_suite,
     seeded_rng,
+    subgroup_moduli,
 )
 import references
 from references import (
@@ -77,6 +78,7 @@ from references import (
     kernel_closed_form,
     kernel_mismatches,
     pair_difference_grid,
+    per_subgroup_moduli,
     reduced_sums,
     without_certificates,
 )
@@ -123,8 +125,7 @@ def test_subgroup_path_equals_fft_and_naive(inst):
 def test_kernel_peaks_equal_shifted_values_all(inst):
     ctx, chi, H, _ = inst
     vals = shifted_values_all(ctx, chi, H.elements)
-    _, peaks = character_sum_moduli(ctx, coset_shift_rows(ctx, H))
-    _, inner = character_sum_moduli(ctx, [H.elements])
+    _, (peaks, inner) = character_sum_moduli(ctx, [coset_shift_rows(ctx, H), [H.elements]])
     assert abs(peaks[chi.index] - np.max(np.abs(vals[1:]))) <= TOL
     assert abs(inner[chi.index] - abs(vals[0])) <= TOL
 
@@ -137,7 +138,7 @@ def test_coset_meanvalue2_equals_per_shift_sum(inst):
     # (1/(p-1)) sum over every character of |sum_{n in H} chi(n + a)|, term by term
     direct = sum(abs(shifted_sum(ctx, character(ctx, j), H.elements, a, "numeric").to_complex())
                  for j in range(p - 1)) / (p - 1)
-    means, _ = character_sum_moduli(ctx, coset_shift_rows(ctx, H))
+    (means,), _ = character_sum_moduli(ctx, [coset_shift_rows(ctx, H)])
     assert means.shape == (k,)
     assert abs(means[ctx.dlog[a] % k] - direct) <= TOL
     assert abs(check_meanvalue2(ctx, H, a).computed - direct) <= TOL
@@ -149,7 +150,7 @@ def test_coset_nonlinear_equals_per_shift_sum(inst):
     ctx, chi, H, _ = inst
     every_shift = max(nonlinear_sum_xxa(ctx, chi, H, b, "numeric").magnitude
                       for b in range(1, ctx.p))
-    _, peaks = character_sum_moduli(ctx, nonlinear_rows(ctx, H))
+    _, (peaks,) = character_sum_moduli(ctx, [nonlinear_rows(ctx, H)])
     assert abs(peaks[chi.index] - every_shift) <= TOL
     assert abs(check_nonlinear_bound_all_shifts(ctx, chi, H).computed - every_shift) <= TOL
 
@@ -347,12 +348,51 @@ def test_kernel_memory_is_bounded():
     rows = coset_shift_rows(ctx, subgroup_of_order(ctx, 1))
     tracemalloc.start()
     try:
-        means, peaks = character_sum_moduli(ctx, rows)
+        (means,), (peaks,) = character_sum_moduli(ctx, [rows])
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert means.shape == peaks.shape == (4000,)
     assert peak_bytes <= 64e6
+
+
+@pytest.mark.parametrize("p", [3, 13, 61, 101, 1009])
+def test_subgroup_moduli_equal_the_per_subgroup_kernel(p):
+    """One character_sum_moduli call over every subgroup's rows gives, bit for bit,
+    each subgroup's means, peaks and inner sums of the per-subgroup kernel calls.
+    At p = 1009 the sigma(1008) = 3224 coset rows fill more than one chunk of
+    HISTOGRAM_CELLS // 1008 = 1040 rows."""
+    ctx = make_ctx(p)
+    Hs = subgroups(ctx)
+    expected = per_subgroup_moduli(ctx, Hs)
+    means, peaks, inner, nonlinear = subgroup_moduli(ctx, Hs, shifted=True, nonlinear=True)
+    assert len(means) == len(expected[0])
+    assert all(np.array_equal(a, b) for a, b in zip(means, expected[0]))
+    for got, want in zip((peaks, inner, nonlinear), expected[1:]):
+        assert np.array_equal(got, want)
+    # either kind of row alone reads the same
+    assert np.array_equal(subgroup_moduli(ctx, Hs, shifted=False, nonlinear=True)[3], nonlinear)
+    alone = subgroup_moduli(ctx, Hs, shifted=True, nonlinear=False)
+    assert np.array_equal(alone[1], peaks) and np.array_equal(alone[2], inner)
+    assert alone[3] is None
+
+
+def test_subgroup_moduli_memory_is_not_padded(monkeypatch):
+    """The rows of every subgroup of F_1009* go straight into small chunks: the
+    traced peak stays far below the 52 MB that the 2 sigma(1008) coset and
+    nonlinear rows would take padded to the widest subgroup's 1008 residues."""
+    monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", 1 << 14)
+    ctx = make_ctx(1009)
+    Hs = subgroups(ctx)
+    padded = 2 * sum(H.index for H in Hs) * 1008 * 8
+    tracemalloc.start()
+    try:
+        subgroup_moduli(ctx, Hs, shifted=True, nonlinear=True)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert padded > 50e6
+    assert peak_bytes <= 8e6
 
 
 @st.composite
@@ -606,8 +646,8 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
                 [check_granville(ctx, H).computed for H in subgroups(ctx)],
                 bilinear_S(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
                 bilinear_Sprime(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
-                [[v.tolist() for v in character_sum_moduli(ctx, coset_shift_rows(ctx, H))]
-                 for H in subgroups(ctx)]]
+                [[v.tolist() for v in part]
+                 for part in subgroup_moduli(ctx, subgroups(ctx), shifted=True, nonlinear=True)]]
 
     whole = exact_values()
     monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)

@@ -435,8 +435,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("budget", [1, 2, 7])
     def test_budget_counts_verdicts_per_claim_and_modulus(self, budget):
-        # one rule for every claim: nonlinear's batches hold 11 verdicts each and
-        # lemma3's one batch 25, and konyagin counts per q
+        # one rule for every claim: nonlinear's one batch holds 11 verdicts per
+        # subgroup and lemma3's one batch 25, and konyagin counts per q
         def counts(vs):
             return Counter((v.claim, v.params.get("p", v.params.get("q"))) for v in vs)
 
@@ -444,6 +444,31 @@ class TestRunSuite:
         capped = counts(run_suite(13, 13, claims=CLAIMS, seed=0, budget=budget))
         assert set(full) == {(c, 13) for c in CLAIMS}
         assert capped == {key: min(n, budget) for key, n in full.items()}
+
+    @pytest.mark.parametrize("claim", sorted(verifier.NUMERIC_CLAIMS))
+    @pytest.mark.parametrize("p", [13, 61])
+    def test_budget_counts_only_the_subgroups_it_reaches(self, monkeypatch, claim, p):
+        """One kernel call per prime, over the rows of the subgroups that the budget
+        reaches: subgroup H has k = (p-1)/|H| coset rows, plus the row H itself for
+        the shifted claims.  A budget of 1 reaches the first subgroup, and one of
+        p - 1 the first two, but for meanvalue2's p - 1 rows per subgroup."""
+        calls = []
+        real = verifier.character_sum_moduli
+
+        def spy(ctx, segments):
+            calls.append(sum(map(len, segments)))
+            return real(ctx, segments)
+
+        monkeypatch.setattr(verifier, "character_sum_moduli", spy)
+        Hs = subgroups(make_ctx(p))
+        extra = 0 if claim == "nonlinear" else 1
+
+        def rows(n):
+            return sum(H.index + extra for H in Hs[:n])
+
+        for budget in (1, p - 1, None):
+            run_suite(p, p, claims=[claim], budget=budget)
+        assert calls == [rows(1), rows(1 if claim == "meanvalue2" else 2), rows(len(Hs))]
 
     def test_capacity_in_any_claim_is_its_record(self, monkeypatch):
         # past the cap granville's per-character route needs Phi_10006; the
