@@ -1,4 +1,6 @@
-"""One checker per claimed identity or bound, each returning a structured Verdict.
+"""One checker per claimed identity or bound, each returning a structured Verdict:
+one row of the batch builder that the suite runs, one batch per claim and modulus
+(eps two), with the rows' parameters as columns.
 
 Identity checkers (eq2, granville, konyagin, kernel) work in exact cyclotomic
 arithmetic and demand margin exactly zero.  Inequality checkers work on
@@ -7,8 +9,9 @@ magnitudes with a fixed absolute tolerance of 1e-9.
 The suite reads every numeric bound (thm2, thm2_sharp, eps, meanvalue2,
 nonlinear) at p off one character_sum_moduli call, which takes each subgroup's
 rows of residues as a segment and gives per-row character means and
-per-segment peaks from one DFT of dlog histograms per chunk; each bound is one
-batch per prime (eps two), with the subgroup order H as a column.
+per-segment peaks from one DFT of dlog histograms per chunk.  granville and
+shkredov share one reading of the subgroups, one integer_sums call per H, and
+kernel's rows share one certificate (and, when it fails, one inverse table).
 
 Each identity holds for every character at once and reduces to a statement
 about a character-free count, a certificate, which needs no push-forward to the
@@ -618,50 +621,47 @@ def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int) -> Verdict:
 # exact full-dual-group identity  sum_chi |sum_{n in H} chi(n)| = p - 1
 # ---------------------------------------------------------------------------
 
-def _granville_structural(ctx: FieldCtx, H: Subgroup) -> tuple[bool, int]:
-    """Exact inner sums over H for every character: |H| when the character is
-    trivial on H (|H| divides j), 0 otherwise.  Returns (structure holds, number
-    of mismatches), read by one integer_sums call on the histogram of dlog(H)
-    (on a true dlog, {0, k, 2k, ...}: constant on the gcd classes).  The sum and
-    its target depend on j only through g = gcd(j, m), so they are read at j = g
-    alone, and a mismatch there counts for the phi(m/g) characters of class g."""
-    m = ctx.p - 1
+def _granville_batches(ctx: FieldCtx, Hs: list) -> tuple[Batch, Batch]:
+    """The granville and shkredov batches, one row per subgroup H in Hs.  The exact
+    inner sum over H is |H| for the k characters trivial on H (|H| divides j) and 0
+    otherwise, read by one integer_sums call per H on the histogram of dlog(H) (on a
+    true dlog, {0, k, 2k, ...}: constant on the gcd classes).  It depends on j only
+    through g = gcd(j, m), so it is read at j = g alone, and a mismatch there counts
+    for the phi(m/g) characters of class g.  shkredov's sum is granville's, and
+    infinite where granville fails."""
+    p = ctx.p
+    m = p - 1
     _, reps, table = _gcd_classes(m)
-    dH = ctx.dlog[np.array(H.elements, dtype=np.int64)]
-    (sums,) = integer_sums(np.bincount(dH, minlength=m)[None], m, reps)
     sizes = table[:, -1].tolist()
-    mismatches = sum(size for g, s, size in zip(reps.tolist(), sums, sizes)
-                     if s != (0 if g % H.order else H.order))
-    return mismatches == 0, mismatches
+    mismatches = []
+    for H in Hs:
+        dH = ctx.dlog[np.array(H.elements, dtype=np.int64)]
+        (sums,) = integer_sums(np.bincount(dH, minlength=m)[None], m, reps)
+        mismatches.append(sum(size for g, s, size in zip(reps.tolist(), sums, sizes)
+                              if s != (0 if g % H.order else H.order)))
+    totals = [H.index * H.order for H in Hs]  # |H| from each of the k characters
+    passed = [n == 0 and t == m for n, t in zip(mismatches, totals)]
+    params = {"p": p, "H": [H.order for H in Hs]}
+    granville = Batch(
+        "granville", params,
+        [f"{n} structural mismatches" if n else t for n, t in zip(mismatches, totals)],
+        [m] * len(Hs), [math.nan if n else float(t - m) for n, t in zip(mismatches, totals)],
+        passed, "exact")
+    shkredov = Batch(
+        "shkredov", params, [t if k else math.inf for t, k in zip(totals, passed)],
+        [p] * len(Hs), [float(p - t) if k else math.nan for t, k in zip(totals, passed)],
+        [k and t <= p for t, k in zip(totals, passed)], "exact", texts=granville.texts)
+    return granville, shkredov
 
 
 def check_granville(ctx: FieldCtx, H: Subgroup) -> Verdict:
-    ok, mismatches = _granville_structural(ctx, H)
-    p = ctx.p
-    total = H.index * H.order  # k characters contribute |H| each when structure holds
-    return Verdict(
-        claim="granville",
-        params={"p": p, "H": H.order},
-        computed=total if ok else f"{mismatches} structural mismatches",
-        target=p - 1,
-        margin=float(total - (p - 1)) if ok else float("nan"),
-        passed=ok and total == p - 1, mode="exact",
-    )
+    """sum_chi |sum_{n in H} chi(n)| = p - 1, exactly."""
+    return _granville_batches(ctx, [H])[0][0]
 
 
-def check_shkredov_bound(ctx: FieldCtx, H: Subgroup, base: Verdict | None = None) -> Verdict:
-    """sum_chi |sum_{n in H} chi(n)| <= p, from the granville verdict base for the
-    same H (run here when not given)."""
-    if base is None:
-        base = check_granville(ctx, H)
-    total = base.computed if base.passed else float("inf")
-    return Verdict(
-        claim="shkredov",
-        params={"p": ctx.p, "H": H.order},
-        computed=total, target=ctx.p,
-        margin=float(ctx.p - total) if base.passed else float("nan"),
-        passed=base.passed and total <= ctx.p, mode="exact",
-    )
+def check_shkredov_bound(ctx: FieldCtx, H: Subgroup) -> Verdict:
+    """sum_chi |sum_{n in H} chi(n)| <= p, exactly."""
+    return _granville_batches(ctx, [H])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -769,47 +769,52 @@ def kernel_certificate(ctx: FieldCtx) -> bool:
     return True
 
 
-def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Verdict:
+def _kernel_batch(ctx: FieldCtx, chis: list, shifts: list, pairs=None) -> Batch:
     """Exact check that sum_x chi(xy+a) conj(chi(x*y1+a)) matches its four-case
-    closed form for every requested (y, y1) pair (default: the full grid).
+    closed form for every requested (y, y1) pair (default: the full grid), one row
+    per character chis[i] and shift a = shifts[i].
 
-    When kernel_certificate(ctx) holds it proves every pair, and no grid is built.
+    When kernel_certificate(ctx) holds it proves every row, and no grid is built.
     Otherwise each pair's sum less its closed form is counted over Z/m, in chunks of
     at most HISTOGRAM_CELLS (pair x term) cells, and decided by integer_sums at
-    j = 1; computed counts the mismatches."""
-    _require_nonprincipal(chi)
-    _require_coprime_shift(ctx.p, a)
+    j = 1; computed counts a row's mismatches."""
+    _require_nonprincipal(*chis)
+    _require_coprime_shift(ctx.p, *shifts)
     p = ctx.p
     m = p - 1
     require_exact_order(m)
     if pairs is not None:
         pairs = np.array(pairs, dtype=np.int64) % p
     npairs = p * p if pairs is None else len(pairs)
-    mismatches = 0
+    mismatches = [0] * len(chis)
     if not kernel_certificate(ctx):
-        E = chi.exponent_table()
         # field inverses, not ctx.exp[-dlog]: the closed form is about y / y1 in F_p
         inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
         step = max(1, HISTOGRAM_CELLS // p)
-        for lo in range(0, npairs, step):
-            hi = min(lo + step, npairs)
-            if pairs is None:  # the full grid, row-major: pair k is (k // p, k % p)
-                y, y1 = np.divmod(np.arange(lo, hi, dtype=np.int64), p)
-            else:
-                y, y1 = pairs[lo:hi].T
-            # one column of kernel exponents per pair; one count row per pair
-            counts = exponent_histogram(kernel_exponents(ctx, chi, y, y1, a).T, m)
-            counts[(y == 0) & (y1 == 0), 0] -= p
-            counts[(y == y1) & (y > 0), 0] -= p - 1
-            generic = np.flatnonzero((y != y1) & (y > 0) & (y1 > 0))
-            counts[generic, E[y[generic] * inv[y1[generic]] % p]] += 1  # -chi(y / y1)
-            mismatches += sum(s != [0] for s in integer_sums(counts, m, [1]))
-    return Verdict(
-        claim="kernel",
-        params={"p": p, "chi": chi.index, "a": a % p, "pairs": npairs},
-        computed=mismatches, target=0, margin=float(-mismatches),
-        passed=mismatches == 0, mode="exact",
-    )
+        for i, (chi, a) in enumerate(zip(chis, shifts)):
+            E = chi.exponent_table()
+            for lo in range(0, npairs, step):
+                hi = min(lo + step, npairs)
+                if pairs is None:  # the full grid, row-major: pair k is (k // p, k % p)
+                    y, y1 = np.divmod(np.arange(lo, hi, dtype=np.int64), p)
+                else:
+                    y, y1 = pairs[lo:hi].T
+                # one column of kernel exponents per pair; one count row per pair
+                counts = exponent_histogram(kernel_exponents(ctx, chi, y, y1, a).T, m)
+                counts[(y == 0) & (y1 == 0), 0] -= p
+                counts[(y == y1) & (y > 0), 0] -= p - 1
+                generic = np.flatnonzero((y != y1) & (y > 0) & (y1 > 0))
+                counts[generic, E[y[generic] * inv[y1[generic]] % p]] += 1  # -chi(y / y1)
+                mismatches[i] += sum(s != [0] for s in integer_sums(counts, m, [1]))
+    params = {"p": p, "chi": [chi.index for chi in chis], "a": [a % p for a in shifts],
+              "pairs": npairs}
+    return Batch("kernel", params, mismatches, [0] * len(chis), [float(-n) for n in mismatches],
+                 [n == 0 for n in mismatches], "exact")
+
+
+def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Verdict:
+    """The kernel's case table for one character and shift (see _kernel_batch)."""
+    return _kernel_batch(ctx, [chi], [a], pairs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -887,13 +892,13 @@ def _lemma3_draws(p: int, rng: random.Random, count: int) -> tuple[np.ndarray, n
 # the suite runner
 # ---------------------------------------------------------------------------
 
-def _first(claim: str, params: dict, batches, budget: int) -> list[Batch]:
-    """The first budget rows of claim's batches, building batches only as far as
-    needed and cutting the last one partway; or, when building raises
+def _first(claim: str, params: dict, build, budget: int) -> list[Batch]:
+    """The first budget rows of the batches that build() gives for claim, built only
+    as far as needed, the last one cut partway; or, when building raises
     CapacityExceeded, the claim's one capacity record (params), with no partial batch."""
     kept = []
     try:
-        for b in batches:
+        for b in build():
             kept.append(b if len(b) <= budget else b[:budget])
             budget -= len(b)
             if budget <= 0:
@@ -904,14 +909,14 @@ def _first(claim: str, params: dict, batches, budget: int) -> list[Batch]:
 
 
 def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batch]:
-    """Every claim's batches at p.  Each claim is a lazily built sequence of
-    batches, of which _first keeps the first budget rows; eq2 and lemma3 build
-    only the rows that the budget keeps.
+    """Every claim's batches at p: one batch per claim (eps two), with the rows'
+    parameters as columns, built by the claim's builder inside _first, which keeps
+    the first budget rows.  Each builder builds only the rows the budget keeps.
 
-    The numeric claims read one subgroup_moduli call and give one batch each (eps
-    two), H-major, with the subgroup order H as a column.  A subgroup gives a claim
-    one row per nonprincipal character, or per nonzero shift for meanvalue2, so
-    only the first ceil(budget / rows) subgroups are counted."""
+    The numeric claims read one subgroup_moduli call, H-major.  A subgroup gives a
+    claim one row per nonprincipal character, or per nonzero shift for meanvalue2,
+    so only the first ceil(budget / rows) subgroups are counted.  granville and
+    shkredov share one _granville_batches reading of the first budget subgroups."""
     try:
         ctx = make_ctx(p)
     except CapacityExceeded as e:
@@ -937,8 +942,8 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
                                 list(range(1, p)) * len(sizes), averages)
 
     @cache
-    def granville(H: Subgroup) -> Verdict:  # one verdict per H, shared with shkredov
-        return check_granville(ctx, H)
+    def granville():  # one reading of the subgroups the budget keeps, for both claims
+        return _granville_batches(ctx, Hs[:budget])
 
     def eq2():  # one batch of the (D, character) rows that the budget keeps, D-major
         rng = seeded_rng(seed, p, "eq2")
@@ -957,17 +962,12 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         yield _lemma3_batch(ctx, [chis[ci] for ci, _ in grid], xi, eta, shifts,
                             [f"{ci}:{w}" for ci, w in grid])
 
-    def kernel():
-        # one kernel_certificate, shared by these calls, proves every (chi, a,
-        # pair) at p; the seeded sample keeps the verdict stream as it was
+    def kernel():  # five (chi, a) combos, then the pairs past p = 101; one batch
         rng = seeded_rng(seed, p, "kernel")
-        combos = [(character(ctx, 1 + rng.randrange(m - 1)), rng.randrange(1, p))
-                  for _ in range(min(5, m - 1))]
-        pairs = None
-        if p > 101:
-            pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
-        for chi, a in combos:
-            yield Batch.of(check_kernel_cases(ctx, chi, a, pairs=pairs))
+        combos = [(1 + rng.randrange(m - 1), rng.randrange(1, p)) for _ in range(min(5, m - 1))]
+        pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)] if p > 101 else None
+        chis = [character(ctx, j) for j, _ in combos[:budget]]  # the kept combos' only
+        yield _kernel_batch(ctx, chis, [a for _, a in combos[:budget]], pairs)
 
     # each claim's batches, built when the claim is read; the peaks drop character 0
     batches = {
@@ -979,12 +979,12 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         "lemma3": lemma3,
         "kernel": kernel,
         "meanvalue2": meanvalue2,
-        "granville": lambda: (Batch.of(granville(H)) for H in Hs),
-        "shkredov": lambda: (Batch.of(check_shkredov_bound(ctx, H, granville(H))) for H in Hs),
+        "granville": lambda: granville()[:1],
+        "shkredov": lambda: granville()[1:],
         "nonlinear": lambda: [_nonlinear_batch(ctx, orders, chi_index,
                                                nonlinear_peaks[:, 1:].ravel())],
     }
-    return [b for c in claims for b in _first(c, {"p": p}, batches[c](), budget)]
+    return [b for c in claims for b in _first(c, {"p": p}, batches[c], budget)]
 
 
 def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Batch]:
@@ -997,7 +997,7 @@ def _suite_for_modulus(n: int, claims: tuple, seed: int, budget: int) -> list[Ba
 
     batches = []
     if "konyagin" in claims:
-        batches = _first("konyagin", {"q": n}, konyagin(), budget)
+        batches = _first("konyagin", {"q": n}, konyagin, budget)
     prime_claims = tuple(c for c in claims if c != "konyagin")
     if prime_claims and n > 2 and is_prime(n):
         batches += _suite_for_prime(n, prime_claims, seed, budget)

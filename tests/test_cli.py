@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import importlib.util
 import io
 import json
 import lzma
@@ -16,7 +17,8 @@ from charsum import scan, verifier
 from charsum.cli import main
 from charsum.verifier import CLAIMS
 
-REF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+REF_DIR = PERFBENCH_DIR / "ref"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -581,3 +583,23 @@ class TestTable:
         code, out, err = run(capsys, "table", "--input", str(src))
         assert code == 2 and out == ""
         assert err == f"charsum table: {src}: pass must be true or false, got {shown}\n"
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    """The traced benchmark run rebinds each function that perfbench/tracer.py
+    names, by module and attribute, and fails with KeyError on one that is gone:
+    every name must resolve once charsum.cli has loaded every traced module, and
+    uninstall must put every binding back."""
+    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH_DIR / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    spec.loader.exec_module(tracer)
+    before = dict(vars(verifier))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert len(t._originals) == len(tracer.TARGETS)
+        assert verifier.check_granville.__wrapped__ is before["check_granville"]
+    finally:
+        t.uninstall()
+    assert all(vars(verifier)[k] is v for k, v in before.items())

@@ -57,6 +57,7 @@ from charsum.verifier import (
     check_meanvalue2,
     check_nonlinear_bound_all_shifts,
     check_sharpened_theorem2,
+    check_shkredov_bound,
     check_theorem2,
     character_sum_moduli,
     integer_sums,
@@ -854,6 +855,45 @@ def test_granville_certificate_rejects_corrupted_dlog(monkeypatch):
     assert not v.passed
     assert v.computed == f"{granville_mismatches(bad, H)} structural mismatches"
     assert granville_mismatches(bad, H) > 0
+
+
+@pytest.mark.parametrize("p, x, y", [(13, 5, 2), (107, 2, 3)])
+def test_suite_failing_rows_equal_the_one_row_checks(monkeypatch, p, x, y):
+    """The suite's granville, shkredov and kernel batches on a corrupted dlog, at
+    p = 13 (kernel's full grid) and p = 107 (500 sampled pairs): each row's record
+    is its one-row check_* record, granville counts the reference's mismatches, and
+    each kernel row counts the pairs where proof_kernel_S_yy1 differs from
+    kernel_closed_form."""
+    bad = corrupted_ctx(p, x, y)
+    monkeypatch.setattr(verifier, "make_ctx", lambda q: bad)
+    suite = {}
+    for v in run_suite(p, p, claims=["granville", "shkredov", "kernel"], seed=3):
+        suite.setdefault(v.claim, []).append(v)
+
+    Hs = subgroups(bad)
+    granville = {v.params["H"]: v for v in suite["granville"]}
+    shkredov = {v.params["H"]: v for v in suite["shkredov"]}
+    assert len(granville) == len(shkredov) == len(Hs)
+    mismatches = [granville_mismatches(bad, H) for H in Hs]
+    assert any(mismatches)
+    for H, n in zip(Hs, mismatches):
+        assert granville[H.order].to_line() == check_granville(bad, H).to_line()
+        assert shkredov[H.order].to_line() == check_shkredov_bound(bad, H).to_line()
+        assert granville[H.order].computed == (f"{n} structural mismatches" if n else p - 1)
+
+    rng = seeded_rng(3, p, "kernel")
+    combos = [(1 + rng.randrange(p - 2), rng.randrange(1, p)) for _ in range(5)]
+    pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)] if p > 101 else None
+    grid = pairs or [(u, w) for u in range(p) for w in range(p)]
+    expected = []
+    for j, a in combos:
+        chi = character(bad, j)
+        v = check_kernel_cases(bad, chi, a, pairs)
+        assert v.computed == sum(proof_kernel_S_yy1(bad, chi, u, w, a).exact
+                                 != kernel_closed_form(bad, chi, u, w) for u, w in grid)
+        expected.append(v)
+    assert not all(v.passed for v in expected)
+    assert sorted(v.to_line() for v in suite["kernel"]) == sorted(v.to_line() for v in expected)
 
 
 @pytest.mark.parametrize("p, x, y", [(13, 5, 2), (31, 2, 7), (37, 6, 10), (41, 3, 40)])

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from charsum.verifier import (
     random_weights,
     run_suite,
 )
-from references import eq2_via_engine, json_sort_key, without_certificates
+from references import corrupted_ctx, eq2_via_engine, json_sort_key, without_certificates
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -198,38 +201,55 @@ class TestGranville:
         v = check_shkredov_bound(ctx, subgroup_of_order(ctx, 1))
         assert v.passed and v.computed == 2
 
-    def test_shkredov_reuses_the_granville_verdict(self, ctx7, H7):
-        base = check_granville(ctx7, H7)
-        assert check_shkredov_bound(ctx7, H7, base) == check_shkredov_bound(ctx7, H7)
-        failed = Verdict(claim="granville", params={}, computed="1 structural mismatches",
-                         target=6, margin=float("nan"), passed=False, mode="exact")
-        assert not check_shkredov_bound(ctx7, H7, failed).passed
+    def test_shkredov_fails_where_granville_reports_mismatches(self):
+        # 5 lies in the subgroup of order 4 and 2 does not, so the swap breaks
+        # some subgroups' structure and leaves H = 1 and H = 12 whole
+        bad = corrupted_ctx(13, 5, 2)
+        Hs = subgroups(bad)
+        granville = [check_granville(bad, H) for H in Hs]
+        broken = [str(v.computed).endswith(" structural mismatches") for v in granville]
+        assert any(broken) and not all(broken)
+        for H, g, mismatched in zip(Hs, granville, broken):
+            v = check_shkredov_bound(bad, H)
+            assert v.params == {"p": 13, "H": H.order} and v.target == 13
+            assert v.passed is g.passed is (not mismatched)
+            if mismatched:
+                assert v.computed == math.inf and math.isnan(v.margin)
+            else:
+                assert v.computed == 12 and v.margin == 1.0
 
     def test_memory_is_linear_in_the_order(self):
-        # p - 1 = 110880 = 2^5 3^2 5 7 11 has 144 divisors.  Each subgroup's check
-        # reads one histogram over Z/(p - 1) and a table over the 144 gcd classes,
-        # so the traced peak stays within a few int64 arrays of length p - 1; a
-        # table of 144 rows of length p - 1 would take 144 of them.
+        # p - 1 = 110880 = 2^5 3^2 5 7 11 has 144 divisors.  The suite's one
+        # reading of every subgroup takes one histogram over Z/(p - 1) at a time
+        # and a table over the 144 gcd classes, so the traced peak stays within a
+        # few int64 arrays of length p - 1; a table of 144 rows of length p - 1
+        # would take 144 of them.
         ctx = make_ctx(110_881)
         Hs = subgroups(ctx)
         tracemalloc.start()
         try:
-            verdicts = [check_granville(ctx, H) for H in Hs]
+            granville, shkredov = verifier._granville_batches(ctx, Hs)
             peak_bytes = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(verdicts) == 144 and all(v.passed for v in verdicts)
+        assert len(granville) == 144 and all(granville.passed) and all(shkredov.passed)
         assert peak_bytes <= 8 * 8 * 110_880
 
-    def test_suite_runs_granville_once_per_subgroup(self, monkeypatch):
-        from charsum import verifier
-
+    @pytest.mark.parametrize("claims", [["granville"], ["shkredov"], ["granville", "shkredov"]],
+                             ids=["granville", "shkredov", "both"])
+    @pytest.mark.parametrize("budget", [1, 2, None])
+    def test_suite_reads_granville_once_per_prime(self, monkeypatch, claims, budget):
+        # one reading per prime, of the subgroups the budget keeps, whichever of
+        # the two claims read it
         calls = []
-        structural = verifier._granville_structural
-        monkeypatch.setattr(verifier, "_granville_structural",
-                            lambda ctx, H: calls.append(H) or structural(ctx, H))
-        vs = run_suite(13, 13, claims=["granville", "shkredov"])
-        assert len(calls) == len(make_ctx(13).divisors) == len(vs) // 2
+        read = verifier._granville_batches
+        monkeypatch.setattr(verifier, "_granville_batches",
+                            lambda ctx, Hs: calls.append((ctx.p, [H.order for H in Hs]))
+                            or read(ctx, Hs))
+        vs = run_suite(3, 31, claims=claims, budget=budget)
+        kept = [(p, list(make_ctx(p).divisors[:budget])) for p in primes_in(3, 31)]
+        assert calls == kept
+        assert len(vs) == len(claims) * sum(len(orders) for _, orders in kept)
 
 
 class TestKonyagin:
@@ -629,6 +649,14 @@ class TestRunSuite:
         one = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=1)
         two = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=2)
         assert [v.to_record() for v in two] == [v.to_record() for v in one]
+
+    def test_exact_claims_equal_stored_reference(self):
+        """granville, shkredov and kernel, byte for byte, against a stored run with
+        a budget of 4 over a range that crosses p = 101, past which kernel checks
+        500 sampled pairs instead of the full grid."""
+        vs = run_suite(97, 211, claims=["granville", "shkredov", "kernel"], seed=3, budget=4)
+        expected = DATA_DIR / "verify.gsk.p97-211.seed3.budget4.jsonl"
+        assert "".join(vs.lines()).encode() == expected.read_bytes()
 
     def test_verdict_sorting(self):
         vs = run_suite(3, 13, claims=["granville", "thm2"], seed=0)
