@@ -31,12 +31,10 @@ form, at j = 1), and so names the failing characters.  Either route gives the
 same verdict records.
 
 Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2
-whose terms depend only on the difference d = y - x: _pair_difference_sum counts
-one exponent row per distinct d, weighted by its number of pairs, not |D|^2
-rows.  That only regroups the terms, so it gives the same counts for any dlog.
-The rows depend on the modulus and d alone, so it takes every set of one modulus
-at once and counts each row once for all of them: the suite gives eq2 one batch
-per prime and konyagin one batch per modulus q.
+whose terms depend only on d = y - x, so _pair_counts counts each set's pairs
+per d, not |D|^2 rows.  konyagin writes its count rows from the pairs per class
+gcd(d, q).  eq2's _pair_difference_sum counts one exponent row per d for all of
+a prime's sets: that only regroups the terms, so it holds for any dlog table.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ from .engines import (
     _require_coprime_shift,
     _require_nonprincipal,
     bilinear_sums,
-    exp_sum_exponents,
     kernel_exponents,
     nonlinear_exponents,
     shifted_exponents,
@@ -450,30 +447,14 @@ def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) 
     return _eps_batches(ctx, [H.order], [chi.index], [peak], eps)[0][0]
 
 
-def _pair_difference_sum(dsets: list[list[int]], n: int, m: int, row) -> np.ndarray:
-    """Row i holds the m coefficient counts of
-    sum_{(x, y) in D^2} sum_{e in row(y - x mod n)} zeta_m^e (-1 for zero terms) for
-    the i-th set D of residues mod n: sum_d pairs(d) hist(row(d)), pairs the cyclic
-    autocorrelation of D's indicator.  Each difference d that any set has is counted
-    once for all of them, in chunks of at most HISTOGRAM_CELLS cells, with one
-    (sets x chunk) @ (chunk x m) product per chunk.
-
-    The products run in float64 (BLAS) and are exact: a row(d) holds at most n
-    terms, so every count and partial sum is at most |D|^2 n <= n^3, below 2^53 for
-    every order that require_exact_order lets through, which callers check first."""
-    pairs = np.empty((len(dsets), n))
+def _pair_counts(dsets: list[list[int]], n: int) -> np.ndarray:
+    """Row i, column d: the int64 number of pairs (x, y) in D^2 with y - x = d mod n
+    for the i-th set D, the cyclic autocorrelation of its indicator: O(n^2) steps."""
+    pairs = np.empty((len(dsets), n), dtype=np.int64)
     for i, D in enumerate(dsets):
         ind = np.bincount(D, minlength=n)
-        lags = np.correlate(ind, ind, "full")  # lag k in (-n, n) at index n - 1 + k
-        pairs[i] = lags[n - 1:]
-        pairs[i, 1:] += lags[:n - 1]
-    d = np.flatnonzero(pairs.any(axis=0))
-    counts = np.zeros((len(dsets), m))
-    step = max(1, HISTOGRAM_CELLS // n)
-    for lo in range(0, len(d), step):
-        chunk = d[lo:lo + step]
-        counts += pairs[:, chunk] @ exponent_histogram(row(chunk), m).astype(np.float64)
-    return counts.astype(np.int64)
+        pairs[i] = np.correlate(np.concatenate((ind, ind[:-1])), ind, "valid")  # lag d at d
+    return pairs
 
 
 @lru_cache(maxsize=2)
@@ -547,6 +528,26 @@ def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int | None]]:
 # exact mean-value identity  sum_a |S(a)|^2 = p|D| - |D|^2
 # ---------------------------------------------------------------------------
 
+def _pair_difference_sum(ctx: FieldCtx, dsets: list[list[int]]) -> np.ndarray:
+    """Row i holds the m = p - 1 coefficient counts of eq2's
+    sum_{(x, y) in D^2} sum_{b in F_p} zeta_m^(dlog b - dlog(b + y - x)) (zero terms
+    left out) for the i-th set D: sum_d pairs(d) hist(row(d)), each row counted once
+    for all the sets, HISTOGRAM_CELLS cells at a time, by float64 (BLAS) products.
+    These are exact: every partial sum is at most |D|^2 p <= p^3, below 2^53 for
+    every p that require_exact_order lets through (_eq2_batch checks first)."""
+    p, m, dlog = ctx.p, ctx.p - 1, ctx.dlog
+    pairs = _pair_counts(dsets, p).astype(np.float64)
+    d = np.flatnonzero(pairs.any(axis=0))
+    counts = np.zeros((len(dsets), m))
+    step = max(1, HISTOGRAM_CELLS // p)
+    for lo in range(0, len(d), step):
+        chunk = d[lo:lo + step]
+        e = dlog[(np.arange(p) + chunk[:, None]) % p]  # dlog(b + d), b = x + a in F_p
+        row = np.where((dlog >= 0) & (e >= 0), (dlog - e) % m, -1)
+        counts += pairs[:, chunk] @ exponent_histogram(row, m).astype(np.float64)
+    return counts.astype(np.int64)
+
+
 def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
     """One eq2 verdict per (D, chi) row, as one batch: sets lists (D, chis) pairs,
     and each set D gives one row per nonprincipal character in chis, D-major.
@@ -569,15 +570,10 @@ def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
             raise ZeroInD("D must be a subset of the nonzero residues")
         dsets.append(Ds)
     require_exact_order(m)
-
-    def row(d):  # the pair's terms at b = x + a: dlog b - dlog(b + d) over b in F_p
-        e = ctx.dlog[(np.arange(p) + d[:, None]) % p]  # dlog[0] = -1: chi(0) = 0
-        return np.where((ctx.dlog >= 0) & (e >= 0), (ctx.dlog - e) % m, -1)
-
     chi_index = [chi.index for _, chis in sets for chi in chis]
     J = sorted(set(chi_index))  # every character asked for, read for every set
     at = {j: k for k, j in enumerate(J)}
-    sums = integer_sums(_pair_difference_sum(dsets, p, m, row), m, J)
+    sums = integer_sums(_pair_difference_sum(ctx, dsets), m, J)
     computed = [s[at[chi.index]] for s, (_, chis) in zip(sums, sets) for chi in chis]
     rows = [len(chis) for _, chis in sets]  # a set's params repeat on each of its rows
     sizes = np.repeat([len(Ds) for Ds in dsets], rows)
@@ -670,19 +666,23 @@ def check_shkredov_bound(ctx: FieldCtx, H: Subgroup) -> Verdict:
 
 def _konyagin_batch(q: int, dsets: list, D_index: list | None = None) -> Batch:
     """sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2 = |D|(q - |D|), exactly, one verdict
-    per set D in dsets, as one batch; one _pair_difference_sum counts every set.
-    D_index, if given, holds each set's suite index, which goes into the params.
-    Each count depends on t only through gcd(t, q), so no Phi_q is built."""
+    per set D in dsets, as one batch (D_index, if given, holds each set's suite
+    index for the params).  e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, and -ad
+    over a in [0, q) hits each multiple of g = gcd(d, q) g times, so t's count is
+    c(t) = sum_g P_g g [g | t] - |D|^2 [t = 0] (P_g the pairs of class g): int64,
+    constant on gcd classes, and read off the Ramanujan sums by integer_sums."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     dsets = [sorted({x % q for x in D}) for D in dsets]
     if not all(dsets):
         raise ValueError("D must be nonempty")
-    require_exact_order(q)
-    # e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, over the columns a in [1, q)
-    counts = _pair_difference_sum(dsets, q, q,
-                                  lambda d: exp_sum_exponents(q, -d, np.arange(1, q)))
+    require_exact_order(q)  # for the O(q^2) autocorrelation in _pair_counts
+    cls, reps, _ = _gcd_classes(q)
+    g = np.where(reps, reps, q)  # the divisors of q: gcd(d, q) = g[cls[d]]
+    # column k: sum_d pairs(d) gcd(d, q) [gcd(d, q) | g[k]], read at each t of class k
+    counts = (_pair_counts(dsets, q) @ (g[cls, None] * (g % g[cls, None] == 0)))[:, cls]
     sizes = [len(D) for D in dsets]
+    counts[:, 0] -= np.square(sizes)  # a = 0 is left out
     params = {"q": q, "D_size": sizes}
     if D_index is not None:
         params["D_index"] = D_index

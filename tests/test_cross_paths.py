@@ -3,13 +3,14 @@ numeric kernel (one DFT of a dlog histogram for every character) and the
 single-character coset-row reading against the FFT correlation and the per-shift
 engines, the exact histogram kernel against numeric mode and against sums of
 CycInt products, the exact bilinear convolution against the term-by-term grid
-sum, eq2's and konyagin's pair-difference rows against the |D|^2-pair grid (on a
-corrupted dlog too), each row of their one count for several sets against that
-set's grid and one-set call, the batched eq2 push-forward against per-character
-histograms, the suite's batched verdicts (budgeted too) and lemma3's stacked FFT
-against the standalone checkers and bilinear forms, each identity's
-certificate against its per-character fallback, on primes p <= 211, and
-integer_sums' gcd-class reading against reduction mod Phi_m, for m <= 300."""
+sum, eq2's pair-difference rows (on a corrupted dlog too) and konyagin's
+gcd-class count against the |D|^2-pair grid, each row of their one count for
+several sets against that set's grid and one-set call, the batched eq2
+push-forward against per-character histograms, the suite's batched verdicts
+(budgeted too) and lemma3's stacked FFT against the standalone checkers and
+bilinear forms, each identity's certificate against its per-character
+fallback, on primes p <= 211, and integer_sums' gcd-class reading against
+reduction mod Phi_m, for m <= 300."""
 
 import json
 import math
@@ -38,7 +39,6 @@ from charsum.engines import (
 )
 from charsum.field import (
     coset_shift_rows,
-    is_prime,
     make_ctx,
     primes_in,
     subgroup_near_sqrt,
@@ -397,9 +397,10 @@ def test_subgroup_moduli_memory_is_not_padded(monkeypatch):
 
 
 @st.composite
-def subsets(draw, n, lo=1):
-    """A nonempty sorted subset of [lo, n - 1]."""
-    return sorted(draw(st.sets(st.integers(lo, n - 1), min_size=1, max_size=n - lo)))
+def subsets(draw, n, lo=1, most=None):
+    """A nonempty sorted subset of [lo, n - 1], of at most most elements if given."""
+    size = n - lo if most is None else min(most, n - lo)
+    return sorted(draw(st.sets(st.integers(lo, n - 1), min_size=1, max_size=size)))
 
 
 def _handed_to(name, call):
@@ -415,8 +416,8 @@ def _handed_to(name, call):
 @cross_path
 @given(st.integers(2, 100).flatmap(lambda q: st.tuples(st.just(q), subsets(q, lo=0))))
 def test_konyagin_histogram_equals_sum_of_norms(inst):
-    """The pair-difference count c, one exponent row per difference y - x, equals
-    the |D|^2-pair grid's count, and its reduction the sum of CycInt norms."""
+    """The count c written from the gcd classes of the pair differences y - x
+    equals the |D|^2-pair grid's count, and its reduction the sum of CycInt norms."""
     q, D = inst
     D = sorted({0, *D})
     verdict, (c,) = _handed_to("integer_sums", lambda: check_konyagin(q, D))
@@ -491,17 +492,26 @@ def test_eq2_shared_count_takes_the_fallback_on_a_corrupted_dlog():
     assert not all(v.passed for v in batch)
 
 
+# every q below 101, prime powers past it, and moduli with many divisors
+KONYAGIN_MODULI = [*range(2, 101), 243, 256, 343, 360, 420, 720]
+
+
 @cross_path
-@given(st.sampled_from([q for q in range(4, 101) if not is_prime(q)]).flatmap(
-    lambda q: st.tuples(st.just(q), st.lists(subsets(q, lo=0), min_size=2, max_size=5))))
+@given(st.sampled_from(KONYAGIN_MODULI).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(subsets(q, lo=0, most=64), min_size=2, max_size=5))))
+@example((256, [[1], list(range(256))]))
+@example((720, [[1], list(range(0, 720, 12))]))
 def test_konyagin_shared_count_equals_each_sets_own(inst):
-    """The count matrix of several sets at one composite q, each holding 0: each
-    row equals that set's |D|^2-pair grid and the count of the one-set call, and
-    the batch equals the one-set calls."""
+    """The count matrix handed to integer_sums for several sets at one q, each
+    holding 0, and the full residue set for q <= 100 and in one example at
+    q = 256 (its grid has q^3 cells): each row equals that set's |D|^2-pair grid
+    and the count of the one-set call, is constant on the gcd classes, and the
+    batch equals the one-set calls."""
     q, dsets = inst
-    dsets = [sorted({0, *D}) for D in dsets]
-    batch, C = _returned_by("_pair_difference_sum", lambda: verifier._konyagin_batch(q, dsets))
-    assert C.shape == (len(dsets), q)
+    dsets = [sorted({0, *D}) for D in dsets] + ([list(range(q))] if q <= 100 else [])
+    batch, C = _handed_to("integer_sums", lambda: verifier._konyagin_batch(q, dsets))
+    assert C.shape == (len(dsets), q) and C.dtype == np.int64
+    assert verifier.gcd_class_certificate(C, q).all()
     for D, c, v in zip(dsets, C, batch):
         assert np.array_equal(c, pair_difference_grid(exp_sum_exponents(q, D, np.arange(1, q)), q))
         one, (own,) = _handed_to("integer_sums", lambda: check_konyagin(q, D))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charsum import verifier
+from charsum import cyclo, engines, verifier
 from charsum.characters import Character, character, quadratic_character
 from charsum.cyclo import EXACT_MAX_ORDER, CycInt, cyclotomic_poly
 from charsum.engines import shifted_sum, shifted_values_all
@@ -634,9 +635,9 @@ class TestRunSuite:
             checked.extend((chi.index, i) for (_, chis), i in zip(sets, D_index) for chi in chis)
             return batch(ctx, sets, D_index)
 
-        def count_spy(dsets, n, m, row):
+        def count_spy(ctx, dsets):
             counted.append(len(dsets))
-            return count(dsets, n, m, row)
+            return count(ctx, dsets)
 
         monkeypatch.setattr(verifier, "_eq2_batch", spy)
         monkeypatch.setattr(verifier, "_pair_difference_sum", count_spy)
@@ -644,6 +645,31 @@ class TestRunSuite:
         assert sorted(checked) == sorted((v.params["chi"], v.params["D_index"]) for v in vs)
         assert len(checked) == 30
         assert counted == [math.ceil(30 / (13 - 2))]
+
+    def test_konyagin_builds_no_exponent_rows(self, monkeypatch):
+        # konyagin writes its count rows from the gcd classes of its pair
+        # differences, and eq2 is the only caller of the pair-difference count
+        def refuse(*args):
+            raise AssertionError("konyagin built exponent rows")
+
+        callers = []
+        count = verifier._pair_difference_sum
+
+        def count_spy(ctx, dsets):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return count(ctx, dsets)
+
+        monkeypatch.setattr(verifier, "_pair_difference_sum", count_spy)
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (cyclo, engines, verifier):
+                for name in ("exp_sum_exponents", "exponent_histogram"):
+                    if hasattr(module, name):
+                        mp.setattr(module, name, refuse)
+            vs = run_suite(2, 200, claims=["konyagin"])
+        assert len(vs) == vs.passes > 0
+        assert callers == []
+        run_suite(3, 13, claims=["konyagin", "eq2"])
+        assert set(callers) == {"_eq2_batch"}
 
     def test_konyagin_output_does_not_depend_on_workers(self):
         one = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=1)
