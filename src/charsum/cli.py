@@ -188,13 +188,16 @@ def cmd_sum(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_text(lines, out: str | None) -> None:
-    """Write the lines, an iterable of strings, as they come: the whole text is
-    never held at once."""
+    """Write the lines, an iterable of strings each ending in a newline, as they
+    come, joined 128 at a time into one write: the whole text is never held at
+    once."""
+    lines = iter(lines)
+    chunks = iter(lambda: "".join(itertools.islice(lines, 128)), "")
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(lines)
+            f.writelines(chunks)
     else:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(chunks)
 
 
 def _write_csv(header, rows, out: str | None) -> None:

@@ -106,15 +106,9 @@ NUMERIC_CLAIMS = frozenset({"thm2", "thm2_sharp", "eps", "meanvalue2", "nonlinea
 _PARAMS_JSON = json.JSONEncoder(sort_keys=True, default=str)
 
 
-def _json_float(x: float) -> str:
-    """x spelled as json.dumps spells a float."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+def _json_value(v) -> str:
+    """_PARAMS_JSON.encode(v), an int (its repr) without the encoder."""
+    return int.__repr__(v) if type(v) is int else _PARAMS_JSON.encode(v)
 
 
 # the keys of Verdict.to_record, the columns of verify's csv
@@ -124,7 +118,7 @@ RECORD_KEYS = ("claim", "computed", "kind", "margin", "mode", "note", "params", 
 @dataclass(slots=True)
 class Verdict:
     """One checked instance of a claim.  Its fields hold Python values, never numpy
-    scalars (the batch builders take them from numpy with tolist), which the JSON
+    scalars (Batch takes them from its numpy columns with item), which the JSON
     writer would spell through default=str."""
 
     claim: str
@@ -165,25 +159,21 @@ class Verdict:
 
 
 def _params_texts(params: dict, rows: int) -> list[str]:
-    """_PARAMS_JSON.encode of each row's params (see Batch), from one template:
-    the keys in sorted order, each fixed value encoded once, and the row values
-    spelled per row (an int as JSON spells it, anything else encoded).  Keys are
-    strings, which JSON spells as encode_basestring_ascii does."""
-    slots = []
-    columns = []
-    for key in sorted(params):
+    """_PARAMS_JSON.encode of each row's params (see Batch), joined from pieces:
+    the keys in sorted order, each fixed value encoded once, and each list
+    column's distinct values encoded once (_spelled).  Keys are strings, which
+    JSON spells as encode_basestring_ascii does."""
+    pieces, text = [], "{"
+    for n, key in enumerate(sorted(params)):
+        text += f"{', ' if n else ''}{encode_basestring_ascii(key)}: "
         value = params[key]
         if isinstance(value, list):
-            slot = "{}"
-            columns.append(value if set(map(type, value)) <= {int}
-                           else [_PARAMS_JSON.encode(v) for v in value])
+            pieces += itertools.repeat(text), _spelled(value, _json_value)
+            text = ""
         else:
-            slot = _PARAMS_JSON.encode(value).replace("{", "{{").replace("}", "}}")
-        slots.append(f"{encode_basestring_ascii(key)}: {slot}")
-    template = "{{" + ", ".join(slots) + "}}"
-    if not columns:
-        return [template.format()] * rows
-    return list(itertools.starmap(template.format, zip(*columns)))
+            text += _PARAMS_JSON.encode(value)
+    text += "}"
+    return list(map("".join, zip(*pieces, itertools.repeat(text)))) if pieces else [text] * rows
 
 
 def _quoted(v) -> str:
@@ -191,15 +181,20 @@ def _quoted(v) -> str:
     return encode_basestring_ascii(str(v))
 
 
-def _spelled(values: list, spell) -> list[str]:
-    """spell(v) for each value, each distinct value spelled once.  Equal values
-    spell alike unless their types differ (1, 1.0 and True) or they are zeros of
-    both signs (0.0 and -0.0); then every value is spelled on its own.  NaNs are
-    never equal, so each NaN object is spelled once."""
-    distinct = dict.fromkeys(values)
-    if (len(distinct) == len(values) or len(set(map(type, values))) > 1
-            or 0 in distinct and len({math.copysign(1.0, v) for v in values if v == 0}) > 1):
+def _spelled(values, spell) -> list[str]:
+    """spell(v) for each value of a list or a float64 array, each distinct value
+    spelled once.  Floats (an array, or a list of floats alone) are told apart by
+    bit pattern, so 0.0 and -0.0 spell apart; other values by equality, unless
+    they differ in type (1, 1.0 and True are equal): then each is spelled alone."""
+    types = {float} if isinstance(values, np.ndarray) else set(map(type, values))
+    if types <= {float}:
+        bits, at = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
+                             return_inverse=True)
+        texts = np.array(list(map(spell, bits.view(np.float64).tolist())), dtype=object)
+        return texts[at].tolist()
+    if len(types) > 1:
         return list(map(spell, values))
+    distinct = dict.fromkeys(values)
     for v in distinct:
         distinct[v] = spell(v)
     return list(map(distinct.__getitem__, values))
@@ -208,21 +203,22 @@ def _spelled(values: list, spell) -> list[str]:
 @dataclass(slots=True)
 class Batch:
     """The verdicts of one claim at one modulus, kept as columns: one kind, mode
-    and note, and one entry per row in computed, target, margin and passed (Python
-    scalars, as in Verdict).  params maps each key, in record order, to one value
-    for the whole batch or to a list of one value per row; texts holds each row's
-    params as sorted-key JSON (_params_texts, taken when not given).
+    and note, and one entry per row in computed, target, margin and passed, as
+    float64 arrays (passed bool) for the numeric claims and lists of Python
+    values for the exact ones.  params maps each key, in record order, to one
+    value for the whole batch or to a list of one value per row; texts holds each
+    row's params as sorted-key JSON (_params_texts, taken when not given).
 
-    len(b) is the row count, b[i] builds row i's Verdict, b[i:j] is a cut batch,
-    b.lines() writes every row's JSON line and b.rows() every row's csv cells.
-    Batch.of wraps one Verdict."""
+    len(b) is the row count, b[i] builds row i's Verdict of Python scalars,
+    b[i:j] is a cut batch, b.lines() writes every row's JSON line and b.rows()
+    every row's csv cells.  Batch.of wraps one Verdict."""
 
     claim: str
     params: dict
-    computed: list
-    target: list
-    margin: list
-    passed: list
+    computed: list | np.ndarray
+    target: list | np.ndarray
+    margin: list | np.ndarray
+    passed: list | np.ndarray
     mode: str
     kind: str = "verdict"
     note: str = ""
@@ -247,10 +243,11 @@ class Batch:
         cut = isinstance(i, slice)
         if not cut:
             i = range(len(self))[i]
+        row = [c[i] if cut or isinstance(c, list) else c[i].item()
+               for c in (self.computed, self.target, self.margin, self.passed)]
         return (Batch if cut else Verdict)(
             self.claim, {k: v[i] if isinstance(v, list) else v for k, v in self.params.items()},
-            self.computed[i], self.target[i], self.margin[i], self.passed[i],
-            self.mode, self.kind, self.note, self.texts[i])
+            *row, self.mode, self.kind, self.note, self.texts[i])
 
     def lines(self) -> list[str]:
         """Each row's json.dumps(record, sort_keys=True, default=str) + "\\n" (see
@@ -261,12 +258,12 @@ class Batch:
         claim = f'{{"claim": {s(self.claim)}, "computed": '
         kind = f', "kind": {s(self.kind)}, "margin": '
         mode = f', "mode": {s(self.mode)}, "note": {s(self.note)}, "params": '
-        margin = self.margin
-        spell = float.__repr__ if all(map(math.isfinite, margin)) else _json_float
+        spell = float.__repr__ if np.isfinite(self.margin).all() else _json_value
         return [f'{claim}{c}{kind}{d}{mode}{text}'
                 f', "pass": {"true" if ok else "false"}, "target": {t}}}\n'
                 for c, d, text, ok, t in zip(_spelled(self.computed, _quoted),
-                                             _spelled(margin, spell), self.texts, self.passed,
+                                             _spelled(self.margin, spell), self.texts,
+                                             np.asarray(self.passed).tolist(),
                                              _spelled(self.target, _quoted))]
 
     def rows(self) -> list[list]:
@@ -276,20 +273,19 @@ class Batch:
         str, which is how csv writes a number."""
         return [[self.claim, c, self.kind, d, self.mode, self.note, text, ok, t]
                 for c, d, text, ok, t in zip(_spelled(self.computed, str),
-                                             _spelled(self.margin, str),
-                                             self.texts, self.passed,
+                                             _spelled(self.margin, str), self.texts,
+                                             np.asarray(self.passed).tolist(),
                                              _spelled(self.target, str))]
 
 
 def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) -> Batch:
     """Numeric verdicts computed < target - TOL (strict) or computed <= target + TOL,
     with margin target - computed, for a batch of computed values (target one value
-    or one per row)."""
+    or one per row), kept as float64 columns."""
     computed = np.asarray(computed, dtype=np.float64)
     target = np.broadcast_to(np.asarray(target, dtype=np.float64), computed.shape)
     passed = computed < target - TOL if strict else computed <= target + TOL
-    return Batch(claim, params, computed.tolist(), target.tolist(),
-                 (target - computed).tolist(), passed.tolist(), "numeric")
+    return Batch(claim, params, computed, target, target - computed, passed, "numeric")
 
 
 def _identity_verdicts(claim: str, params: dict, computed: list, targets: list) -> Batch:
@@ -412,9 +408,9 @@ def _eps_batches(ctx: FieldCtx, H: list, chi: list, peaks, eps: float) -> list[B
     rows = _bound_verdicts("eps", {"p": p, "chi": chi, "H": H, "eps": eps}, peaks,
                            p ** (-eps) * np.asarray(H, dtype=np.int64), strict=True)
     cut = bisect.bisect_right(H, p ** (0.5 + eps))
-    zeros = [0.0] * cut
+    zeros = np.zeros(cut)
     vacuous = dataclasses.replace(rows[:cut], computed=zeros, target=zeros, margin=zeros,
-                                  passed=[True] * cut, note="vacuous")
+                                  passed=np.ones(cut, dtype=bool), note="vacuous")
     return [b for b in (vacuous, rows[cut:]) if len(b)]
 
 
@@ -560,9 +556,10 @@ def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
     flat off t = 0, so it passes the gcd-class certificate)."""
     p = ctx.p
     m = p - 1
+    # each character once: the suite gives every set a prefix of one list
+    _require_nonprincipal(*dict.fromkeys(itertools.chain.from_iterable(c for _, c in sets)))
     dsets = []
-    for D, chis in sets:
-        _require_nonprincipal(*chis)
+    for D, _ in sets:
         Ds = sorted({d % p for d in D})
         if not Ds:
             raise ValueError("D must be nonempty")
@@ -1053,7 +1050,7 @@ class Verdicts:
 
     @property
     def passes(self) -> int:
-        return sum(sum(map(bool, b.passed)) for b in self._batches)
+        return sum(int(np.count_nonzero(b.passed)) for b in self._batches)
 
     @property
     def capacity(self) -> int:

@@ -182,6 +182,20 @@ class TestVerify:
         assert len(expected) == 7418
         assert out_file.read_text(encoding="utf-8").splitlines() == expected
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_numeric_claims_equal_stored_reference(self, capsys, tmp_path, workers):
+        """Every numeric claim over p <= 11, byte for byte, against a stored run.
+        Its 418 lines hold negative margins (Jacobi-sum ties that pass only
+        through TOL), vacuous eps rows and zero margins, each spelled from the
+        batches' float64 columns."""
+        out_file = tmp_path / "v.jsonl"
+        code, _, _ = run(capsys, "verify", "--p-min", "3", "--p-max", "11", "--claims",
+                         "thm2,thm2_sharp,eps,meanvalue2,nonlinear,lemma3", "--seed", "1",
+                         "--workers", workers, "--out", str(out_file))
+        assert code == 0
+        expected = DATA_DIR / "verify.numeric.p3-11.seed1.jsonl"
+        assert out_file.read_bytes() == expected.read_bytes()
+
     def test_numeric_stream_matches_stored_reference(self, capsys, tmp_path):
         """The numeric claims' verdict stream against the benchmark's stored
         reference: everything but the floats equal, and the floats within the

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 import random
@@ -19,6 +22,7 @@ from charsum.values import Weights
 from charsum.cli import main
 from charsum.verifier import (
     CLAIMS,
+    RECORD_KEYS,
     Batch,
     Verdict,
     check_eps_corollary,
@@ -161,6 +165,11 @@ class TestEq2Checker:
             check_eq2_identity(ctx7, quad7, [0, 1])
         with pytest.raises(ValueError):
             check_eq2_identity(ctx7, quad7, [])
+
+    def test_principal_character_of_a_later_set_is_rejected(self, ctx7, quad7):
+        # each distinct character is checked once, over the sets' characters together
+        with pytest.raises(PrincipalCharacter):
+            verifier._eq2_batch(ctx7, [([1, 2], [quad7]), ([3], [quad7, character(ctx7, 0)])])
 
 
 class TestMeanValue2:
@@ -730,32 +739,77 @@ def test_to_line_is_json_dumps_of_the_record():
     assert list(vs.lines()) == [_dumped(v) for v in vs]
 
 
-@pytest.mark.parametrize("b", [
-    Batch("x", {"p": 7, "chi": [1, 2, 3, 4], "a": "all"}, [1.5, math.inf, -math.inf, 2.0],
-          [2.5, 2.5, 3.0, 2.5], [1.0, math.nan, -0.0, 0.5], [True, False, False, True],
-          "numeric", note='a quote ", braces { } and \u00e9'),
-    Batch("x", {"q": 9, "D_index": [0, 1, 2, 3], "s": ["a", 'b"', "{c}", None]},
-          [3, "non-integer", 5, 6], [0.0, -0.0, 1, 1.0], [3.0, math.nan, 4.0, 5.0],
-          [False, False, False, False], "exact"),
-    Batch("x", {"p": 5, "chi": [1, 2]}, [0.5, 0.25], [1.0, 1.0], [0.5, 0.75], [True, True],
-          "numeric", kind="capacity"),
-    Batch("x", {"p": 7, "chi": [1, 2, 3, 4, 5]}, [0.0, -0.0, 0.0, -0.0, 0.0],
-          [0.0, 0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, -0.0, 0.0], [True] * 5, "numeric"),
-    Batch("x", {"p": 7, "chi": [1, 2, 3, 4, 5, 6]},
-          [math.nan, math.nan, float("nan"), math.inf, math.inf, -math.inf], [2.5] * 6,
-          [math.inf, -math.inf, -math.inf, math.nan, float("nan"), math.nan], [False] * 6,
-          "numeric"),
-    Batch("x", {"q": 9, "D_index": [0, 1, 2, 3, 4]}, [1, 1.0, 1, 1.0, True],
-          [2, 2.0, 2.0, 2, 2], [1.0, 1.0, 1.0, 1.0, 1.0], [False] * 5, "exact"),
-    Batch("x", {"q": 9, "D_index": [0, 1, 2, 3, 4]},
-          ["non-integer", "non-integer", 'q"', 'q"', "\u03c7"], ["skipped"] * 5, [math.nan] * 5,
-          [False] * 5, "exact", kind="capacity"),
-], ids=["floats-and-escapes", "mixed-targets", "one-target", "signed-zeros",
-        "repeated-non-finite", "ints-beside-floats", "repeated-strings"])
+# 0.0 beside -0.0, NaN, the infinities, the least subnormal, a float past 2^53
+# and a sum that rounds, in every float column, each value in more than one row
+EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2]
+
+HAND_BUILT = {
+    "floats-and-escapes": Batch(
+        "x", {"p": 7, "chi": [1, 2, 3, 4], "a": "all"}, [1.5, math.inf, -math.inf, 2.0],
+        [2.5, 2.5, 3.0, 2.5], [1.0, math.nan, -0.0, 0.5], [True, False, False, True],
+        "numeric", note='a quote ", braces { } and \u00e9'),
+    "mixed-targets": Batch(
+        "x", {"q": 9, "D_index": [0, 1, 2, 3], "s": ["a", 'b"', "{c}", None]},
+        [3, "non-integer", 5, 6], [0.0, -0.0, 1, 1.0], [3.0, math.nan, 4.0, 5.0],
+        [False, False, False, False], "exact"),
+    "one-target": Batch(
+        "x", {"p": 5, "chi": [1, 2]}, [0.5, 0.25], [1.0, 1.0], [0.5, 0.75], [True, True],
+        "numeric", kind="capacity"),
+    "signed-zeros": Batch(
+        "x", {"p": 7, "chi": [1, 2, 3, 4, 5]}, [0.0, -0.0, 0.0, -0.0, 0.0],
+        [0.0, 0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, -0.0, 0.0], [True] * 5, "numeric"),
+    "repeated-non-finite": Batch(
+        "x", {"p": 7, "chi": [1, 2, 3, 4, 5, 6]},
+        [math.nan, math.nan, float("nan"), math.inf, math.inf, -math.inf], [2.5] * 6,
+        [math.inf, -math.inf, -math.inf, math.nan, float("nan"), math.nan], [False] * 6,
+        "numeric"),
+    "ints-beside-floats": Batch(
+        "x", {"q": 9, "D_index": [0, 1, 2, 3, 4]}, [1, 1.0, 1, 1.0, True],
+        [2, 2.0, 2.0, 2, 2], [1.0, 1.0, 1.0, 1.0, 1.0], [False] * 5, "exact"),
+    "repeated-strings": Batch(
+        "x", {"q": 9, "D_index": [0, 1, 2, 3, 4]},
+        ["non-integer", "non-integer", 'q"', 'q"', "\u03c7"], ["skipped"] * 5, [math.nan] * 5,
+        [False] * 5, "exact", kind="capacity"),
+    "edge-floats": Batch(
+        "x", {"p": 7, "chi": list(range(1, 17))}, EDGES * 2, (EDGES[3:] + EDGES[:3]) * 2,
+        EDGES[::-1] * 2, [True, False] * 8, "numeric"),
+}
+
+
+def _with_arrays(b: Batch) -> Batch:
+    """b with its computed, target and margin as float64 arrays and passed as a
+    bool array, as the numeric claims keep them."""
+    return dataclasses.replace(b, computed=np.array(b.computed), target=np.array(b.target),
+                               margin=np.array(b.margin), passed=np.array(b.passed))
+
+
+# every case whose value columns are floats alone has a twin with array columns
+HAND_BUILT.update({f"{name}-arrays": _with_arrays(b) for name, b in list(HAND_BUILT.items())
+                   if all(type(x) is float for c in (b.computed, b.target, b.margin) for x in c)})
+
+
+def _csv_text(rows) -> str:
+    f = io.StringIO()
+    csv.writer(f).writerows(rows)
+    return f.getvalue()
+
+
+@pytest.mark.parametrize("b", HAND_BUILT.values(), ids=HAND_BUILT.keys())
 def test_batch_lines_hand_built(b):
-    assert b.lines() == [_dumped(v) for v in b]
     assert [v.to_line() for v in b] == b.lines()
     assert b[1:3].lines() == b.lines()[1:3]
+    for batch in (b, b[1:3]):
+        vs = list(batch)
+        assert batch.lines() == [_dumped(v) for v in vs]
+        # each csv row writes as the record's values would, params as its text
+        assert _csv_text(batch.rows()) == _csv_text(
+            [[v.params_text if k == "params" else v.to_record()[k] for k in RECORD_KEYS]
+             for v in vs])
+        for v in vs:
+            assert type(v.passed) is bool
+            assert not any(isinstance(x, np.generic) for x in (v.computed, v.target, v.margin))
+            if isinstance(b.margin, np.ndarray):
+                assert {type(v.computed), type(v.target), type(v.margin)} == {float}
 
 
 def test_json_lines_build_no_verdict_per_row(monkeypatch, tmp_path):
