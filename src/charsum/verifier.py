@@ -30,11 +30,11 @@ class of the characters asked for (kernel: each pair's count less its closed
 form, at j = 1), and so names the failing characters.  Either route gives the
 same verdict records.
 
-Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2
-whose terms depend only on d = y - x, so _pair_counts counts each set's pairs
-per d, not |D|^2 rows.  konyagin writes its count rows from the pairs per class
-gcd(d, q).  eq2's _pair_difference_sum counts one exponent row per d for all of
-a prime's sets: that only regroups the terms, so it holds for any dlog table.
+Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2.
+konyagin's count is a sum of Ramanujan sums c_k, k | q, times the pairs with
+x = y mod k.  eq2's _pair_difference_sum counts each set's pairs per d = y - x and
+one exponent row per d for all of a prime's sets: that only regroups the terms, so
+it holds for any dlog table.
 """
 
 from __future__ import annotations
@@ -443,24 +443,15 @@ def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) 
     return _eps_batches(ctx, [H.order], [chi.index], [peak], eps)[0][0]
 
 
-def _pair_counts(dsets: list[list[int]], n: int) -> np.ndarray:
-    """Row i, column d: the int64 number of pairs (x, y) in D^2 with y - x = d mod n
-    for the i-th set D, the cyclic autocorrelation of its indicator: O(n^2) steps."""
-    pairs = np.empty((len(dsets), n), dtype=np.int64)
-    for i, D in enumerate(dsets):
-        ind = np.bincount(D, minlength=n)
-        pairs[i] = np.correlate(np.concatenate((ind, ind[:-1])), ind, "valid")  # lag d at d
-    return pairs
-
-
 @lru_cache(maxsize=2)
 def _gcd_classes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cls, reps, table) for Z/m, kept for the two latest m (a suite task reads
     q = n for konyagin, then m = n - 1 for eq2 and granville).  reps holds g mod m
     for the divisors g of m, ascending; cls[t] is the index in reps of gcd(t, m),
     t's gcd class; and table[i, k] is the Ramanujan sum c_(m/g_i)(g_k), its value at
-    every j of class k, so table[:, -1] (j = 0) holds the class sizes phi(m/g_i).
-    c_n is multiplicative in n, and c_(q^a)(j) = q^a [q^a | j] - q^(a-1) [q^(a-1) | j]."""
+    every j of class k, so table[:, -1] (j = 0) holds the class sizes phi(m/g_i);
+    integer_sums reads its sums, and konyagin its count rows, off it.  c_n is
+    multiplicative in n, and c_(q^a)(j) = q^a [q^a | j] - q^(a-1) [q^(a-1) | j]."""
     fac = factorize(m)
     divs = np.array(divisors_from_factorization(fac), dtype=np.int64)
     cls = np.empty(m, dtype=np.intp)
@@ -527,12 +518,15 @@ def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int | None]]:
 def _pair_difference_sum(ctx: FieldCtx, dsets: list[list[int]]) -> np.ndarray:
     """Row i holds the m = p - 1 coefficient counts of eq2's
     sum_{(x, y) in D^2} sum_{b in F_p} zeta_m^(dlog b - dlog(b + y - x)) (zero terms
-    left out) for the i-th set D: sum_d pairs(d) hist(row(d)), each row counted once
-    for all the sets, HISTOGRAM_CELLS cells at a time, by float64 (BLAS) products.
+    left out) for the i-th set D: sum_d pairs(d) hist(row(d)), pairs(d) the set's
+    own count of pairs with y - x = d, each row counted once for all the sets,
+    HISTOGRAM_CELLS cells at a time, by float64 (BLAS) products.
     These are exact: every partial sum is at most |D|^2 p <= p^3, below 2^53 for
     every p that require_exact_order lets through (_eq2_batch checks first)."""
     p, m, dlog = ctx.p, ctx.p - 1, ctx.dlog
-    pairs = _pair_counts(dsets, p).astype(np.float64)
+    pairs = np.empty((len(dsets), p))  # each D's cyclic autocorrelation: O(p^2) steps
+    for i, ind in enumerate(np.bincount(D, minlength=p) for D in dsets):
+        pairs[i] = np.correlate(np.concatenate((ind, ind[:-1])), ind, "valid")  # lag d at d
     d = np.flatnonzero(pairs.any(axis=0))
     counts = np.zeros((len(dsets), m))
     step = max(1, HISTOGRAM_CELLS // p)
@@ -665,20 +659,21 @@ def _konyagin_batch(q: int, dsets: list, D_index: list | None = None) -> Batch:
     """sum_{a=1}^{q-1} |sum_{x in D} e_q(ax)|^2 = |D|(q - |D|), exactly, one verdict
     per set D in dsets, as one batch (D_index, if given, holds each set's suite
     index for the params).  e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, and -ad
-    over a in [0, q) hits each multiple of g = gcd(d, q) g times, so t's count is
-    c(t) = sum_g P_g g [g | t] - |D|^2 [t = 0] (P_g the pairs of class g): int64,
-    constant on gcd classes, and read off the Ramanujan sums by integer_sums."""
+    over a in [0, q) hits t sum_{k | gcd(d, q)} c_k(t) times (c_k the Ramanujan
+    sum), so t's count is c(t) = sum_{k | q} N_k c_k(t) - |D|^2 [t = 0], N_k the
+    pairs with x = y mod k: int64, constant on gcd classes, read by integer_sums."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     dsets = [sorted({x % q for x in D}) for D in dsets]
     if not all(dsets):
         raise ValueError("D must be nonempty")
-    require_exact_order(q)  # for the O(q^2) autocorrelation in _pair_counts
-    cls, reps, _ = _gcd_classes(q)
-    g = np.where(reps, reps, q)  # the divisors of q: gcd(d, q) = g[cls[d]]
-    # column k: sum_d pairs(d) gcd(d, q) [gcd(d, q) | g[k]], read at each t of class k
-    counts = (_pair_counts(dsets, q) @ (g[cls, None] * (g % g[cls, None] == 0)))[:, cls]
-    sizes = [len(D) for D in dsets]
+    require_exact_order(q)  # kept for memory: q-length count rows and sets, ~275 B per q
+    cls, reps, table = _gcd_classes(q)
+    sizes, n, x = [len(D) for D in dsets], len(dsets), np.concatenate(dsets)
+    cell = np.repeat(np.arange(n), sizes)  # N_k from the cells (set) k + x mod k, k = q/g_i
+    N = np.stack([np.square(np.bincount(cell * k + x % k, minlength=n * k)).reshape(n, k)
+                  .sum(axis=1) for k in (q // np.where(reps, reps, q)).tolist()], axis=1)
+    counts = (N @ table)[:, cls]
     counts[:, 0] -= np.square(sizes)  # a = 0 is left out
     params = {"q": q, "D_size": sizes}
     if D_index is not None:

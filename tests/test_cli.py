@@ -196,6 +196,24 @@ class TestVerify:
         expected = DATA_DIR / "verify.numeric.p3-11.seed1.jsonl"
         assert out_file.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, stored, exit_code", [
+        (["--p-min", "2", "--p-max", "100", "--budget", "4"],
+         "verify.konyagin.p2-100.seed1.budget4.jsonl", 0),
+        (["--p-min", "9990", "--p-max", "10001", "--budget", "2"],
+         "verify.konyagin.p9990-10001.seed1.budget2.jsonl", 1),
+    ], ids=["q2-100", "q9990-10001"])
+    def test_konyagin_equals_stored_reference(self, capsys, tmp_path, argv, stored,
+                                              exit_code, workers):
+        """konyagin, byte for byte with its exit code, against stored runs: every
+        q <= 100, and the orders up to the exact-order cap, where q = 10 001 gives
+        a capacity record and exit code 1."""
+        out_file = tmp_path / "k.jsonl"
+        code, _, _ = run(capsys, "verify", *argv, "--claims", "konyagin", "--seed", "1",
+                         "--workers", workers, "--out", str(out_file))
+        assert code == exit_code
+        assert out_file.read_bytes() == (DATA_DIR / stored).read_bytes()
+
     def test_numeric_stream_matches_stored_reference(self, capsys, tmp_path):
         """The numeric claims' verdict stream against the benchmark's stored
         reference: everything but the floats equal, and the floats within the
@@ -419,12 +437,13 @@ def test_benchmark_argvs_never_import_numpy_ma(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--p-max", "23"],
-                                  ["scan", "--problem", "1", "--p-max", "3000"]])
+                                  ["scan", "--problem", "1", "--p-max", "20000"]])
 def test_reader_that_closes_early_ends_the_run_quietly(argv):
     """Piped into a reader that takes one line and closes (charsum ... | head -1),
     the console script exits with code 1 and writes nothing to stderr: no
-    BrokenPipeError traceback.  Both outputs pass 64 KiB, a full pipe buffer, so
-    the writer is still writing when the reader closes."""
+    BrokenPipeError traceback.  Each output is several times the 64 KiB pipe
+    buffer (892 767 and 448 831 bytes), so the writer is still writing when the
+    reader closes, whatever the size of its writes."""
     src = str(Path(verifier.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-c", "from charsum.cli import entry; entry()",

@@ -501,12 +501,15 @@ KONYAGIN_MODULI = [*range(2, 101), 243, 256, 343, 360, 420, 720]
     st.just(q), st.lists(subsets(q, lo=0, most=64), min_size=2, max_size=5))))
 @example((256, [[1], list(range(256))]))
 @example((720, [[1], list(range(0, 720, 12))]))
+@example((9240, [[1], list(range(0, 9240, 165))]))
+@example((10000, [[1], list(range(0, 10000, 160))]))
 def test_konyagin_shared_count_equals_each_sets_own(inst):
     """The count matrix handed to integer_sums for several sets at one q, each
     holding 0, and the full residue set for q <= 100 and in one example at
-    q = 256 (its grid has q^3 cells): each row equals that set's |D|^2-pair grid
-    and the count of the one-set call, is constant on the gcd classes, and the
-    batch equals the one-set calls."""
+    q = 256 (its grid has q^3 cells), with examples at orders near the exact
+    cap, 9240 (64 divisors) and 10 000: each row equals that set's |D|^2-pair
+    grid and the count of the one-set call, is constant on the gcd classes, and
+    the batch equals the one-set calls."""
     q, dsets = inst
     dsets = [sorted({0, *D}) for D in dsets] + ([list(range(q))] if q <= 100 else [])
     batch, C = _handed_to("integer_sums", lambda: verifier._konyagin_batch(q, dsets))

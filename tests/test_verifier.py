@@ -656,10 +656,11 @@ class TestRunSuite:
         assert counted == [math.ceil(30 / (13 - 2))]
 
     def test_konyagin_builds_no_exponent_rows(self, monkeypatch):
-        # konyagin writes its count rows from the gcd classes of its pair
-        # differences, and eq2 is the only caller of the pair-difference count
-        def refuse(*args):
-            raise AssertionError("konyagin built exponent rows")
+        # konyagin writes its count rows from its congruence counts and the
+        # Ramanujan table, with no pair autocorrelation, and eq2 is the only
+        # caller of the pair-difference count
+        def refuse(*args, **kwargs):
+            raise AssertionError("konyagin built exponent rows or pair autocorrelations")
 
         callers = []
         count = verifier._pair_difference_sum
@@ -674,6 +675,7 @@ class TestRunSuite:
                 for name in ("exp_sum_exponents", "exponent_histogram"):
                     if hasattr(module, name):
                         mp.setattr(module, name, refuse)
+            mp.setattr(np, "correlate", refuse)
             vs = run_suite(2, 200, claims=["konyagin"])
         assert len(vs) == vs.passes > 0
         assert callers == []
