@@ -24,9 +24,6 @@ FULL_GRID_MAX_P = 101
 SAMPLE_SIZE = 1000
 
 
-# cells of one chunk of problem 1's counts: each chunk's temporaries stay near 128 KB
-SUM_CELLS = 1 << 14
-
 # the keys of every scan record, the columns of scan's csv
 RECORD_KEYS = ("H_order", "achiever", "kind", "order_ratio", "p", "problem", "stat", "sum_kind",
                "tuples")
@@ -50,35 +47,26 @@ def _peak_record(ctx, H, problem: str, sum_kind: str, mags: np.ndarray, achiever
     }
 
 
-def _chunks(n: int, rows: int) -> list[slice]:
-    """[0, n) cut into even slices of at most max(1, SUM_CELLS // rows) entries, so
-    that a slice of rows x entries bounds the temporaries built from it."""
-    count = max(1, -(-n // max(1, SUM_CELLS // rows)))
-    q, r = divmod(n, count)
-    starts = [i * q + min(i, r) for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(starts, starts[1:])]
-
-
 def quadratic_coset_sums(ctx, H) -> np.ndarray:
     """S(g^i) = sum_{x in H} chi(x + g^i) for the quadratic chi, at the k = (p-1)/|H|
     coset representatives g^i of H, as int64 counts: the residues among H + g^i
     less the non-residues.
 
-    chi is read from a table of signs (0 at 0, +1 at the even powers of g, -1 at
-    the odd ones), laid twice end to end so that x + g^i < 2p needs no reduction,
-    in chunks of cosets, which bound the temporaries; integer sums are exact in
-    any order, so the chunking does not change them."""
+    With x = g^i / y, y runs over the coset g^i H = {g^t : t = i (mod k)} and
+    chi(x + g^i) = chi(y / g^i) chi(y + 1), so S(g^i) sums
+    chi(g^(jk)) chi(g^(i+jk) + 1) over j: one int8 gather of chi(g^t + 1) from a
+    sign table (0 at 0 and at p), read as an (|H|, k) grid whose column i is g^i H,
+    its odd rows negated when k is odd (chi(g^(jk)) = (-1)^(jk)), summed down the
+    columns."""
     p = ctx.p
-    sign = np.zeros(2 * p, dtype=np.int8)
+    sign = np.zeros(p + 1, dtype=np.int8)
     sign[ctx.exp[0::2]] = 1
     sign[ctx.exp[1::2]] = -1
-    sign[p:] = sign[:p]
-    h = np.array(H.elements, dtype=np.int64)[:, None]
-    reps = ctx.exp[:H.index]
-    sums = np.empty(H.index, dtype=np.int64)
-    for cols in _chunks(H.index, H.order):
-        sums[cols] = sign[h + reps[cols]].sum(axis=0, dtype=np.int64)
-    return sums
+    grid = sign[1:][ctx.exp].reshape(H.order, H.index)
+    del sign  # freed before the sum allocates its int64 row
+    if H.index % 2:
+        grid[1::2] *= -1
+    return grid.sum(axis=0, dtype=np.int64)
 
 
 def scan_problem1(p: int, seed: int = 0) -> list[dict]:
@@ -86,17 +74,17 @@ def scan_problem1(p: int, seed: int = 0) -> list[dict]:
 
     S(ah) = chi(h) S(a) for h in H, so |S| is read once per coset of H, at the
     representatives g^i, as exact integer counts; the achiever is the smallest
-    shift in any coset that attains the peak, found in chunks of tied cosets."""
+    shift in any coset that attains the peak, the least entry of those cosets'
+    columns of exp read as the same (|H|, k) grid."""
     ctx = make_ctx(p)
     H = subgroup_near_sqrt(ctx)
     chi = quadratic_character(ctx)
-    reps = ctx.exp[:H.index]
-    mags = np.abs(quadratic_coset_sums(ctx, H))
+    mags = quadratic_coset_sums(ctx, H)
+    np.abs(mags, out=mags)
 
     def achiever(i):
-        tied = reps[mags == mags[i]]
-        a = min((np.outer(tied[rows], H.elements) % p).min()
-                for rows in _chunks(len(tied), H.order))
+        tied = mags == mags[i]
+        a = np.compress(tied, ctx.exp.reshape(H.order, H.index), axis=1).min()
         return {"chi": chi.index, "a": int(a)}
 
     return [_peak_record(ctx, H, "1", "shifted", mags, achiever, p - 1)]

@@ -358,8 +358,8 @@ class TestScanCmd:
     def test_problem1_equals_stored_reference(self, capsys, tmp_path):
         """Problem 1, byte for byte, against a stored run over a range holding
         100043 and 100103, where H has order 2 and about 25 000 cosets tie for
-        the peak: the chunked sums and the achiever's chunked minimum must give
-        the unchunked grid's bits."""
+        the peak: the one-pass coset counts and the least entry of the tied
+        cosets' columns must give the stored bits."""
         out_file = tmp_path / "s.jsonl"
         code, _, _ = run(capsys, "scan", "--problem", "1", "--p-min", "100000",
                          "--p-max", "100150", "--out", str(out_file))
@@ -375,6 +375,17 @@ class TestScanCmd:
                          "--p-max", "3000", "--out", str(out_file))
         assert code == 0
         expected = DATA_DIR / "scan1.p3-3000.jsonl"
+        assert out_file.read_bytes() == expected.read_bytes()
+
+    def test_problem1_at_the_table_cap_equals_stored_reference(self, capsys, tmp_path):
+        """Problem 1, byte for byte, against a stored run over the last 100 below
+        the dlog table cap: make_ctx reduces products near 10^14 there, and
+        p = 9999943 has |H| = 6 and an odd number (1666657) of cosets."""
+        out_file = tmp_path / "s.jsonl"
+        code, _, _ = run(capsys, "scan", "--problem", "1", "--p-min", "9999900",
+                         "--p-max", "10000000", "--out", str(out_file))
+        assert code == 0
+        expected = DATA_DIR / "scan1.p9999900-10000000.jsonl"
         assert out_file.read_bytes() == expected.read_bytes()
 
 

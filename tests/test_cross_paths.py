@@ -9,8 +9,9 @@ several sets against that set's grid and one-set call, the batched eq2
 push-forward against per-character histograms, the suite's batched verdicts
 (budgeted too) and lemma3's stacked FFT against the standalone checkers and
 bilinear forms, each identity's certificate against its per-character
-fallback, on primes p <= 211, and integer_sums' gcd-class reading against
-reduction mod Phi_m, for m <= 300."""
+fallback, on primes p <= 211, integer_sums' gcd-class reading against
+reduction mod Phi_m, for m <= 300, and scan problem 1's coset counts and
+records against an Euler-criterion brute force over every subgroup."""
 
 import json
 import math
@@ -173,16 +174,39 @@ def test_exponents_at_residues_equal_the_table():
                 assert np.array_equal(chi.exponents(x), table[x])
 
 
-@pytest.mark.parametrize("p", [3, 7, 103, 1019, 4003, 10037])
-@pytest.mark.parametrize("j", ["quadratic"])
-def test_scan_problem1_chunks_leave_the_records_alone(p, j, monkeypatch):
-    # 1019 = 2 * 509 + 1: H has order 2 and many cosets tie for the peak; one
-    # chunk (SUM_CELLS >= p) is the whole (|H|, k) grid of the unchunked reading
-    records = []
-    for cells in (1, 1 << 14, 2 * p):
-        monkeypatch.setattr(scan, "SUM_CELLS", cells)
-        records.append(scan.scan_problem1(p))
-    assert records[0] == records[1] == records[2]
+def _euler_legendre(p: int) -> np.ndarray:
+    """(z / p) for every residue z by Euler's criterion, as an int64 vector."""
+    half = (p - 1) // 2
+    return np.array([0] + [1 if pow(z, half, p) == 1 else -1 for z in range(1, p)])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 103, 1019, 4003, 10037])
+def test_scan_problem1_equals_an_euler_criterion_brute_force(p, monkeypatch):
+    # every subgroup in turn (|H| = 1, 2, p - 1 and k = 1 among them): the signed
+    # count at each representative g^i, and the record's stat and achiever, against
+    # sums of Euler's criterion over H = {z : z^|H| = 1} and every shift a != 0,
+    # read with no exp table; at 1019 = 2 * 509 + 1, 254 of 509 cosets of {1, -1} tie
+    ctx = make_ctx(p)
+    leg = _euler_legendre(p)
+    for n in ctx.divisors:
+        H = subgroup_of_order(ctx, n)
+        h = np.array([z for z in range(1, p) if pow(z, n, p) == 1])
+        assert H.elements == tuple(h.tolist())
+        reps = np.array([pow(ctx.g, i, p) for i in range(H.index)])
+        counts = scan.quadratic_coset_sums(ctx, H)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == leg[(reps[:, None] + h) % p].sum(axis=1).tolist()
+        # S(a) for every shift a at once: leg laid twice, correlated with H's indicator
+        every = np.correlate(np.append(leg, leg[:-1]), np.isin(np.arange(p), h).astype(np.int64))
+        mags = np.abs(every[1:])
+        peak = int(mags.max())
+        monkeypatch.setattr(scan, "subgroup_near_sqrt", lambda c, n=n: subgroup_of_order(c, n))
+        (rec,) = scan.scan_problem1(p)
+        assert rec["H_order"] == n
+        assert rec["stat"] == peak / math.sqrt(p)
+        assert rec["achiever"]["a"] == 1 + int(np.argmax(mags == peak))
+        if (p, n) == (1019, 2):
+            assert int((np.abs(counts) == peak).sum()) == 254
 
 
 @pytest.mark.parametrize("p", [3, 7, 103, 1019, 4003, 10037])

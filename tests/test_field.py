@@ -70,6 +70,19 @@ class TestMakeCtx:
         assert ctx.exp.dtype == np.int64 and ctx.exp.tolist() == powers
         assert ctx.dlog.dtype == np.int64 and ctx.dlog.tolist() == dlog
 
+    def test_exp_at_the_table_cap(self):
+        # the largest prime under the cap, where the power table's products reach
+        # about 10^14: sampled entries equal pow(g, t, p), the first and last too,
+        # and exp takes every nonzero residue exactly once
+        p = 9_999_991
+        ctx = make_ctx(p)
+        t = np.append(np.random.default_rng(7).integers(0, p - 1, size=1000), [0, p - 2])
+        assert [ctx.exp[s] for s in t.tolist()] == [pow(ctx.g, s, p) for s in t.tolist()]
+        assert len(ctx.exp) == p - 1 and ctx.exp.min() == 1 and ctx.exp.max() == p - 1
+        seen = np.zeros(p, dtype=bool)
+        seen[ctx.exp] = True
+        assert seen[1:].all()
+
     def test_ctx_peaks_at_one_int64_array_and_dlog_read_at_two_and_one_int32(self):
         # the power table is reduced in place and exp is its head: about 8 bytes a
         # residue; dlog's first read adds its int64 table and an int32 arange.

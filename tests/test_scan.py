@@ -136,20 +136,6 @@ class TestScanRange:
             scan_range("1", 9_999_900, 10_000_100)
 
 
-@pytest.mark.parametrize("n, rows, cells", [(1, 2, 1), (2, 2, 1), (3, 2, 1), (7, 1, 2),
-                                             (25_021, 2, 1 << 14), (337, 296, 1 << 14),
-                                             (5, 10_000, 1 << 14), (100, 1, 1000)])
-def test_chunks_cover_the_range_in_bounded_slices(n, rows, cells, monkeypatch):
-    monkeypatch.setattr(scan, "SUM_CELLS", cells)
-    chunks = scan._chunks(n, rows)
-    assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
-    assert chunks[-1].stop == n
-    widths = [c.stop - c.start for c in chunks]
-    # at most cells cells a chunk, or at most three columns where fewer fit
-    assert max(widths) <= max(cells // rows, 3)
-    assert max(widths) - min(widths) <= 1
-
-
 @pytest.mark.parametrize("problem", scan.PROBLEMS)
 def test_records_equal_the_direct_formula(problem, monkeypatch):
     # roots reads the quadratic character's values from a table; the records must
