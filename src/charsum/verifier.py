@@ -10,31 +10,30 @@ The suite reads every numeric bound (thm2, thm2_sharp, eps, meanvalue2,
 nonlinear) at p off one character_sum_moduli call, which takes each subgroup's
 rows of residues as a segment and gives per-row character means and
 per-segment peaks from one DFT of dlog histograms per chunk.  granville and
-shkredov share one reading of the subgroups, one integer_sums call per H, and
-kernel's rows share one certificate (and, when it fails, one inverse table).
+shkredov share one reading of the subgroups, and kernel's rows share one
+certificate (and, when it fails, one inverse table).
 
 Each identity holds for every character at once and reduces to a statement
 about a character-free count, a certificate, which needs no push-forward to the
-characters and no reduction mod Phi_m.  There are two:
+characters and no reduction mod Phi_m.  There are three:
 
+- dlog_certificate(ctx), one O(p) pass per prime: ctx.dlog is a discrete log,
+  and every nonzero difference d has the histogram h1 of dlog b - dlog(b + d).
+  eq2 writes its count rows from h1 and |D| alone, and granville its sums from
+  dlog(H) = kZ/m; kernel_certificate rests on it.
 - kernel_certificate(ctx): one row per r in F_p of the histogram of
   dlog(ru + 1) - dlog(u + 1) over u has the shape of the kernel's case table;
   this proves every kernel verdict at p (every character, shift and pair).
 - gcd_class_certificate(counts, m): a count c over Z/m is constant on each class
   {t : gcd(t, m) = g}, so every sum_t c(t) zeta_m^(jt) is an integer (a sum of
-  Ramanujan sums); eq2, granville and konyagin read theirs so, by integer_sums.
+  Ramanujan sums); eq2 and konyagin read theirs so, by integer_sums.
 
 When a certificate fails, the checker falls back to the per-character route
 through integer_sums, which reduces each failing count mod Phi_m once per gcd
-class of the characters asked for (kernel: each pair's count less its closed
-form, at j = 1), and so names the failing characters.  Either route gives the
-same verdict records.
-
-Both mean-square identities (eq2, konyagin) are counts over pairs (x, y) in D^2.
-konyagin's count is a sum of Ramanujan sums c_k, k | q, times the pairs with
-x = y mod k.  eq2's _pair_difference_sum counts each set's pairs per d = y - x and
-one exponent row per d for all of a prime's sets: that only regroups the terms, so
-it holds for any dlog table.
+class of the characters asked for (eq2: _pair_difference_sum's count, which
+regroups the pair terms by d = y - x and holds for any dlog table; granville:
+dlog(H)'s histogram; kernel: each pair's count less its closed form, at j = 1),
+and so names the failing characters.  Either route gives the same records.
 """
 
 from __future__ import annotations
@@ -511,6 +510,28 @@ def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int | None]]:
     return sums
 
 
+@lru_cache(maxsize=1)
+def dlog_certificate(ctx: FieldCtx) -> bool:
+    """True when ctx.dlog is the discrete log to base ctx.g, checked against ctx.exp,
+    and the histogram h1 of dlog b - dlog(b + 1) over b not in {0, -1} is 1 at
+    every t != 0 and 0 at t = 0, both read HISTOGRAM_CELLS residues at a time;
+    cached for the last ctx.  Then b = db' gives every difference d != 0 the
+    histogram h1, and dlog(H) is the multiples of H's index."""
+    p, m, dlog, exp = ctx.p, ctx.p - 1, ctx.dlog, ctx.exp
+    if dlog[0] != -1 or exp[0] != 1:
+        return False
+    h1 = np.zeros(m, dtype=np.int64)
+    for lo in range(0, m, HISTOGRAM_CELLS):
+        hi = min(lo + HISTOGRAM_CELLS, m)
+        if not (np.array_equal(exp[lo + 1:hi + 1], exp[lo:min(hi, m - 1)] * ctx.g % p)
+                and np.array_equal(dlog[exp[lo:hi]], np.arange(lo, hi))):
+            return False
+        diff = dlog[lo + 1:min(hi + 1, m)] - dlog[lo + 2:min(hi + 2, p)]  # b in [1, p - 2]
+        diff %= m
+        h1 += np.bincount(diff, minlength=m)
+    return bool(h1[0] == 0 and (h1[1:] == 1).all())
+
+
 # ---------------------------------------------------------------------------
 # exact mean-value identity  sum_a |S(a)|^2 = p|D| - |D|^2
 # ---------------------------------------------------------------------------
@@ -518,24 +539,22 @@ def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int | None]]:
 def _pair_difference_sum(ctx: FieldCtx, dsets: list[list[int]]) -> np.ndarray:
     """Row i holds the m = p - 1 coefficient counts of eq2's
     sum_{(x, y) in D^2} sum_{b in F_p} zeta_m^(dlog b - dlog(b + y - x)) (zero terms
-    left out) for the i-th set D: sum_d pairs(d) hist(row(d)), pairs(d) the set's
-    own count of pairs with y - x = d, each row counted once for all the sets,
-    HISTOGRAM_CELLS cells at a time, by float64 (BLAS) products.
-    These are exact: every partial sum is at most |D|^2 p <= p^3, below 2^53 for
-    every p that require_exact_order lets through (_eq2_batch checks first)."""
+    left out) for the i-th set D, on any dlog table: sum_d pairs(d) hist(row(d)),
+    pairs(d) the set's own count of pairs with y - x = d, each row counted once for
+    all the sets, HISTOGRAM_CELLS cells at a time, in int64."""
     p, m, dlog = ctx.p, ctx.p - 1, ctx.dlog
-    pairs = np.empty((len(dsets), p))  # each D's cyclic autocorrelation: O(p^2) steps
+    pairs = np.empty((len(dsets), p), dtype=np.int64)  # each D's cyclic autocorrelation
     for i, ind in enumerate(np.bincount(D, minlength=p) for D in dsets):
         pairs[i] = np.correlate(np.concatenate((ind, ind[:-1])), ind, "valid")  # lag d at d
     d = np.flatnonzero(pairs.any(axis=0))
-    counts = np.zeros((len(dsets), m))
+    counts = np.zeros((len(dsets), m), dtype=np.int64)
     step = max(1, HISTOGRAM_CELLS // p)
     for lo in range(0, len(d), step):
         chunk = d[lo:lo + step]
         e = dlog[(np.arange(p) + chunk[:, None]) % p]  # dlog(b + d), b = x + a in F_p
         row = np.where((dlog >= 0) & (e >= 0), (dlog - e) % m, -1)
-        counts += pairs[:, chunk] @ exponent_histogram(row, m).astype(np.float64)
-    return counts.astype(np.int64)
+        counts += pairs[:, chunk] @ exponent_histogram(row, m)
+    return counts
 
 
 def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
@@ -545,9 +564,10 @@ def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
 
     chi_j(x+a) conj chi_j(y+a) = zeta_m^(j (dlog(x+a) - dlog(y+a))), so one
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
-    sum for a set D; one _pair_difference_sum counts c for all the sets, and one
-    integer_sums call reads their sums (the Mobius map a -> (x+a)/(y+a) makes c
-    flat off t = 0, so it passes the gcd-class certificate)."""
+    sum for a set D, and one integer_sums call reads every set's sums.  Under
+    dlog_certificate, c = |D|(p - 1) [t = 0] + (|D|^2 - |D|) h1, flat off t = 0
+    (h1 is 1 there), so it passes the gcd-class certificate; otherwise
+    _pair_difference_sum counts c."""
     p = ctx.p
     m = p - 1
     # each character once: the suite gives every set a prefix of one list
@@ -564,10 +584,16 @@ def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
     chi_index = [chi.index for _, chis in sets for chi in chis]
     J = sorted(set(chi_index))  # every character asked for, read for every set
     at = {j: k for k, j in enumerate(J)}
-    sums = integer_sums(_pair_difference_sum(ctx, dsets), m, J)
+    n = np.array([len(Ds) for Ds in dsets], dtype=np.int64)
+    if dlog_certificate(ctx):
+        counts = np.repeat((n * n - n)[:, None], m, axis=1)
+        counts[:, 0] = n * m
+    else:
+        counts = _pair_difference_sum(ctx, dsets)
+    sums = integer_sums(counts, m, J)
     computed = [s[at[chi.index]] for s, (_, chis) in zip(sums, sets) for chi in chis]
     rows = [len(chis) for _, chis in sets]  # a set's params repeat on each of its rows
-    sizes = np.repeat([len(Ds) for Ds in dsets], rows)
+    sizes = np.repeat(n, rows)
     params = {"p": p, "chi": chi_index, "D_size": sizes.tolist()}
     if D_index is not None:
         params["D_index"] = np.repeat(D_index, rows).tolist()
@@ -611,21 +637,24 @@ def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int) -> Verdict:
 def _granville_batches(ctx: FieldCtx, Hs: list) -> tuple[Batch, Batch]:
     """The granville and shkredov batches, one row per subgroup H in Hs.  The exact
     inner sum over H is |H| for the k characters trivial on H (|H| divides j) and 0
-    otherwise, read by one integer_sums call per H on the histogram of dlog(H) (on a
-    true dlog, {0, k, 2k, ...}: constant on the gcd classes).  It depends on j only
-    through g = gcd(j, m), so it is read at j = g alone, and a mismatch there counts
-    for the phi(m/g) characters of class g.  shkredov's sum is granville's, and
-    infinite where granville fails."""
+    otherwise.  It depends on j only through g = gcd(j, m), so it is read at j = g
+    alone, and a mismatch there counts for the phi(m/g) characters of class g.
+    Under dlog_certificate dlog(H) is kZ/m, k = H.index, whose value on the class of
+    g is [k | g]: the sums are read off the Ramanujan table, with no element of H.
+    Otherwise integer_sums reads each histogram of dlog(H).  shkredov's sum is
+    granville's, and infinite where granville fails."""
     p = ctx.p
     m = p - 1
     _, reps, table = _gcd_classes(m)
+    if dlog_certificate(ctx):
+        k = np.array([H.index for H in Hs], dtype=np.int64)
+        sums = ((reps % k[:, None] == 0).astype(np.int64) @ table).tolist()
+    else:
+        sums = [integer_sums(np.bincount(ctx.dlog[np.array(H.elements, dtype=np.int64)],
+                                         minlength=m)[None], m, reps)[0] for H in Hs]
     sizes = table[:, -1].tolist()
-    mismatches = []
-    for H in Hs:
-        dH = ctx.dlog[np.array(H.elements, dtype=np.int64)]
-        (sums,) = integer_sums(np.bincount(dH, minlength=m)[None], m, reps)
-        mismatches.append(sum(size for g, s, size in zip(reps.tolist(), sums, sizes)
-                              if s != (0 if g % H.order else H.order)))
+    mismatches = [sum(size for g, s, size in zip(reps.tolist(), row, sizes)
+                      if s != (0 if g % H.order else H.order)) for H, row in zip(Hs, sums)]
     totals = [H.index * H.order for H in Hs]  # |H| from each of the k characters
     passed = [n == 0 and t == m for n, t in zip(mismatches, totals)]
     params = {"p": p, "H": [H.order for H in Hs]}
@@ -725,7 +754,7 @@ def kernel_certificate(ctx: FieldCtx) -> bool:
     case table for every nonprincipal chi, every shift a != 0 and every pair
     (y, y1) at p; cached for the last ctx, so the checks of one prime share it.
 
-    Given that ctx.dlog is a discrete logarithm (checked here against ctx.exp),
+    Given that ctx.dlog is a discrete logarithm (dlog_certificate),
     x = a*u/y1 is a bijection of F_p for y1 != 0 that turns the exponent
     dlog(xy + a) - dlog(x*y1 + a) into dlog(ru + 1) - dlog(u + 1), r = y/y1.
     So the sum is sum_t h_r(t) zeta^(jt), where h_r is the histogram of that
@@ -738,10 +767,7 @@ def kernel_certificate(ctx: FieldCtx) -> bool:
     Rows are counted in chunks of at most HISTOGRAM_CELLS cells."""
     p = ctx.p
     m = p - 1
-    is_log = (ctx.dlog[0] == -1 and ctx.exp[0] == 1
-              and np.array_equal(ctx.exp[1:], ctx.exp[:-1] * ctx.g % p)
-              and np.array_equal(ctx.dlog[ctx.exp], np.arange(m)))
-    if not is_log:
+    if not dlog_certificate(ctx):
         return False
     u = np.arange(p, dtype=np.int64)
     base = ctx.dlog[(u + 1) % p]

@@ -183,6 +183,7 @@ def json_sort_key(v):
 
 def without_certificates(monkeypatch) -> None:
     """Make every certificate fail, so each checker takes its per-character route."""
+    monkeypatch.setattr(verifier, "dlog_certificate", lambda ctx: False)
     monkeypatch.setattr(verifier, "kernel_certificate", lambda ctx: False)
     monkeypatch.setattr(verifier, "gcd_class_certificate",
                         lambda counts, m: np.zeros(len(counts), dtype=bool))

@@ -3,19 +3,22 @@ numeric kernel (one DFT of a dlog histogram for every character) and the
 single-character coset-row reading against the FFT correlation and the per-shift
 engines, the exact histogram kernel against numeric mode and against sums of
 CycInt products, the exact bilinear convolution against the term-by-term grid
-sum, eq2's pair-difference rows (on a corrupted dlog too) and konyagin's
-gcd-class count against the |D|^2-pair grid, each row of their one count for
-several sets against that set's grid and one-set call, the batched eq2
-push-forward against per-character histograms, the suite's batched verdicts
+sum, eq2's certified and pair-difference rows (on a corrupted dlog too) and
+konyagin's gcd-class count against the |D|^2-pair grid, each row of their one
+count for several sets against that set's grid and one-set call, the batched
+eq2 push-forward against per-character histograms, the suite's batched verdicts
 (budgeted too) and lemma3's stacked FFT against the standalone checkers and
 bilinear forms, each identity's certificate against its per-character
-fallback, on primes p <= 211, integer_sums' gcd-class reading against
+fallback (granville's for p < 400), on primes p <= 211 (eq2's certified rows
+up to 1009), integer_sums' gcd-class reading against
 reduction mod Phi_m, for m <= 300, and scan problem 1's coset counts and
 records against an Euler-criterion brute force over every subgroup."""
 
+import dataclasses
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -468,13 +471,14 @@ def test_eq2_pair_differences_equal_grid(inst):
 
 
 def _returned_by(name, call):
-    """call()'s result, and what its first call of verifier.<name> returned."""
+    """call()'s result, and the list of what each of its calls of verifier.<name>
+    returned."""
     seen = []
     real = getattr(verifier, name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, name, lambda *args: seen.append(real(*args)) or seen[-1])
         result = call()
-    return result, seen[0]
+    return result, seen
 
 
 @cross_path
@@ -484,14 +488,16 @@ def _returned_by(name, call):
 def test_eq2_shared_count_equals_each_sets_own(inst):
     """The count matrix of several sets at one p: each row equals that set's
     |D|^2-pair grid and the count of the one-set call, and the batch equals the
-    one-set calls, on a true dlog and on one with two entries swapped (where
-    the certificate fails for most sets and the push-forward runs)."""
+    one-set calls, on a true dlog (whose certificate writes the rows) and on one
+    with two entries swapped (where _pair_difference_sum counts them, and the
+    gcd-class certificate fails for most sets and the push-forward runs)."""
     p, dsets, swap = inst
     ctx = make_ctx(p) if swap is None else corrupted_ctx(p, *swap)
     chis = [character(ctx, j) for j in (1, p - 2)]
-    batch, C = _returned_by("_pair_difference_sum", lambda: verifier._eq2_batch(
-        ctx, [(D, chis) for D in dsets]))
+    (batch, counted), C = _handed_to("integer_sums", lambda: _returned_by(
+        "_pair_difference_sum", lambda: verifier._eq2_batch(ctx, [(D, chis) for D in dsets])))
     assert C.shape == (len(dsets), p - 1)
+    assert [c.tolist() for c in counted] == ([] if swap is None else [C.tolist()])
     alone = []
     for D, c in zip(dsets, C):
         E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
@@ -508,12 +514,34 @@ def test_eq2_shared_count_takes_the_fallback_on_a_corrupted_dlog():
     ctx = corrupted_ctx(31, 2, 7)
     chis = [character(ctx, j) for j in range(1, 30)]
     dsets = [[5], [1, 2], [3, 4, 9], list(range(1, 16))]
-    batch, C = _returned_by("_pair_difference_sum", lambda: verifier._eq2_batch(
+    batch, (C,) = _returned_by("_pair_difference_sum", lambda: verifier._eq2_batch(
         ctx, [(D, chis) for D in dsets]))
     assert verifier.gcd_class_certificate(C, 30).tolist() == [True, False, False, False]
     alone = [v.to_record() for D in dsets for v in check_eq2_identities(ctx, chis, D)]
     assert [v.to_record() for v in batch] == alone
     assert not all(v.passed for v in batch)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_eq2_certified_rows_equal_pair_grid(p):
+    """On a true dlog eq2 writes each set's count row as |D|(p - 1) at t = 0 plus
+    (|D|^2 - |D|) h1, and counts no pair: for every subgroup and the suite's 20
+    seeded sets each row is the |D|^2-pair grid's.  At p = 1009 the sets past 64
+    elements, whose grids take about 20 ns a cell (a minute in all), are checked
+    against _pair_difference_sum, eq2's fallback count."""
+    ctx = make_ctx(p)
+    dsets = ([list(H.elements) for H in subgroups(ctx)]
+             + random_subsets(p, 20, seeded_rng(1, p, "eq2")))
+    (_, counted), C = _handed_to("integer_sums", lambda: _returned_by(
+        "_pair_difference_sum", lambda: verifier._eq2_batch(
+            ctx, [(D, [character(ctx, 1)]) for D in dsets])))
+    assert counted == [] and C.shape == (len(dsets), p - 1)
+    large = [i for i, D in enumerate(dsets) if p > 101 and len(D) > 64]
+    assert np.array_equal(C[large], verifier._pair_difference_sum(ctx, [dsets[i] for i in large]))
+    for i, D in enumerate(dsets):
+        if i not in large:
+            E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
+            assert np.array_equal(C[i], pair_difference_grid(E, p - 1))
 
 
 # every q below 101, prime powers past it, and moduli with many divisors
@@ -664,7 +692,8 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     """Shrinking the histogram batch forces every chunk boundary; the counts,
     and so every exact value and every numeric kernel value, must not depend
     on where the chunks fall.  The certificates are forced off, so the chunked
-    per-character routes run, mismatch counts on a corrupted dlog included."""
+    per-character routes run, mismatch counts on a corrupted dlog included; the
+    dlog and kernel certificates themselves are read uncached."""
     ctx = make_ctx(31)
     chi = character(ctx, 5)
     every_chi = [character(ctx, j) for j in range(1, 30)]
@@ -673,12 +702,18 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     xi, eta = _int_weights(31, rng), _int_weights(31, rng)
 
     bad = corrupted_ctx(31, 2, 7)
-    certify = verifier.kernel_certificate.__wrapped__  # uncached
+    certify, certify_dlog = (c.__wrapped__ for c in (verifier.kernel_certificate,
+                                                      verifier.dlog_certificate))  # uncached
     without_certificates(monkeypatch)
+
+    def certificates():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "dlog_certificate", certify_dlog)
+            return [certify_dlog(ctx), certify_dlog(bad), certify(ctx), certify(bad)]
 
     def exact_values():
         return [check_eq2_identity(ctx, chi, D).computed, check_konyagin(30, D).computed,
-                certify(ctx), check_kernel_cases(ctx, chi, 3).computed,
+                certificates(), check_kernel_cases(ctx, chi, 3).computed,
                 check_kernel_cases(bad, character(bad, 5), 3).computed,
                 [v.computed for v in check_eq2_identities(ctx, every_chi, D)],
                 [check_granville(ctx, H).computed for H in subgroups(ctx)],
@@ -688,6 +723,7 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
                  for part in subgroup_moduli(ctx, subgroups(ctx), shifted=True, nonlinear=True)]]
 
     whole = exact_values()
+    assert whole[2] == [True, False, True, False]
     monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)
     assert exact_values() == whole
 
@@ -745,9 +781,9 @@ def _certified(monkeypatch) -> list:
 @cross_path
 @given(instances(nonprincipal=True, nonzero_shift=True, primes=SMALL_PRIMES), st.data())
 def test_certificates_equal_fallbacks(inst, data):
-    """Each certificate holds on a true dlog (the gcd-class one on granville's
-    dlog(H) histogram and on eq2's count), and the verdicts it gives equal those
-    of the per-character routes it replaces."""
+    """Each certificate holds on a true dlog (the gcd-class one on eq2's count; on
+    a certified dlog granville reads no count), and the verdicts it gives equal
+    those of the per-character routes it replaces."""
     ctx, chi, H, a = inst
     D = data.draw(subsets(ctx.p))
     every_chi = [character(ctx, j) for j in range(1, ctx.p - 1)]
@@ -759,8 +795,8 @@ def test_certificates_equal_fallbacks(inst, data):
     with pytest.MonkeyPatch.context() as mp:
         seen = _certified(mp)
         certified = records()
-    assert verifier.kernel_certificate(ctx)
-    assert seen == [[True], [True]]
+    assert verifier.dlog_certificate(ctx) and verifier.kernel_certificate(ctx)
+    assert seen == [[True]]
     with pytest.MonkeyPatch.context() as mp:
         without_certificates(mp)
         assert records() == certified
@@ -771,6 +807,75 @@ def test_suite_certificates_equal_fallbacks(monkeypatch):
     certified = [v.to_record() for v in run_suite(2, 61, claims=claims, seed=42)]
     without_certificates(monkeypatch)
     assert [v.to_record() for v in run_suite(2, 61, claims=claims, seed=42)] == certified
+
+
+def test_granville_certified_sums_equal_histogram_route():
+    """For every subgroup at every p < 400, the sums that granville reads off the
+    Ramanujan table under dlog_certificate, given subgroups stripped of their
+    elements, equal those that integer_sums reads off each histogram of dlog(H):
+    the records are equal, and a sum at any class g other than |H| [|H| divides g],
+    the histogram route's value there, would show as a mismatch."""
+    for p in primes_in(3, 400):
+        ctx = make_ctx(p)
+        Hs = subgroups(ctx)
+        assert verifier.dlog_certificate(ctx)
+        bare = [dataclasses.replace(H, elements=None) for H in Hs]
+        certified = [v.to_record() for b in verifier._granville_batches(ctx, bare) for v in b]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "dlog_certificate", lambda ctx: False)
+            histograms = [v.to_record() for b in verifier._granville_batches(ctx, Hs) for v in b]
+        assert certified == histograms
+        assert all(r["pass"] for r in certified)
+
+
+def _exact_records(ctx) -> list:
+    """The eq2 (three sets, every character), granville, shkredov and kernel (the
+    full grid, two characters and shifts) records at ctx."""
+    chis = [character(ctx, j) for j in range(1, ctx.p - 1)]
+    dsets = [[5], [1, 2, 3], list(range(1, 16))]
+    batches = [verifier._eq2_batch(ctx, [(D, chis) for D in dsets]),
+               *verifier._granville_batches(ctx, subgroups(ctx)),
+               verifier._kernel_batch(ctx, chis[:2], [1, 3])]
+    return [v.to_record() for b in batches for v in b]
+
+
+@pytest.mark.parametrize("broken", ["swap", "h1 at 0", "h1 at 2", "another base", "wrong g"])
+def test_dlog_certificate_rejects_and_the_fallbacks_decide(monkeypatch, broken):
+    """dlog_certificate rejects a dlog with two entries swapped; a true dlog whose
+    h1 is perturbed (one count moved from t = 1 to t = 0 or 2, in the
+    certificate's own histogram alone); a true dlog to another base, 3^7 = 17,
+    that ctx.exp does not invert; and exp's powers of 3 under g = 17.  Each way
+    eq2, granville, shkredov and kernel take their fallbacks, which give the
+    records of every certificate forced off, and on a true dlog the certified
+    records."""
+    p = 31
+    certified = _exact_records(make_ctx(p))
+    ctx = make_ctx(p)
+    if broken == "swap":
+        ctx = corrupted_ctx(p, 2, 7)
+    elif broken == "another base":  # 7 is a unit mod 30: dlog_17 = 13 dlog_3
+        ctx = corrupted_ctx(p, 0, 0)  # a copy with a dlog table of its own
+        ctx.dlog[1:] = ctx.dlog[1:] * pow(7, -1, p - 1) % (p - 1)
+    elif broken == "wrong g":
+        ctx = dataclasses.replace(ctx, g=17)
+    else:
+        count, at = np.bincount, int(broken[-1])
+
+        def perturbed(*args, **kwargs):
+            h = count(*args, **kwargs)
+            if sys._getframe(1).f_code.co_name == "dlog_certificate":
+                h[1] -= 1
+                h[at] += 1
+            return h
+
+        monkeypatch.setattr(np, "bincount", perturbed)
+    assert not verifier.dlog_certificate(ctx) and not verifier.kernel_certificate(ctx)
+    records, counted = _returned_by("_pair_difference_sum", lambda: _exact_records(ctx))
+    assert len(counted) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        without_certificates(mp)
+        assert _exact_records(ctx) == records
+    assert (records == certified) == all(r["pass"] for r in records) == (broken != "swap")
 
 
 def test_suite_identities_need_no_reduction(monkeypatch):

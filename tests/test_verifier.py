@@ -635,8 +635,9 @@ class TestRunSuite:
         assert set(built) == set(used)
 
     def test_eq2_checks_only_kept_characters(self, monkeypatch):
-        # the suite hands eq2's builder the kept (D, characters) rows; only the
-        # sets that keep a row are counted
+        # the suite hands eq2's builder the kept (D, characters) rows; on a true
+        # dlog the certificate writes their count rows, and on the fallback only
+        # the sets that keep a row are counted
         checked, counted = [], []
         batch, count = verifier._eq2_batch, verifier._pair_difference_sum
 
@@ -653,12 +654,24 @@ class TestRunSuite:
         vs = run_suite(13, 13, claims=["eq2"], seed=5, budget=30)
         assert sorted(checked) == sorted((v.params["chi"], v.params["D_index"]) for v in vs)
         assert len(checked) == 30
+        assert counted == []
+        without_certificates(monkeypatch)
+        assert run_suite(13, 13, claims=["eq2"], seed=5, budget=30) == vs
         assert counted == [math.ceil(30 / (13 - 2))]
+
+    def test_exact_claims_share_one_dlog_certificate_per_prime(self):
+        # eq2, kernel (through kernel_certificate) and granville read the same
+        # cached certificate: one O(p) pass per prime
+        before = verifier.dlog_certificate.cache_info()
+        run_suite(3, 61, claims=["eq2", "kernel", "granville", "shkredov"], seed=1)
+        after = verifier.dlog_certificate.cache_info()
+        primes = len(list(primes_in(3, 61)))
+        assert (after.misses - before.misses, after.hits - before.hits) == (primes, 2 * primes)
 
     def test_konyagin_builds_no_exponent_rows(self, monkeypatch):
         # konyagin writes its count rows from its congruence counts and the
         # Ramanujan table, with no pair autocorrelation, and eq2 is the only
-        # caller of the pair-difference count
+        # caller of the pair-difference count, on its fallback alone
         def refuse(*args, **kwargs):
             raise AssertionError("konyagin built exponent rows or pair autocorrelations")
 
@@ -679,6 +692,9 @@ class TestRunSuite:
             vs = run_suite(2, 200, claims=["konyagin"])
         assert len(vs) == vs.passes > 0
         assert callers == []
+        run_suite(3, 13, claims=["konyagin", "eq2"])
+        assert callers == []
+        without_certificates(monkeypatch)
         run_suite(3, 13, claims=["konyagin", "eq2"])
         assert set(callers) == {"_eq2_batch"}
 
