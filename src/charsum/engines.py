@@ -74,13 +74,6 @@ def shifted_values_all(ctx: FieldCtx, chi: Character, D) -> np.ndarray:
 # bilinear forms  S = sum_xy xi(x) eta(y) chi(xy + a)   (and the twisted S')
 # ---------------------------------------------------------------------------
 
-def _dlog_line(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
-    """The weights w (last axis) at the nonzero residues, indexed by discrete log."""
-    line = np.zeros(w.shape[:-1] + (ctx.p - 1,), dtype=w.dtype)
-    line[..., ctx.dlog[1:]] = w[..., 1:]
-    return line
-
-
 def _times(z, w):
     """z * w, for complex arrays written out as the scalar product computes it:
     numpy's complex array loop may fuse multiply-adds, which would round a stacked
@@ -91,37 +84,43 @@ def _times(z, w):
 
 
 def _boundary(w, v):
-    """The weight of the terms with x = 0 or y = 0, where xy + a = a (last axis)."""
+    """The weight of the terms with x = 0 or y = 0, where xy + a = a (last axis): its
+    three products stacked into one _times call."""
     w0 = w[..., 0]
     v0 = v[..., 0]
-    return _times(w0, np.sum(v, axis=-1)) + _times(v0, np.sum(w, axis=-1)) - _times(w0, v0)
+    w0v, v0w, w0v0 = _times(np.stack((w0, v0, w0)),
+                            np.stack((np.sum(v, axis=-1), np.sum(w, axis=-1), v0)))
+    return w0v + v0w - w0v0
 
 
-def bilinear_sums(ctx: FieldCtx, tables: np.ndarray, xi: np.ndarray, eta: np.ndarray, a,
-                  twist: bool) -> np.ndarray:
-    """S (or S' when twist) numerically for stacked instances: the character value
-    tables and the weights xi, eta on the last axis, the shifts a on the leading axes.
-    The products xy = g^t carry the cyclic convolution of the weights on the dlog
-    line, one FFT per row."""
+def bilinear_sums(ctx: FieldCtx, tables: np.ndarray, xi: np.ndarray, eta: np.ndarray,
+                  a) -> np.ndarray:
+    """S and S' numerically for stacked instances, as entries 0 and 1 of the result's
+    first axis: the character value tables and the weights xi, eta on the last axis,
+    the shifts a on the leading axes.  The products xy = g^t carry the cyclic
+    convolution of the weights on the dlog line (entry t at x = g^t); S' weights x
+    and y by chi(x) and chi(y) too.  The rows [xi; xi chi; eta; eta chi] take one
+    forward FFT and the products [xi; xi chi] * [eta; eta chi] one inverse FFT, row
+    by row; both halves meet one gather of chi(g^t + a) in one batched dot, and the
+    terms with x = 0 or y = 0 are added to S alone."""
     p = ctx.p
     a = np.asarray(a, dtype=np.int64)[..., None] % p
-    if twist:
-        xi = xi * tables
-        eta = eta * tables
-    conv = np.fft.ifft(np.fft.fft(_dlog_line(ctx, xi)) * np.fft.fft(_dlog_line(ctx, eta)))
+    # take, not [..., ctx.exp]: that result's rows are strided, the FFTs keep its
+    # layout, and the dot product of a strided row can round otherwise
+    f = np.fft.fft(np.stack((xi, xi * tables, eta, eta * tables)).take(ctx.exp, axis=-1))
+    conv = np.fft.ifft(f[:2] * f[2:])
     values = np.take_along_axis(tables, (ctx.exp + a) % p, axis=-1)
     # a row times a column is BLAS's dot product, for one row as for a stack
     total = (conv[..., None, :] @ values[..., :, None])[..., 0, 0]
-    if not twist:
-        total += _times(np.take_along_axis(tables, a, axis=-1)[..., 0], _boundary(xi, eta))
+    total[0] += _times(np.take_along_axis(tables, a, axis=-1)[..., 0], _boundary(xi, eta))
     return total
 
 
 def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
               mode: str, twist: bool) -> SumValue:
     """The products xy = g^t carry the cyclic convolution of the weights on the
-    dlog line: exactly of integers, or numerically by bilinear_sums.  "auto" mode
-    is exact only for integer weights."""
+    dlog line: exactly of integers, or numerically as its half of bilinear_sums.
+    "auto" mode is exact only for integer weights."""
     _require_nonprincipal(chi)
     _require_coprime_shift(ctx.p, a)
     p = ctx.p
@@ -134,7 +133,7 @@ def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
             raise CapacityExceeded("weights too large for exact int64 counts")
         wx = xi.int_values()
         wy = eta.int_values()
-        conv = np.convolve(_dlog_line(ctx, wx), _dlog_line(ctx, wy))
+        conv = np.convolve(wx[ctx.exp], wy[ctx.exp])  # the weights at g^t
         counts = conv[:m]
         counts[:m - 1] += conv[m:]
         E = chi.exponent_table()
@@ -147,7 +146,7 @@ def _bilinear(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,
             counts = np.append(counts, _boundary(wx, wy))
         return read(m, EXACT, e, counts)
     return SumValue.from_numeric(
-        bilinear_sums(ctx, chi.value_table(), xi.values, eta.values, a, twist))
+        bilinear_sums(ctx, chi.value_table(), xi.values, eta.values, a)[int(twist)])
 
 
 def bilinear_S(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: int,

@@ -15,15 +15,15 @@ certificate (and, when it fails, one inverse table).
 
 Each identity holds for every character at once and reduces to a statement
 about a character-free count, a certificate, which needs no push-forward to the
-characters and no reduction mod Phi_m.  There are three:
+characters and no reduction mod Phi_m.  There are two:
 
 - dlog_certificate(ctx), one O(p) pass per prime: ctx.dlog is a discrete log,
   and every nonzero difference d has the histogram h1 of dlog b - dlog(b + d).
   eq2 writes its count rows from h1 and |D| alone, and granville its sums from
-  dlog(H) = kZ/m; kernel_certificate rests on it.
-- kernel_certificate(ctx): one row per r in F_p of the histogram of
-  dlog(ru + 1) - dlog(u + 1) over u has the shape of the kernel's case table;
-  this proves every kernel verdict at p (every character, shift and pair).
+  dlog(H) = kZ/m.  kernel_certificate(ctx) is this certificate: on a discrete
+  log the histogram of dlog(ru + 1) - dlog(u + 1) over u is the kernel's case
+  table for every r, which proves every kernel verdict at p (every character,
+  shift and pair).
 - gcd_class_certificate(counts, m): a count c over Z/m is constant on each class
   {t : gcd(t, m) = g}, so every sum_t c(t) zeta_m^(jt) is an integer (a sum of
   Ramanujan sums); eq2 and konyagin read theirs so, by integer_sums.
@@ -78,7 +78,7 @@ from .field import (
     make_ctx,
     subgroups,
 )
-from .values import Weights, numeric_sums
+from .values import Weights, numeric_sums, roots
 
 TOL = 1e-9
 
@@ -355,24 +355,22 @@ def nonlinear_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
     return h[None, :] * coset_shift_rows(ctx, H) % ctx.p
 
 
-def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool):
+def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool,
+                    inner: bool = True):
     """One character_sum_moduli call for the subgroups Hs: (means, peaks, inner,
     nonlinear_peaks), entry i for Hs[i].  With shifted, means[i] holds the character
-    means on the rows H + g^i, peaks[i] every character's max over those rows and
-    inner[i] its modulus on the row H: |S(a)| and the character mean are constant
-    on each coset aH, so the k rows H + g^i give every nonzero shift.  With
-    nonlinear, nonlinear_peaks[i] holds the max over the rows of nonlinear_rows.
-    What is not asked for is None."""
-    segments = []
-    if shifted:
-        segments += [coset_shift_rows(ctx, H) for H in Hs] + [[H.elements] for H in Hs]
-    if nonlinear:
-        segments += [nonlinear_rows(ctx, H) for H in Hs]
-    means, peaks = character_sum_moduli(ctx, segments)
-    if not shifted:
-        return None, None, None, peaks
-    n = len(Hs)
-    return means[:n], peaks[:n], peaks[n:2 * n], peaks[2 * n:] if nonlinear else None
+    means on the rows H + g^i and peaks[i] every character's max over those rows:
+    |S(a)| and the character mean are constant on each coset aH, so the k rows
+    H + g^i give every nonzero shift.  With inner, inner[i] holds every character's
+    modulus on the row H, and with nonlinear, nonlinear_peaks[i] the max over the
+    rows of nonlinear_rows.  What is not asked for is None."""
+    parts = [(shifted, coset_shift_rows), (inner, lambda ctx, H: [H.elements]),
+             (nonlinear, nonlinear_rows)]
+    means, peaks = character_sum_moduli(
+        ctx, [rows(ctx, H) for asked, rows in parts if asked for H in Hs])
+    blocks = iter(np.split(peaks, range(len(Hs), len(peaks), len(Hs))))
+    return (means[:len(Hs)] if shifted else None,
+            *(next(blocks) if asked else None for asked, _ in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -724,17 +722,17 @@ def _lemma3_batch(ctx: FieldCtx, chis: list, xi: np.ndarray, eta: np.ndarray, sh
                   instances: list | None = None) -> Batch:
     """|S|, |S'| <= sqrt(pXY) for stacked instances: row i of the weights xi and eta
     (residues on the last axis) goes with chis[i] and shifts[i], and is tagged
-    instances[i] when given.  S and S' are one batched FFT each, over one value
-    table per character."""
+    instances[i] when given.  S and S' come from one bilinear_sums pass, over the
+    value tables of the distinct characters, read by one roots call: each root is
+    the direct formula on chi's own exponent, so each table is chi.value_table()."""
     p = ctx.p
     _require_nonprincipal(*chis)
     _require_coprime_shift(p, *shifts)
-    table_of = {j: chi.value_table() for j, chi in {chi.index: chi for chi in chis}.items()}
-    tables = np.array([table_of[chi.index] for chi in chis])
-    S = bilinear_sums(ctx, tables, xi, eta, shifts, twist=False)
-    Sp = bilinear_sums(ctx, tables, xi, eta, shifts, twist=True)
-    X = np.sum(np.abs(xi) ** 2, axis=-1)
-    Y = np.sum(np.abs(eta) ** 2, axis=-1)
+    js, rows = np.unique([chi.index for chi in chis], return_inverse=True)
+    exponents = js[:, None] * ctx.dlog % (p - 1)
+    exponents[:, 0] = -1
+    S, Sp = bilinear_sums(ctx, roots(exponents, p - 1)[rows], xi, eta, shifts)
+    X, Y = np.sum(np.abs(np.stack((xi, eta))) ** 2, axis=-1)
     params = {"p": p, "chi": [chi.index for chi in chis], "a": [a % p for a in shifts]}
     if instances is not None:
         params["instance"] = instances
@@ -748,43 +746,20 @@ def check_lemma3(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: in
     return _lemma3_batch(ctx, [chi], xi.values[None], eta.values[None], [a])[0]
 
 
-@lru_cache(maxsize=1)
 def kernel_certificate(ctx: FieldCtx) -> bool:
     """True when the proof kernel sum_x chi(xy + a) conj(chi(x*y1 + a)) equals its
     case table for every nonprincipal chi, every shift a != 0 and every pair
-    (y, y1) at p; cached for the last ctx, so the checks of one prime share it.
+    (y, y1) at p: that is, when ctx.dlog is a discrete log (dlog_certificate).
 
-    Given that ctx.dlog is a discrete logarithm (dlog_certificate),
-    x = a*u/y1 is a bijection of F_p for y1 != 0 that turns the exponent
-    dlog(xy + a) - dlog(x*y1 + a) into dlog(ru + 1) - dlog(u + 1), r = y/y1.
-    So the sum is sum_t h_r(t) zeta^(jt), where h_r is the histogram of that
-    difference over u, and row r of h must be
-      r = 0 (y = 0):        1 everywhere, so the sum is 0;
-      r = 1 (y = y1):       p - 1 at t = 0 and 0 elsewhere, so the sum is p - 1;
-      r >= 2 (generic):     1 everywhere except 0 at t = dlog r, so the sum is -chi(r).
-    For y1 = 0 != y, x = a*u/y gives the terms chi(u + 1), whose histogram is
-    row 0 reflected by t -> -t, so it is all ones too; y = y1 = 0 sums to p.
-    Rows are counted in chunks of at most HISTOGRAM_CELLS cells."""
-    p = ctx.p
-    m = p - 1
-    if not dlog_certificate(ctx):
-        return False
-    u = np.arange(p, dtype=np.int64)
-    base = ctx.dlog[(u + 1) % p]
-    step = max(1, HISTOGRAM_CELLS // p)
-    for lo in range(0, p, step):
-        r = np.arange(lo, min(lo + step, p), dtype=np.int64)
-        top = ctx.dlog[(r[:, None] * u[None, :] + 1) % p]
-        counts = exponent_histogram(
-            np.where((top >= 0) & (base >= 0), (top - base) % m, -1), m)
-        expected = np.ones_like(counts)
-        generic = np.flatnonzero(r >= 2)
-        expected[generic, ctx.dlog[r[generic]]] = 0
-        expected[r == 1] = 0
-        expected[r == 1, 0] = p - 1
-        if not np.array_equal(counts, expected):
-            return False
-    return True
+    For y1 != 0, x = a*u/y1 is a bijection of F_p that turns the exponent
+    dlog(xy + a) - dlog(x*y1 + a) into dlog(ru + 1) - dlog(u + 1), r = y/y1, so the
+    sum is sum_t h_r(t) zeta^(jt), h_r(t) the number of u with ru + 1 = g^t(u + 1),
+    both sides nonzero.  For r >= 2 that has exactly one solution
+    u = (g^t - 1)/(r - g^t), or none when g^t = r, so the sum is -chi(r); for r = 1
+    the count is p - 1 at t = 0, so the sum is p - 1; for r = 0 (y = 0) every t
+    appears once, so the sum is 0.  For y1 = 0 != y, x = a*u/y gives the terms
+    chi(u + 1), every t once too; y = y1 = 0 sums to p."""
+    return dlog_certificate(ctx)
 
 
 def _kernel_batch(ctx: FieldCtx, chis: list, shifts: list, pairs=None) -> Batch:
@@ -874,18 +849,18 @@ def random_subsets(p: int, count: int, rng: random.Random) -> list[list[int]]:
     return out
 
 
-def _decoded_weights(draws: list[int], p: int) -> np.ndarray:
-    """Row i: the p complex weights of draws[i] = rng.getrandbits(128 p), real then
+def _decoded_weights(draws: list[int], n: int) -> np.ndarray:
+    """Row i: the n complex weights of draws[i] = rng.getrandbits(128 n), real then
     imaginary part each -1 + 2 * random() of the next two of its 32-bit words.
 
     getrandbits fills its result from the least significant word up, one word per
     Mersenne Twister output, and random() reads two outputs as
     ((w0 >> 5) 2^26 + (w1 >> 6)) / 2^53, exact in float64; so the bits and the
-    generator's state are those of 2p random() calls."""
-    words = np.frombuffer(b"".join(d.to_bytes(16 * p, "little") for d in draws),
+    generator's state are those of 2n random() calls."""
+    words = np.frombuffer(b"".join(d.to_bytes(16 * n, "little") for d in draws),
                           dtype="<u4").reshape(-1, 2)
     r = ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * 2.0**-53
-    return (-1 + 2 * r).view(complex).reshape(len(draws), p)
+    return (-1 + 2 * r).view(complex).reshape(len(draws), n)
 
 
 def random_weights(p: int, rng: random.Random) -> Weights:
@@ -897,13 +872,14 @@ def random_weights(p: int, rng: random.Random) -> Weights:
 def _lemma3_draws(p: int, rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray, list]:
     """count lemma3 instances (xi, eta, shift), drawn as random_weights(p, rng),
     random_weights(p, rng) and rng.randrange(1, p) in turn would draw them, and
-    decoded in one pass: (xi rows, eta rows, shifts)."""
+    decoded in one pass: (xi rows, eta rows, shifts).  One getrandbits(256 p) per
+    instance fills the words of both weight draws in turn, xi's the low half."""
     draws, shifts = [], []
     for _ in range(count):
-        draws += rng.getrandbits(128 * p), rng.getrandbits(128 * p)
+        draws.append(rng.getrandbits(256 * p))
         shifts.append(rng.randrange(1, p))
-    weights = _decoded_weights(draws, p)
-    return weights[0::2], weights[1::2], shifts
+    weights = _decoded_weights(draws, 2 * p)
+    return weights[:, :p], weights[:, p:], shifts
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +923,8 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     if numeric:
         reached = Hs[:-(-budget // (m if numeric == {"meanvalue2"} else m - 1))]
         means, peaks, inner, nonlinear_peaks = subgroup_moduli(
-            ctx, reached, shifted=bool(numeric - {"nonlinear"}), nonlinear="nonlinear" in numeric)
+            ctx, reached, shifted=bool(numeric - {"nonlinear"}),
+            nonlinear="nonlinear" in numeric, inner="thm2_sharp" in numeric)
         sizes = [H.order for H in reached]
         # the H and chi columns of the character claims: one row per (H, j), H-major
         orders = np.repeat(sizes, m - 1).tolist()

@@ -125,6 +125,33 @@ def kernel_mismatches(ctx, chi, a: int) -> int:
                for y in range(ctx.p) for y1 in range(ctx.p))
 
 
+def kernel_case_table_holds(ctx) -> bool:
+    """Whether row r of the histogram h_r of dlog(ru + 1) - dlog(u + 1) over u in
+    F_p is, for every r in F_p, the proof kernel's case table: 1 everywhere for
+    r = 0 (y = 0); p - 1 at t = 0 and 0 elsewhere for r = 1 (y = y1); and for
+    r >= 2, 1 everywhere but 0 at t = dlog r.  An O(p^2) count, HISTOGRAM_CELLS
+    cells at a time, that verifier.kernel_certificate need not make: on a
+    discrete log each row is its case by a count of solutions."""
+    p = ctx.p
+    m = p - 1
+    u = np.arange(p, dtype=np.int64)
+    base = ctx.dlog[(u + 1) % p]
+    step = max(1, HISTOGRAM_CELLS // p)
+    for lo in range(0, p, step):
+        r = np.arange(lo, min(lo + step, p), dtype=np.int64)
+        top = ctx.dlog[(r[:, None] * u[None, :] + 1) % p]
+        counts = exponent_histogram(
+            np.where((top >= 0) & (base >= 0), (top - base) % m, -1), m)
+        expected = np.ones_like(counts)
+        generic = np.flatnonzero(r >= 2)
+        expected[generic, ctx.dlog[r[generic]]] = 0
+        expected[r == 1] = 0
+        expected[r == 1, 0] = p - 1
+        if not np.array_equal(counts, expected):
+            return False
+    return True
+
+
 def granville_mismatches(ctx, H) -> int:
     """Characters whose exact sum over H is not |H| (chi trivial on H) or 0."""
     m = ctx.p - 1

@@ -197,6 +197,18 @@ class TestVerify:
         assert out_file.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_lemma3_equals_stored_reference(self, capsys, tmp_path, workers):
+        """lemma3 over 97 <= p <= 151, byte for byte, against a stored run: 25
+        rows of drawn weights, characters and shifts at each of the twelve primes,
+        past the p <= 11 of the numeric reference."""
+        out_file = tmp_path / "l.jsonl"
+        code, _, _ = run(capsys, "verify", "--p-min", "97", "--p-max", "151", "--claims",
+                         "lemma3", "--seed", "5", "--workers", workers, "--out", str(out_file))
+        assert code == 0
+        expected = DATA_DIR / "verify.lemma3.p97-151.seed5.jsonl"
+        assert out_file.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("argv, stored, exit_code", [
         (["--p-min", "2", "--p-max", "100", "--budget", "4"],
          "verify.konyagin.p2-100.seed1.budget4.jsonl", 0),

@@ -7,9 +7,10 @@ sum, eq2's certified and pair-difference rows (on a corrupted dlog too) and
 konyagin's gcd-class count against the |D|^2-pair grid, each row of their one
 count for several sets against that set's grid and one-set call, the batched
 eq2 push-forward against per-character histograms, the suite's batched verdicts
-(budgeted too) and lemma3's stacked FFT against the standalone checkers and
-bilinear forms, each identity's certificate against its per-character
-fallback (granville's for p < 400), on primes p <= 211 (eq2's certified rows
+(budgeted too) and lemma3's one stacked pass for S and S' against the one-row
+checks and the bilinear forms, each identity's certificate against its
+per-character fallback (granville's for p < 400) and the kernel's against the
+O(p^2) count of its case table, on primes p <= 211 (eq2's certified rows
 up to 1009), integer_sums' gcd-class reading against
 reduction mod Phi_m, for m <= 300, and scan problem 1's coset counts and
 records against an Euler-criterion brute force over every subgroup."""
@@ -32,6 +33,7 @@ from charsum.cyclo import CycInt, reduce_counts
 from charsum.engines import (
     bilinear_S,
     bilinear_Sprime,
+    bilinear_sums,
     exp_sum_exponents,
     exp_sum_subset,
     nonlinear_sum_xxa,
@@ -369,6 +371,36 @@ def test_batched_lemma3_equals_bilinear_forms(seed):
     assert got == {}
 
 
+@pytest.mark.parametrize("p", [83, 131])
+def test_stacked_lemma3_rows_equal_one_row_checks_and_each_form(p):
+    """At p = 83 (m = 2 * 41) and p = 131 (m = 2 * 5 * 13): each row of one stacked
+    lemma3 batch of 25 drawn instances is its one-row check_lemma3, bit for bit;
+    S and S' of the stacked bilinear_sums pass are, bit for bit, the numeric
+    bilinear_S and bilinear_Sprime of each instance alone, which read their own
+    half of that pass; and on integer weights those equal the exact route."""
+    ctx = make_ctx(p)
+    rng = random.Random(p)
+    chis = [character(ctx, j) for j in (1, 2, 41, (p - 1) // 2, p - 2) for _ in range(5)]
+    xi, eta, shifts = verifier._lemma3_draws(p, rng, len(chis))
+    batch = verifier._lemma3_batch(ctx, chis, xi, eta, shifts)
+    for i, chi in enumerate(chis):
+        alone = check_lemma3(ctx, chi, Weights(xi[i]), Weights(eta[i]), shifts[i])
+        assert batch[i].to_line() == alone.to_line()
+
+    tables = np.array([chi.value_table() for chi in chis])
+    S, Sp = bilinear_sums(ctx, tables, xi, eta, shifts)
+    ints = np.array([_int_weights(p, rng).values for _ in range(2 * len(chis))])
+    for i, chi in enumerate(chis):
+        x, y, a = Weights(xi[i]), Weights(eta[i]), shifts[i]
+        assert np.array([bilinear_S(ctx, chi, x, y, a, "numeric").numeric,
+                         bilinear_Sprime(ctx, chi, x, y, a, "numeric").numeric]).tobytes() \
+            == np.array([S[i], Sp[i]]).tobytes()
+        x, y = Weights(ints[2 * i]), Weights(ints[2 * i + 1])
+        for form in (bilinear_S, bilinear_Sprime):
+            exact = form(ctx, chi, x, y, a, "exact").to_complex()
+            assert abs(form(ctx, chi, x, y, a, "numeric").numeric - exact) <= TOL
+
+
 def test_kernel_memory_is_bounded():
     """|H| = 1 at p = 4001 gives 4000 rows: one (4000 x 4000) histogram and its
     DFT would take more than 256 MB."""
@@ -693,7 +725,7 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     and so every exact value and every numeric kernel value, must not depend
     on where the chunks fall.  The certificates are forced off, so the chunked
     per-character routes run, mismatch counts on a corrupted dlog included; the
-    dlog and kernel certificates themselves are read uncached."""
+    dlog certificate, and the kernel certificate that reads it, are read uncached."""
     ctx = make_ctx(31)
     chi = character(ctx, 5)
     every_chi = [character(ctx, j) for j in range(1, 30)]
@@ -702,8 +734,7 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     xi, eta = _int_weights(31, rng), _int_weights(31, rng)
 
     bad = corrupted_ctx(31, 2, 7)
-    certify, certify_dlog = (c.__wrapped__ for c in (verifier.kernel_certificate,
-                                                      verifier.dlog_certificate))  # uncached
+    certify, certify_dlog = verifier.kernel_certificate, verifier.dlog_certificate.__wrapped__
     without_certificates(monkeypatch)
 
     def certificates():
@@ -958,10 +989,21 @@ def test_kernel_fallback_decides_through_integer_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 12])
-def test_kernel_certificate_rejects_each_perturbed_row(monkeypatch, r):
-    """One count moved from t = 0 to t = 1 in row r of the certificate's
-    histogram: the y = 0 row (r = 0), the y = y1 row (r = 1), or a generic one."""
-    counted = verifier.exponent_histogram
+def test_kernel_case_table_holds_on_true_dlogs_alone(monkeypatch, r):
+    """kernel_certificate is dlog_certificate: the O(p^2) count of every case-table
+    row (references.kernel_case_table_holds) holds on every true dlog table for
+    p <= 101, where both certificates hold, and fails on corrupted dlogs, which
+    both reject, and with one count moved from t = 0 to t = 1 in row r: the y = 0
+    row (r = 0), the y = y1 row (r = 1), or a generic one."""
+    for p in primes_in(3, 101):
+        ctx = make_ctx(p)
+        assert references.kernel_case_table_holds(ctx)
+        assert verifier.dlog_certificate(ctx) and verifier.kernel_certificate(ctx)
+    for p, x, y in [(13, 2, 5), (31, 2, 7), (101, 3, 50)]:
+        bad = corrupted_ctx(p, x, y)
+        assert not references.kernel_case_table_holds(bad)
+        assert not verifier.dlog_certificate(bad) and not verifier.kernel_certificate(bad)
+    counted = references.exponent_histogram
 
     def perturbed(exponents, m, weights=None):
         counts = counted(exponents, m, weights)
@@ -969,9 +1011,8 @@ def test_kernel_certificate_rejects_each_perturbed_row(monkeypatch, r):
         counts[r, 1] += 1
         return counts
 
-    ctx = make_ctx(13)
-    monkeypatch.setattr(verifier, "exponent_histogram", perturbed)
-    assert not verifier.kernel_certificate(ctx)
+    monkeypatch.setattr(references, "exponent_histogram", perturbed)
+    assert not references.kernel_case_table_holds(make_ctx(13))
 
 
 def test_eq2_certificate_rejects_corrupted_dlog(monkeypatch):

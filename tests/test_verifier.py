@@ -480,8 +480,9 @@ class TestRunSuite:
     def test_budget_counts_only_the_subgroups_it_reaches(self, monkeypatch, claim, p):
         """One kernel call per prime, over the rows of the subgroups that the budget
         reaches: subgroup H has k = (p-1)/|H| coset rows, plus the row H itself for
-        the shifted claims.  A budget of 1 reaches the first subgroup, and one of
-        p - 1 the first two, but for meanvalue2's p - 1 rows per subgroup."""
+        thm2_sharp, the one claim that reads it.  A budget of 1 reaches the first
+        subgroup, and one of p - 1 the first two, but for meanvalue2's p - 1 rows
+        per subgroup."""
         calls = []
         real = verifier.character_sum_moduli
 
@@ -491,7 +492,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(verifier, "character_sum_moduli", spy)
         Hs = subgroups(make_ctx(p))
-        extra = 0 if claim == "nonlinear" else 1
+        extra = 1 if claim == "thm2_sharp" else 0
 
         def rows(n):
             return sum(H.index + extra for H in Hs[:n])
@@ -604,15 +605,15 @@ class TestRunSuite:
         calls = []
         decoded = verifier._decoded_weights
 
-        def spy(draws, p):
-            calls.append((p, len(draws)))
-            return decoded(draws, p)
+        def spy(draws, n):
+            calls.append((n, len(draws)))
+            return decoded(draws, n)
 
         monkeypatch.setattr(verifier, "_decoded_weights", spy)
         vs = run_suite(3, 31, claims=["lemma3"], seed=0, budget=1)
         primes = list(primes_in(3, 31))
-        # one decode per prime, of the kept instance's two weight vectors
-        assert calls == [(p, 2) for p in primes]
+        # one decode per prime, of the kept instance's one draw of both weight vectors
+        assert calls == [(2 * p, 1) for p in primes]
         # the random stream is unchanged: each kept instance is the full run's first
         monkeypatch.undo()
         full = {(v.params["p"], v.params["instance"]): v.to_record()
@@ -620,19 +621,30 @@ class TestRunSuite:
         assert [v.to_record() for v in vs] == [full[p, "0:0"] for p in primes]
 
     def test_lemma3_builds_one_value_table_per_distinct_character(self, monkeypatch):
-        # lemma3's five instances per drawn character share its value table
-        built = []
-        value_table = Character.value_table
+        # lemma3's five instances per drawn character share its value table: one
+        # roots call per prime, over one row per distinct character, chi's own
+        # exponent table; no character builds a table of its own
+        def refuse(chi):
+            raise AssertionError("lemma3 built a value table per character")
 
-        def spy(chi):
-            built.append((chi.ctx.p, chi.index))
-            return value_table(chi)
+        calls = []
+        read = verifier.roots
 
-        monkeypatch.setattr(Character, "value_table", spy)
+        def spy(exponents, m):
+            calls.append((m + 1, exponents.tolist()))
+            return read(exponents, m)
+
+        monkeypatch.setattr(Character, "value_table", refuse)
+        monkeypatch.setattr(verifier, "roots", spy)
         vs = run_suite(3, 61, claims=["lemma3"], seed=0)
-        used = [(v.params["p"], v.params["chi"]) for v in vs]
-        assert len(built) == len(set(built)) == len(set(used)) < len(used)
-        assert set(built) == set(used)
+        used = {}
+        for v in vs:
+            used.setdefault(v.params["p"], set()).add(v.params["chi"])
+        assert [p for p, _ in calls] == sorted(used)
+        for p, rows in calls:
+            ctx = make_ctx(p)
+            assert rows == [character(ctx, j).exponent_table().tolist() for j in sorted(used[p])]
+        assert sum(map(len, used.values())) < len(vs)
 
     def test_eq2_checks_only_kept_characters(self, monkeypatch):
         # the suite hands eq2's builder the kept (D, characters) rows; on a true
