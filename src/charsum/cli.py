@@ -145,7 +145,7 @@ def _sum_value(args):
         if args.subset is not None:
             D = _parse_subset(args.subset)
         elif H is not None:
-            D = list(H.elements)
+            D = H.elements
         else:
             raise CharsumError("--kind shifted requires --set or a subgroup selector")
         value = engines.shifted_sum(ctx, chi, D, args.a, args.mode)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -89,13 +90,19 @@ class FieldCtx:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A multiplicative subgroup of F_p*."""
+    """A multiplicative subgroup of F_p*; its elements are built on first read."""
 
     ctx: FieldCtx
     order: int
     index: int  # (p-1) / order
     generator: int
-    elements: tuple[int, ...]  # sorted residues
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Sorted residues, every index-th entry of exp: int64, read-only as shared."""
+        elements = np.sort(self.ctx.exp[::self.index])
+        elements.flags.writeable = False
+        return elements
 
 
 def _smallest_primitive_root(p: int, prime_factors: list[int]) -> int:
@@ -151,8 +158,7 @@ def subgroup_of_order(ctx: FieldCtx, n: int) -> Subgroup:
         raise ValueError(f"order {n} does not divide p-1={p - 1}")
     k = (p - 1) // n
     h = pow(ctx.g, k, p)
-    return Subgroup(ctx=ctx, order=n, index=k, generator=h,
-                    elements=tuple(np.sort(ctx.exp[::k]).tolist()))
+    return Subgroup(ctx=ctx, order=n, index=k, generator=h)
 
 
 def subgroups(ctx: FieldCtx) -> list[Subgroup]:
@@ -170,8 +176,7 @@ def subgroup_near_sqrt(ctx: FieldCtx) -> Subgroup:
 def coset_shift_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
     """(k x |H|) int64 residues: row i is the shifted subgroup H + g^i, for the
     k = (p-1)/|H| coset representatives g^i of H in F_p*."""
-    h = np.array(H.elements, dtype=np.int64)
-    return (ctx.exp[:H.index, None] + h[None, :]) % ctx.p
+    return (ctx.exp[:H.index, None] + H.elements[None, :]) % ctx.p
 
 
 def inverse_table(ctx: FieldCtx) -> np.ndarray:
@@ -183,6 +188,7 @@ def inverse_table(ctx: FieldCtx) -> np.ndarray:
 
 
 def mod_inverse(ctx: FieldCtx, x: int) -> int:
+    x = operator.index(x)  # a numpy integer too (a subgroup's element); a float raises
     if x % ctx.p == 0:
         raise ZeroInverse("0 has no inverse mod p")
     return pow(x, -1, ctx.p)

@@ -351,8 +351,7 @@ def nonlinear_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
     """Row i holds x(x + g^i) for x in H.  x -> hx, a -> ha maps x(x + a) to
     h^2 x(x + a), so |sum_{x in H} chi(x(x + a))| is the same on the whole coset
     aH, and the k representatives g^i cover every nonzero shift."""
-    h = np.array(H.elements, dtype=np.int64)
-    return h[None, :] * coset_shift_rows(ctx, H) % ctx.p
+    return H.elements[None, :] * coset_shift_rows(ctx, H) % ctx.p
 
 
 def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool,
@@ -624,7 +623,7 @@ def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int) -> Verdict:
     """(1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|) at one nonzero shift a."""
     p = ctx.p
     _require_coprime_shift(p, a)
-    (average,), _ = character_sum_moduli(ctx, [[(np.array(H.elements) + a) % p]])
+    (average,), _ = character_sum_moduli(ctx, [[(H.elements + a) % p]])
     return _meanvalue2_batch(ctx, [H.order], [a % p], average)[0]
 
 
@@ -648,8 +647,8 @@ def _granville_batches(ctx: FieldCtx, Hs: list) -> tuple[Batch, Batch]:
         k = np.array([H.index for H in Hs], dtype=np.int64)
         sums = ((reps % k[:, None] == 0).astype(np.int64) @ table).tolist()
     else:
-        sums = [integer_sums(np.bincount(ctx.dlog[np.array(H.elements, dtype=np.int64)],
-                                         minlength=m)[None], m, reps)[0] for H in Hs]
+        sums = [integer_sums(np.bincount(ctx.dlog[H.elements], minlength=m)[None], m, reps)[0]
+                for H in Hs]
     sizes = table[:, -1].tolist()
     mismatches = [sum(size for g, s, size in zip(reps.tolist(), row, sizes)
                       if s != (0 if g % H.order else H.order)) for H, row in zip(Hs, sums)]
@@ -917,7 +916,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         return [Batch.of(_capacity_verdict(c, {"p": p}, e)) for c in claims]
     m = p - 1
     Hs = subgroups(ctx)
-    J = list(range(1, m))
+    J = range(1, m)
 
     numeric = NUMERIC_CLAIMS.intersection(claims)
     if numeric:
@@ -928,7 +927,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         sizes = [H.order for H in reached]
         # the H and chi columns of the character claims: one row per (H, j), H-major
         orders = np.repeat(sizes, m - 1).tolist()
-        chi_index = J * len(reached)
+        chi_index = list(J) * len(reached)
 
     def meanvalue2():  # one row per (H, a), a's mean read off its coset's row
         dlog = ctx.dlog[1:]
@@ -942,10 +941,10 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
 
     def eq2():  # one batch of the (D, character) rows that the budget keeps, D-major
         rng = seeded_rng(seed, p, "eq2")
-        dsets = [list(H.elements) for H in Hs] + random_subsets(p, 20, rng)
+        dsets = itertools.chain((H.elements for H in Hs), random_subsets(p, 20, rng))
         chis = [character(ctx, j) for j in J[:budget]]
-        kept = [(D, chis[:budget - i * (m - 1)]) for i, D in enumerate(dsets)
-                if i * (m - 1) < budget]
+        kept = [(D, chis[:budget - i * (m - 1)])  # elements are read for kept sets only
+                for i, D in zip(range(-(-budget // (m - 1))), dsets)]
         yield _eq2_batch(ctx, kept, list(range(len(kept))))
 
     def lemma3():  # five instances per drawn character, drawn in order; one batch

@@ -155,7 +155,7 @@ def kernel_case_table_holds(ctx) -> bool:
 def granville_mismatches(ctx, H) -> int:
     """Characters whose exact sum over H is not |H| (chi trivial on H) or 0."""
     m = ctx.p - 1
-    dH = ctx.dlog[list(H.elements)]
+    dH = ctx.dlog[H.elements]
     return sum(CycInt.from_exponents(m, j * dH % m) != (H.order if j % H.order == 0 else 0)
                for j in range(m))
 

@@ -355,16 +355,19 @@ class TestScanCmd:
             for r in scan.scan_prime(problem, p, seed=3):
                 assert sorted(r) == list(scan.RECORD_KEYS)
 
-    @pytest.mark.parametrize("problem", ["5", "6"])
-    def test_stream_equals_stored_reference(self, capsys, tmp_path, problem):
-        """Problems 5 and 6, byte for byte, against a stored run.  Each sum over H
+    @pytest.mark.parametrize("problem,p_min,p_max", [
+        ("5", "3", "101"), ("6", "3", "101"), ("5", "103", "400"), ("6", "103", "400")],
+        ids=["5", "6", "5-p103-400", "6-p103-400"])
+    def test_stream_equals_stored_reference(self, capsys, tmp_path, problem, p_min, p_max):
+        """Problems 5 and 6, byte for byte, against a stored run: over p <= 101, where
+        every instance is read, and past it, where they are sampled.  Each sum over H
         is added in the order of H's elements; another order moves the last bits
         of |S|, and with them the achiever among shifts of equal |S|."""
         out_file = tmp_path / "s.jsonl"
-        code, _, _ = run(capsys, "scan", "--problem", problem, "--p-min", "3",
-                         "--p-max", "101", "--seed", "3", "--out", str(out_file))
+        code, _, _ = run(capsys, "scan", "--problem", problem, "--p-min", p_min,
+                         "--p-max", p_max, "--seed", "3", "--out", str(out_file))
         assert code == 0
-        expected = DATA_DIR / f"scan{problem}.p3-101.seed3.jsonl"
+        expected = DATA_DIR / f"scan{problem}.p{p_min}-{p_max}.seed3.jsonl"
         assert out_file.read_bytes() == expected.read_bytes()
 
     def test_problem1_equals_stored_reference(self, capsys, tmp_path):

@@ -46,8 +46,9 @@ def H7(ctx7):
 
 
 def legendre_oracle(p, x):
-    """Euler-criterion quadratic character, independent of the dlog tables."""
-    x %= p
+    """Euler-criterion quadratic character, independent of the dlog tables; x may be
+    a numpy integer (an element of a subgroup), which three-argument pow refuses."""
+    x = int(x) % p
     if x == 0:
         return 0
     return 1 if pow(x, (p - 1) // 2, p) == 1 else -1

@@ -126,7 +126,9 @@ class TestSubgroups:
 
     def test_p7_order3_elements(self):
         ctx = make_ctx(7)
-        assert subgroup_of_order(ctx, 3).elements == (1, 2, 4)
+        elements = subgroup_of_order(ctx, 3).elements
+        assert elements.dtype == np.int64
+        assert elements.tolist() == [1, 2, 4]
 
     def test_p3(self):
         ctx = make_ctx(3)
@@ -141,10 +143,10 @@ class TestSubgroups:
         for p in primes_in(3, 500):
             ctx = make_ctx(p)
             for H in subgroups(ctx):
-                elems = set(H.elements)
+                arr = H.elements
+                elems = set(arr.tolist())
                 assert 1 in elems
                 assert len(elems) == H.order
-                arr = np.array(H.elements, dtype=np.int64)
                 products = set((arr[:, None] * arr[None, :] % p).ravel().tolist())
                 assert products <= elems
                 assert all(pow(x, -1, p) in elems for x in elems)
@@ -154,9 +156,12 @@ class TestSubgroups:
             ctx = make_ctx(p)
             for n in ctx.divisors:
                 H = subgroup_of_order(ctx, n)
-                expected = tuple(sorted(_powers(H.generator, n, p)))
-                assert H.elements == expected
-                assert all(type(x) is int for x in H.elements)
+                expected = sorted(_powers(H.generator, n, p))
+                assert H.elements.dtype == np.int64
+                assert H.elements.tolist() == expected
+                # cached and shared, so no reader may write into it
+                assert H.elements is H.elements
+                assert not H.elements.flags.writeable
 
     def test_generator_consistency(self):
         ctx = make_ctx(31)
@@ -184,6 +189,10 @@ class TestModInverse:
         ctx = make_ctx(7)
         assert mod_inverse(ctx, 3) == 5
         assert mod_inverse(ctx, 1) == 1
+        # a subgroup's elements are numpy integers; a float is still refused
+        assert mod_inverse(ctx, np.int64(3)) == 5
+        with pytest.raises(TypeError):
+            mod_inverse(ctx, 3.0)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroInverse):

@@ -17,7 +17,7 @@ from charsum.characters import Character, character, quadratic_character
 from charsum.cyclo import EXACT_MAX_ORDER, CycInt, cyclotomic_poly
 from charsum.engines import shifted_sum, shifted_values_all
 from charsum.errors import CapacityExceeded, PrincipalCharacter, ShiftNotCoprime, ZeroInD
-from charsum.field import make_ctx, primes_in, subgroup_of_order, subgroups
+from charsum.field import Subgroup, make_ctx, primes_in, subgroup_of_order, subgroups
 from charsum.values import Weights
 from charsum.cli import main
 from charsum.verifier import (
@@ -500,6 +500,34 @@ class TestRunSuite:
         for budget in (1, p - 1, None):
             run_suite(p, p, claims=[claim], budget=budget)
         assert calls == [rows(1), rows(1 if claim == "meanvalue2" else 2), rows(len(Hs))]
+
+    def test_subgroups_are_built_without_their_elements(self, monkeypatch):
+        """subgroups(ctx) and the granville and shkredov suite, whose sums are read
+        off the certified dlog table, build no element of any subgroup."""
+        def unread(H):
+            raise AssertionError(f"the elements of the subgroup of order {H.order} were read")
+
+        monkeypatch.setattr(Subgroup, "elements", property(unread))
+        ctx = make_ctx(61)
+        assert [H.order for H in subgroups(ctx)] == list(ctx.divisors)
+        vs = run_suite(3, 211, claims=["granville", "shkredov"])
+        assert vs and all(v.passed for v in vs)
+
+    @pytest.mark.parametrize("budget,kept", [(1, 1), (12, 2), (None, 6)])
+    def test_eq2_reads_the_elements_of_the_subgroups_it_keeps(self, monkeypatch, budget, kept):
+        """At p = 13 a set gives 11 rows, one per nonprincipal character: a budget
+        of 1 keeps the first subgroup, one of 12 the first two, and none all six;
+        eq2 reads no element of the others."""
+        build = Subgroup.__dict__["elements"].func
+        read = []
+
+        def spy(H):
+            read.append(H.order)
+            return build(H)
+
+        monkeypatch.setattr(Subgroup, "elements", property(spy))
+        run_suite(13, 13, claims=["eq2"], budget=budget)
+        assert read == list(make_ctx(13).divisors[:kept])
 
     def test_capacity_in_any_claim_is_its_record(self, monkeypatch):
         # past the cap granville's per-character route needs Phi_10006; the
