@@ -3,7 +3,7 @@
 Elements are integer coefficient vectors of length m (value = sum coeffs[i] * zeta^i),
 kept unreduced so that additions stay O(m).  Equality, integrality tests and the
 canonical form reduce modulo the m-th cyclotomic polynomial Phi_m.  Every exact
-path shares one kernel: exponent_histogram counts exponents into coefficients, and
+engine path shares one kernel: exponent_histogram counts exponents into coefficients, and
 reduce_counts reduces any stack of count rows mod Phi_m exactly, behind an int64
 overflow guard.
 """

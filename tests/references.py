@@ -63,6 +63,28 @@ def reduced_sums(c: np.ndarray, m: int) -> list[int | None]:
     return [None if any(r[1:]) else r[0] for r in reduced.tolist()]
 
 
+def pair_difference_sum(ctx, dsets: list) -> np.ndarray:
+    """Row i holds the m = p - 1 coefficient counts of eq2's
+    sum_{(x, y) in D^2} sum_{b in F_p} zeta_m^(dlog b - dlog(b + y - x)) (zero terms
+    left out) for the i-th set D, on any dlog table: sum_d pairs(d) hist(row(d)),
+    pairs(d) the set's own count of pairs with y - x = d, each row counted once for
+    all the sets, HISTOGRAM_CELLS cells at a time.  The |D|^2-pair grid regrouped
+    by difference, fast enough for sets of hundreds of elements."""
+    p, m, dlog = ctx.p, ctx.p - 1, ctx.dlog
+    pairs = np.empty((len(dsets), p), dtype=np.int64)  # each D's cyclic autocorrelation
+    for i, ind in enumerate(np.bincount(D, minlength=p) for D in dsets):
+        pairs[i] = np.correlate(np.concatenate((ind, ind[:-1])), ind, "valid")  # lag d at d
+    d = np.flatnonzero(pairs.any(axis=0))
+    counts = np.zeros((len(dsets), m), dtype=np.int64)
+    step = max(1, HISTOGRAM_CELLS // p)
+    for lo in range(0, len(d), step):
+        chunk = d[lo:lo + step]
+        e = dlog[(np.arange(p) + chunk[:, None]) % p]  # dlog(b + d), b = x + a in F_p
+        row = np.where((dlog >= 0) & (e >= 0), (dlog - e) % m, -1)
+        counts += pairs[:, chunk] @ exponent_histogram(row, m)
+    return counts
+
+
 def direct_roots(exponents, m: int) -> np.ndarray:
     """exp(2 pi i e / m) term by term, with 0 where e = -1: the formula that
     values.roots reads from a table of distinct roots."""
@@ -206,11 +228,3 @@ def json_sort_key(v):
     then p or q, then the params object's JSON text."""
     return (v.claim, v.params.get("p", v.params.get("q", 0)),
             json.dumps(v.params, sort_keys=True, default=str))
-
-
-def without_certificates(monkeypatch) -> None:
-    """Make every certificate fail, so each checker takes its per-character route."""
-    monkeypatch.setattr(verifier, "dlog_certificate", lambda ctx: False)
-    monkeypatch.setattr(verifier, "kernel_certificate", lambda ctx: False)
-    monkeypatch.setattr(verifier, "gcd_class_certificate",
-                        lambda counts, m: np.zeros(len(counts), dtype=bool))

@@ -3,17 +3,18 @@ numeric kernel (one DFT of a dlog histogram for every character) and the
 single-character coset-row reading against the FFT correlation and the per-shift
 engines, the exact histogram kernel against numeric mode and against sums of
 CycInt products, the exact bilinear convolution against the term-by-term grid
-sum, eq2's certified and pair-difference rows (on a corrupted dlog too) and
-konyagin's gcd-class count against the |D|^2-pair grid, each row of their one
-count for several sets against that set's grid and one-set call, the batched
-eq2 push-forward against per-character histograms, the suite's batched verdicts
-(budgeted too) and lemma3's one stacked pass for S and S' against the one-row
-checks and the bilinear forms, each identity's certificate against its
-per-character fallback (granville's for p < 400) and the kernel's against the
-O(p^2) count of its case table, on primes p <= 211 (eq2's certified rows
-up to 1009), integer_sums' gcd-class reading against
-reduction mod Phi_m, for m <= 300, and scan problem 1's coset counts and
-records against an Euler-criterion brute force over every subgroup."""
+sum, eq2's certified rows and konyagin's gcd-class count against the
+|D|^2-pair grid, each row of their one count for several sets against that
+set's grid and one-set call, the batched eq2 verdicts against per-character
+histograms, the suite's batched verdicts (budgeted too) and lemma3's one
+stacked pass for S and S' against the one-row checks and the bilinear forms,
+each certified verdict against the per-character references of
+tests/references.py (granville's for p < 400) and the kernel's certificate
+against the O(p^2) count of its case table, on primes p <= 211 (eq2's
+certified rows up to 1009), integer_sums' gcd-class reading against reduction
+mod Phi_m, for m <= 300, every exact builder raising on a table that fails its
+certificate, and scan problem 1's coset counts and records against an
+Euler-criterion brute force over every subgroup."""
 
 import dataclasses
 import json
@@ -27,9 +28,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charsum import scan, verifier
+from charsum import cyclo, scan, verifier
 from charsum.characters import character, quadratic_character
-from charsum.cyclo import CycInt, reduce_counts
+from charsum.cyclo import CycInt
 from charsum.engines import (
     bilinear_S,
     bilinear_Sprime,
@@ -44,7 +45,9 @@ from charsum.engines import (
     shifted_values_all,
 )
 from charsum.field import (
+    MAX_P,
     coset_shift_rows,
+    is_prime,
     make_ctx,
     primes_in,
     subgroup_near_sqrt,
@@ -82,12 +85,12 @@ from references import (
     eq2_per_character,
     eq2_via_engine,
     granville_mismatches,
-    kernel_closed_form,
+    kernel_case_table_holds,
     kernel_mismatches,
     pair_difference_grid,
+    pair_difference_sum,
     per_subgroup_moduli,
     reduced_sums,
-    without_certificates,
 )
 
 PRIMES = list(primes_in(3, 200))
@@ -491,26 +494,19 @@ def test_konyagin_histogram_equals_sum_of_norms(inst):
 @given(st.sampled_from(list(primes_in(3, 211))).flatmap(lambda p: st.tuples(
     st.just(p), subsets(p), st.none() | st.sets(st.integers(1, p - 1), min_size=2, max_size=2))))
 def test_eq2_pair_differences_equal_grid(inst):
-    """eq2's count c, one exponent row per difference y - x weighted by its pair
-    count, equals the |D|^2-pair grid's count, on a true dlog and on one with two
-    entries swapped: the regrouping holds for any dlog table."""
+    """eq2's count c, written from |D| and the certified h1, equals the
+    |D|^2-pair grid's count on a true dlog; on one with two entries swapped the
+    certificate fails and eq2 raises, with no count."""
     p, D, swap = inst
-    ctx = make_ctx(p) if swap is None else corrupted_ctx(p, *swap)
+    if swap is not None:
+        bad = corrupted_ctx(p, *swap)
+        with pytest.raises(ArithmeticError):
+            check_eq2_identities(bad, [character(bad, 1)], D)
+    ctx = make_ctx(p)
     _, (c,) = _handed_to("integer_sums",
                          lambda: check_eq2_identities(ctx, [character(ctx, 1)], D))
     E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
     assert np.array_equal(c, pair_difference_grid(E, p - 1))
-
-
-def _returned_by(name, call):
-    """call()'s result, and the list of what each of its calls of verifier.<name>
-    returned."""
-    seen = []
-    real = getattr(verifier, name)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, name, lambda *args: seen.append(real(*args)) or seen[-1])
-        result = call()
-    return result, seen
 
 
 @cross_path
@@ -518,18 +514,20 @@ def _returned_by(name, call):
     st.just(p), st.lists(subsets(p), min_size=2, max_size=5),
     st.none() | st.sets(st.integers(1, p - 1), min_size=2, max_size=2))))
 def test_eq2_shared_count_equals_each_sets_own(inst):
-    """The count matrix of several sets at one p: each row equals that set's
-    |D|^2-pair grid and the count of the one-set call, and the batch equals the
-    one-set calls, on a true dlog (whose certificate writes the rows) and on one
-    with two entries swapped (where _pair_difference_sum counts them, and the
-    gcd-class certificate fails for most sets and the push-forward runs)."""
+    """The count matrix of several sets at one p, written by the certificate on a
+    true dlog: each row equals that set's |D|^2-pair grid and the count of the
+    one-set call, and the batch equals the one-set calls.  With two entries of
+    the dlog swapped the batch raises, with no count."""
     p, dsets, swap = inst
-    ctx = make_ctx(p) if swap is None else corrupted_ctx(p, *swap)
+    if swap is not None:
+        bad = corrupted_ctx(p, *swap)
+        with pytest.raises(ArithmeticError):
+            verifier._eq2_batch(bad, [(D, [character(bad, 1)]) for D in dsets])
+    ctx = make_ctx(p)
     chis = [character(ctx, j) for j in (1, p - 2)]
-    (batch, counted), C = _handed_to("integer_sums", lambda: _returned_by(
-        "_pair_difference_sum", lambda: verifier._eq2_batch(ctx, [(D, chis) for D in dsets])))
+    batch, C = _handed_to("integer_sums",
+                          lambda: verifier._eq2_batch(ctx, [(D, chis) for D in dsets]))
     assert C.shape == (len(dsets), p - 1)
-    assert [c.tolist() for c in counted] == ([] if swap is None else [C.tolist()])
     alone = []
     for D, c in zip(dsets, C):
         E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
@@ -540,36 +538,21 @@ def test_eq2_shared_count_equals_each_sets_own(inst):
     assert [v.to_record() for v in batch] == alone
 
 
-def test_eq2_shared_count_takes_the_fallback_on_a_corrupted_dlog():
-    """The swapped dlog at p = 31 leaves one set certified and the rest on the
-    push-forward route, in one batch; each verdict equals its one-set call."""
-    ctx = corrupted_ctx(31, 2, 7)
-    chis = [character(ctx, j) for j in range(1, 30)]
-    dsets = [[5], [1, 2], [3, 4, 9], list(range(1, 16))]
-    batch, (C,) = _returned_by("_pair_difference_sum", lambda: verifier._eq2_batch(
-        ctx, [(D, chis) for D in dsets]))
-    assert verifier.gcd_class_certificate(C, 30).tolist() == [True, False, False, False]
-    alone = [v.to_record() for D in dsets for v in check_eq2_identities(ctx, chis, D)]
-    assert [v.to_record() for v in batch] == alone
-    assert not all(v.passed for v in batch)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_eq2_certified_rows_equal_pair_grid(p):
     """On a true dlog eq2 writes each set's count row as |D|(p - 1) at t = 0 plus
     (|D|^2 - |D|) h1, and counts no pair: for every subgroup and the suite's 20
     seeded sets each row is the |D|^2-pair grid's.  At p = 1009 the sets past 64
     elements, whose grids take about 20 ns a cell (a minute in all), are checked
-    against _pair_difference_sum, eq2's fallback count."""
+    against pair_difference_sum, which counts the pairs by their difference."""
     ctx = make_ctx(p)
     dsets = ([H.elements for H in subgroups(ctx)]
              + random_subsets(p, 20, seeded_rng(1, p, "eq2")))
-    (_, counted), C = _handed_to("integer_sums", lambda: _returned_by(
-        "_pair_difference_sum", lambda: verifier._eq2_batch(
-            ctx, [(D, [character(ctx, 1)]) for D in dsets])))
-    assert counted == [] and C.shape == (len(dsets), p - 1)
+    _, C = _handed_to("integer_sums", lambda: verifier._eq2_batch(
+        ctx, [(D, [character(ctx, 1)]) for D in dsets]))
+    assert C.shape == (len(dsets), p - 1)
     large = [i for i, D in enumerate(dsets) if p > 101 and len(D) > 64]
-    assert np.array_equal(C[large], verifier._pair_difference_sum(ctx, [dsets[i] for i in large]))
+    assert np.array_equal(C[large], pair_difference_sum(ctx, [dsets[i] for i in large]))
     for i, D in enumerate(dsets):
         if i not in large:
             E = ctx.dlog[(np.array(D)[:, None] + np.arange(p)) % p]
@@ -646,17 +629,14 @@ def test_budgeted_eq2_suite_equals_standalone_checker():
         assert v == alone
 
 
-def test_eq2_batch_memory_is_bounded(monkeypatch):
-    """All 3999 nontrivial characters at p = 4001 for one D, on the push-forward
-    route (the certificate is forced off): their pushed-forward rows would take
-    128 MB as one (3999 x 4000) histogram.  The order's reduction table
-    (m x phi(m) float64, 51 MB at m = 4000) is cached and shared by every exact
-    checker, so it is built before tracing; the bound is on what the batch
-    allocates."""
-    without_certificates(monkeypatch)
+def test_eq2_batch_memory_is_bounded():
+    """All 3999 nontrivial characters at p = 4001 for one D: as one (3999 x 4000)
+    histogram their rows would take 128 MB, and the order's reduction table
+    (m x phi(m) float64) 51 MB.  The certified route writes one count row and
+    reads every sum off the Ramanujan table of the gcd classes, so the batch,
+    its certificate included, allocates a few MB."""
     ctx = make_ctx(4001)
     chis = [character(ctx, j) for j in range(1, 4000)]
-    reduce_counts(np.zeros(4000, dtype=np.int64))
     tracemalloc.start()
     try:
         verdicts = check_eq2_identities(ctx, chis, range(1, 64))
@@ -665,7 +645,7 @@ def test_eq2_batch_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert len(verdicts) == 3999
     assert all(v.passed and v.computed == 4001 * 63 - 63**2 for v in verdicts)
-    assert peak_bytes <= 64e6
+    assert peak_bytes <= 8e6
 
 
 def _int_weights(p, rng):
@@ -723,9 +703,8 @@ def test_exact_exp_sum_matches_numeric(inst):
 def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     """Shrinking the histogram batch forces every chunk boundary; the counts,
     and so every exact value and every numeric kernel value, must not depend
-    on where the chunks fall.  The certificates are forced off, so the chunked
-    per-character routes run, mismatch counts on a corrupted dlog included; the
-    dlog certificate, and the kernel certificate that reads it, are read uncached."""
+    on where the chunks fall.  The dlog certificate, and the kernel certificate
+    that reads it, are read uncached, on a true dlog and on a corrupted one."""
     ctx = make_ctx(31)
     chi = character(ctx, 5)
     every_chi = [character(ctx, j) for j in range(1, 30)]
@@ -735,7 +714,6 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
 
     bad = corrupted_ctx(31, 2, 7)
     certify, certify_dlog = verifier.kernel_certificate, verifier.dlog_certificate.__wrapped__
-    without_certificates(monkeypatch)
 
     def certificates():
         with pytest.MonkeyPatch.context() as mp:
@@ -745,7 +723,6 @@ def test_chunked_histograms_equal_unchunked(monkeypatch, cells):
     def exact_values():
         return [check_eq2_identity(ctx, chi, D).computed, check_konyagin(30, D).computed,
                 certificates(), check_kernel_cases(ctx, chi, 3).computed,
-                check_kernel_cases(bad, character(bad, 5), 3).computed,
                 [v.computed for v in check_eq2_identities(ctx, every_chi, D)],
                 [check_granville(ctx, H).computed for H in subgroups(ctx)],
                 bilinear_S(ctx, chi, xi, eta, 3, "exact").exact.reduced(),
@@ -772,11 +749,10 @@ GCD_MODULI = st.integers(1, 300) | st.sampled_from([8, 27, 49, 64, 125, 243, 256
 @example(270, 0)
 def test_integer_sums_equal_reduction(m, seed):
     """integer_sums reads a row that is constant on the gcd classes of Z/m off
-    the Ramanujan sums, and reduces any other row mod Phi_m.  At every j, taken
-    in a shuffled order, its integers and its None pattern are those of each row
-    pushed forward and reduced, and a row's sums are all integers exactly when
-    the certificate passes it; and so they are when each failing row is reduced
-    in a stack of its own."""
+    the Ramanujan sums: at every j, taken in a shuffled order, its integers are
+    those of the row pushed forward and reduced mod Phi_m.  A row's sums are all
+    integers exactly when the certificate passes it, and a row that fails it
+    makes integer_sums raise, alone or in a stack."""
     rng = np.random.default_rng(seed)
     g = np.gcd(np.arange(m), m)
     rows = [rng.integers(-9, 10, size=m + 1)[g] for _ in range(3)]  # class-constant
@@ -786,13 +762,18 @@ def test_integer_sums_equal_reduction(m, seed):
     counts = np.array(rows)
     J = rng.permutation(m)
     want = [reduced_sums(c, m) for c in counts]
-    assert integer_sums(counts, m, J) == [[w[j] for j in J] for w in want]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "HISTOGRAM_CELLS", m)
-        assert integer_sums(counts, m, J) == [[w[j] for j in J] for w in want]
     certified = verifier.gcd_class_certificate(counts, m).tolist()
     assert certified[:3] == [True] * 3
     assert certified == [None not in w for w in want]
+    assert integer_sums(counts[certified], m, J) == [
+        [w[j] for j in J] for w, ok in zip(want, certified) if ok]
+    for c, ok in zip(counts, certified):
+        if not ok:
+            with pytest.raises(ArithmeticError, match="not constant on its gcd classes"):
+                integer_sums(c[None], m, J)
+    if not all(certified):
+        with pytest.raises(ArithmeticError):
+            integer_sums(counts, m, J)
 
 
 def _certified(monkeypatch) -> list:
@@ -811,52 +792,88 @@ def _certified(monkeypatch) -> list:
 
 @cross_path
 @given(instances(nonprincipal=True, nonzero_shift=True, primes=SMALL_PRIMES), st.data())
-def test_certificates_equal_fallbacks(inst, data):
+def test_certificates_equal_references(inst, data):
     """Each certificate holds on a true dlog (the gcd-class one on eq2's count; on
     a certified dlog granville reads no count), and the verdicts it gives equal
-    those of the per-character routes it replaces."""
+    the per-character references: kernel's pairs of the full grid whose
+    brute-force sum differs from the closed form, granville's characters whose
+    exact sum over H is not |H| or 0, and each character's eq2 sum off its own
+    pair-difference grid."""
     ctx, chi, H, a = inst
     D = data.draw(subsets(ctx.p))
     every_chi = [character(ctx, j) for j in range(1, ctx.p - 1)]
-
-    def records():
-        return [v.to_record() for v in [check_kernel_cases(ctx, chi, a), check_granville(ctx, H),
-                                        *check_eq2_identities(ctx, every_chi, D)]]
-
     with pytest.MonkeyPatch.context() as mp:
         seen = _certified(mp)
-        certified = records()
+        kernel, granville = check_kernel_cases(ctx, chi, a), check_granville(ctx, H)
+        eq2 = check_eq2_identities(ctx, every_chi, D)
     assert verifier.dlog_certificate(ctx) and verifier.kernel_certificate(ctx)
     assert seen == [[True]]
-    with pytest.MonkeyPatch.context() as mp:
-        without_certificates(mp)
-        assert records() == certified
+    assert kernel.passed and kernel.computed == kernel_mismatches(ctx, chi, a) == 0
+    assert granville.passed and granville.computed == ctx.p - 1
+    assert granville_mismatches(ctx, H) == 0
+    assert all(v.passed for v in eq2)
+    assert [v.computed for v in eq2] == [eq2_per_character(ctx, c, D) for c in every_chi]
 
 
-def test_suite_certificates_equal_fallbacks(monkeypatch):
+def test_suite_certificates_equal_references():
+    """Every eq2, kernel, granville and konyagin record of the suite over p <= 61
+    against the references: eq2's sums at every character off each set's
+    pair-difference grid, pushed forward and reduced mod Phi_m (reduced_sums);
+    konyagin's off its exponent pair grid, the same way; granville's characters
+    whose exact sum is not |H| or 0; and the O(p^2) count of the kernel's case
+    table, which proves every kernel row at p."""
     claims = ["eq2", "kernel", "granville", "konyagin"]
-    certified = [v.to_record() for v in run_suite(2, 61, claims=claims, seed=42)]
-    without_certificates(monkeypatch)
-    assert [v.to_record() for v in run_suite(2, 61, claims=claims, seed=42)] == certified
+    vs = run_suite(2, 61, claims=claims, seed=42)
+    assert {v.claim for v in vs} == set(claims) and vs.capacity == 0
+    ctxs, sums = {}, {}
+    for v in vs:
+        assert v.passed and v.mode == "exact"
+        if v.claim == "konyagin":
+            q = v.params["q"]
+            D = random_subsets(q, 10, seeded_rng(42, q, "konyagin"))[v.params["D_index"]]
+            c = pair_difference_grid(exp_sum_exponents(q, D, np.arange(1, q)), q)
+            assert v.computed == reduced_sums(c, q)[1]
+            continue
+        p = v.params["p"]
+        if p not in ctxs:
+            ctxs[p] = make_ctx(p)
+            assert kernel_case_table_holds(ctxs[p])
+        ctx = ctxs[p]
+        if v.claim == "eq2":
+            i = v.params["D_index"]
+            if (p, i) not in sums:
+                dsets = ([H.elements for H in subgroups(ctx)]
+                         + random_subsets(p, 20, seeded_rng(42, p, "eq2")))
+                E = ctx.dlog[(np.array(dsets[i])[:, None] + np.arange(p)) % p]
+                sums[p, i] = reduced_sums(pair_difference_grid(E, p - 1), p - 1)
+            assert v.computed == sums[p, i][v.params["chi"]]
+        elif v.claim == "granville":
+            assert v.computed == p - 1
+            assert granville_mismatches(ctx, subgroup_of_order(ctx, v.params["H"])) == 0
+        else:
+            assert v.computed == 0 and v.params["pairs"] == p * p
 
 
 def test_granville_certified_sums_equal_histogram_route():
-    """For every subgroup at every p < 400, the sums that granville reads off the
-    Ramanujan table under dlog_certificate, a route that never builds a subgroup's
-    elements, equal those that integer_sums reads off each histogram of dlog(H):
-    the records are equal, and a sum at any class g other than |H| [|H| divides g],
-    the histogram route's value there, would show as a mismatch."""
+    """For every subgroup at every p < 400, granville reads its sums off the
+    Ramanujan table under dlog_certificate, a route that never builds a
+    subgroup's elements.  Its records equal those of each histogram of dlog(H),
+    pushed forward and reduced mod Phi_m (reduced_sums): every character's sum
+    is |H| where |H| divides j and 0 otherwise, and their moduli add up to p - 1,
+    which shkredov bounds by p."""
     for p in primes_in(3, 400):
         ctx = make_ctx(p)
+        m = p - 1
         Hs = subgroups(ctx)
         assert verifier.dlog_certificate(ctx)
-        certified = [v.to_record() for b in verifier._granville_batches(ctx, Hs) for v in b]
+        granville, shkredov = verifier._granville_batches(ctx, Hs)
         assert not any("elements" in vars(H) for H in Hs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verifier, "dlog_certificate", lambda ctx: False)
-            histograms = [v.to_record() for b in verifier._granville_batches(ctx, Hs) for v in b]
-        assert certified == histograms
-        assert all(r["pass"] for r in certified)
+        for H, g, s in zip(Hs, granville, shkredov):
+            sums = reduced_sums(np.bincount(ctx.dlog[H.elements], minlength=m), m)
+            assert sums == [H.order if j % H.order == 0 else 0 for j in range(m)]
+            total = sum(map(abs, sums))
+            assert (g.computed, g.target, g.margin, g.passed) == (total, m, 0.0, True)
+            assert (s.computed, s.target, s.margin, s.passed) == (total, p, 1.0, True)
 
 
 def _exact_records(ctx) -> list:
@@ -871,16 +888,17 @@ def _exact_records(ctx) -> list:
 
 
 @pytest.mark.parametrize("broken", ["swap", "h1 at 0", "h1 at 2", "another base", "wrong g"])
-def test_dlog_certificate_rejects_and_the_fallbacks_decide(monkeypatch, broken):
+def test_dlog_certificate_rejects_and_the_exact_builders_raise(monkeypatch, broken):
     """dlog_certificate rejects a dlog with two entries swapped; a true dlog whose
-    h1 is perturbed (one count moved from t = 1 to t = 0 or 2, in the
-    certificate's own histogram alone); a true dlog to another base, 3^7 = 17,
-    that ctx.exp does not invert; and exp's powers of 3 under g = 17.  Each way
-    eq2, granville, shkredov and kernel take their fallbacks, which give the
-    records of every certificate forced off, and on a true dlog the certified
-    records."""
+    h1 is perturbed (one count moved from t = 1 to t = 0 or 2: t = 1 left unmarked
+    and t = 0 or 2 marked, in the certificate's own mark array alone); a true dlog to
+    another base, 3^7 = 17, that ctx.exp does not invert; and exp's powers of 3
+    under g = 17.  Each way _eq2_batch, _granville_batches and _kernel_batch raise
+    ArithmeticError, and so does the suite for each of eq2, granville, shkredov
+    and kernel, with no verdict and no capacity record; on a true dlog every
+    record passes."""
     p = 31
-    certified = _exact_records(make_ctx(p))
+    assert all(r["pass"] for r in _exact_records(make_ctx(p)))
     ctx = make_ctx(p)
     if broken == "swap":
         ctx = corrupted_ctx(p, 2, 7)
@@ -890,32 +908,57 @@ def test_dlog_certificate_rejects_and_the_fallbacks_decide(monkeypatch, broken):
     elif broken == "wrong g":
         ctx = dataclasses.replace(ctx, g=17)
     else:
-        count, at = np.bincount, int(broken[-1])
+        zeros, at = np.zeros, int(broken[-1])
+
+        class Perturbed(np.ndarray):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                super().__setitem__(1, False)
+                super().__setitem__(at, True)
 
         def perturbed(*args, **kwargs):
-            h = count(*args, **kwargs)
+            made = zeros(*args, **kwargs)
             if sys._getframe(1).f_code.co_name == "dlog_certificate":
-                h[1] -= 1
-                h[at] += 1
-            return h
+                return made.view(Perturbed)
+            return made
 
-        monkeypatch.setattr(np, "bincount", perturbed)
+        monkeypatch.setattr(np, "zeros", perturbed)
     assert not verifier.dlog_certificate(ctx) and not verifier.kernel_certificate(ctx)
-    records, counted = _returned_by("_pair_difference_sum", lambda: _exact_records(ctx))
-    assert len(counted) == 1
-    with pytest.MonkeyPatch.context() as mp:
-        without_certificates(mp)
-        assert _exact_records(ctx) == records
-    assert (records == certified) == all(r["pass"] for r in records) == (broken != "swap")
+    chis = [character(ctx, j) for j in range(1, p - 1)]
+    builders = [lambda: verifier._eq2_batch(ctx, [([5], chis)]),
+                lambda: verifier._granville_batches(ctx, subgroups(ctx)),
+                lambda: verifier._kernel_batch(ctx, chis[:2], [1, 3]),
+                lambda: verifier._kernel_batch(ctx, chis[:2], [1, 3], [(2, 5)])]
+    for build in builders:
+        with pytest.raises(ArithmeticError, match=f"dlog at p = {p} is not the discrete log"):
+            build()
+    monkeypatch.setattr(verifier, "make_ctx", lambda q: ctx)
+    for claim in ["eq2", "granville", "shkredov", "kernel"]:
+        with pytest.raises(ArithmeticError):
+            run_suite(p, p, claims=["thm2", claim], seed=3)
+
+
+def test_dlog_certificate_holds_on_every_table_make_ctx_builds():
+    """exp[0] = 1, exp[t + 1] = g exp[t] and dlog[exp[t]] = t for t < p - 1 make g
+    primitive and dlog its discrete log, so the certificate holds at every prime
+    below 10^4 and at the largest prime under the table cap, where its marks are
+    read in ten chunks."""
+    for p in primes_in(3, 10_000):
+        assert verifier.dlog_certificate.__wrapped__(make_ctx(p)), p
+    top = next(p for p in range(MAX_P, 2, -1) if is_prime(p))
+    assert top == 9_999_991
+    assert verifier.dlog_certificate.__wrapped__(make_ctx(top))
 
 
 def test_suite_identities_need_no_reduction(monkeypatch):
     """On a true dlog every eq2, granville and konyagin count passes the gcd-class
-    certificate, so none of them reduces mod Phi_m."""
+    certificate, so none of them reduces mod Phi_m: the verifier holds no
+    reduction of its own, and cyclo's is never called."""
     def reduced(counts):
         raise AssertionError("reduced mod Phi_m")
 
-    monkeypatch.setattr(verifier, "reduce_counts", reduced)
+    assert not hasattr(verifier, "reduce_counts")
+    monkeypatch.setattr(cyclo, "reduce_counts", reduced)
     vs = run_suite(2, 150, claims=["konyagin", "eq2", "granville", "shkredov"], seed=7)
     assert {v.claim for v in vs} == {"konyagin", "eq2", "granville", "shkredov"}
     assert vs.capacity == 0 and vs.passes == len(vs)
@@ -923,7 +966,8 @@ def test_suite_identities_need_no_reduction(monkeypatch):
 
 # Mutation tests: dlog[2] and dlog[5] swapped at p = 13 is no discrete logarithm,
 # so the "characters" built on it break every identity.  Each certificate must
-# reject, and each fallback must report what the reference route reports.
+# reject, and each exact checker must raise rather than give a verdict, where
+# the reference routes show the identity broken.
 
 def test_corrupted_ctx_swaps_two_dlog_entries_of_a_copy(monkeypatch):
     built = []
@@ -945,47 +989,9 @@ def test_kernel_certificate_rejects_corrupted_dlog():
     assert not verifier.kernel_certificate(bad)
     for j, a in [(1, 1), (4, 3), (5, 12)]:
         chi = character(bad, j)
-        assert check_kernel_cases(bad, chi, a).computed == kernel_mismatches(bad, chi, a) > 0
-
-
-@pytest.mark.parametrize("p, x, y", [(13, 2, 5), (31, 2, 7)])
-def test_kernel_fallback_decides_each_case_as_the_reference(p, x, y):
-    """Pairs of all four cases of the closed form, (0, 0), (0, y), (y, 0) and
-    (y, y), and generic pairs: each pair's count, alone and in one call, is the
-    per-pair reference's on a corrupted dlog.  The swap moves no sum over all of
-    F_p, so only generic pairs mismatch; the quadratic character, which the swap
-    of two non-residues leaves alone, has none."""
-    bad = corrupted_ctx(p, x, y)
-    rng = random.Random(p)
-    pairs = [(0, 0), (0, 1), (0, x), (y, 0), (p - 1, 0), (1, 1), (x, x), (y, y)]
-    pairs += [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(24)]
-    found = []
-    for j, a in [(1, 1), (5, 3), ((p - 1) // 2, p - 1)]:
-        chi = character(bad, j)
-        want = [int(proof_kernel_S_yy1(bad, chi, u, v, a).exact != kernel_closed_form(bad, chi, u, v))
-                for u, v in pairs]
-        assert [check_kernel_cases(bad, chi, a, [pair]).computed for pair in pairs] == want
-        assert check_kernel_cases(bad, chi, a, pairs).computed == sum(want)
-        found.append(sum(want))
-    assert found[0] > 0 and found[1] > 0 and found[2] == 0
-
-
-def test_kernel_fallback_decides_through_integer_sums(monkeypatch):
-    """The fallback hands integer_sums one count row per pair, read at j = 1, and
-    the verifier keeps no reduction table of its own."""
-    bad = corrupted_ctx(13, 2, 5)
-    chi = character(bad, 1)
-    calls = []
-    decide = verifier.integer_sums
-
-    def spy(counts, m, J):
-        calls.append((counts.shape, m, list(J)))
-        return decide(counts, m, J)
-
-    monkeypatch.setattr(verifier, "integer_sums", spy)
-    assert check_kernel_cases(bad, chi, 1).computed == kernel_mismatches(bad, chi, 1) > 0
-    assert calls == [((169, 12), 12, [1])]
-    assert not hasattr(verifier, "reduction_rows")
+        assert kernel_mismatches(bad, chi, a) > 0
+        with pytest.raises(ArithmeticError):
+            check_kernel_cases(bad, chi, a)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 12])
@@ -1019,73 +1025,21 @@ def test_eq2_certificate_rejects_corrupted_dlog(monkeypatch):
     bad = corrupted_ctx(13, 2, 5)
     chis = [character(bad, j) for j in range(1, 12)]
     D = [1, 2, 3, 4, 6]
+    assert any(eq2_via_engine(bad, chi, D) != 13 * 5 - 5**2 for chi in chis)
     seen = _certified(monkeypatch)
-    verdicts = check_eq2_identities(bad, chis, D)
-    assert seen == [[False]]
-    assert not all(v.passed for v in verdicts)
-    for chi, v in zip(chis, verdicts):
-        reference = eq2_via_engine(bad, chi, D)
-        assert v.computed == (reference if reference is not None else "non-integer")
+    with pytest.raises(ArithmeticError):
+        check_eq2_identities(bad, chis, D)
+    assert seen == []
 
 
 def test_granville_certificate_rejects_corrupted_dlog(monkeypatch):
     bad = corrupted_ctx(13, 5, 2)  # 5 lies in the subgroup of order 4, 2 does not
     H = subgroup_of_order(bad, 4)
     assert 5 in H.elements and 2 not in H.elements
-    seen = _certified(monkeypatch)
-    v = check_granville(bad, H)
-    assert seen == [[False]]
-    assert not v.passed
-    assert v.computed == f"{granville_mismatches(bad, H)} structural mismatches"
     assert granville_mismatches(bad, H) > 0
-
-
-@pytest.mark.parametrize("p, x, y", [(13, 5, 2), (107, 2, 3)])
-def test_suite_failing_rows_equal_the_one_row_checks(monkeypatch, p, x, y):
-    """The suite's granville, shkredov and kernel batches on a corrupted dlog, at
-    p = 13 (kernel's full grid) and p = 107 (500 sampled pairs): each row's record
-    is its one-row check_* record, granville counts the reference's mismatches, and
-    each kernel row counts the pairs where proof_kernel_S_yy1 differs from
-    kernel_closed_form."""
-    bad = corrupted_ctx(p, x, y)
-    monkeypatch.setattr(verifier, "make_ctx", lambda q: bad)
-    suite = {}
-    for v in run_suite(p, p, claims=["granville", "shkredov", "kernel"], seed=3):
-        suite.setdefault(v.claim, []).append(v)
-
-    Hs = subgroups(bad)
-    granville = {v.params["H"]: v for v in suite["granville"]}
-    shkredov = {v.params["H"]: v for v in suite["shkredov"]}
-    assert len(granville) == len(shkredov) == len(Hs)
-    mismatches = [granville_mismatches(bad, H) for H in Hs]
-    assert any(mismatches)
-    for H, n in zip(Hs, mismatches):
-        assert granville[H.order].to_line() == check_granville(bad, H).to_line()
-        assert shkredov[H.order].to_line() == check_shkredov_bound(bad, H).to_line()
-        assert granville[H.order].computed == (f"{n} structural mismatches" if n else p - 1)
-
-    rng = seeded_rng(3, p, "kernel")
-    combos = [(1 + rng.randrange(p - 2), rng.randrange(1, p)) for _ in range(5)]
-    pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)] if p > 101 else None
-    grid = pairs or [(u, w) for u in range(p) for w in range(p)]
-    expected = []
-    for j, a in combos:
-        chi = character(bad, j)
-        v = check_kernel_cases(bad, chi, a, pairs)
-        assert v.computed == sum(proof_kernel_S_yy1(bad, chi, u, w, a).exact
-                                 != kernel_closed_form(bad, chi, u, w) for u, w in grid)
-        expected.append(v)
-    assert not all(v.passed for v in expected)
-    assert sorted(v.to_line() for v in suite["kernel"]) == sorted(v.to_line() for v in expected)
-
-
-@pytest.mark.parametrize("p, x, y", [(13, 5, 2), (31, 2, 7), (37, 6, 10), (41, 3, 40)])
-def test_granville_counts_mismatches_by_gcd_class(p, x, y):
-    """check_granville reads one j per gcd class of Z/(p-1) and counts a mismatch
-    there for every character of the class: its count is the reference's, one
-    CycInt per character, for every subgroup of a corrupted dlog."""
-    bad = corrupted_ctx(p, x, y)
-    counts = [granville_mismatches(bad, H) for H in subgroups(bad)]
-    assert [check_granville(bad, H).computed for H in subgroups(bad)] == [
-        f"{n} structural mismatches" if n else p - 1 for n in counts]
-    assert any(counts)
+    seen = _certified(monkeypatch)
+    with pytest.raises(ArithmeticError):
+        check_granville(bad, H)
+    with pytest.raises(ArithmeticError):
+        check_shkredov_bound(bad, H)
+    assert seen == []

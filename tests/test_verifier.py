@@ -4,7 +4,6 @@ import io
 import json
 import math
 import random
-import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -40,7 +39,7 @@ from charsum.verifier import (
     random_weights,
     run_suite,
 )
-from references import corrupted_ctx, eq2_via_engine, json_sort_key, without_certificates
+from references import eq2_via_engine, json_sort_key
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -211,23 +210,6 @@ class TestGranville:
         v = check_shkredov_bound(ctx, subgroup_of_order(ctx, 1))
         assert v.passed and v.computed == 2
 
-    def test_shkredov_fails_where_granville_reports_mismatches(self):
-        # 5 lies in the subgroup of order 4 and 2 does not, so the swap breaks
-        # some subgroups' structure and leaves H = 1 and H = 12 whole
-        bad = corrupted_ctx(13, 5, 2)
-        Hs = subgroups(bad)
-        granville = [check_granville(bad, H) for H in Hs]
-        broken = [str(v.computed).endswith(" structural mismatches") for v in granville]
-        assert any(broken) and not all(broken)
-        for H, g, mismatched in zip(Hs, granville, broken):
-            v = check_shkredov_bound(bad, H)
-            assert v.params == {"p": 13, "H": H.order} and v.target == 13
-            assert v.passed is g.passed is (not mismatched)
-            if mismatched:
-                assert v.computed == math.inf and math.isnan(v.margin)
-            else:
-                assert v.computed == 12 and v.margin == 1.0
-
     def test_memory_is_linear_in_the_order(self):
         # p - 1 = 110880 = 2^5 3^2 5 7 11 has 144 divisors.  The suite's one
         # reading of every subgroup takes one histogram over Z/(p - 1) at a time
@@ -368,20 +350,6 @@ class TestKernelCases:
         finally:
             tracemalloc.stop()
         assert v.passed and v.params["pairs"] == 401**2
-        assert peak <= 64e6
-
-    def test_fallback_memory_is_bounded(self, monkeypatch):
-        # with the certificate forced off, the 151^2 x 151 grid (168 MB at once)
-        # is reduced in chunks of at most HISTOGRAM_CELLS cells
-        without_certificates(monkeypatch)
-        ctx = make_ctx(151)
-        tracemalloc.start()
-        try:
-            v = check_kernel_cases(ctx, character(ctx, 7), 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert v.passed and v.params["pairs"] == 151**2
         assert peak <= 64e6
 
 
@@ -529,15 +497,15 @@ class TestRunSuite:
         run_suite(13, 13, claims=["eq2"], budget=budget)
         assert read == list(make_ctx(13).divisors[:kept])
 
-    def test_capacity_in_any_claim_is_its_record(self, monkeypatch):
-        # past the cap granville's per-character route needs Phi_10006; the
-        # suite turns what the checker raises into one record per claim
-        without_certificates(monkeypatch)
-        vs = run_suite(10_007, 10_007, claims=["granville", "shkredov", "thm2"], budget=1)
+    def test_capacity_in_any_claim_is_its_record(self):
+        # past the cap eq2 and kernel, which keep the exact-order cap, raise at
+        # root order 10006; the suite turns what each raises into one record
+        # per claim, and the other claims give their verdicts
+        vs = run_suite(10_007, 10_007, claims=["eq2", "kernel", "thm2"], budget=1)
         note = f"exact mode needs root order 10006 > {EXACT_MAX_ORDER}"
         assert [(v.claim, v.kind, v.note, v.params) for v in vs] == [
-            ("granville", "capacity", note, {"p": 10_007}),
-            ("shkredov", "capacity", note, {"p": 10_007}),
+            ("eq2", "capacity", note, {"p": 10_007}),
+            ("kernel", "capacity", note, {"p": 10_007}),
             ("thm2", "verdict", "", {"p": 10_007, "chi": 1, "H": 1})]
 
     def test_one_exact_order_cap_message(self):
@@ -675,29 +643,19 @@ class TestRunSuite:
         assert sum(map(len, used.values())) < len(vs)
 
     def test_eq2_checks_only_kept_characters(self, monkeypatch):
-        # the suite hands eq2's builder the kept (D, characters) rows; on a true
-        # dlog the certificate writes their count rows, and on the fallback only
-        # the sets that keep a row are counted
-        checked, counted = [], []
-        batch, count = verifier._eq2_batch, verifier._pair_difference_sum
+        # the suite hands eq2's builder the kept (D, characters) rows, whose
+        # count rows the certificate writes
+        checked = []
+        batch = verifier._eq2_batch
 
         def spy(ctx, sets, D_index=None):
             checked.extend((chi.index, i) for (_, chis), i in zip(sets, D_index) for chi in chis)
             return batch(ctx, sets, D_index)
 
-        def count_spy(ctx, dsets):
-            counted.append(len(dsets))
-            return count(ctx, dsets)
-
         monkeypatch.setattr(verifier, "_eq2_batch", spy)
-        monkeypatch.setattr(verifier, "_pair_difference_sum", count_spy)
         vs = run_suite(13, 13, claims=["eq2"], seed=5, budget=30)
         assert sorted(checked) == sorted((v.params["chi"], v.params["D_index"]) for v in vs)
         assert len(checked) == 30
-        assert counted == []
-        without_certificates(monkeypatch)
-        assert run_suite(13, 13, claims=["eq2"], seed=5, budget=30) == vs
-        assert counted == [math.ceil(30 / (13 - 2))]
 
     def test_exact_claims_share_one_dlog_certificate_per_prime(self):
         # eq2, kernel (through kernel_certificate) and granville read the same
@@ -710,33 +668,17 @@ class TestRunSuite:
 
     def test_konyagin_builds_no_exponent_rows(self, monkeypatch):
         # konyagin writes its count rows from its congruence counts and the
-        # Ramanujan table, with no pair autocorrelation, and eq2 is the only
-        # caller of the pair-difference count, on its fallback alone
+        # Ramanujan table, with no pair autocorrelation
         def refuse(*args, **kwargs):
             raise AssertionError("konyagin built exponent rows or pair autocorrelations")
 
-        callers = []
-        count = verifier._pair_difference_sum
-
-        def count_spy(ctx, dsets):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return count(ctx, dsets)
-
-        monkeypatch.setattr(verifier, "_pair_difference_sum", count_spy)
-        with pytest.MonkeyPatch.context() as mp:
-            for module in (cyclo, engines, verifier):
-                for name in ("exp_sum_exponents", "exponent_histogram"):
-                    if hasattr(module, name):
-                        mp.setattr(module, name, refuse)
-            mp.setattr(np, "correlate", refuse)
-            vs = run_suite(2, 200, claims=["konyagin"])
+        for module in (cyclo, engines, verifier):
+            for name in ("exp_sum_exponents", "exponent_histogram"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(np, "correlate", refuse)
+        vs = run_suite(2, 200, claims=["konyagin"])
         assert len(vs) == vs.passes > 0
-        assert callers == []
-        run_suite(3, 13, claims=["konyagin", "eq2"])
-        assert callers == []
-        without_certificates(monkeypatch)
-        run_suite(3, 13, claims=["konyagin", "eq2"])
-        assert set(callers) == {"_eq2_batch"}
 
     def test_konyagin_output_does_not_depend_on_workers(self):
         one = run_suite(2, 150, claims=["konyagin", "eq2"], seed=7, workers=1)
