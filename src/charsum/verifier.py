@@ -2,9 +2,9 @@
 one row of the batch builder that the suite runs, one batch per claim and modulus
 (eps two), with the rows' parameters as columns.
 
-Identity checkers (eq2, granville, konyagin, kernel) work in exact cyclotomic
-arithmetic and demand margin exactly zero.  Inequality checkers work on
-magnitudes with a fixed absolute tolerance of 1e-9.
+Identity checkers (eq2, granville, konyagin, kernel) decide in integers, off a
+certificate (below), keep int64 columns, and demand margin exactly zero.
+Inequality checkers work on magnitudes with a fixed absolute tolerance of 1e-9.
 
 The suite reads every numeric bound (thm2, thm2_sharp, eps, meanvalue2,
 nonlinear) at p off one character_sum_moduli call, which takes each subgroup's
@@ -17,7 +17,7 @@ Each identity holds for every character at once and reduces to a statement
 about a character-free count, a certificate, which needs no push-forward to the
 characters and no reduction mod Phi_m.  There are two:
 
-- dlog_certificate(ctx), one O(p) pass per prime: ctx.dlog is a discrete log,
+- dlog_certificate(ctx), one O(p) pass per field: ctx.dlog is a discrete log,
   and every nonzero difference d has the histogram h1 of dlog b - dlog(b + d).
   eq2 writes its count rows from h1 and |D| alone, and granville its sums from
   dlog(H) = kZ/m.  kernel_certificate(ctx) is this certificate: on a discrete
@@ -44,8 +44,9 @@ import math
 import os
 import random
 import sys
+import weakref
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -151,14 +152,14 @@ class Verdict:
 
 def _params_texts(params: dict, rows: int) -> list[str]:
     """_PARAMS_JSON.encode of each row's params (see Batch), joined from pieces:
-    the keys in sorted order, each fixed value encoded once, and each list
-    column's distinct values encoded once (_spelled).  Keys are strings, which
-    JSON spells as encode_basestring_ascii does."""
+    the keys in sorted order, each fixed value encoded once, and each column's
+    (a list or an int64 array) distinct values encoded once (_spelled).  Keys are
+    strings, which JSON spells as encode_basestring_ascii does."""
     pieces, text = [], "{"
     for n, key in enumerate(sorted(params)):
         text += f"{', ' if n else ''}{encode_basestring_ascii(key)}: "
         value = params[key]
-        if isinstance(value, list):
+        if isinstance(value, (list, np.ndarray)):
             pieces += itertools.repeat(text), _spelled(value, _json_value)
             text = ""
         else:
@@ -173,21 +174,21 @@ def _quoted(v) -> str:
 
 
 def _spelled(values, spell) -> list[str]:
-    """spell(v) for each value of a list or a float64 array, each distinct value
-    spelled once.  Floats (an array, or a list of floats alone) are told apart by
-    bit pattern, so 0.0 and -0.0 spell apart; other values by equality, unless
-    they differ in type (1, 1.0 and True are equal): then each is spelled alone."""
-    types = {float} if isinstance(values, np.ndarray) else set(map(type, values))
-    if types <= {float}:
-        bits, at = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
-                             return_inverse=True)
-        texts = np.array(list(map(spell, bits.view(np.float64).tolist())), dtype=object)
-        return texts[at].tolist()
+    """spell(v) for each value of a list or a float64 or int64 array, each distinct
+    value spelled once.  Arrays (int64 ones past 64 values: a dict is faster below
+    about 200) and lists of floats alone go by one np.unique of their bit patterns,
+    so 0.0 and -0.0 spell apart; other values by equality, unless they differ in
+    type (1, 1.0 and True are equal): then each is spelled alone."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i" and len(values) <= 64:
+        values = values.tolist()
+    if isinstance(values, np.ndarray) or (types := set(map(type, values))) <= {float}:
+        values = np.asarray(values, dtype=getattr(values, "dtype", np.float64))
+        distinct, at = np.unique(values.view(np.uint64), return_inverse=True)
+        texts = map(spell, distinct.view(values.dtype).tolist())
+        return np.array(list(texts), dtype=object)[at].tolist()
     if len(types) > 1:
         return list(map(spell, values))
-    distinct = dict.fromkeys(values)
-    for v in distinct:
-        distinct[v] = spell(v)
+    distinct = {v: spell(v) for v in dict.fromkeys(values)}
     return list(map(distinct.__getitem__, values))
 
 
@@ -195,10 +196,10 @@ def _spelled(values, spell) -> list[str]:
 class Batch:
     """The verdicts of one claim at one modulus, kept as columns: one kind, mode
     and note, and one entry per row in computed, target, margin and passed, as
-    float64 arrays (passed bool) for the numeric claims and lists of Python
-    values for the exact ones.  params maps each key, in record order, to one
-    value for the whole batch or to a list of one value per row; texts holds each
-    row's params as sorted-key JSON (_params_texts, taken when not given).
+    arrays (computed and target float64, int64 for the exact claims; passed bool)
+    or, in a record built alone, lists.  params maps each key, in record order, to
+    one value for the whole batch or to a column (list or int64 array) of one value
+    per row; texts holds each row's params as sorted-key JSON (_params_texts).
 
     len(b) is the row count, b[i] builds row i's Verdict of Python scalars,
     b[i:j] is a cut batch, b.lines() writes every row's JSON line and b.rows()
@@ -230,15 +231,14 @@ class Batch:
         return len(self.computed)
 
     def __getitem__(self, i):
-        # Batch and Verdict take the same fields in the same order
+        # Batch and Verdict take the same fields in the same order; item gives scalars
         cut = isinstance(i, slice)
-        if not cut:
-            i = range(len(self))[i]
-        row = [c[i] if cut or isinstance(c, list) else c[i].item()
-               for c in (self.computed, self.target, self.margin, self.passed)]
+        at = (lambda c: c[i] if cut or isinstance(c, list) else c[i].item())
         return (Batch if cut else Verdict)(
-            self.claim, {k: v[i] if isinstance(v, list) else v for k, v in self.params.items()},
-            *row, self.mode, self.kind, self.note, self.texts[i])
+            self.claim, {k: at(v) if isinstance(v, (list, np.ndarray)) else v
+                         for k, v in self.params.items()},
+            *map(at, (self.computed, self.target, self.margin, self.passed)),
+            self.mode, self.kind, self.note, self.texts[i])
 
     def lines(self) -> list[str]:
         """Each row's json.dumps(record, sort_keys=True, default=str) + "\\n" (see
@@ -279,17 +279,16 @@ def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) ->
     return Batch(claim, params, computed, target, target - computed, passed, "numeric")
 
 
-def _identity_verdicts(claim: str, params: dict, computed: list, targets: list) -> Batch:
-    """Exact verdicts computed == target, for a batch of computed integers and their
-    targets."""
-    return Batch(claim, params, computed, targets,
-                 [float(n - t) for n, t in zip(computed, targets)],
-                 [n == t for n, t in zip(computed, targets)], "exact")
+def _identity_verdicts(claim: str, params: dict, computed: np.ndarray, target) -> Batch:
+    """Exact verdicts computed == target, with margin computed - target, for int64
+    computed integers (target one value or one per row), kept as int64 columns."""
+    target = np.broadcast_to(np.asarray(target, dtype=np.int64), computed.shape)
+    return Batch(claim, params, computed, target, (computed - target).astype(np.float64),
+                 computed == target, "exact")
 
 
 def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
-    return Verdict(claim=claim, params=params, computed="skipped", target="skipped",
-                   margin=float("nan"), passed=False, mode="exact",
+    return Verdict(claim, params, "skipped", "skipped", float("nan"), False, "exact",
                    kind="capacity", note=str(err))
 
 
@@ -430,25 +429,26 @@ def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) 
 
 
 @lru_cache(maxsize=2)
-def _gcd_classes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cls, reps, table) for Z/m, kept for the two latest m (a suite task reads
-    q = n for konyagin, then m = n - 1 for eq2 and granville).  reps holds g mod m
-    for the divisors g of m, ascending; cls[t] is the index in reps of gcd(t, m),
-    t's gcd class; and table[i, k] is the Ramanujan sum c_(m/g_i)(g_k), its value at
-    every j of class k, so table[:, -1] (j = 0) holds the class sizes phi(m/g_i);
-    integer_sums reads its sums, and konyagin its count rows, off it.  c_n is
+def _gcd_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(divs, table) for Z/m, kept for the two latest m (a suite task reads q = n
+    for konyagin, then m = n - 1 for eq2 and granville), with nothing m long.  divs
+    holds the divisors g of m, ascending, the gcd classes (t's is gcd(t, m)), and
+    table[i, k] is the Ramanujan sum c_(m/g_i)(g_k), its value at every j of class
+    k, so table[:, -1] (j = 0) holds the class sizes phi(m/g_i).  c_n is
     multiplicative in n, and c_(q^a)(j) = q^a [q^a | j] - q^(a-1) [q^(a-1) | j]."""
     fac = factorize(m)
     divs = np.array(divisors_from_factorization(fac), dtype=np.int64)
-    cls = np.empty(m, dtype=np.intp)
-    for k, g in enumerate(divs.tolist()):  # the last divisor written at t is gcd(t, m)
-        cls[::g] = k
     n, j = m // divs[:, None], divs[None, :]
     table = np.ones((len(divs), len(divs)), dtype=np.int64)
     for q, e in fac.items():
         qa = np.gcd(n, q**e)  # q^a, a the power of q in n; a = 0 gives a factor 1
         table *= (j % qa == 0) * qa - (j % np.maximum(qa // q, 1) == 0) * (qa // q)
-    return cls, divs % m, table
+    return divs, table
+
+
+def _class_of(t, m: int) -> np.ndarray:
+    """Each t's gcd class mod m: the index of gcd(t, m) in _gcd_classes(m)'s divs."""
+    return np.searchsorted(_gcd_classes(m)[0], np.gcd(t, m))
 
 
 def gcd_class_certificate(counts: np.ndarray, m: int) -> np.ndarray:
@@ -456,29 +456,34 @@ def gcd_class_certificate(counts: np.ndarray, m: int) -> np.ndarray:
     of class g sum zeta_m^(jt) to the Ramanujan sum c_(m/g)(j) (Hardy & Wright, An
     Introduction to the Theory of Numbers, 16.6), so then
     sum_t c(t) zeta_m^(jt) = sum_g c(g) c_(m/g)(j)."""
-    cls, reps, _ = _gcd_classes(m)
-    return (counts == np.take(counts[:, reps], cls, axis=1)).all(axis=1)
+    return (counts == counts[:, _gcd_classes(m)[0] % m][:, _class_of(np.arange(m), m)]).all(1)
 
 
-def integer_sums(counts: np.ndarray, m: int, J) -> list[list[int]]:
+def integer_sums(counts: np.ndarray, m: int, J) -> np.ndarray:
     """sum_t c(t) zeta_m^(jt) for each row c of the int64 counts over Z/m and each j
-    in J (0 <= j < m), as an integer, read off _gcd_classes' table: each row must
+    in J (0 <= j < m), an int64 array read off _gcd_classes' table: each row must
     pass gcd_class_certificate, so its sum at j is sum_g c(g) c_(m/g)(j), and each
     term is at most the class's sum of |c|.  A row that fails raises
     ArithmeticError: the builders hand over class-constant counts alone."""
-    cls, reps, table = _gcd_classes(m)
+    divs, table = _gcd_classes(m)
     failed = np.flatnonzero(~gcd_class_certificate(counts, m))
     if len(failed):
         raise ArithmeticError(f"count row {failed[0]} over Z/{m} is not constant on its gcd classes")
-    return (counts[:, reps] @ table)[:, cls[np.asarray(J, dtype=np.int64)]].tolist()
+    return (counts[:, divs % m] @ table)[:, _class_of(J, m)]
 
 
-@lru_cache(maxsize=1)
+def _per_ctx(certify):
+    """certify, its result kept while ctx lives (weakly keyed: it keeps no table)."""
+    held = weakref.WeakKeyDictionary()
+    return wraps(certify)(lambda c: held[c] if c in held else held.setdefault(c, certify(c)))
+
+
+@_per_ctx
 def dlog_certificate(ctx: FieldCtx) -> bool:
     """True when ctx.dlog is the discrete log to base ctx.g, checked against ctx.exp,
     and the histogram h1 of dlog b - dlog(b + 1) over b not in {0, -1} is 1 at
     every t != 0 and 0 at t = 0, both read HISTOGRAM_CELLS residues at a time;
-    cached for the last ctx.  The m - 1 differences meet the m - 1 targets t != 0
+    kept while ctx lives.  The m - 1 differences meet the m - 1 targets t != 0
     each once, and so miss t = 0, exactly when they mark every t != 0: one bool
     mark per t stands for h1.  Then b = db' gives every difference d != 0 the
     histogram h1, and dlog(H) is the multiples of H's index."""
@@ -510,42 +515,42 @@ def _require_certificate(holds: bool, ctx: FieldCtx) -> None:
 
 def _eq2_batch(ctx: FieldCtx, sets: list, D_index: list | None = None) -> Batch:
     """One eq2 verdict per (D, chi) row, as one batch: sets lists (D, chis) pairs,
-    and each set D gives one row per nonprincipal character in chis, D-major.
-    D_index, if given, holds each set's suite index, which goes into the params.
+    and each set D, nonempty and in F_p^*, gives one row per nonprincipal character
+    in chis, D-major, written from |D| alone (_eq2_sized_batch).  D_index, if
+    given, holds each set's suite index, which goes into the params."""
+    _require_nonprincipal(*dict.fromkeys(itertools.chain.from_iterable(c for _, c in sets)))
+    dsets = [{d % ctx.p for d in D} for D, _ in sets]
+    for Ds in dsets:
+        if not Ds:
+            raise ValueError("D must be nonempty")
+        if 0 in Ds:
+            raise ZeroInD("D must be a subset of the nonzero residues")
+    return _eq2_sized_batch(ctx, list(map(len, dsets)),
+                            [[c.index for c in chis] for _, chis in sets], D_index)
+
+
+def _eq2_sized_batch(ctx: FieldCtx, sizes: list, chis: list, D_index=None) -> Batch:
+    """eq2's batch for sets D given by their sizes: set i has sizes[i] elements and
+    one row per character index in chis[i], D-major (D_index as in _eq2_batch).
 
     chi_j(x+a) conj chi_j(y+a) = zeta_m^(j (dlog(x+a) - dlog(y+a))), so one
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
     sum for a set D, and one integer_sums call reads every set's sums.  Under
     dlog_certificate, which must hold, c = |D|(p - 1) [t = 0] + (|D|^2 - |D|) h1,
     flat off t = 0 (h1 is 1 there), so it passes the gcd-class certificate."""
-    p = ctx.p
-    m = p - 1
-    # each character once: the suite gives every set a prefix of one list
-    _require_nonprincipal(*dict.fromkeys(itertools.chain.from_iterable(c for _, c in sets)))
-    dsets = []
-    for D, _ in sets:
-        Ds = sorted({d % p for d in D})
-        if not Ds:
-            raise ValueError("D must be nonempty")
-        if 0 in Ds:
-            raise ZeroInD("D must be a subset of the nonzero residues")
-        dsets.append(Ds)
+    p, m = ctx.p, ctx.p - 1
     require_exact_order(m)
     _require_certificate(dlog_certificate(ctx), ctx)
-    chi_index = [chi.index for _, chis in sets for chi in chis]
-    J = sorted(set(chi_index))  # every character asked for, read for every set
-    at = {j: k for k, j in enumerate(J)}
-    n = np.array([len(Ds) for Ds in dsets], dtype=np.int64)
+    chi = np.concatenate([np.empty(0, dtype=np.int64), *(np.asarray(c, np.int64) for c in chis)])
+    J, at = np.unique(chi, return_inverse=True)  # every character asked for, read for every set
+    n = np.array(sizes, dtype=np.int64)
     counts = np.repeat((n * n - n)[:, None], m, axis=1)
     counts[:, 0] = n * m
-    sums = integer_sums(counts, m, J)
-    computed = [s[at[chi.index]] for s, (_, chis) in zip(sums, sets) for chi in chis]
-    rows = [len(chis) for _, chis in sets]  # a set's params repeat on each of its rows
-    sizes = np.repeat(n, rows)
-    params = {"p": p, "chi": chi_index, "D_size": sizes.tolist()}
+    D = np.repeat(np.arange(len(n)), [len(c) for c in chis])  # each row's set
+    params = {"p": p, "chi": chi, "D_size": n[D]}
     if D_index is not None:
-        params["D_index"] = np.repeat(D_index, rows).tolist()
-    return _identity_verdicts("eq2", params, computed, (p * sizes - sizes**2).tolist())
+        params["D_index"] = np.asarray(D_index, dtype=np.int64)[D]
+    return _identity_verdicts("eq2", params, integer_sums(counts, m, J)[D, at], (p * n - n * n)[D])
 
 
 def check_eq2_identities(ctx: FieldCtx, chis, D) -> Batch:
@@ -590,17 +595,16 @@ def _granville_batches(ctx: FieldCtx, Hs: list) -> tuple[Batch, Batch]:
     dlog(H) is kZ/m, k = H.index, whose value on the class of g is [k | g]: the
     sums are read off the Ramanujan table, with no element of H, and each is |H|
     where |H| divides g and 0 otherwise."""
-    p = ctx.p
-    m = p - 1
+    p, m = ctx.p, ctx.p - 1
     _require_certificate(dlog_certificate(ctx), ctx)
-    _, reps, table = _gcd_classes(m)
+    divs, table = _gcd_classes(m)
     k = np.array([H.index for H in Hs], dtype=np.int64)
-    sums = (reps % k[:, None] == 0).astype(np.int64) @ table
-    totals = (np.abs(sums) @ table[:, -1]).tolist()  # table[:, -1]: the class sizes
-    params = {"p": p, "H": [H.order for H in Hs]}
-    granville = _identity_verdicts("granville", params, totals, [m] * len(Hs))
-    shkredov = Batch("shkredov", params, totals, [p] * len(Hs), [float(p - t) for t in totals],
-                     [t <= p for t in totals], "exact", texts=granville.texts)
+    sums = (divs % k[:, None] == 0).astype(np.int64) @ table
+    totals = np.abs(sums) @ table[:, -1]  # table[:, -1]: the class sizes
+    params = {"p": p, "H": m // k}
+    granville = _identity_verdicts("granville", params, totals, m)
+    shkredov = Batch("shkredov", params, totals, np.full(len(k), p),
+                     (p - totals).astype(np.float64), totals <= p, "exact", texts=granville.texts)
     return granville, shkredov
 
 
@@ -631,18 +635,18 @@ def _konyagin_batch(q: int, dsets: list, D_index: list | None = None) -> Batch:
     if not all(dsets):
         raise ValueError("D must be nonempty")
     require_exact_order(q)  # kept for memory: q-length count rows and sets, ~275 B per q
-    cls, reps, table = _gcd_classes(q)
-    sizes, n, x = [len(D) for D in dsets], len(dsets), np.concatenate(dsets)
+    divs, table = _gcd_classes(q)
+    sizes, n, x = np.array([len(D) for D in dsets]), len(dsets), np.concatenate(dsets)
     cell = np.repeat(np.arange(n), sizes)  # N_k from the cells (set) k + x mod k, k = q/g_i
     N = np.stack([np.square(np.bincount(cell * k + x % k, minlength=n * k)).reshape(n, k)
-                  .sum(axis=1) for k in (q // np.where(reps, reps, q)).tolist()], axis=1)
-    counts = (N @ table)[:, cls]
+                  .sum(axis=1) for k in (q // divs).tolist()], axis=1)
+    counts = (N @ table)[:, _class_of(np.arange(q), q)]
     counts[:, 0] -= np.square(sizes)  # a = 0 is left out
     params = {"q": q, "D_size": sizes}
     if D_index is not None:
-        params["D_index"] = D_index
-    return _identity_verdicts("konyagin", params, [s for s, in integer_sums(counts, q, [1])],
-                              [s * (q - s) for s in sizes])
+        params["D_index"] = np.asarray(D_index, dtype=np.int64)
+    return _identity_verdicts("konyagin", params, integer_sums(counts, q, [1])[:, 0],
+                              sizes * (q - sizes))
 
 
 def check_konyagin(q: int, D) -> Verdict:
@@ -699,26 +703,26 @@ def kernel_certificate(ctx: FieldCtx) -> bool:
     return dlog_certificate(ctx)
 
 
-def _kernel_batch(ctx: FieldCtx, chis: list, shifts: list, pairs=None) -> Batch:
+def _kernel_batch(ctx: FieldCtx, chis: list, shifts: list, pairs: int | None = None) -> Batch:
     """Exact check that sum_x chi(xy+a) conj(chi(x*y1+a)) matches its four-case
-    closed form for every requested (y, y1) pair (default: the full grid, p^2
-    pairs), one row per character chis[i] and shift a = shifts[i].
+    closed form for a count of (y, y1) pairs (default: the full grid, p^2 pairs),
+    one row per character chis[i] and shift a = shifts[i].
 
-    kernel_certificate(ctx), which must hold, proves every row, so no pair is
-    read: the pairs give the row's count alone, and computed its mismatches, 0."""
+    kernel_certificate(ctx), which must hold, proves every row at every pair, so
+    no pair is read or drawn, and computed, the mismatches, is 0."""
     _require_nonprincipal(*chis)
     _require_coprime_shift(ctx.p, *shifts)
     p = ctx.p
     require_exact_order(p - 1)
     _require_certificate(kernel_certificate(ctx), ctx)
-    params = {"p": p, "chi": [chi.index for chi in chis], "a": [a % p for a in shifts],
-              "pairs": p * p if pairs is None else len(pairs)}
-    return _identity_verdicts("kernel", params, [0] * len(chis), [0] * len(chis))
+    params = {"p": p, "chi": np.array([chi.index for chi in chis], dtype=np.int64),
+              "a": np.array(shifts, dtype=np.int64) % p, "pairs": p * p if pairs is None else pairs}
+    return _identity_verdicts("kernel", params, np.zeros(len(chis), dtype=np.int64), 0)
 
 
 def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Verdict:
     """The kernel's case table for one character and shift (see _kernel_batch)."""
-    return _kernel_batch(ctx, [chi], [a], pairs)[0]
+    return _kernel_batch(ctx, [chi], [a], None if pairs is None else len(pairs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -750,14 +754,15 @@ def seeded_rng(seed: int, p: int, label: str) -> random.Random:
     return random.Random(f"{seed}|{p}|{label}")
 
 
-def random_subsets(p: int, count: int, rng: random.Random) -> list[list[int]]:
-    """Seeded subsets of [1, p-1] covering boundary and typical sizes."""
+def subset_sizes(p: int, count: int) -> list[int]:
+    """random_subsets' sizes, whatever rng draws: 1, 2, isqrt(p), p // 2 in turn, capped."""
     sizes = [1, 2, max(1, math.isqrt(p)), max(1, p // 2)]
-    out = []
-    for i in range(count):
-        size = min(sizes[i % len(sizes)], p - 1)
-        out.append(sorted(rng.sample(range(1, p), size)))
-    return out
+    return [min(sizes[i % len(sizes)], p - 1) for i in range(count)]
+
+
+def random_subsets(p: int, count: int, rng: random.Random) -> list[list[int]]:
+    """Seeded subsets of [1, p-1] covering boundary and typical sizes (subset_sizes)."""
+    return [sorted(rng.sample(range(1, p), size)) for size in subset_sizes(p, count)]
 
 
 def _decoded_weights(draws: list[int], n: int) -> np.ndarray:
@@ -828,7 +833,6 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         return [Batch.of(_capacity_verdict(c, {"p": p}, e)) for c in claims]
     m = p - 1
     Hs = subgroups(ctx)
-    J = range(1, m)
 
     numeric = NUMERIC_CLAIMS.intersection(claims)
     if numeric:
@@ -839,7 +843,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         sizes = [H.order for H in reached]
         # the H and chi columns of the character claims: one row per (H, j), H-major
         orders = np.repeat(sizes, m - 1).tolist()
-        chi_index = list(J) * len(reached)
+        chi_index = list(range(1, m)) * len(reached)
 
     def meanvalue2():  # one row per (H, a), a's mean read off its coset's row
         dlog = ctx.dlog[1:]
@@ -851,13 +855,10 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     def granville():  # one reading of the subgroups the budget keeps, for both claims
         return _granville_batches(ctx, Hs[:budget])
 
-    def eq2():  # one batch of the (D, character) rows that the budget keeps, D-major
-        rng = seeded_rng(seed, p, "eq2")
-        dsets = itertools.chain((H.elements for H in Hs), random_subsets(p, 20, rng))
-        chis = [character(ctx, j) for j in J[:budget]]
-        kept = [(D, chis[:budget - i * (m - 1)])  # elements are read for kept sets only
-                for i, D in zip(range(-(-budget // (m - 1))), dsets)]
-        yield _eq2_batch(ctx, kept, list(range(len(kept))))
+    def eq2():  # the kept (D, chi) rows, D-major; D's size alone: no set is drawn or read
+        sizes = [*ctx.divisors, *subset_sizes(p, 20)][:-(-budget // (m - 1))]
+        chis = [np.arange(1, m)[:budget - i * (m - 1)] for i in range(len(sizes))]
+        yield _eq2_sized_batch(ctx, sizes, chis, range(len(sizes)))
 
     def lemma3():  # five instances per drawn character, drawn in order; one batch
         rng = seeded_rng(seed, p, "lemma3")
@@ -868,12 +869,11 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         yield _lemma3_batch(ctx, [chis[ci] for ci, _ in grid], xi, eta, shifts,
                             [f"{ci}:{w}" for ci, w in grid])
 
-    def kernel():  # five (chi, a) combos, then the pairs past p = 101; one batch
+    def kernel():  # five (chi, a) combos, over the full grid or, past p = 101, 500 pairs
         rng = seeded_rng(seed, p, "kernel")
         combos = [(1 + rng.randrange(m - 1), rng.randrange(1, p)) for _ in range(min(5, m - 1))]
-        pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(500)] if p > 101 else None
         chis = [character(ctx, j) for j, _ in combos[:budget]]  # the kept combos' only
-        yield _kernel_batch(ctx, chis, [a for _, a in combos[:budget]], pairs)
+        yield _kernel_batch(ctx, chis, [a for _, a in combos[:budget]], 500 if p > 101 else None)
 
     # each claim's batches, built when the claim is read; the peaks drop character 0
     batches = {

@@ -6,7 +6,8 @@ CycInt products, the exact bilinear convolution against the term-by-term grid
 sum, eq2's certified rows and konyagin's gcd-class count against the
 |D|^2-pair grid, each row of their one count for several sets against that
 set's grid and one-set call, the batched eq2 verdicts against per-character
-histograms, the suite's batched verdicts (budgeted too) and lemma3's one
+histograms, the suite's eq2 rows, written from set sizes alone, against
+_eq2_batch over the drawn sets, the suite's batched verdicts (budgeted too) and lemma3's one
 stacked pass for S and S' against the one-row checks and the bilinear forms,
 each certified verdict against the per-character references of
 tests/references.py (granville's for p < 400) and the kernel's certificate
@@ -629,6 +630,42 @@ def test_budgeted_eq2_suite_equals_standalone_checker():
         assert v == alone
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_suite_eq2_sizes_are_the_drawn_sets_sizes(monkeypatch, seed):
+    """The suite's eq2 hands its size-based builder each prime's subgroup orders,
+    then the sizes of the 20 seeded sets, which it does not draw: at every prime
+    up to 211 they are the sizes of the sets random_subsets draws there."""
+    sized = {}
+    build = verifier._eq2_sized_batch
+    monkeypatch.setattr(verifier, "_eq2_sized_batch", lambda ctx, sizes, *rest:
+                        sized.update({ctx.p: sizes}) or build(ctx, sizes, *rest))
+    run_suite(3, 211, claims=["eq2"], seed=seed)
+    assert list(sized) == list(primes_in(3, 211))
+    for p, sizes in sized.items():
+        drawn = random_subsets(p, 20, seeded_rng(seed, p, "eq2"))
+        assert sizes == [*make_ctx(p).divisors, *map(len, drawn)]
+
+
+@pytest.mark.parametrize("budget", [1, 12, 30, None])
+def test_suite_eq2_equals_batch_over_drawn_sets(budget):
+    """At every prime up to 101 the suite's eq2 lines, written from set sizes
+    alone, equal those of _eq2_batch over the sets themselves (every subgroup's
+    elements, then the 20 seeded sets, drawn) and every nonprincipal character,
+    cut D-major as the budget cuts them."""
+    seed = 3
+    limit = sys.maxsize if budget is None else budget
+    batches = []
+    for p in primes_in(3, 101):
+        ctx = make_ctx(p)
+        dsets = ([H.elements for H in subgroups(ctx)]
+                 + random_subsets(p, 20, seeded_rng(seed, p, "eq2")))
+        chis = [character(ctx, j) for j in range(1, p - 1)]
+        kept = [(D, chis[:limit - i * (p - 2)]) for i, D in enumerate(dsets) if i * (p - 2) < limit]
+        batches.append(verifier._eq2_batch(ctx, kept, list(range(len(kept)))))
+    suite = run_suite(3, 101, claims=["eq2"], seed=seed, budget=budget)
+    assert list(suite.lines()) == list(verifier.Verdicts(batches).lines())
+
+
 def test_eq2_batch_memory_is_bounded():
     """All 3999 nontrivial characters at p = 4001 for one D: as one (3999 x 4000)
     histogram their rows would take 128 MB, and the order's reduction table
@@ -765,7 +802,7 @@ def test_integer_sums_equal_reduction(m, seed):
     certified = verifier.gcd_class_certificate(counts, m).tolist()
     assert certified[:3] == [True] * 3
     assert certified == [None not in w for w in want]
-    assert integer_sums(counts[certified], m, J) == [
+    assert integer_sums(counts[certified], m, J).tolist() == [
         [w[j] for j in J] for w, ok in zip(want, certified) if ok]
     for c, ok in zip(counts, certified):
         if not ok:
@@ -928,7 +965,7 @@ def test_dlog_certificate_rejects_and_the_exact_builders_raise(monkeypatch, brok
     builders = [lambda: verifier._eq2_batch(ctx, [([5], chis)]),
                 lambda: verifier._granville_batches(ctx, subgroups(ctx)),
                 lambda: verifier._kernel_batch(ctx, chis[:2], [1, 3]),
-                lambda: verifier._kernel_batch(ctx, chis[:2], [1, 3], [(2, 5)])]
+                lambda: verifier._kernel_batch(ctx, chis[:2], [1, 3], 1)]
     for build in builders:
         with pytest.raises(ArithmeticError, match=f"dlog at p = {p} is not the discrete log"):
             build()

@@ -170,6 +170,17 @@ class TestEq2Checker:
         with pytest.raises(PrincipalCharacter):
             verifier._eq2_batch(ctx7, [([1, 2], [quad7]), ([3], [quad7, character(ctx7, 0)])])
 
+    def test_sets_without_characters_give_no_rows(self, ctx7, quad7):
+        # a set handed no character adds no row, and no character at all gives an empty batch
+        assert len(verifier.check_eq2_identities(ctx7, [], [1, 2])) == 0
+        assert len(verifier._eq2_batch(ctx7, [])) == 0
+        chi = character(ctx7, 1)
+        b = verifier._eq2_batch(ctx7, [([1, 2], []), ([3], [quad7, chi]), ([4, 5, 6], [])],
+                                [0, 1, 2])
+        assert [v.to_record() for v in b] == [
+            check_eq2_identity(ctx7, c, [3]).to_record() | {"params": {
+                "p": 7, "chi": c.index, "D_size": 1, "D_index": 1}} for c in (quad7, chi)]
+
 
 class TestMeanValue2:
     def test_spot_value(self, ctx7, H7):
@@ -352,6 +363,26 @@ class TestKernelCases:
         assert v.passed and v.params["pairs"] == 401**2
         assert peak <= 64e6
 
+    def test_suite_draws_no_pairs(self, monkeypatch):
+        # past p = 101 a row says "pairs": 500, which the certificate covers, but
+        # the suite draws only the five (chi, a) combos: two randrange calls each
+        drawn = Counter()
+
+        class Counted(random.Random):
+            def randrange(self, *args):
+                drawn[self.p] += 1
+                return super().randrange(*args)
+
+        def rng(seed, p, label):
+            made = Counted(f"{seed}|{p}|{label}")
+            made.p = p
+            return made
+
+        monkeypatch.setattr(verifier, "seeded_rng", rng)
+        vs = run_suite(97, 113, claims=["kernel"], seed=1)
+        assert {v.params["pairs"] for v in vs if v.params["p"] > 101} == {500}
+        assert drawn == {p: 10 for p in primes_in(97, 113)}
+
 
 class TestNonlinearChecker:
     def test_spot(self, ctx7, quad7, H7):
@@ -481,21 +512,27 @@ class TestRunSuite:
         vs = run_suite(3, 211, claims=["granville", "shkredov"])
         assert vs and all(v.passed for v in vs)
 
-    @pytest.mark.parametrize("budget,kept", [(1, 1), (12, 2), (None, 6)])
-    def test_eq2_reads_the_elements_of_the_subgroups_it_keeps(self, monkeypatch, budget, kept):
+    @pytest.mark.parametrize("budget,kept", [(1, 1), (12, 2), (None, 26)])
+    def test_eq2_sizes_the_sets_it_keeps_and_reads_no_element(self, monkeypatch, budget, kept):
         """At p = 13 a set gives 11 rows, one per nonprincipal character: a budget
-        of 1 keeps the first subgroup, one of 12 the first two, and none all six;
-        eq2 reads no element of the others."""
-        build = Subgroup.__dict__["elements"].func
-        read = []
+        of 1 keeps the first subgroup, one of 12 the first two, and none all six
+        and the 20 seeded sets.  A row reads |D| alone, so the suite hands eq2's
+        builder the kept sets' sizes, and reads no element of a subgroup, draws no
+        set and builds no Character."""
+        def refuse(*args):
+            raise AssertionError("eq2 read a subgroup's elements, drew a set or built a character")
 
-        def spy(H):
-            read.append(H.order)
-            return build(H)
-
-        monkeypatch.setattr(Subgroup, "elements", property(spy))
-        run_suite(13, 13, claims=["eq2"], budget=budget)
-        assert read == list(make_ctx(13).divisors[:kept])
+        sized = []
+        build = verifier._eq2_sized_batch
+        monkeypatch.setattr(Subgroup, "elements", property(refuse))
+        for name in ("random_subsets", "character", "_eq2_batch"):
+            monkeypatch.setattr(verifier, name, refuse)
+        monkeypatch.setattr(verifier, "_eq2_sized_batch",
+                            lambda ctx, sizes, *rest: sized.append(sizes) or build(ctx, sizes, *rest))
+        vs = run_suite(13, 13, claims=["eq2"], budget=budget)
+        assert len(vs) == vs.passes == (11 * 26 if budget is None else budget)
+        assert sized == [[*make_ctx(13).divisors, 1, 2, 3, 6, 1, 2, 3, 6, 1, 2, 3, 6, 1, 2, 3, 6,
+                          1, 2, 3, 6][:kept]]
 
     def test_capacity_in_any_claim_is_its_record(self):
         # past the cap eq2 and kernel, which keep the exact-order cap, raise at
@@ -643,28 +680,47 @@ class TestRunSuite:
         assert sum(map(len, used.values())) < len(vs)
 
     def test_eq2_checks_only_kept_characters(self, monkeypatch):
-        # the suite hands eq2's builder the kept (D, characters) rows, whose
-        # count rows the certificate writes
+        # the suite hands eq2's size-based builder the kept (D, characters) rows,
+        # whose count rows the certificate writes
         checked = []
-        batch = verifier._eq2_batch
+        batch = verifier._eq2_sized_batch
 
-        def spy(ctx, sets, D_index=None):
-            checked.extend((chi.index, i) for (_, chis), i in zip(sets, D_index) for chi in chis)
-            return batch(ctx, sets, D_index)
+        def spy(ctx, sizes, chis, D_index=None):
+            checked.extend((j, i) for js, i in zip(chis, D_index) for j in np.asarray(js).tolist())
+            return batch(ctx, sizes, chis, D_index)
 
-        monkeypatch.setattr(verifier, "_eq2_batch", spy)
+        monkeypatch.setattr(verifier, "_eq2_sized_batch", spy)
         vs = run_suite(13, 13, claims=["eq2"], seed=5, budget=30)
         assert sorted(checked) == sorted((v.params["chi"], v.params["D_index"]) for v in vs)
         assert len(checked) == 30
 
-    def test_exact_claims_share_one_dlog_certificate_per_prime(self):
+    def test_exact_claims_share_one_dlog_certificate_per_prime(self, monkeypatch):
         # eq2, kernel (through kernel_certificate) and granville read the same
-        # cached certificate: one O(p) pass per prime
-        before = verifier.dlog_certificate.cache_info()
+        # certificate, kept for each field context: one O(p) pass per prime
+        passes, reads = [], []
+        certify = verifier.dlog_certificate.__wrapped__
+        cached = verifier._per_ctx(lambda ctx: passes.append(ctx.p) or certify(ctx))
+        monkeypatch.setattr(verifier, "dlog_certificate",
+                            lambda ctx: reads.append(ctx.p) or cached(ctx))
         run_suite(3, 61, claims=["eq2", "kernel", "granville", "shkredov"], seed=1)
-        after = verifier.dlog_certificate.cache_info()
-        primes = len(list(primes_in(3, 61)))
-        assert (after.misses - before.misses, after.hits - before.hits) == (primes, 2 * primes)
+        primes = list(primes_in(3, 61))
+        assert passes == primes and reads == [p for p in primes for _ in range(3)]
+
+    def test_run_keeps_no_field_tables(self):
+        """Once a run's verdicts are dropped, traced memory is back within 1 MiB of
+        where it was: the certificate's cache holds no field context (15 MiB of
+        exp and dlog at p = 1000003), and granville builds no m-long gcd-class
+        array (7.6 MiB)."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verdicts = run_suite(1_000_003, 1_000_003, claims=["granville"])
+            assert len(verdicts) == verdicts.passes == 8
+            del verdicts
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
     def test_konyagin_builds_no_exponent_rows(self, monkeypatch):
         # konyagin writes its count rows from its congruence counts and the
@@ -787,6 +843,18 @@ def _with_arrays(b: Batch) -> Batch:
 HAND_BUILT.update({f"{name}-arrays": _with_arrays(b) for name, b in list(HAND_BUILT.items())
                    if all(type(x) is float for c in (b.computed, b.target, b.margin) for x in c)})
 
+# an exact claim's columns: int64 values and params (a value past 2^53 too),
+# float64 margins, bool passes
+HAND_BUILT["int-columns"] = Batch(
+    "x", {"p": 7, "chi": np.array([1, 2, 2, 3, 1]), "D_size": np.array([3, 3, 1, 1, 3]),
+          "a": "all"},
+    np.array([12, 12, 6, -3, 2**60 + 1]), np.array([12, 10, 6, -3, 2**60 + 1]),
+    np.array([0.0, 2.0, 0.0, 0.0, 0.0]), np.array([True, False, True, True, True]), "exact")
+# past 64 rows an int64 column is told apart by np.unique, not by a dict
+HAND_BUILT["int-columns-past-64"] = Batch(
+    "x", {"p": 101, "chi": np.arange(200) % 7 + 1, "D_index": np.arange(200) // 50},
+    np.arange(200) % 3 - 1, np.full(200, 2**60), np.zeros(200), np.arange(200) % 2 == 0, "exact")
+
 
 def _csv_text(rows) -> str:
     f = io.StringIO()
@@ -807,9 +875,12 @@ def test_batch_lines_hand_built(b):
              for v in vs])
         for v in vs:
             assert type(v.passed) is bool
-            assert not any(isinstance(x, np.generic) for x in (v.computed, v.target, v.margin))
+            assert not any(isinstance(x, np.generic)
+                           for x in (v.computed, v.target, v.margin, *v.params.values()))
             if isinstance(b.margin, np.ndarray):
-                assert {type(v.computed), type(v.target), type(v.margin)} == {float}
+                assert type(v.margin) is float
+                assert {type(v.computed), type(v.target)} == {
+                    int if b.computed.dtype.kind == "i" else float}
 
 
 def test_json_lines_build_no_verdict_per_row(monkeypatch, tmp_path):
