@@ -75,6 +75,10 @@ from .values import Weights, numeric_sums, roots
 
 TOL = 1e-9
 
+# the rows of whole (claim, modulus) groups that the verdict walk joins into one
+# chunk (Verdicts): params texts and spellings are made once per chunk
+CHUNK_ROWS = 4096
+
 CLAIMS = (
     "thm2",
     "thm2_sharp",
@@ -99,7 +103,9 @@ _PARAMS_JSON = json.JSONEncoder(sort_keys=True, default=str)
 
 
 def _json_value(v) -> str:
-    """_PARAMS_JSON.encode(v), an int (its repr) without the encoder."""
+    """_PARAMS_JSON.encode(v), an int (its repr) or a str without the encoder."""
+    if type(v) is str:
+        return encode_basestring_ascii(v)
     return int.__repr__(v) if type(v) is int else _PARAMS_JSON.encode(v)
 
 
@@ -122,8 +128,8 @@ class Verdict:
     mode: str
     kind: str = "verdict"  # "verdict" | "capacity"
     note: str = ""
-    # params as sorted-key JSON, given by the batch builders and encoded here
-    # otherwise.  params are final from construction: dataclasses.replace would
+    # params as sorted-key JSON, given by the verdict walk (Verdicts) and encoded
+    # here otherwise.  params are final from construction: dataclasses.replace would
     # copy this text, so pass params_text=None along with new params.
     params_text: str | None = field(default=None, repr=False, compare=False)
 
@@ -147,7 +153,7 @@ class Verdict:
     def to_line(self) -> str:
         """json.dumps(self.to_record(), sort_keys=True, default=str) + "\\n", from
         the batch line writer."""
-        return Batch.of(self).lines()[0]
+        return Batch.of(self).lines([self.params_text])[0]
 
 
 def _params_texts(params: dict, rows: int) -> list[str]:
@@ -175,35 +181,61 @@ def _quoted(v) -> str:
 
 def _spelled(values, spell) -> list[str]:
     """spell(v) for each value of a list or a float64 or int64 array, each distinct
-    value spelled once.  Arrays (int64 ones past 64 values: a dict is faster below
-    about 200) and lists of floats alone go by one np.unique of their bit patterns,
-    so 0.0 and -0.0 spell apart; other values by equality, unless they differ in
-    type (1, 1.0 and True are equal): then each is spelled alone."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i" and len(values) <= 64:
-        values = values.tolist()
-    if isinstance(values, np.ndarray) or (types := set(map(type, values))) <= {float}:
-        values = np.asarray(values, dtype=getattr(values, "dtype", np.float64))
-        distinct, at = np.unique(values.view(np.uint64), return_inverse=True)
-        texts = map(spell, distinct.view(values.dtype).tolist())
-        return np.array(list(texts), dtype=object)[at].tolist()
-    if len(types) > 1:
-        return list(map(spell, values))
-    distinct = {v: spell(v) for v in dict.fromkeys(values)}
-    return list(map(distinct.__getitem__, values))
+    value spelled once.  Arrays and lists of floats alone are told apart by value,
+    floats by bit pattern, so 0.0 and -0.0 spell apart: past 64 values by one
+    np.unique, below by a dict (faster there; they cross near 200 values).  Other
+    values go by equality, unless they differ in type (1, 1.0 and True are equal):
+    then each is spelled alone."""
+    if not isinstance(values, np.ndarray):
+        if len(types := set(map(type, values))) > 1:
+            return list(map(spell, values))
+        if types <= {float}:
+            values = np.array(values, dtype=np.float64)
+    keys = values
+    if isinstance(values, np.ndarray):
+        keys = values.view(np.uint64) if values.dtype.kind == "f" else values
+        if len(values) > 64:
+            distinct, at = np.unique(keys, return_inverse=True)
+            texts = map(spell, distinct.view(values.dtype).tolist())
+            return np.array(list(texts), dtype=object)[at].tolist()
+        keys, values = keys.tolist(), values.tolist()
+    texts = {k: spell(v) for k, v in dict(zip(keys, values)).items()}
+    return list(map(texts.__getitem__, keys))
+
+
+def _joined(values: list, lengths: list):
+    """One field of batches of lengths rows, from each batch's value: that value
+    when all are one scalar (by type and JSON text), else a column: an int64 array
+    when each batch gives one or an int64-ranged int, a list otherwise."""
+    if not any(isinstance(v, (list, np.ndarray)) for v in values):
+        if len({(type(v), _json_value(v)) for v in values}) == 1:
+            return values[0]
+        if {type(v) for v in values} == {int} and (column := np.array(values)).dtype == np.int64:
+            return np.repeat(column, lengths)
+    if all(isinstance(v, np.ndarray) for v in values) and len({v.dtype for v in values}) == 1:
+        return np.concatenate(values)
+    return [x for v, n in zip(values, lengths) for x in (
+        v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list) else [v] * n)]
+
+
+def _each(value):
+    """Each row's kind, mode or note: a column's values, or the one value repeated."""
+    return value if isinstance(value, list) else itertools.repeat(value)
 
 
 @dataclass(slots=True)
 class Batch:
-    """The verdicts of one claim at one modulus, kept as columns: one kind, mode
-    and note, and one entry per row in computed, target, margin and passed, as
-    arrays (computed and target float64, int64 for the exact claims; passed bool)
-    or, in a record built alone, lists.  params maps each key, in record order, to
-    one value for the whole batch or to a column (list or int64 array) of one value
-    per row; texts holds each row's params as sorted-key JSON (_params_texts).
+    """Verdicts of one claim, kept as columns: one entry per row in computed,
+    target, margin and passed, as arrays (computed and target float64, int64 for
+    the exact claims; passed bool) or, in a record built alone, lists.  params maps
+    each key, in record order, to one value for every row or to a column (list or
+    int64 array).  A builder's batch holds one modulus and one kind, mode and note;
+    Batch.join's may hold columns (lists) of those too.
 
     len(b) is the row count, b[i] builds row i's Verdict of Python scalars,
     b[i:j] is a cut batch, b.lines() writes every row's JSON line and b.rows()
-    every row's csv cells.  Batch.of wraps one Verdict."""
+    every row's csv cells, from texts, each row's params as sorted-key JSON
+    (_params_texts by default).  Batch.of wraps one Verdict."""
 
     claim: str
     params: dict
@@ -211,62 +243,76 @@ class Batch:
     target: list | np.ndarray
     margin: list | np.ndarray
     passed: list | np.ndarray
-    mode: str
-    kind: str = "verdict"
-    note: str = ""
-    texts: list | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.texts is None:
-            self.texts = _params_texts(self.params, len(self.computed))
+    mode: str | list
+    kind: str | list = "verdict"
+    note: str | list = ""
 
     @classmethod
     def of(cls, v: Verdict) -> Batch:
         # a list-valued param is one row's value, so it becomes a column of one row
         return cls(v.claim, {k: [x] if isinstance(x, list) else x for k, x in v.params.items()},
-                   [v.computed], [v.target], [v.margin], [v.passed], v.mode, v.kind, v.note,
-                   [v.params_text])
+                   [v.computed], [v.target], [v.margin], [v.passed], v.mode, v.kind, v.note)
+
+    @classmethod
+    def join(cls, batches: list) -> Batch:
+        """The rows of batches of one claim and params key set, in turn (_joined)."""
+        if len(batches) == 1:
+            return batches[0]
+        n, first = list(map(len, batches)), batches[0]
+        return cls(first.claim, {k: _joined([b.params[k] for b in batches], n)
+                                 for k in first.params},
+                   *(_joined([getattr(b, f.name) for b in batches], n)
+                     for f in dataclasses.fields(cls)[2:]))
 
     def __len__(self) -> int:
         return len(self.computed)
 
-    def __getitem__(self, i):
-        # Batch and Verdict take the same fields in the same order; item gives scalars
+    def __getitem__(self, i, *text):
+        # Batch and Verdict take the same fields in the same order, and Verdict the
+        # params text after them; item gives a row Python scalars
         cut = isinstance(i, slice)
         at = (lambda c: c[i] if cut or isinstance(c, list) else c[i].item())
+        row = (lambda c: at(c) if isinstance(c, (list, np.ndarray)) else c)
         return (Batch if cut else Verdict)(
-            self.claim, {k: at(v) if isinstance(v, (list, np.ndarray)) else v
-                         for k, v in self.params.items()},
+            self.claim, {k: row(v) for k, v in self.params.items()},
             *map(at, (self.computed, self.target, self.margin, self.passed)),
-            self.mode, self.kind, self.note, self.texts[i])
+            *map(row, (self.mode, self.kind, self.note)), *text)
 
-    def lines(self) -> list[str]:
+    def lines(self, texts=None) -> list[str]:
         """Each row's json.dumps(record, sort_keys=True, default=str) + "\\n" (see
-        Verdict.to_record), written from one template: the fixed fields are encoded
-        once per batch, and each distinct computed value, margin and target is
-        spelled once (_spelled)."""
+        Verdict.to_record), written from one template: the claim, kind, mode and
+        note encoded once (a kind column's rows go before their margins, and mode or
+        note columns' before their params texts), and each distinct computed value,
+        margin and target spelled once (_spelled)."""
         s = encode_basestring_ascii
         claim = f'{{"claim": {s(self.claim)}, "computed": '
-        kind = f', "kind": {s(self.kind)}, "margin": '
-        mode = f', "mode": {s(self.mode)}, "note": {s(self.note)}, "params": '
         spell = float.__repr__ if np.isfinite(self.margin).all() else _json_value
-        return [f'{claim}{c}{kind}{d}{mode}{text}'
-                f', "pass": {"true" if ok else "false"}, "target": {t}}}\n'
-                for c, d, text, ok, t in zip(_spelled(self.computed, _quoted),
-                                             _spelled(self.margin, spell), self.texts,
+        margins, kind, mode = _spelled(self.margin, spell), "", ""
+        texts = texts or _params_texts(self.params, len(self))
+        if isinstance(self.kind, list):
+            margins = [f', "kind": {s(k)}, "margin": {d}' for k, d in zip(self.kind, margins)]
+        else:
+            kind = f', "kind": {s(self.kind)}, "margin": '
+        if isinstance(self.mode, list) or isinstance(self.note, list):
+            texts = [f', "mode": {s(md)}, "note": {s(n)}, "params": {text}'
+                     for md, n, text in zip(_each(self.mode), _each(self.note), texts)]
+        else:
+            mode = f', "mode": {s(self.mode)}, "note": {s(self.note)}, "params": '
+        return [f'{claim}{c}{kind}{d}{mode}{text}, "pass": {"true" if ok else "false"}'
+                f', "target": {t}}}\n'
+                for c, d, text, ok, t in zip(_spelled(self.computed, _quoted), margins, texts,
                                              np.asarray(self.passed).tolist(),
                                              _spelled(self.target, _quoted))]
 
-    def rows(self) -> list[list]:
+    def rows(self, texts=None) -> list[list]:
         """Each row's csv cells, in RECORD_KEYS order: the values of
         Verdict.to_record, with the params text as the params cell, and each
-        distinct computed value, margin and target spelled once (_spelled) as
-        str, which is how csv writes a number."""
-        return [[self.claim, c, self.kind, d, self.mode, self.note, text, ok, t]
-                for c, d, text, ok, t in zip(_spelled(self.computed, str),
-                                             _spelled(self.margin, str), self.texts,
-                                             np.asarray(self.passed).tolist(),
-                                             _spelled(self.target, str))]
+        distinct computed value, margin and target spelled once (_spelled) as str,
+        which is how csv writes a number."""
+        return [[self.claim, c, k, d, md, n, text, ok, t] for c, k, d, md, n, text, ok, t in zip(
+            _spelled(self.computed, str), _each(self.kind), _spelled(self.margin, str),
+            _each(self.mode), _each(self.note), texts or _params_texts(self.params, len(self)),
+            np.asarray(self.passed).tolist(), _spelled(self.target, str))]
 
 
 def _bound_verdicts(claim: str, params: dict, computed, target, strict: bool) -> Batch:
@@ -365,7 +411,7 @@ def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool,
 # sqrt(p) bound on the shifted subgroup sum, and its sharpened form
 # ---------------------------------------------------------------------------
 
-def _thm2_batch(ctx: FieldCtx, H: list, chi: list, peaks) -> Batch:
+def _thm2_batch(ctx: FieldCtx, H, chi, peaks) -> Batch:
     """thm2, one row per subgroup order H[i] and character chi[i]: peaks[i] is the
     character's maximum over nonzero shifts a of |sum_{x in H} chi(x+a)|, which must
     be strictly below sqrt(p)."""
@@ -373,7 +419,7 @@ def _thm2_batch(ctx: FieldCtx, H: list, chi: list, peaks) -> Batch:
                            math.sqrt(ctx.p), strict=True)
 
 
-def _thm2_sharp_batch(ctx: FieldCtx, H: list, chi: list, peaks, inner) -> Batch:
+def _thm2_sharp_batch(ctx: FieldCtx, H, chi, peaks, inner) -> Batch:
     """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a, one row
     per (H[i], chi[i]) as in _thm2_batch; inner[i] is the unshifted |sum_{x in H} chi(x)|.
     Squares are taken with float_power, the libm pow that Python's x ** 2 calls
@@ -384,7 +430,7 @@ def _thm2_sharp_batch(ctx: FieldCtx, H: list, chi: list, peaks, inner) -> Batch:
                            np.float_power(peaks, 2), target, strict=False)
 
 
-def _eps_batches(ctx: FieldCtx, H: list, chi: list, peaks, eps: float) -> list[Batch]:
+def _eps_batches(ctx: FieldCtx, H, chi, peaks, eps: float) -> list[Batch]:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise.
     One row per (H[i], chi[i]) as in _thm2_batch, H ascending, so the vacuous rows
     lead: they make one batch, noted "vacuous", and the other rows a second; a batch
@@ -392,7 +438,7 @@ def _eps_batches(ctx: FieldCtx, H: list, chi: list, peaks, eps: float) -> list[B
     p = ctx.p
     rows = _bound_verdicts("eps", {"p": p, "chi": chi, "H": H, "eps": eps}, peaks,
                            p ** (-eps) * np.asarray(H, dtype=np.int64), strict=True)
-    cut = bisect.bisect_right(H, p ** (0.5 + eps))
+    cut = np.searchsorted(H, p ** (0.5 + eps), side="right")
     zeros = np.zeros(cut)
     vacuous = dataclasses.replace(rows[:cut], computed=zeros, target=zeros, margin=zeros,
                                   passed=np.ones(cut, dtype=bool), note="vacuous")
@@ -568,7 +614,7 @@ def check_eq2_identity(ctx: FieldCtx, chi: Character, D) -> Verdict:
 # character-averaged bound  (1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|)
 # ---------------------------------------------------------------------------
 
-def _meanvalue2_batch(ctx: FieldCtx, H: list, shifts: list, averages) -> Batch:
+def _meanvalue2_batch(ctx: FieldCtx, H, shifts, averages) -> Batch:
     """(1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|), one row per subgroup
     order H[i] and shift a = shifts[i] in [1, p), with averages[i] that mean."""
     return _bound_verdicts("meanvalue2", {"p": ctx.p, "H": H, "a": shifts}, averages,
@@ -604,7 +650,7 @@ def _granville_batches(ctx: FieldCtx, Hs: list) -> tuple[Batch, Batch]:
     params = {"p": p, "H": m // k}
     granville = _identity_verdicts("granville", params, totals, m)
     shkredov = Batch("shkredov", params, totals, np.full(len(k), p),
-                     (p - totals).astype(np.float64), totals <= p, "exact", texts=granville.texts)
+                     (p - totals).astype(np.float64), totals <= p, "exact")
     return granville, shkredov
 
 
@@ -673,7 +719,7 @@ def _lemma3_batch(ctx: FieldCtx, chis: list, xi: np.ndarray, eta: np.ndarray, sh
     exponents[:, 0] = -1
     S, Sp = bilinear_sums(ctx, roots(exponents, p - 1)[rows], xi, eta, shifts)
     X, Y = np.sum(np.abs(np.stack((xi, eta))) ** 2, axis=-1)
-    params = {"p": p, "chi": [chi.index for chi in chis], "a": [a % p for a in shifts]}
+    params = {"p": p, "chi": js[rows], "a": np.array(shifts, dtype=np.int64) % p}
     if instances is not None:
         params["instance"] = instances
     # |z| as hypot, the libm call of Python's abs(complex); numpy's complex
@@ -729,7 +775,7 @@ def check_kernel_cases(ctx: FieldCtx, chi: Character, a: int, pairs=None) -> Ver
 # nonlinear sum bound  |sum_{x in H} chi(x(x+a))| <= sqrt(p)
 # ---------------------------------------------------------------------------
 
-def _nonlinear_batch(ctx: FieldCtx, H: list, chi: list, peaks) -> Batch:
+def _nonlinear_batch(ctx: FieldCtx, H, chi, peaks) -> Batch:
     """|sum_{x in H} chi(x(x+a))| <= sqrt(p) for every nonzero shift a, one verdict
     per subgroup order H[i] and character chi[i]; peaks[i] is its maximum over a."""
     return _bound_verdicts("nonlinear", {"p": ctx.p, "chi": chi, "H": H, "a": "all"},
@@ -840,16 +886,16 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         means, peaks, inner, nonlinear_peaks = subgroup_moduli(
             ctx, reached, shifted=bool(numeric - {"nonlinear"}),
             nonlinear="nonlinear" in numeric, inner="thm2_sharp" in numeric)
-        sizes = [H.order for H in reached]
+        sizes = np.array([H.order for H in reached], dtype=np.int64)
         # the H and chi columns of the character claims: one row per (H, j), H-major
-        orders = np.repeat(sizes, m - 1).tolist()
-        chi_index = list(range(1, m)) * len(reached)
+        orders = np.repeat(sizes, m - 1)
+        chi_index = np.tile(np.arange(1, m), len(reached))
 
     def meanvalue2():  # one row per (H, a), a's mean read off its coset's row
         dlog = ctx.dlog[1:]
         averages = np.concatenate([mu[dlog % H.index] for mu, H in zip(means, reached)])
-        yield _meanvalue2_batch(ctx, np.repeat(sizes, m).tolist(),
-                                list(range(1, p)) * len(sizes), averages)
+        yield _meanvalue2_batch(ctx, np.repeat(sizes, m), np.tile(np.arange(1, p), len(sizes)),
+                                averages)
 
     @cache
     def granville():  # one reading of the subgroups the budget keeps, for both claims
@@ -914,35 +960,53 @@ class Verdicts:
     """A run's verdicts, kept as the batches that built them and read in one order:
     that of a stable sort of every verdict by (claim, params["p"] or params["q"],
     params text).  The batches are grouped by (claim, modulus) with a stable sort,
-    and each group's rows are sorted by params text.
+    and a group's batches must share their params keys.
 
-    Every read walks the groups in that order and builds one group's items at a
-    time: iterating gives each Verdict, lines() each JSON line (Batch.lines) and
-    rows() each csv row (Batch.rows).  passes and capacity are counted from the
-    columns; == compares with a list, a tuple or another Verdicts item by item."""
+    Every read walks chunks in that order, one at a time: whole groups of one claim
+    and one params key set, merged up to CHUNK_ROWS rows (a larger group alone).  A
+    chunk's batches are joined (Batch.join), its params texts built once, one item
+    made per row (iterating gives each Verdict, lines() each JSON line, rows() each
+    csv row) and each group's rows sorted by params text.  passes and capacity are
+    counted from the columns; == compares with a list, a tuple or another Verdicts
+    item by item."""
 
     def __init__(self, batches):
         def key(b):
             return b.claim, b.params.get("p", b.params.get("q", 0))
 
         self._batches = sorted(batches, key=key)
-        self._groups = []  # (its batches, its rows in order)
-        for _, group in itertools.groupby(self._batches, key):
+        self._chunks, last, rows = [], None, 0  # each a list of groups, each of batches
+        for (claim, _), group in itertools.groupby(self._batches, key):
             group = list(group)
-            texts = [t for b in group for t in b.texts]
-            self._groups.append((group, sorted(range(len(texts)), key=texts.__getitem__)))
+            keys = {frozenset(b.params) for b in group}
+            if len(keys) > 1:
+                raise ValueError(f"{claim} batches at one modulus differ in their params keys")
+            n = sum(map(len, group))
+            if (claim, *keys) != last or rows + n > CHUNK_ROWS:
+                self._chunks.append([])
+                last, rows = (claim, *keys), 0
+            self._chunks[-1].append(group)
+            rows += n
 
     def __len__(self) -> int:
         return sum(map(len, self._batches))
 
     def _walk(self, make):
-        """Every row's item, in order; make(batch) gives a list of one per row."""
-        for group, order in self._groups:
-            items = [x for b in group for x in make(b)]
-            yield from map(items.__getitem__, order)
+        """Every row's item, in order; make(batch, texts) gives the items of a
+        chunk's joined batch, one per row, from its rows' params texts."""
+        def chunk(groups):  # its items in order; nothing else of the chunk outlives it
+            batch = Batch.join([b for group in groups for b in group])
+            texts = _params_texts(batch.params, len(batch))
+            order, lo = [], 0
+            for hi in itertools.accumulate(sum(map(len, group)) for group in groups):
+                order += sorted(range(lo, hi), key=texts.__getitem__)
+                lo = hi
+            return map(make(batch, texts).__getitem__, order)
+
+        return itertools.chain.from_iterable(map(chunk, self._chunks))
 
     def __iter__(self):
-        return self._walk(list)
+        return self._walk(lambda b, texts: list(map(b.__getitem__, range(len(b)), texts)))
 
     def __eq__(self, other):
         if not isinstance(other, (Verdicts, list, tuple)):

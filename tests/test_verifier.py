@@ -1,3 +1,4 @@
+import bisect
 import csv
 import dataclasses
 import io
@@ -7,6 +8,7 @@ import random
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -892,6 +894,142 @@ def test_json_lines_build_no_verdict_per_row(monkeypatch, tmp_path):
     assert main(["verify", "--p-max", "83", "--claims", "thm2,eps,meanvalue2,nonlinear,lemma3",
                  "--seed", "1", "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 24775
+
+
+def _walk_batches() -> list[Batch]:
+    """Hand-built batches for the chunk walk, in build order: claim "x" over many
+    moduli, most of them tiny groups, one group past CHUNK_ROWS, a group of two
+    batches with different notes whose rows interleave by params text (as eps's
+    do), a capacity record (params {"p"} alone) at one modulus, a group whose
+    batches differ in kind, mode and note, list and string params, NaN, the
+    infinities and -0.0 in every float column; then claim "w", whose one chunk
+    has two kinds and modes and one note."""
+    edges = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5]
+    batches = [Batch("x", {"p": 5, "chi": [1, 3, 5], "s": ["b", 'q"', "\u00e9"], "a": "all"},
+                     np.array(edges[:3]), np.array(edges[3:]), np.array(edges[1:4]),
+                     np.array([True, False, True]), "numeric", note="vacuous"),
+               Batch("x", {"p": 5, "chi": np.array([2, 4, 6]), "s": ["a", "b", "c"], "a": "all"},
+                     np.array(edges[3:]), np.array(edges[:3]), np.array(edges[2:5]),
+                     np.array([False, True, True]), "numeric"),
+               Batch.of(verifier._capacity_verdict("x", {"p": 7}, CapacityExceeded("too big")))]
+    for p in range(11, 300, 2):  # tiny groups: one or two rows each
+        n = 1 + p % 2 + (p % 3 == 0)
+        batches.append(Batch("x", {"p": p, "chi": np.arange(n, 0, -1), "s": ["t"] * n, "a": "all"},
+                             np.full(n, -0.0), np.full(n, math.inf), np.full(n, math.nan),
+                             np.ones(n, dtype=bool), "numeric"))
+    # another kind, mode and note in the group at p = 13, with the same params keys
+    batches.append(Batch("x", {"p": 13, "chi": [7], "s": ["k"], "a": "all"}, ["skipped"],
+                         ["skipped"], [math.nan], [False], "exact", kind="capacity", note="cut"))
+    big = verifier.CHUNK_ROWS + 5
+    batches.append(Batch("x", {"p": 3, "chi": np.arange(big) % 997, "s": ["u"] * big, "a": "all"},
+                         np.arange(big) / 7, np.full(big, 2.5), np.arange(big) % 5 - 2.0,
+                         np.arange(big) % 3 > 0, "numeric"))
+    batches.append(Batch("w", {"q": 9, "D_index": np.array([10, 2, 1]), "D_size": 3},
+                         np.array([3, 2**60, -1]), np.array([3, 3, -1]), np.zeros(3),
+                         np.array([True, False, True]), "exact"))
+    # claim "w"'s one chunk: kind and mode differ, the note does not
+    batches.append(Batch("w", {"q": 9, "D_index": [4], "D_size": 3}, [1.5], [2.5], [-0.0], [True],
+                         "numeric", kind="capacity"))
+    return batches
+
+
+def _sorted_verdicts(batches) -> list[Verdict]:
+    """Every row's Verdict, stable-sorted by (claim, p or q, params text)."""
+    vs = [v for b in batches for v in b]
+    return sorted(vs, key=lambda v: (v.claim, v.params.get("p", v.params.get("q", 0)),
+                                     v.params_text))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, verifier.CHUNK_ROWS])
+def test_chunk_walk_equals_the_sorted_verdicts(monkeypatch, chunk_rows):
+    monkeypatch.setattr(verifier, "CHUNK_ROWS", chunk_rows)
+    batches = _walk_batches()
+    expected = _sorted_verdicts(batches)
+    vs = verifier.Verdicts(batches)
+    assert list(vs.lines()) == [_dumped(v) for v in expected]
+    assert _csv_text(vs.rows()) == _csv_text(
+        [[v.params_text if k == "params" else v.to_record()[k] for k in RECORD_KEYS]
+         for v in expected])
+    walked = list(vs)
+    assert list(map(repr, walked)) == list(map(repr, expected))  # NaN fields equal by repr
+    assert [v.params_text for v in walked] == [
+        json.dumps(v.params, sort_keys=True, default=str) for v in expected]
+    assert [v.note for v in walked if v.params.get("p") == 5] == [
+        "vacuous", "", "vacuous", "", "vacuous", ""]
+    for v in walked:
+        assert not any(isinstance(x, np.generic)
+                       for x in (v.computed, v.target, v.margin, v.passed, *v.params.values()))
+
+
+def test_chunks_are_whole_groups_of_one_claim_and_key_set(monkeypatch):
+    joined = []
+    join = Batch.join.__func__
+
+    def spy(cls, batches):
+        joined.append(batches)
+        return join(cls, batches)
+
+    monkeypatch.setattr(Batch, "join", classmethod(spy))
+    batches = _walk_batches()
+    list(verifier.Verdicts(batches).lines())
+    assert [b for chunk in joined for b in chunk] == sorted(
+        batches, key=lambda b: (b.claim, b.params.get("p", b.params.get("q", 0))))
+    for chunk in joined:
+        assert len({(b.claim, *sorted(b.params)) for b in chunk}) == 1
+        # a chunk past the cap is one group, here the one larger than the cap
+        assert (sum(map(len, chunk)) <= verifier.CHUNK_ROWS
+                or len({b.params["p"] for b in chunk}) == 1)
+    # no group is split, and groups merge: far fewer chunks than moduli
+    moduli = [(b.claim, b.params.get("p", b.params.get("q"))) for b in batches]
+    assert len(joined) < len(set(moduli)) // 10
+
+
+def test_a_group_of_mixed_params_keys_is_refused():
+    b = Batch("x", {"p": 5, "chi": [1]}, [1.0], [2.0], [1.0], [True], "numeric")
+    with pytest.raises(ValueError, match="x batches at one modulus differ in their params keys"):
+        verifier.Verdicts([b, dataclasses.replace(b, params={"p": 5, "H": [1]})])
+
+
+def test_params_texts_are_built_by_the_walk_alone(monkeypatch):
+    # no batch builds its params texts when the suite builds it; the walk builds
+    # them once per chunk, for the chunk's joined batch
+    calls = []
+    texts = verifier._params_texts
+
+    def spy(params, rows):
+        calls.append(rows)
+        return texts(params, rows)
+
+    monkeypatch.setattr(verifier, "_params_texts", spy)
+    vs = run_suite(3, 43, seed=1)
+    assert calls == []
+    assert sum(1 for _ in vs.lines()) == len(vs) == sum(calls)
+    assert max(calls) <= verifier.CHUNK_ROWS < sum(calls) and len(calls) < 40
+
+
+def test_suite_params_columns_are_int64_arrays():
+    # every builder hands its row-varying integer params as int64 arrays, so a
+    # chunk joins each column with one np.concatenate; lemma3's instance tags are
+    # strings
+    batches = verifier._suite_for_modulus(13, CLAIMS, 1, 2**62)
+    assert {b.claim for b in batches} == set(CLAIMS)
+    for b in batches:
+        for key, column in b.params.items():
+            if isinstance(column, (list, np.ndarray)) and key != "instance":
+                assert isinstance(column, np.ndarray) and column.dtype == np.int64, (b.claim, key)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+def test_eps_cut_equals_bisect(eps):
+    """_eps_batches cuts its ascending H column where bisect_right over the list of
+    its values would, at every p <= 400 and every size 1..p, twice each (with
+    eps = 0.5 the threshold p^(1/2+eps) = p is itself a size)."""
+    for p in range(3, 401):
+        H = np.repeat(np.arange(1, p + 1), 2)
+        batches = verifier._eps_batches(SimpleNamespace(p=p), H, np.ones(len(H), dtype=np.int64),
+                                        np.zeros(len(H)), eps=eps)
+        vacuous = sum(len(b) for b in batches if b.note == "vacuous")
+        assert vacuous == bisect.bisect_right(H.tolist(), p ** (0.5 + eps)), p
 
 
 @pytest.mark.parametrize("v", [
