@@ -55,18 +55,19 @@ def quadratic_coset_sums(ctx, H) -> np.ndarray:
     With x = g^i / y, y runs over the coset g^i H = {g^t : t = i (mod k)} and
     chi(x + g^i) = chi(y / g^i) chi(y + 1), so S(g^i) sums
     chi(g^(jk)) chi(g^(i+jk) + 1) over j: one int8 gather of chi(g^t + 1) from a
-    sign table (0 at 0 and at p), read as an (|H|, k) grid whose column i is g^i H,
-    its odd rows negated when k is odd (chi(g^(jk)) = (-1)^(jk)), summed down the
-    columns."""
+    sign table (-1 but for one scatter of +1 at the residues g^(2t), and 0 at 0 and
+    at p), read as an (|H|, k) grid whose column i is g^i H, its odd rows negated
+    when k is odd (chi(g^(jk)) = (-1)^(jk)), summed down the columns in int32: a
+    partial sum is at most |H| < p <= MAX_P < 2^31."""
     p = ctx.p
-    sign = np.zeros(p + 1, dtype=np.int8)
+    sign = np.full(p + 1, -1, dtype=np.int8)
     sign[ctx.exp[0::2]] = 1
-    sign[ctx.exp[1::2]] = -1
+    sign[[0, p]] = 0
     grid = sign[1:][ctx.exp].reshape(H.order, H.index)
-    del sign  # freed before the sum allocates its int64 row
+    del sign  # freed before the sum allocates its count row
     if H.index % 2:
         grid[1::2] *= -1
-    return grid.sum(axis=0, dtype=np.int64)
+    return grid.sum(axis=0, dtype=np.int32).astype(np.int64)
 
 
 def scan_problem1(p: int, seed: int = 0) -> list[dict]:

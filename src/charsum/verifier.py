@@ -116,8 +116,8 @@ RECORD_KEYS = ("claim", "computed", "kind", "margin", "mode", "note", "params", 
 @dataclass(slots=True)
 class Verdict:
     """One checked instance of a claim.  Its fields hold Python values, never numpy
-    scalars (Batch takes them from its numpy columns with item), which the JSON
-    writer would spell through default=str."""
+    scalars (Batch takes them from its numpy columns with item or tolist), which
+    the JSON writer would spell through default=str."""
 
     claim: str
     params: dict
@@ -219,7 +219,10 @@ def _joined(values: list, lengths: list):
 
 
 def _each(value):
-    """Each row's kind, mode or note: a column's values, or the one value repeated."""
+    """Each row's value of a field or param: a list column's values, an array
+    column's as Python scalars (tolist), or the one value repeated."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value if isinstance(value, list) else itertools.repeat(value)
 
 
@@ -233,9 +236,10 @@ class Batch:
     Batch.join's may hold columns (lists) of those too.
 
     len(b) is the row count, b[i] builds row i's Verdict of Python scalars,
-    b[i:j] is a cut batch, b.lines() writes every row's JSON line and b.rows()
-    every row's csv cells, from texts, each row's params as sorted-key JSON
-    (_params_texts by default).  Batch.of wraps one Verdict."""
+    b[i:j] is a cut batch, b.verdicts() builds every row's Verdict, b.lines()
+    writes every row's JSON line and b.rows() every row's csv cells, from texts,
+    each row's params as sorted-key JSON (_params_texts by default).  Batch.of
+    wraps one Verdict."""
 
     claim: str
     params: dict
@@ -277,6 +281,15 @@ class Batch:
             self.claim, {k: row(v) for k, v in self.params.items()},
             *map(at, (self.computed, self.target, self.margin, self.passed)),
             *map(row, (self.mode, self.kind, self.note)), *text)
+
+    def verdicts(self, texts=None) -> list[Verdict]:
+        """Every row's Verdict, equal to b[i]'s, from each column taken to Python
+        scalars once (_each) rather than one item per cell."""
+        n, columns = len(self.params), (*self.params.values(), self.computed, self.target,
+                                        self.margin, self.passed, self.mode, self.kind, self.note)
+        texts = texts or _params_texts(self.params, len(self))
+        return [Verdict(self.claim, dict(zip(self.params, row[:n])), *row[n:])
+                for row in zip(*map(_each, columns), texts)]
 
     def lines(self, texts=None) -> list[str]:
         """Each row's json.dumps(record, sort_keys=True, default=str) + "\\n" (see
@@ -1006,7 +1019,7 @@ class Verdicts:
         return itertools.chain.from_iterable(map(chunk, self._chunks))
 
     def __iter__(self):
-        return self._walk(lambda b, texts: list(map(b.__getitem__, range(len(b)), texts)))
+        return self._walk(Batch.verdicts)
 
     def __eq__(self, other):
         if not isinstance(other, (Verdicts, list, tuple)):

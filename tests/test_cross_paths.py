@@ -15,7 +15,8 @@ against the O(p^2) count of its case table, on primes p <= 211 (eq2's
 certified rows up to 1009), integer_sums' gcd-class reading against reduction
 mod Phi_m, for m <= 300, every exact builder raising on a table that fails its
 certificate, and scan problem 1's coset counts and records against an
-Euler-criterion brute force over every subgroup."""
+Euler-criterion brute force over every subgroup (at p = 65537 too, |H| up to
+2^16)."""
 
 import dataclasses
 import json
@@ -216,6 +217,28 @@ def test_scan_problem1_equals_an_euler_criterion_brute_force(p, monkeypatch):
         assert rec["achiever"]["a"] == 1 + int(np.argmax(mags == peak))
         if (p, n) == (1019, 2):
             assert int((np.abs(counts) == peak).sum()) == 254
+
+
+def test_scan_problem1_counts_at_subgroups_of_order_up_to_2_16():
+    # p - 1 = 2^16: every subgroup, |H| = 2^15 and 2^16 among them, each count a
+    # sum of up to 2^16 signs, against int64 sums of Euler's criterion over
+    # H = {z : z^|H| = 1}, its members found by squaring every residue in turn
+    p = 65537
+    ctx = make_ctx(p)
+    leg = _euler_legendre(p)
+    z, power = np.arange(1, p), np.arange(1, p)  # power = z^(2^e) mod p
+    orders = []
+    for e in range(17):
+        H = subgroup_of_order(ctx, 2**e)
+        h = z[power == 1]
+        assert len(h) == H.order
+        reps = np.array([pow(ctx.g, i, p) for i in range(H.index)])
+        counts = scan.quadratic_coset_sums(ctx, H)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == leg[(reps[:, None] + h) % p].sum(axis=1, dtype=np.int64).tolist()
+        orders.append(H.order)
+        power = power * power % p
+    assert orders[-2:] == [2**15, 2**16]
 
 
 @pytest.mark.parametrize("p", [3, 7, 103, 1019, 4003, 10037])

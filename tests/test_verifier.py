@@ -797,6 +797,25 @@ def test_to_line_is_json_dumps_of_the_record():
     assert list(vs.lines()) == [_dumped(v) for v in vs]
 
 
+def test_iterated_verdicts_hold_python_scalars():
+    # iteration takes each chunk's columns to Python scalars at once: every field
+    # and param of each Verdict is a Python scalar, of the type b[i] gives it, in
+    # the params order and with the params text of b[i]
+    vs = run_suite(3, 61, seed=1)
+    walked = list(vs)
+    expected = _sorted_verdicts(vs._batches)
+    assert walked == expected
+
+    def cells(v):
+        return (v.claim, v.computed, v.target, v.margin, v.passed, v.mode, v.kind, v.note,
+                v.params_text, *v.params.values())
+
+    for v, w in zip(walked, expected):
+        assert {type(x) for x in cells(v)} <= {str, int, float, bool}
+        assert list(map(type, cells(v))) == list(map(type, cells(w)))
+        assert list(v.params) == list(w.params) and v.params_text == w.params_text
+
+
 # 0.0 beside -0.0, NaN, the infinities, the least subnormal, a float past 2^53
 # and a sum that rounds, in every float column, each value in more than one row
 EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2]
