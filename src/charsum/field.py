@@ -173,12 +173,6 @@ def subgroup_near_sqrt(ctx: FieldCtx) -> Subgroup:
     return subgroup_of_order(ctx, best)
 
 
-def coset_shift_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
-    """(k x |H|) int64 residues: row i is the shifted subgroup H + g^i, for the
-    k = (p-1)/|H| coset representatives g^i of H in F_p*."""
-    return (ctx.exp[:H.index, None] + H.elements[None, :]) % ctx.p
-
-
 def inverse_table(ctx: FieldCtx) -> np.ndarray:
     """x^-1 mod p for every residue x as an int64 vector of length p (entry 0 is 0)."""
     m = ctx.p - 1

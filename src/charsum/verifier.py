@@ -7,11 +7,9 @@ certificate (below), keep int64 columns, and demand margin exactly zero.
 Inequality checkers work on magnitudes with a fixed absolute tolerance of 1e-9.
 
 The suite reads every numeric bound (thm2, thm2_sharp, eps, meanvalue2,
-nonlinear) at p off one character_sum_moduli call, which takes each subgroup's
-rows of residues as a segment and gives per-row character means and
-per-segment peaks from one DFT of dlog histograms per chunk.  granville and
-shkredov share one reading of the subgroups, and kernel's rows share one
-certificate.
+nonlinear) at p off one subgroup_moduli call: every subgroup's rows, read off one
+table of dlog(g^s + 1), give one DFT of dlog histograms per chunk.  granville and
+shkredov share one reading of the subgroups, and kernel's rows one certificate.
 
 Each identity holds for every character at once and reduces to a statement
 about a character-free count, a certificate, which needs no push-forward to the
@@ -64,7 +62,6 @@ from .errors import CapacityExceeded, ZeroInD
 from .field import (
     FieldCtx,
     Subgroup,
-    coset_shift_rows,
     divisors_from_factorization,
     factorize,
     is_prime,
@@ -93,7 +90,7 @@ CLAIMS = (
     "nonlinear",
 )
 
-# the bounds read off character_sum_moduli, one call per prime
+# the bounds read off subgroup_moduli, one call per prime
 NUMERIC_CLAIMS = frozenset({"thm2", "thm2_sharp", "eps", "meanvalue2", "nonlinear"})
 
 
@@ -355,69 +352,78 @@ def _capacity_verdict(claim: str, params: dict, err: Exception) -> Verdict:
 # the numeric kernel: one DFT of a dlog histogram gives every character's sum
 # ---------------------------------------------------------------------------
 
-def character_sum_moduli(ctx: FieldCtx, segments) -> tuple[list[np.ndarray], np.ndarray]:
-    """|sum_{x in row} chi_j(x)| for every row of residues and every character j,
-    reduced two ways per segment, a nonempty 2-d array of rows (segments may differ
-    in width): (the mean over all p-1 characters, one array per segment with one
-    entry per row; the max over the segment's rows, one row per segment with one
-    entry per character j).
-
-    Row r's dlog histogram c_r(t) = #{x in r : dlog x = t} has DFT
-    sum_t c_r(t) e^(-2 pi i jt/(p-1)), the conjugate of sum_{x in r} chi_j(x).
-    The rows of every segment, in turn, are counted straight into one count buffer
-    per chunk of at most HISTOGRAM_CELLS cells, with one FFT per chunk; a segment's
-    peak is the max over its rows in each chunk, merged across chunk edges (one
-    max per segment and chunk: np.maximum.reduceat along the rows is several times
-    slower).  Each row's DFT, sum and max are its own, so no value depends on where
-    the chunks fall or on the other segments of the call."""
-    m = ctx.p - 1
-    segments = [np.asarray(s, dtype=np.int64) for s in segments]
-    ends = np.cumsum([len(s) for s in segments]).tolist()
-    rows = ends[-1]
-    means = np.empty(rows)
-    peaks = np.zeros((len(segments), m))
-    step = max(1, HISTOGRAM_CELLS // m)
+def _histogram_moduli(m: int, ends: list, cells) -> tuple[np.ndarray, np.ndarray]:
+    """|sum_t c(t) e^(-2 pi i jt/m)| for rows c of dlog histograms over Z/m, segment
+    s the rows ends[s-1] to ends[s], as (each segment's row means over j; its max
+    over its rows, per j).  cells(lo, hi) gives rows lo to hi's cells (r - lo) m + t:
+    a chunk of at most HISTOGRAM_CELLS cells, one FFT and one max per segment (faster
+    than np.maximum.reduceat).  No value depends on where the chunks fall."""
+    rows, step = ends[-1], max(1, HISTOGRAM_CELLS // m)
+    means, peaks = np.empty(rows), np.zeros((len(ends), m))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        cells, pieces = [], []  # pieces: (segment, its rows' places in the chunk)
-        for s in range(bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1) + 1):
-            top = ends[s] - len(segments[s])  # the segment's first row
-            a, b = max(lo, top), min(hi, ends[s])
-            # dlog[0] = -1 is the histogram's zero-term sentinel: chi(0) = 0
-            logs = ctx.dlog[segments[s][a - top:b - top]]
-            cells.append((np.arange(a - lo, b - lo)[:, None] * m + logs)[logs >= 0])
-            pieces.append((s, slice(a - lo, b - lo)))
-        counts = np.bincount(np.concatenate(cells), minlength=(hi - lo) * m)
+        counts = np.bincount(cells(lo, hi), minlength=(hi - lo) * m)
         moduli = np.abs(np.fft.fft(counts.reshape(hi - lo, m), axis=1))
         means[lo:hi] = moduli.sum(axis=1) / m
-        for s, rs in pieces:
-            np.maximum(peaks[s], moduli[rs].max(axis=0), out=peaks[s])
-    return np.split(means, ends[:-1]), peaks
+        for s in range(bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1) + 1):
+            a, b = max(lo, ends[s - 1] if s else 0), min(hi, ends[s])
+            np.maximum(peaks[s], np.maximum.reduce(moduli[a - lo:b - lo]), out=peaks[s])
+    return [means[a:b] for a, b in zip([0, *ends], ends)], peaks
 
 
-def nonlinear_rows(ctx: FieldCtx, H: Subgroup) -> np.ndarray:
-    """Row i holds x(x + g^i) for x in H.  x -> hx, a -> ha maps x(x + a) to
-    h^2 x(x + a), so |sum_{x in H} chi(x(x + a))| is the same on the whole coset
-    aH, and the k representatives g^i cover every nonzero shift."""
-    return H.elements[None, :] * coset_shift_rows(ctx, H) % ctx.p
+def character_sum_moduli(ctx: FieldCtx, segments) -> tuple[list[np.ndarray], np.ndarray]:
+    """|sum_{x in row} chi_j(x)| for every row of residues and character j, per segment,
+    a nonempty 2-d array of rows: (the mean over all p-1 characters, per row; the max
+    over the rows, per j), read off each row's dlog histogram by _histogram_moduli."""
+    m = ctx.p - 1
+    rows = [row for s in segments for row in np.asarray(s, dtype=np.int64)]
+    starts = np.cumsum([0, *map(len, rows)])
+    logs = ctx.dlog[np.concatenate(rows)]  # dlog[0] = -1 drops the cell: chi(0) = 0
+
+    def cells(lo, hi):
+        t = logs[starts[lo]:starts[hi]]
+        return (np.repeat(np.arange(hi - lo) * m, np.diff(starts[lo:hi + 1])) + t)[t >= 0]
+
+    return _histogram_moduli(m, np.cumsum([len(s) for s in segments]).tolist(), cells)
 
 
 def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool,
                     inner: bool = True):
-    """One character_sum_moduli call for the subgroups Hs: (means, peaks, inner,
-    nonlinear_peaks), entry i for Hs[i].  With shifted, means[i] holds the character
-    means on the rows H + g^i and peaks[i] every character's max over those rows:
-    |S(a)| and the character mean are constant on each coset aH, so the k rows
-    H + g^i give every nonzero shift.  With inner, inner[i] holds every character's
-    modulus on the row H, and with nonlinear, nonlinear_peaks[i] the max over the
-    rows of nonlinear_rows.  What is not asked for is None."""
-    parts = [(shifted, coset_shift_rows), (inner, lambda ctx, H: [H.elements]),
-             (nonlinear, nonlinear_rows)]
-    means, peaks = character_sum_moduli(
-        ctx, [rows(ctx, H) for asked, rows in parts if asked for H in Hs])
-    blocks = iter(np.split(peaks, range(len(Hs), len(peaks), len(Hs))))
+    """(means, peaks, inner, nonlinear_peaks), entry i for Hs[i] and None where not
+    asked for, from one _histogram_moduli call over the rows shifted, inner, then
+    nonlinear, each H-major: the character means on the rows H + g^i, 0 <= i < k =
+    H.index, and each character's max over them, its moduli on H, and its max over
+    the rows x(x + g^i).  x -> hx, a -> ha keeps |S(a)| and |sum_H chi(x(x + a))|.
+
+    No residue is built.  With m = p - 1, x = g^(kt) in H, L(s) = dlog(g^s + 1) and
+    s = (kt - i) mod m, x + g^i = g^i (g^s + 1), so, mod m,
+        dlog(x + g^i) = i + L(s),  dlog(x(x + g^i)) = s + 2i + L(s),  dlog x = s + i:
+    the coset identity S(a) = chi(a) sum_{y in a^-1 H} chi(y + 1).  Row i reads
+    s = ku + (-i mod k), u < |H|, in a table of L, s + L(s) or s (inner: i = 0) and
+    adds i, 2i or 0; L(m/2) = dlog 0 is -4m, so its cells are negative and dropped.
+    On make_ctx's tables each row counts its residues' dlogs: every bit out is theirs."""
+    m = ctx.p - 1
+    L = np.where(ctx.exp == m, -4 * m, ctx.dlog[(ctx.exp + 1) % ctx.p])
+    table = np.concatenate((L, np.arange(m), np.arange(m) + L))  # shifted, inner, nonlinear
+    k = np.array([H.index for H in Hs], dtype=np.int64)
+    coset_k = np.repeat(k, k)  # each row H + g^i's k, i and first s
+    i = np.arange(len(coset_k)) - np.repeat(np.cumsum(k) - k, k)
+    first = -i % coset_k
+    # each kind: asked, its rows' k, first table index and offset, its segments' lengths
+    kinds = [(shifted, coset_k, first, i, k), (inner, k, 0 * k + m, 0 * k, 0 * k + 1),
+             (nonlinear, coset_k, first + 2 * m, 2 * i, k)]
+    row_k, first, offset, lengths = map(np.concatenate, zip(*(c[1:] for c in kinds if c[0])))
+
+    def cells(lo, hi):
+        row = np.repeat(np.arange(hi - lo), w := m // row_k[lo:hi])  # w: the rows' widths
+        u = np.arange(len(row)) - (np.cumsum(w) - w)[row]
+        at = table[row_k[lo:hi][row] * u + first[lo:hi][row]] + offset[lo:hi][row]
+        return (at % m + row * m)[at >= 0]
+
+    means, peaks = _histogram_moduli(m, np.cumsum(lengths).tolist(), cells)
+    blocks = iter(peaks.reshape(-1, len(Hs), m))
     return (means[:len(Hs)] if shifted else None,
-            *(next(blocks) if asked else None for asked, _ in parts))
+            *(next(blocks) if asked else None for asked in (shifted, inner, nonlinear)))
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +804,7 @@ def _nonlinear_batch(ctx: FieldCtx, H, chi, peaks) -> Batch:
 def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
     """One verdict per (H, chi) covering every nonzero shift a: the maximum of
     |sum_{x in H} chi(x(x + a))| over the coset representatives a = g^i (see
-    nonlinear_rows)."""
+    subgroup_moduli)."""
     _require_nonprincipal(chi)
     exponents = nonlinear_exponents(ctx, chi, H, ctx.exp[:H.index])
     peak = np.abs(numeric_sums(exponents, ctx.p - 1)).max()
@@ -904,11 +910,11 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
         orders = np.repeat(sizes, m - 1)
         chi_index = np.tile(np.arange(1, m), len(reached))
 
-    def meanvalue2():  # one row per (H, a), a's mean read off its coset's row
-        dlog = ctx.dlog[1:]
-        averages = np.concatenate([mu[dlog % H.index] for mu, H in zip(means, reached)])
+    def meanvalue2():  # one row per (H, a), a's mean read off its coset's row: one gather
+        k = m // sizes
+        rows = (np.cumsum(k) - k)[:, None] + ctx.dlog[1:] % k[:, None]
         yield _meanvalue2_batch(ctx, np.repeat(sizes, m), np.tile(np.arange(1, p), len(sizes)),
-                                averages)
+                                np.concatenate(means)[rows.ravel()])
 
     @cache
     def granville():  # one reading of the subgroups the budget keeps, for both claims

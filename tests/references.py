@@ -7,10 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from charsum import verifier
 from charsum.cyclo import HISTOGRAM_CELLS, CycInt, exponent_histogram, reduce_counts
 from charsum.engines import proof_kernel_S_yy1, shifted_sum
-from charsum.field import coset_shift_rows, make_ctx
+from charsum.field import make_ctx
 
 
 @lru_cache(maxsize=None)
@@ -210,6 +209,18 @@ def row_moduli(ctx, rows) -> tuple[np.ndarray, np.ndarray]:
     return means, peaks
 
 
+def coset_shift_rows(ctx, H) -> np.ndarray:
+    """(k x |H|) int64 residues: row i is the shifted subgroup H + g^i, for the
+    k = (p-1)/|H| coset representatives g^i of H in F_p*."""
+    return (ctx.exp[:H.index, None] + H.elements[None, :]) % ctx.p
+
+
+def nonlinear_rows(ctx, H) -> np.ndarray:
+    """Row i holds x(x + g^i) for x in H, its residues: the rows whose character
+    sums verifier.subgroup_moduli reads off the dlog table."""
+    return H.elements[None, :] * coset_shift_rows(ctx, H) % ctx.p
+
+
 def per_subgroup_moduli(ctx, Hs):
     """verifier.subgroup_moduli's (means, peaks, inner, nonlinear_peaks) with every
     part asked for, one row_moduli call per subgroup and kind of row."""
@@ -219,7 +230,7 @@ def per_subgroup_moduli(ctx, Hs):
         means.append(mu)
         peaks.append(top)
         inner.append(row_moduli(ctx, [H.elements])[1])
-        nonlinear.append(row_moduli(ctx, verifier.nonlinear_rows(ctx, H))[1])
+        nonlinear.append(row_moduli(ctx, nonlinear_rows(ctx, H))[1])
     return means, np.array(peaks), np.array(inner), np.array(nonlinear)
 
 

@@ -1,7 +1,8 @@
 """Generated cross-checks between independent paths to the same values: the
 numeric kernel (one DFT of a dlog histogram for every character) and the
 single-character coset-row reading against the FFT correlation and the per-shift
-engines, the exact histogram kernel against numeric mode and against sums of
+engines, the kernel's rows read off one table of dlog(g^s + 1) against rows of
+residues, across chunk edges too, the exact histogram kernel against numeric mode and against sums of
 CycInt products, the exact bilinear convolution against the term-by-term grid
 sum, eq2's certified rows and konyagin's gcd-class count against the
 |D|^2-pair grid, each row of their one count for several sets against that
@@ -19,6 +20,7 @@ Euler-criterion brute force over every subgroup (at p = 65537 too, |H| up to
 2^16)."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -48,7 +50,6 @@ from charsum.engines import (
 )
 from charsum.field import (
     MAX_P,
-    coset_shift_rows,
     is_prime,
     make_ctx,
     primes_in,
@@ -72,7 +73,6 @@ from charsum.verifier import (
     check_theorem2,
     character_sum_moduli,
     integer_sums,
-    nonlinear_rows,
     random_subsets,
     random_weights,
     run_suite,
@@ -83,12 +83,14 @@ import references
 from references import (
     bilinear_grid,
     corrupted_ctx,
+    coset_shift_rows,
     direct_roots,
     eq2_per_character,
     eq2_via_engine,
     granville_mismatches,
     kernel_case_table_holds,
     kernel_mismatches,
+    nonlinear_rows,
     pair_difference_grid,
     pair_difference_sum,
     per_subgroup_moduli,
@@ -462,6 +464,34 @@ def test_subgroup_moduli_equal_the_per_subgroup_kernel(p):
     alone = subgroup_moduli(ctx, Hs, shifted=True, nonlinear=False)
     assert np.array_equal(alone[1], peaks) and np.array_equal(alone[2], inner)
     assert alone[3] is None
+
+
+@pytest.fixture(scope="module")
+def moduli_1009():
+    ctx = make_ctx(1009)
+    return ctx, per_subgroup_moduli(ctx, subgroups(ctx))
+
+
+@pytest.mark.parametrize("cells", [1 << 10, 5 * 1008])
+@pytest.mark.parametrize("shifted,inner,nonlinear",
+                         [c for c in itertools.product([False, True], repeat=3) if any(c)])
+def test_subgroup_moduli_across_chunk_edges(monkeypatch, moduli_1009, cells, shifted, inner,
+                                            nonlinear):
+    """With chunks of 1 and 5 rows at p = 1009, chunks start and end inside a
+    subgroup's rows, and the 5-row ones inside a kind's rows too: every combination
+    of the parts asked for reads, bit for bit, what the per-subgroup kernel does,
+    and what is not asked for is None."""
+    monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)
+    ctx, expected = moduli_1009
+    Hs = subgroups(ctx)
+    means, *got = subgroup_moduli(ctx, Hs, shifted=shifted, nonlinear=nonlinear, inner=inner)
+    if shifted:
+        assert len(means) == len(Hs)
+        assert all(np.array_equal(a, b) for a, b in zip(means, expected[0]))
+    else:
+        assert means is None
+    for asked, part, want in zip((shifted, inner, nonlinear), got, expected[1:]):
+        assert np.array_equal(part, want) if asked else part is None
 
 
 def test_subgroup_moduli_memory_is_not_padded(monkeypatch):

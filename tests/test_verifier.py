@@ -483,15 +483,16 @@ class TestRunSuite:
         reaches: subgroup H has k = (p-1)/|H| coset rows, plus the row H itself for
         thm2_sharp, the one claim that reads it.  A budget of 1 reaches the first
         subgroup, and one of p - 1 the first two, but for meanvalue2's p - 1 rows
-        per subgroup."""
+        per subgroup.  The spy counts the histogram rows that the kernel's one
+        reduction (_histogram_moduli) reads."""
         calls = []
-        real = verifier.character_sum_moduli
+        real = verifier._histogram_moduli
 
-        def spy(ctx, segments):
-            calls.append(sum(map(len, segments)))
-            return real(ctx, segments)
+        def spy(m, ends, cells):
+            calls.append(ends[-1])
+            return real(m, ends, cells)
 
-        monkeypatch.setattr(verifier, "character_sum_moduli", spy)
+        monkeypatch.setattr(verifier, "_histogram_moduli", spy)
         Hs = subgroups(make_ctx(p))
         extra = 1 if claim == "thm2_sharp" else 0
 
@@ -503,8 +504,9 @@ class TestRunSuite:
         assert calls == [rows(1), rows(1 if claim == "meanvalue2" else 2), rows(len(Hs))]
 
     def test_subgroups_are_built_without_their_elements(self, monkeypatch):
-        """subgroups(ctx) and the granville and shkredov suite, whose sums are read
-        off the certified dlog table, build no element of any subgroup."""
+        """subgroups(ctx), the granville and shkredov suite, whose sums are read off
+        the certified dlog table, and the numeric bounds, whose rows are read off
+        one table of dlog(g^s + 1) per prime, build no element of any subgroup."""
         def unread(H):
             raise AssertionError(f"the elements of the subgroup of order {H.order} were read")
 
@@ -513,6 +515,11 @@ class TestRunSuite:
         assert [H.order for H in subgroups(ctx)] == list(ctx.divisors)
         vs = run_suite(3, 211, claims=["granville", "shkredov"])
         assert vs and all(v.passed for v in vs)
+        # a subgroup gives thm2, thm2_sharp, eps and nonlinear p - 2 rows each, and
+        # meanvalue2 p - 1
+        rows = sum(len(make_ctx(p).divisors) * (4 * (p - 2) + p - 1) for p in primes_in(3, 211))
+        vs = run_suite(3, 211, claims=sorted(verifier.NUMERIC_CLAIMS))
+        assert len(vs) == vs.passes == rows
 
     @pytest.mark.parametrize("budget,kept", [(1, 1), (12, 2), (None, 26)])
     def test_eq2_sizes_the_sets_it_keeps_and_reads_no_element(self, monkeypatch, budget, kept):
