@@ -22,9 +22,6 @@ from .field import factorize
 # Largest root order accepted in exact mode; reduction cost grows superlinearly.
 EXACT_MAX_ORDER = 10_000
 
-# (row x exponent) histogram cells per batch; bounds the memory of a chunked histogram
-HISTOGRAM_CELLS = 1 << 20
-
 # 2^63 and 2^53 less a margin far above the float64 rounding of reduce_counts' bound
 _INT64_BOUND = 2.0**63 * (1 - 2.0**-40)
 _FLOAT64_EXACT = 2.0**53 * (1 - 2.0**-40)

@@ -161,26 +161,21 @@ def bilinear_Sprime(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a:
     return _bilinear(ctx, chi, xi, eta, a, mode, twist=True)
 
 
-def kernel_exponents(ctx: FieldCtx, chi: Character, y, y1, a: int) -> np.ndarray:
-    """Exponents of chi(xy + a) conj(chi(x*y1 + a)), x in F_p."""
-    p = ctx.p
-    E = chi.exponent_table()
-    x = _terms(np.arange(p), y, y1)
-    e1 = E[(x * _mod(y, p) + a % p) % p]
-    e2 = E[(x * _mod(y1, p) + a % p) % p]
-    return np.where((e1 >= 0) & (e2 >= 0), (e1 - e2) % (p - 1), -1)
-
-
 def proof_kernel_S_yy1(ctx: FieldCtx, chi: Character, y: int, y1: int, a: int,
                        mode: str = "exact") -> SumValue:
-    """sum_x chi(xy + a) * conj(chi(x*y1 + a)), computed by brute force.
+    """sum_x chi(xy + a) * conj(chi(x*y1 + a)), computed by brute force over x in F_p.
 
     Closed form: p if y = y1 = 0; 0 if exactly one is 0; p-1 if y = y1 > 0;
     -chi(y / y1) otherwise.
     """
+    p = ctx.p
     _require_nonprincipal(chi)
-    _require_coprime_shift(ctx.p, a)
-    return read(ctx.p - 1, mode, kernel_exponents(ctx, chi, y, y1, a))
+    _require_coprime_shift(p, a)
+    E = chi.exponent_table()
+    x = _terms(np.arange(p), y, y1)
+    e1 = E[(x * _mod(y, p) + a % p) % p]
+    e2 = E[(x * _mod(y1, p) + a % p) % p]
+    return read(p - 1, mode, np.where((e1 >= 0) & (e2 >= 0), (e1 - e2) % (p - 1), -1))
 
 
 # ---------------------------------------------------------------------------

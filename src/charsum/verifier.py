@@ -12,19 +12,19 @@ table of dlog(g^s + 1), give one DFT of dlog histograms per chunk.  granville an
 shkredov share one reading of the subgroups, and kernel's rows one certificate.
 
 Each identity holds for every character at once and reduces to a statement
-about a character-free count, a certificate, which needs no push-forward to the
-characters and no reduction mod Phi_m.  There are two:
+about a character-free count, which needs no push-forward to the characters and
+no reduction mod Phi_m.  Every exact verdict rests on one certificate and one
+class-sum kernel:
 
 - dlog_certificate(ctx), one O(p) pass per field: ctx.dlog is a discrete log,
   and every nonzero difference d has the histogram h1 of dlog b - dlog(b + d).
-  eq2 writes its count rows from h1 and |D| alone, and granville its sums from
-  dlog(H) = kZ/m.  kernel_certificate(ctx) is this certificate: on a discrete
-  log the histogram of dlog(ru + 1) - dlog(u + 1) over u is the kernel's case
-  table for every r, which proves every kernel verdict at p (every character,
-  shift and pair).
-- gcd_class_certificate(counts, m): a count c over Z/m is constant on each class
-  {t : gcd(t, m) = g}, so every sum_t c(t) zeta_m^(jt) is an integer (a sum of
-  Ramanujan sums); eq2 and konyagin read theirs so, by integer_sums.
+  eq2 writes its counts from h1 and |D| alone, granville its from
+  dlog(H) = kZ/m, and on a discrete log the kernel's case table holds for every
+  pair (_kernel_batch), which proves every kernel verdict at p.
+- integer_sums(values, m, J): a count c over Z/m constant on each class
+  {t : gcd(t, m) = g} has every sum_t c(t) zeta_m^(jt) an integer, a sum of
+  Ramanujan sums, read off c's tau(m) class values.  eq2's and granville's
+  counts are so under the certificate, and konyagin's by construction.
 
 Each exact claim has this one route.  make_ctx's tables always pass (exp[0] = 1,
 exp[t + 1] = g exp[t] and dlog[exp[t]] = t for t < p - 1 make g primitive and
@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .characters import Character, character
-from .cyclo import HISTOGRAM_CELLS, require_exact_order
+from .cyclo import require_exact_order
 from .engines import (
     _require_coprime_shift,
     _require_nonprincipal,
@@ -71,6 +71,9 @@ from .field import (
 from .values import Weights, numeric_sums, roots
 
 TOL = 1e-9
+
+# (row x residue) histogram cells per chunk; bounds the memory of a chunked pass
+HISTOGRAM_CELLS = 1 << 20
 
 # the rows of whole (claim, modulus) groups that the verdict walk joins into one
 # chunk (Verdicts): params texts and spellings are made once per chunk
@@ -516,25 +519,15 @@ def _class_of(t, m: int) -> np.ndarray:
     return np.searchsorted(_gcd_classes(m)[0], np.gcd(t, m))
 
 
-def gcd_class_certificate(counts: np.ndarray, m: int) -> np.ndarray:
-    """Whether each row c of counts over Z/m is constant on every gcd class.  The t
-    of class g sum zeta_m^(jt) to the Ramanujan sum c_(m/g)(j) (Hardy & Wright, An
-    Introduction to the Theory of Numbers, 16.6), so then
-    sum_t c(t) zeta_m^(jt) = sum_g c(g) c_(m/g)(j)."""
-    return (counts == counts[:, _gcd_classes(m)[0] % m][:, _class_of(np.arange(m), m)]).all(1)
-
-
-def integer_sums(counts: np.ndarray, m: int, J) -> np.ndarray:
-    """sum_t c(t) zeta_m^(jt) for each row c of the int64 counts over Z/m and each j
-    in J (0 <= j < m), an int64 array read off _gcd_classes' table: each row must
-    pass gcd_class_certificate, so its sum at j is sum_g c(g) c_(m/g)(j), and each
-    term is at most the class's sum of |c|.  A row that fails raises
-    ArithmeticError: the builders hand over class-constant counts alone."""
-    divs, table = _gcd_classes(m)
-    failed = np.flatnonzero(~gcd_class_certificate(counts, m))
-    if len(failed):
-        raise ArithmeticError(f"count row {failed[0]} over Z/{m} is not constant on its gcd classes")
-    return (counts[:, divs % m] @ table)[:, _class_of(J, m)]
+def integer_sums(values: np.ndarray, m: int, J) -> np.ndarray:
+    """sum_t c(t) zeta_m^(jt) for each j in J, one int64 row per row of values: the
+    class values of a count c over Z/m that is constant on every gcd class
+    {t : gcd(t, m) = g}, c(g) at each divisor g of m in _gcd_classes(m)'s order
+    (the class of m, last, holds t = 0 alone).  The t of class g sum zeta_m^(jt)
+    to the Ramanujan sum c_(m/g)(j) (Hardy & Wright, An Introduction to the Theory
+    of Numbers, 16.6), so the sum at j is sum_g c(g) c_(m/g)(j), read off
+    _gcd_classes' table at j's class; each term is at most the class's sum of |c|."""
+    return (values @ _gcd_classes(m)[1])[:, _class_of(J, m)]
 
 
 def _per_ctx(certify):
@@ -602,20 +595,20 @@ def _eq2_sized_batch(ctx: FieldCtx, sizes: list, chis: list, D_index=None) -> Ba
     character-free count c(t) of the dlog differences t over (x, y, a) gives every
     sum for a set D, and one integer_sums call reads every set's sums.  Under
     dlog_certificate, which must hold, c = |D|(p - 1) [t = 0] + (|D|^2 - |D|) h1,
-    flat off t = 0 (h1 is 1 there), so it passes the gcd-class certificate."""
+    flat off t = 0 (h1 is 1 there): its class values are |D|^2 - |D| on every
+    class but that of m, which holds t = 0 alone and |D|(p - 1)."""
     p, m = ctx.p, ctx.p - 1
     require_exact_order(m)
     _require_certificate(dlog_certificate(ctx), ctx)
     chi = np.concatenate([np.empty(0, dtype=np.int64), *(np.asarray(c, np.int64) for c in chis)])
     J, at = np.unique(chi, return_inverse=True)  # every character asked for, read for every set
     n = np.array(sizes, dtype=np.int64)
-    counts = np.repeat((n * n - n)[:, None], m, axis=1)
-    counts[:, 0] = n * m
+    values = np.where(_gcd_classes(m)[0] == m, n[:, None] * m, (n * n - n)[:, None])
     D = np.repeat(np.arange(len(n)), [len(c) for c in chis])  # each row's set
     params = {"p": p, "chi": chi, "D_size": n[D]}
     if D_index is not None:
         params["D_index"] = np.asarray(D_index, dtype=np.int64)[D]
-    return _identity_verdicts("eq2", params, integer_sums(counts, m, J)[D, at], (p * n - n * n)[D])
+    return _identity_verdicts("eq2", params, integer_sums(values, m, J)[D, at], (p * n - n * n)[D])
 
 
 def check_eq2_identities(ctx: FieldCtx, chis, D) -> Batch:
@@ -664,7 +657,7 @@ def _granville_batches(ctx: FieldCtx, Hs: list) -> tuple[Batch, Batch]:
     _require_certificate(dlog_certificate(ctx), ctx)
     divs, table = _gcd_classes(m)
     k = np.array([H.index for H in Hs], dtype=np.int64)
-    sums = (divs % k[:, None] == 0).astype(np.int64) @ table
+    sums = integer_sums((divs % k[:, None] == 0).astype(np.int64), m, divs)
     totals = np.abs(sums) @ table[:, -1]  # table[:, -1]: the class sizes
     params = {"p": p, "H": m // k}
     granville = _identity_verdicts("granville", params, totals, m)
@@ -693,24 +686,25 @@ def _konyagin_batch(q: int, dsets: list, D_index: list | None = None) -> Batch:
     index for the params).  e_q(ax) conj e_q(ay) = e_q(-ad), d = y - x, and -ad
     over a in [0, q) hits t sum_{k | gcd(d, q)} c_k(t) times (c_k the Ramanujan
     sum), so t's count is c(t) = sum_{k | q} N_k c_k(t) - |D|^2 [t = 0], N_k the
-    pairs with x = y mod k: int64, constant on gcd classes, read by integer_sums."""
+    pairs with x = y mod k: int64 and constant on the gcd classes, its class values
+    N @ table, less |D|^2 on the class of q, {0}, and read by integer_sums."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     dsets = [sorted({x % q for x in D}) for D in dsets]
     if not all(dsets):
         raise ValueError("D must be nonempty")
-    require_exact_order(q)  # kept for memory: q-length count rows and sets, ~275 B per q
+    require_exact_order(q)  # kept for memory: the sets, ~256 B per unit q near q = 10^4
     divs, table = _gcd_classes(q)
     sizes, n, x = np.array([len(D) for D in dsets]), len(dsets), np.concatenate(dsets)
     cell = np.repeat(np.arange(n), sizes)  # N_k from the cells (set) k + x mod k, k = q/g_i
     N = np.stack([np.square(np.bincount(cell * k + x % k, minlength=n * k)).reshape(n, k)
                   .sum(axis=1) for k in (q // divs).tolist()], axis=1)
-    counts = (N @ table)[:, _class_of(np.arange(q), q)]
-    counts[:, 0] -= np.square(sizes)  # a = 0 is left out
+    values = N @ table
+    values[:, -1] -= np.square(sizes)  # a = 0 is left out
     params = {"q": q, "D_size": sizes}
     if D_index is not None:
         params["D_index"] = np.asarray(D_index, dtype=np.int64)
-    return _identity_verdicts("konyagin", params, integer_sums(counts, q, [1])[:, 0],
+    return _identity_verdicts("konyagin", params, integer_sums(values, q, [1])[:, 0],
                               sizes * (q - sizes))
 
 
@@ -751,35 +745,26 @@ def check_lemma3(ctx: FieldCtx, chi: Character, xi: Weights, eta: Weights, a: in
     return _lemma3_batch(ctx, [chi], xi.values[None], eta.values[None], [a])[0]
 
 
-def kernel_certificate(ctx: FieldCtx) -> bool:
-    """True when the proof kernel sum_x chi(xy + a) conj(chi(x*y1 + a)) equals its
-    case table for every nonprincipal chi, every shift a != 0 and every pair
-    (y, y1) at p: that is, when ctx.dlog is a discrete log (dlog_certificate).
-
-    For y1 != 0, x = a*u/y1 is a bijection of F_p that turns the exponent
-    dlog(xy + a) - dlog(x*y1 + a) into dlog(ru + 1) - dlog(u + 1), r = y/y1, so the
-    sum is sum_t h_r(t) zeta^(jt), h_r(t) the number of u with ru + 1 = g^t(u + 1),
-    both sides nonzero.  For r >= 2 that has exactly one solution
-    u = (g^t - 1)/(r - g^t), or none when g^t = r, so the sum is -chi(r); for r = 1
-    the count is p - 1 at t = 0, so the sum is p - 1; for r = 0 (y = 0) every t
-    appears once, so the sum is 0.  For y1 = 0 != y, x = a*u/y gives the terms
-    chi(u + 1), every t once too; y = y1 = 0 sums to p.  _kernel_batch raises
-    ArithmeticError when it fails, so no kernel verdict is decided otherwise."""
-    return dlog_certificate(ctx)
-
-
 def _kernel_batch(ctx: FieldCtx, chis: list, shifts: list, pairs: int | None = None) -> Batch:
     """Exact check that sum_x chi(xy+a) conj(chi(x*y1+a)) matches its four-case
     closed form for a count of (y, y1) pairs (default: the full grid, p^2 pairs),
     one row per character chis[i] and shift a = shifts[i].
 
-    kernel_certificate(ctx), which must hold, proves every row at every pair, so
-    no pair is read or drawn, and computed, the mismatches, is 0."""
+    dlog_certificate(ctx), which must hold, proves every row at every pair, so
+    no pair is read or drawn, and computed, the mismatches, is 0.  For y1 != 0,
+    x = a*u/y1 is a bijection of F_p that turns the exponent
+    dlog(xy + a) - dlog(x*y1 + a) into dlog(ru + 1) - dlog(u + 1), r = y/y1, so the
+    sum is sum_t h_r(t) zeta^(jt), h_r(t) the number of u with ru + 1 = g^t(u + 1),
+    both sides nonzero.  On a discrete log, for r >= 2 that has exactly one
+    solution u = (g^t - 1)/(r - g^t), or none when g^t = r, so the sum is -chi(r);
+    for r = 1 the count is p - 1 at t = 0, so the sum is p - 1; for r = 0 (y = 0)
+    every t appears once, so the sum is 0.  For y1 = 0 != y, x = a*u/y gives the
+    terms chi(u + 1), every t once too; y = y1 = 0 sums to p."""
     _require_nonprincipal(*chis)
     _require_coprime_shift(ctx.p, *shifts)
     p = ctx.p
     require_exact_order(p - 1)
-    _require_certificate(kernel_certificate(ctx), ctx)
+    _require_certificate(dlog_certificate(ctx), ctx)
     params = {"p": p, "chi": np.array([chi.index for chi in chis], dtype=np.int64),
               "a": np.array(shifts, dtype=np.int64) % p, "pairs": p * p if pairs is None else pairs}
     return _identity_verdicts("kernel", params, np.zeros(len(chis), dtype=np.int64), 0)

@@ -7,9 +7,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from charsum.cyclo import HISTOGRAM_CELLS, CycInt, exponent_histogram, reduce_counts
+from charsum.cyclo import CycInt, exponent_histogram, reduce_counts
 from charsum.engines import proof_kernel_S_yy1, shifted_sum
 from charsum.field import make_ctx
+from charsum.verifier import HISTOGRAM_CELLS
 
 
 @lru_cache(maxsize=None)

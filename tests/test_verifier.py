@@ -704,7 +704,7 @@ class TestRunSuite:
         assert len(checked) == 30
 
     def test_exact_claims_share_one_dlog_certificate_per_prime(self, monkeypatch):
-        # eq2, kernel (through kernel_certificate) and granville read the same
+        # eq2, kernel and granville read the same dlog
         # certificate, kept for each field context: one O(p) pass per prime
         passes, reads = [], []
         certify = verifier.dlog_certificate.__wrapped__
