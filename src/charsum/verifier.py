@@ -366,7 +366,7 @@ def _histogram_moduli(m: int, ends: list, cells) -> tuple[np.ndarray, np.ndarray
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         counts = np.bincount(cells(lo, hi), minlength=(hi - lo) * m)
-        moduli = np.abs(np.fft.fft(counts.reshape(hi - lo, m), axis=1))
+        moduli = np.abs(np.fft.fft(counts.reshape(hi - lo, m).astype(complex), axis=1))
         means[lo:hi] = moduli.sum(axis=1) / m
         for s in range(bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1) + 1):
             a, b = max(lo, ends[s - 1] if s else 0), min(hi, ends[s])
@@ -390,31 +390,32 @@ def character_sum_moduli(ctx: FieldCtx, segments) -> tuple[list[np.ndarray], np.
     return _histogram_moduli(m, np.cumsum([len(s) for s in segments]).tolist(), cells)
 
 
-def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool,
-                    inner: bool = True):
-    """(means, peaks, inner, nonlinear_peaks), entry i for Hs[i] and None where not
-    asked for, from one _histogram_moduli call over the rows shifted, inner, then
-    nonlinear, each H-major: the character means on the rows H + g^i, 0 <= i < k =
-    H.index, and each character's max over them, its moduli on H, and its max over
-    the rows x(x + g^i).  x -> hx, a -> ha keeps |S(a)| and |sum_H chi(x(x + a))|.
+def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool):
+    """(means, peaks, nonlinear_peaks), entry i for Hs[i] and None where not asked
+    for, from one _histogram_moduli call over the rows shifted, then nonlinear, each
+    H-major: the character means on the rows H + g^i, 0 <= i < k = H.index, and each
+    character's max over them, and its max over the rows x(x + g^i).  x -> hx,
+    a -> ha keeps |S(a)| and |sum_H chi(x(x + a))|.
 
     No residue is built.  With m = p - 1, x = g^(kt) in H, L(s) = dlog(g^s + 1) and
     s = (kt - i) mod m, x + g^i = g^i (g^s + 1), so, mod m,
-        dlog(x + g^i) = i + L(s),  dlog(x(x + g^i)) = s + 2i + L(s),  dlog x = s + i:
+        dlog(x + g^i) = i + L(s),  dlog(x(x + g^i)) = s + 2i + L(s):
     the coset identity S(a) = chi(a) sum_{y in a^-1 H} chi(y + 1).  Row i reads
-    s = ku + (-i mod k), u < |H|, in a table of L, s + L(s) or s (inner: i = 0) and
-    adds i, 2i or 0; L(m/2) = dlog 0 is -4m, so its cells are negative and dropped.
+    s = ku + (-i mod k), u < |H|, in a table of L or s + L(s) and adds i or 2i;
+    L(m/2) = dlog 0 is -4m, so its cells are negative and dropped.  For H = {1} the
+    two are one row, x(x + g^i) = 1 + g^i: with both kinds asked, it is counted once.
     On make_ctx's tables each row counts its residues' dlogs: every bit out is theirs."""
     m = ctx.p - 1
     L = np.where(ctx.exp == m, -4 * m, ctx.dlog[(ctx.exp + 1) % ctx.p])
-    table = np.concatenate((L, np.arange(m), np.arange(m) + L))  # shifted, inner, nonlinear
+    table = np.concatenate((L, np.arange(m) + L))  # shifted, nonlinear
     k = np.array([H.index for H in Hs], dtype=np.int64)
+    copied = (k == m) & shifted  # H = {1}, whose nonlinear rows are its shifted rows
     coset_k = np.repeat(k, k)  # each row H + g^i's k, i and first s
     i = np.arange(len(coset_k)) - np.repeat(np.cumsum(k) - k, k)
-    first = -i % coset_k
+    first, kept = -i % coset_k, np.repeat(~copied, k)
     # each kind: asked, its rows' k, first table index and offset, its segments' lengths
-    kinds = [(shifted, coset_k, first, i, k), (inner, k, 0 * k + m, 0 * k, 0 * k + 1),
-             (nonlinear, coset_k, first + 2 * m, 2 * i, k)]
+    kinds = [(shifted, coset_k, first, i, k),
+             (nonlinear, coset_k[kept], first[kept] + m, 2 * i[kept], k[~copied])]
     row_k, first, offset, lengths = map(np.concatenate, zip(*(c[1:] for c in kinds if c[0])))
 
     def cells(lo, hi):
@@ -424,9 +425,10 @@ def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool,
         return (at % m + row * m)[at >= 0]
 
     means, peaks = _histogram_moduli(m, np.cumsum(lengths).tolist(), cells)
-    blocks = iter(peaks.reshape(-1, len(Hs), m))
-    return (means[:len(Hs)] if shifted else None,
-            *(next(blocks) if asked else None for asked in (shifted, inner, nonlinear)))
+    n, one = len(Hs) * shifted, np.flatnonzero(copied)  # H = {1}'s rows go back in place
+    nonlinear_peaks = np.insert(peaks[n:], one - np.arange(len(one)), peaks[one], axis=0)
+    return (*((means[:n], peaks[:n]) if shifted else (None, None)),
+            nonlinear_peaks if nonlinear else None)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +443,14 @@ def _thm2_batch(ctx: FieldCtx, H, chi, peaks) -> Batch:
                            math.sqrt(ctx.p), strict=True)
 
 
-def _thm2_sharp_batch(ctx: FieldCtx, H, chi, peaks, inner) -> Batch:
+def _thm2_sharp_batch(ctx: FieldCtx, H, chi, peaks) -> Batch:
     """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a, one row
-    per (H[i], chi[i]) as in _thm2_batch; inner[i] is the unshifted |sum_{x in H} chi(x)|.
-    Squares are taken with float_power, the libm pow that Python's x ** 2 calls
-    (x * x can round otherwise)."""
+    per (H[i], chi[i]) as in _thm2_batch.  With H = <g^k>, sum_{x in H} chi_j(x) =
+    sum_{t < |H|} zeta_|H|^(jt), a whole period of the root zeta_|H|^j: |H| when |H|
+    divides j and 0 otherwise, so the target is exactly p - |H| or p.  Squares are
+    taken with float_power, the libm pow of Python's x ** 2 (x * x can round)."""
     n = np.asarray(H, dtype=np.int64)
-    target = (ctx.p * n - np.float_power(inner, 2)) / n
+    target = ctx.p - n * (np.asarray(chi, dtype=np.int64) % n == 0)
     return _bound_verdicts("thm2_sharp", {"p": ctx.p, "chi": chi, "H": H},
                            np.float_power(peaks, 2), target, strict=False)
 
@@ -467,33 +470,29 @@ def _eps_batches(ctx: FieldCtx, H, chi, peaks, eps: float) -> list[Batch]:
     return [b for b in (vacuous, rows[cut:]) if len(b)]
 
 
-def _shift_peak(ctx: FieldCtx, chi: Character, H: Subgroup) -> tuple[float, float]:
-    """(max over nonzero shifts a of |sum_{x in H} chi(x+a)|, |sum_{x in H} chi(x)|)
-    for one nonprincipal character, read off the rows H and H + g^i: S(ah) = chi(h) S(a)
-    for h in H, so the k coset representatives g^i give every nonzero shift.  The
-    suite reads both off subgroup_moduli."""
+def _shift_peak(ctx: FieldCtx, chi: Character, H: Subgroup) -> float:
+    """max over nonzero shifts a of |sum_{x in H} chi(x+a)| for one nonprincipal
+    character, read off the rows H + g^i: S(ah) = chi(h) S(a) for h in H, so the k
+    coset representatives g^i give every nonzero shift.  The suite reads it off
+    subgroup_moduli."""
     _require_nonprincipal(chi)
-    shifts = np.append(0, ctx.exp[:H.index])
-    moduli = np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, shifts), ctx.p - 1))
-    return moduli[1:].max(), moduli[0]
+    shifts = ctx.exp[:H.index]
+    return np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, shifts), ctx.p - 1)).max()
 
 
 def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
     """max over nonzero shifts a of |sum_{x in H} chi(x+a)| is strictly below sqrt(p)."""
-    peak, _ = _shift_peak(ctx, chi, H)
-    return _thm2_batch(ctx, [H.order], [chi.index], [peak])[0]
+    return _thm2_batch(ctx, [H.order], [chi.index], [_shift_peak(ctx, chi, H)])[0]
 
 
 def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
     """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a."""
-    peak, inner = _shift_peak(ctx, chi, H)
-    return _thm2_sharp_batch(ctx, [H.order], [chi.index], [peak], [inner])[0]
+    return _thm2_sharp_batch(ctx, [H.order], [chi.index], [_shift_peak(ctx, chi, H)])[0]
 
 
 def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) -> Verdict:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
-    peak, _ = _shift_peak(ctx, chi, H)
-    return _eps_batches(ctx, [H.order], [chi.index], [peak], eps)[0][0]
+    return _eps_batches(ctx, [H.order], [chi.index], [_shift_peak(ctx, chi, H)], eps)[0][0]
 
 
 @lru_cache(maxsize=2)
@@ -887,9 +886,8 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     numeric = NUMERIC_CLAIMS.intersection(claims)
     if numeric:
         reached = Hs[:-(-budget // (m if numeric == {"meanvalue2"} else m - 1))]
-        means, peaks, inner, nonlinear_peaks = subgroup_moduli(
-            ctx, reached, shifted=bool(numeric - {"nonlinear"}),
-            nonlinear="nonlinear" in numeric, inner="thm2_sharp" in numeric)
+        means, peaks, nonlinear_peaks = subgroup_moduli(
+            ctx, reached, shifted=bool(numeric - {"nonlinear"}), nonlinear="nonlinear" in numeric)
         sizes = np.array([H.order for H in reached], dtype=np.int64)
         # the H and chi columns of the character claims: one row per (H, j), H-major
         orders = np.repeat(sizes, m - 1)
@@ -928,8 +926,7 @@ def _suite_for_prime(p: int, claims: tuple, seed: int, budget: int) -> list[Batc
     # each claim's batches, built when the claim is read; the peaks drop character 0
     batches = {
         "thm2": lambda: [_thm2_batch(ctx, orders, chi_index, peaks[:, 1:].ravel())],
-        "thm2_sharp": lambda: [_thm2_sharp_batch(ctx, orders, chi_index, peaks[:, 1:].ravel(),
-                                                 inner[:, 1:].ravel())],
+        "thm2_sharp": lambda: [_thm2_sharp_batch(ctx, orders, chi_index, peaks[:, 1:].ravel())],
         "eps": lambda: _eps_batches(ctx, orders, chi_index, peaks[:, 1:].ravel(), eps=0.1),
         "eq2": eq2,
         "lemma3": lemma3,

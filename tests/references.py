@@ -223,16 +223,17 @@ def nonlinear_rows(ctx, H) -> np.ndarray:
 
 
 def per_subgroup_moduli(ctx, Hs):
-    """verifier.subgroup_moduli's (means, peaks, inner, nonlinear_peaks) with every
-    part asked for, one row_moduli call per subgroup and kind of row."""
-    means, peaks, inner, nonlinear = [], [], [], []
+    """verifier.subgroup_moduli's (means, peaks, nonlinear_peaks) with every part
+    asked for, then each character's |sum_{x in H} chi(x)| (the row H itself), one
+    row_moduli call per subgroup and kind of row."""
+    means, peaks, nonlinear, inner = [], [], [], []
     for H in Hs:
         mu, top = row_moduli(ctx, coset_shift_rows(ctx, H))
         means.append(mu)
         peaks.append(top)
-        inner.append(row_moduli(ctx, [H.elements])[1])
         nonlinear.append(row_moduli(ctx, nonlinear_rows(ctx, H))[1])
-    return means, np.array(peaks), np.array(inner), np.array(nonlinear)
+        inner.append(row_moduli(ctx, [H.elements])[1])
+    return means, np.array(peaks), np.array(nonlinear), np.array(inner)
 
 
 def json_sort_key(v):

@@ -120,7 +120,9 @@ def instances(draw, nonprincipal=False, nonzero_shift=False, primes=PRIMES):
 @given(instances())
 def test_subgroup_path_equals_fft_and_naive(inst):
     # the coset-row reading of scan_problem1 and the standalone thm2 checkers: |S|
-    # at a = 0 and at the representatives g^i, entry 1 + t % k standing for g^t
+    # at a = 0 and at the representatives g^i, entry 1 + t % k standing for g^t.
+    # The checkers sum the k shift columns alone, which numpy adds pairwise when
+    # k = 1 and in order otherwise, so their peak has the bits of that block.
     ctx, chi, H, a = inst
     p, k = ctx.p, H.index
     rows = shifted_exponents(ctx, chi, H.elements, np.append(0, ctx.exp[:k]))
@@ -131,8 +133,9 @@ def test_subgroup_path_equals_fft_and_naive(inst):
     assert np.max(np.abs(every - fft)) <= TOL
     assert abs(every[a] - shifted_sum(ctx, chi, H.elements, a, "exact").magnitude) <= TOL
     if not chi.is_principal:
-        peak, inner = verifier._shift_peak(ctx, chi, H)
-        assert (peak, inner) == (coset[1:].max(), coset[0])
+        peak = verifier._shift_peak(ctx, chi, H)
+        assert peak == np.abs(numeric_sums(rows[:, 1:], p - 1)).max()
+        assert abs(peak - coset[1:].max()) <= TOL
 
 
 @cross_path
@@ -449,22 +452,39 @@ def test_kernel_memory_is_bounded():
 @pytest.mark.parametrize("p", [3, 13, 61, 101, 1009])
 def test_subgroup_moduli_equal_the_per_subgroup_kernel(p):
     """One character_sum_moduli call over every subgroup's rows gives, bit for bit,
-    each subgroup's means, peaks and inner sums of the per-subgroup kernel calls.
+    each subgroup's means, peaks and nonlinear peaks of the per-subgroup kernel calls.
     At p = 1009 the sigma(1008) = 3224 coset rows fill more than one chunk of
     HISTOGRAM_CELLS // 1008 = 1040 rows."""
     ctx = make_ctx(p)
     Hs = subgroups(ctx)
     expected = per_subgroup_moduli(ctx, Hs)
-    means, peaks, inner, nonlinear = subgroup_moduli(ctx, Hs, shifted=True, nonlinear=True)
+    means, peaks, nonlinear = subgroup_moduli(ctx, Hs, shifted=True, nonlinear=True)
     assert len(means) == len(expected[0])
     assert all(np.array_equal(a, b) for a, b in zip(means, expected[0]))
-    for got, want in zip((peaks, inner, nonlinear), expected[1:]):
+    for got, want in zip((peaks, nonlinear), expected[1:]):
         assert np.array_equal(got, want)
     # either kind of row alone reads the same
-    assert np.array_equal(subgroup_moduli(ctx, Hs, shifted=False, nonlinear=True)[3], nonlinear)
+    assert np.array_equal(subgroup_moduli(ctx, Hs, shifted=False, nonlinear=True)[2], nonlinear)
     alone = subgroup_moduli(ctx, Hs, shifted=True, nonlinear=False)
-    assert np.array_equal(alone[1], peaks) and np.array_equal(alone[2], inner)
-    assert alone[3] is None
+    assert np.array_equal(alone[1], peaks)
+    assert alone[2] is None
+    # H = {1}, whose nonlinear peaks are copied from its shifted ones, read last
+    last = subgroup_moduli(ctx, Hs[::-1], shifted=True, nonlinear=True)
+    assert np.array_equal(last[1], peaks[::-1]) and np.array_equal(last[2], nonlinear[::-1])
+
+
+def test_measured_inner_sums_equal_the_closed_form():
+    """The FFT of each subgroup's own row, per_subgroup_moduli's last part, reads
+    |sum_{x in H} chi_j(x)| within TOL of the closed form that thm2_sharp takes:
+    |H| when |H| divides j (the principal character included) and 0 otherwise."""
+    for p in PRIMES:
+        ctx = make_ctx(p)
+        Hs = subgroups(ctx)
+        inner = per_subgroup_moduli(ctx, Hs)[3]
+        n = np.array([H.order for H in Hs])[:, None]
+        closed = n * (np.arange(p - 1) % n == 0)
+        assert inner.shape == closed.shape
+        assert np.max(np.abs(inner - closed)) <= TOL, p
 
 
 @pytest.fixture(scope="module")
@@ -474,10 +494,9 @@ def moduli_1009():
 
 
 @pytest.mark.parametrize("cells", [1 << 10, 5 * 1008])
-@pytest.mark.parametrize("shifted,inner,nonlinear",
-                         [c for c in itertools.product([False, True], repeat=3) if any(c)])
-def test_subgroup_moduli_across_chunk_edges(monkeypatch, moduli_1009, cells, shifted, inner,
-                                            nonlinear):
+@pytest.mark.parametrize("shifted,nonlinear",
+                         [c for c in itertools.product([False, True], repeat=2) if any(c)])
+def test_subgroup_moduli_across_chunk_edges(monkeypatch, moduli_1009, cells, shifted, nonlinear):
     """With chunks of 1 and 5 rows at p = 1009, chunks start and end inside a
     subgroup's rows, and the 5-row ones inside a kind's rows too: every combination
     of the parts asked for reads, bit for bit, what the per-subgroup kernel does,
@@ -485,13 +504,13 @@ def test_subgroup_moduli_across_chunk_edges(monkeypatch, moduli_1009, cells, shi
     monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)
     ctx, expected = moduli_1009
     Hs = subgroups(ctx)
-    means, *got = subgroup_moduli(ctx, Hs, shifted=shifted, nonlinear=nonlinear, inner=inner)
+    means, *got = subgroup_moduli(ctx, Hs, shifted=shifted, nonlinear=nonlinear)
     if shifted:
         assert len(means) == len(Hs)
         assert all(np.array_equal(a, b) for a, b in zip(means, expected[0]))
     else:
         assert means is None
-    for asked, part, want in zip((shifted, inner, nonlinear), got, expected[1:]):
+    for asked, part, want in zip((shifted, nonlinear), got, expected[1:]):
         assert np.array_equal(part, want) if asked else part is None
 
 

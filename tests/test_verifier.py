@@ -96,6 +96,26 @@ class TestSharpenedChecker:
         assert v.target == pytest.approx(13.0, abs=1e-9)
         assert v.passed
 
+    def test_targets_are_exact(self):
+        """|sum_{x in H} chi_j(x)| is |H| when |H| divides j and 0 otherwise, so every
+        target is exactly p - |H| [|H| divides j], in the suite and standalone: at
+        p = 47, |H| = 23 and chi_23 it reads 24.0, where a measured inner sum gave
+        23.999999999999996."""
+        def exact(p, H, j):
+            return float(p - H * (j % H == 0))
+
+        vs = list(run_suite(3, 101, claims=["thm2_sharp"]))
+        assert len(vs) == sum(len(make_ctx(p).divisors) * (p - 2) for p in primes_in(3, 101))
+        assert all(v.target == exact(v.params["p"], v.params["H"], v.params["chi"]) for v in vs)
+        for p in primes_in(3, 47):
+            ctx = make_ctx(p)
+            for H in subgroups(ctx):
+                for j in range(1, p - 1):
+                    v = check_sharpened_theorem2(ctx, character(ctx, j), H)
+                    assert v.target == exact(p, H.order, j), (p, H.order, j)
+        line = [v for v in vs if (v.params["p"], v.params["H"], v.params["chi"]) == (47, 23, 23)]
+        assert json.loads(line[0].to_line())["target"] == "24.0"
+
 
 class TestEpsCorollary:
     def test_vacuous(self, ctx7, quad7):
@@ -480,11 +500,10 @@ class TestRunSuite:
     @pytest.mark.parametrize("p", [13, 61])
     def test_budget_counts_only_the_subgroups_it_reaches(self, monkeypatch, claim, p):
         """One kernel call per prime, over the rows of the subgroups that the budget
-        reaches: subgroup H has k = (p-1)/|H| coset rows, plus the row H itself for
-        thm2_sharp, the one claim that reads it.  A budget of 1 reaches the first
-        subgroup, and one of p - 1 the first two, but for meanvalue2's p - 1 rows
-        per subgroup.  The spy counts the histogram rows that the kernel's one
-        reduction (_histogram_moduli) reads."""
+        reaches: subgroup H has k = (p-1)/|H| coset rows, and thm2_sharp reads no
+        row H.  A budget of 1 reaches the first subgroup, and one of p - 1 the first
+        two, but for meanvalue2's p - 1 rows per subgroup.  The spy counts the
+        histogram rows that the kernel's one reduction (_histogram_moduli) reads."""
         calls = []
         real = verifier._histogram_moduli
 
@@ -494,14 +513,32 @@ class TestRunSuite:
 
         monkeypatch.setattr(verifier, "_histogram_moduli", spy)
         Hs = subgroups(make_ctx(p))
-        extra = 1 if claim == "thm2_sharp" else 0
 
         def rows(n):
-            return sum(H.index + extra for H in Hs[:n])
+            return sum(H.index for H in Hs[:n])
 
         for budget in (1, p - 1, None):
             run_suite(p, p, claims=[claim], budget=budget)
         assert calls == [rows(1), rows(1 if claim == "meanvalue2" else 2), rows(len(Hs))]
+
+    def test_the_trivial_subgroups_nonlinear_rows_are_its_shifted_rows(self, monkeypatch):
+        """For H = {1}, x(x + g^i) = 1 + g^i: with shifted and nonlinear rows both
+        asked, its m nonlinear rows are not counted again, so p = 83 reduces
+        2 sigma(82) - 82 = 170 rows, and every verdict is, bit for bit, what each
+        claim reads alone."""
+        calls = []
+        real = verifier._histogram_moduli
+
+        def spy(m, ends, cells):
+            calls.append(ends[-1])
+            return real(m, ends, cells)
+
+        monkeypatch.setattr(verifier, "_histogram_moduli", spy)
+        both = list(run_suite(83, 83, claims=["thm2", "nonlinear"]).lines())
+        assert calls == [2 * (1 + 2 + 41 + 82) - 82]
+        alone = [line for claim in ("nonlinear", "thm2")  # the run's claim order
+                 for line in run_suite(83, 83, claims=[claim]).lines()]
+        assert both == alone
 
     def test_subgroups_are_built_without_their_elements(self, monkeypatch):
         """subgroups(ctx), the granville and shkredov suite, whose sums are read off
