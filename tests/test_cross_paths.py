@@ -494,15 +494,19 @@ def moduli_1009():
 
 
 @pytest.mark.parametrize("cells", [1 << 10, 5 * 1008])
-@pytest.mark.parametrize("shifted,nonlinear",
-                         [c for c in itertools.product([False, True], repeat=2) if any(c)])
-def test_subgroup_moduli_across_chunk_edges(monkeypatch, moduli_1009, cells, shifted, nonlinear):
+@pytest.mark.parametrize("shifted,inner,nonlinear",
+                         [c for c in itertools.product([False, True], repeat=3) if c[0] or c[2]])
+def test_subgroup_moduli_across_chunk_edges(monkeypatch, moduli_1009, cells, shifted, inner,
+                                            nonlinear):
     """With chunks of 1 and 5 rows at p = 1009, chunks start and end inside a
     subgroup's rows, and the 5-row ones inside a kind's rows too: every combination
     of the parts asked for reads, bit for bit, what the per-subgroup kernel does,
-    and what is not asked for is None."""
+    and what is not asked for is None.  With inner, the thm2_sharp rows built on
+    the peaks (read here when shifted is asked) pass, square those peaks, and take
+    targets whose |sum_{x in H} chi(x)| lies within TOL of the kernel's row H."""
     monkeypatch.setattr(verifier, "HISTOGRAM_CELLS", cells)
     ctx, expected = moduli_1009
+    p, m = ctx.p, ctx.p - 1
     Hs = subgroups(ctx)
     means, *got = subgroup_moduli(ctx, Hs, shifted=shifted, nonlinear=nonlinear)
     if shifted:
@@ -512,6 +516,15 @@ def test_subgroup_moduli_across_chunk_edges(monkeypatch, moduli_1009, cells, shi
         assert means is None
     for asked, part, want in zip((shifted, nonlinear), got, expected[1:]):
         assert np.array_equal(part, want) if asked else part is None
+    if inner:
+        n = np.array([H.order for H in Hs])
+        peaks = (got[0] if shifted else expected[1])[:, 1:].ravel()
+        sharp = verifier._thm2_sharp_batch(ctx, np.repeat(n, m - 1),
+                                           np.tile(np.arange(1, m), len(Hs)), peaks)
+        assert sharp.passed.all()
+        assert np.array_equal(sharp.computed, np.float_power(peaks, 2))
+        closed = np.sqrt(np.repeat(n, m - 1) * (p - sharp.target))
+        assert np.max(np.abs(closed - expected[3][:, 1:].ravel())) <= TOL
 
 
 def test_subgroup_moduli_memory_is_not_padded(monkeypatch):
