@@ -57,8 +57,8 @@ def numeric_sums(exponents, m: int, weights=None) -> np.ndarray:
     numpy adds the terms in order, a row at a time, when the trailing axes hold two
     or more entries, and pairwise when they hold one (a vector, or an (n, 1)
     column), so a sum's last bits depend on the shape of the call it is in.  The
-    one-sum reads (values.read, behind shifted_sum and the other engine sums) and
-    verifier.check_nonlinear_bound_all_shifts at index k = 1 get the pairwise bits."""
+    one-sum reads (values.read, behind shifted_sum and the other engine sums) get
+    the pairwise bits."""
     terms = roots(exponents, m)
     if weights is not None:
         terms *= weights

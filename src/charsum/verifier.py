@@ -8,8 +8,9 @@ Inequality checkers work on magnitudes with a fixed absolute tolerance of 1e-9.
 
 The suite reads every numeric bound (thm2, thm2_sharp, eps, meanvalue2,
 nonlinear) at p off one subgroup_moduli call: every subgroup's rows, read off one
-table of dlog(g^s + 1), give one DFT of dlog histograms per chunk.  granville and
-shkredov share one reading of the subgroups, and kernel's rows one certificate.
+table of dlog(g^s + 1), give one DFT of dlog histograms per chunk; their one-row
+checkers read the same call on their one subgroup.  granville and shkredov share
+one reading of the subgroups, and kernel's rows one certificate.
 
 Each identity holds for every character at once and reduces to a statement
 about a character-free count, which needs no push-forward to the characters and
@@ -51,13 +52,7 @@ import numpy as np
 
 from .characters import Character, character
 from .cyclo import require_exact_order
-from .engines import (
-    _require_coprime_shift,
-    _require_nonprincipal,
-    bilinear_sums,
-    nonlinear_exponents,
-    shifted_exponents,
-)
+from .engines import _require_coprime_shift, _require_nonprincipal, bilinear_sums
 from .errors import CapacityExceeded, ZeroInD
 from .field import (
     FieldCtx,
@@ -68,7 +63,7 @@ from .field import (
     make_ctx,
     subgroups,
 )
-from .values import Weights, numeric_sums, roots
+from .values import Weights, roots
 
 TOL = 1e-9
 
@@ -374,22 +369,6 @@ def _histogram_moduli(m: int, ends: list, cells) -> tuple[np.ndarray, np.ndarray
     return [means[a:b] for a, b in zip([0, *ends], ends)], peaks
 
 
-def character_sum_moduli(ctx: FieldCtx, segments) -> tuple[list[np.ndarray], np.ndarray]:
-    """|sum_{x in row} chi_j(x)| for every row of residues and character j, per segment,
-    a nonempty 2-d array of rows: (the mean over all p-1 characters, per row; the max
-    over the rows, per j), read off each row's dlog histogram by _histogram_moduli."""
-    m = ctx.p - 1
-    rows = [row for s in segments for row in np.asarray(s, dtype=np.int64)]
-    starts = np.cumsum([0, *map(len, rows)])
-    logs = ctx.dlog[np.concatenate(rows)]  # dlog[0] = -1 drops the cell: chi(0) = 0
-
-    def cells(lo, hi):
-        t = logs[starts[lo]:starts[hi]]
-        return (np.repeat(np.arange(hi - lo) * m, np.diff(starts[lo:hi + 1])) + t)[t >= 0]
-
-    return _histogram_moduli(m, np.cumsum([len(s) for s in segments]).tolist(), cells)
-
-
 def subgroup_moduli(ctx: FieldCtx, Hs: list, shifted: bool, nonlinear: bool):
     """(means, peaks, nonlinear_peaks), entry i for Hs[i] and None where not asked
     for, from one _histogram_moduli call over the rows shifted, then nonlinear, each
@@ -470,29 +449,29 @@ def _eps_batches(ctx: FieldCtx, H, chi, peaks, eps: float) -> list[Batch]:
     return [b for b in (vacuous, rows[cut:]) if len(b)]
 
 
-def _shift_peak(ctx: FieldCtx, chi: Character, H: Subgroup) -> float:
-    """max over nonzero shifts a of |sum_{x in H} chi(x+a)| for one nonprincipal
-    character, read off the rows H + g^i: S(ah) = chi(h) S(a) for h in H, so the k
-    coset representatives g^i give every nonzero shift.  The suite reads it off
-    subgroup_moduli."""
+def _peaks(ctx: FieldCtx, chi: Character, H: Subgroup, nonlinear: bool = False):
+    """Entry chi of H's peaks over the rows H + g^i (with nonlinear, x(x + g^i)),
+    read off subgroup_moduli as the suite reads them, so a one-row checker writes
+    the suite's verdict bit for bit.  All of H's rows are transformed, every
+    character's column, to read this one entry."""
     _require_nonprincipal(chi)
-    shifts = ctx.exp[:H.index]
-    return np.abs(numeric_sums(shifted_exponents(ctx, chi, H.elements, shifts), ctx.p - 1)).max()
+    _, peaks, nonlinear_peaks = subgroup_moduli(ctx, [H], not nonlinear, nonlinear)
+    return (nonlinear_peaks if nonlinear else peaks)[:, chi.index]
 
 
 def check_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
     """max over nonzero shifts a of |sum_{x in H} chi(x+a)| is strictly below sqrt(p)."""
-    return _thm2_batch(ctx, [H.order], [chi.index], [_shift_peak(ctx, chi, H)])[0]
+    return _thm2_batch(ctx, [H.order], [chi.index], _peaks(ctx, chi, H))[0]
 
 
 def check_sharpened_theorem2(ctx: FieldCtx, chi: Character, H: Subgroup) -> Verdict:
     """|S(a)|^2 <= (p|H| - |sum_{x in H} chi(x)|^2) / |H| for every nonzero a."""
-    return _thm2_sharp_batch(ctx, [H.order], [chi.index], [_shift_peak(ctx, chi, H)])[0]
+    return _thm2_sharp_batch(ctx, [H.order], [chi.index], _peaks(ctx, chi, H))[0]
 
 
 def check_eps_corollary(ctx: FieldCtx, chi: Character, H: Subgroup, eps: float) -> Verdict:
     """For |H| > p^(1/2+eps): max nonzero-shift |S| < p^(-eps) |H|; vacuous otherwise."""
-    return _eps_batches(ctx, [H.order], [chi.index], [_shift_peak(ctx, chi, H)], eps)[0][0]
+    return _eps_batches(ctx, [H.order], [chi.index], _peaks(ctx, chi, H), eps)[0][0]
 
 
 @lru_cache(maxsize=2)
@@ -636,8 +615,8 @@ def check_meanvalue2(ctx: FieldCtx, H: Subgroup, a: int) -> Verdict:
     """(1/(p-1)) sum_chi |sum_{n in H} chi(n+a)| <= sqrt(|H|) at one nonzero shift a."""
     p = ctx.p
     _require_coprime_shift(p, a)
-    (average,), _ = character_sum_moduli(ctx, [[(H.elements + a) % p]])
-    return _meanvalue2_batch(ctx, [H.order], [a % p], average)[0]
+    (means,), _, _ = subgroup_moduli(ctx, [H], shifted=True, nonlinear=False)
+    return _meanvalue2_batch(ctx, [H.order], [a % p], means[[ctx.dlog[a % p] % H.index]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +768,7 @@ def check_nonlinear_bound_all_shifts(ctx: FieldCtx, chi: Character, H: Subgroup)
     """One verdict per (H, chi) covering every nonzero shift a: the maximum of
     |sum_{x in H} chi(x(x + a))| over the coset representatives a = g^i (see
     subgroup_moduli)."""
-    _require_nonprincipal(chi)
-    exponents = nonlinear_exponents(ctx, chi, H, ctx.exp[:H.index])
-    peak = np.abs(numeric_sums(exponents, ctx.p - 1)).max()
-    return _nonlinear_batch(ctx, [H.order], [chi.index], [peak])[0]
+    return _nonlinear_batch(ctx, [H.order], [chi.index], _peaks(ctx, chi, H, nonlinear=True))[0]
 
 
 # ---------------------------------------------------------------------------

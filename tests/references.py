@@ -152,7 +152,7 @@ def kernel_case_table_holds(ctx) -> bool:
     F_p is, for every r in F_p, the proof kernel's case table: 1 everywhere for
     r = 0 (y = 0); p - 1 at t = 0 and 0 elsewhere for r = 1 (y = y1); and for
     r >= 2, 1 everywhere but 0 at t = dlog r.  An O(p^2) count, HISTOGRAM_CELLS
-    cells at a time, that verifier.kernel_certificate need not make: on a
+    cells at a time, that verifier.dlog_certificate need not make: on a
     discrete log each row is its case by a count of solutions."""
     p = ctx.p
     m = p - 1

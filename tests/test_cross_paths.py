@@ -72,7 +72,6 @@ from charsum.verifier import (
     check_sharpened_theorem2,
     check_shkredov_bound,
     check_theorem2,
-    character_sum_moduli,
     integer_sums,
     random_subsets,
     random_weights,
@@ -96,6 +95,7 @@ from references import (
     pair_difference_sum,
     per_subgroup_moduli,
     reduced_sums,
+    row_moduli,
 )
 
 PRIMES = list(primes_in(3, 200))
@@ -119,10 +119,9 @@ def instances(draw, nonprincipal=False, nonzero_shift=False, primes=PRIMES):
 @cross_path
 @given(instances())
 def test_subgroup_path_equals_fft_and_naive(inst):
-    # the coset-row reading of scan_problem1 and the standalone thm2 checkers: |S|
-    # at a = 0 and at the representatives g^i, entry 1 + t % k standing for g^t.
-    # The checkers sum the k shift columns alone, which numpy adds pairwise when
-    # k = 1 and in order otherwise, so their peak has the bits of that block.
+    # the coset-row reading of scan_problem1: |S| at a = 0 and at the
+    # representatives g^i, entry 1 + t % k standing for g^t; check_theorem2's peak,
+    # read off the kernel, is its maximum over the nonzero shifts
     ctx, chi, H, a = inst
     p, k = ctx.p, H.index
     rows = shifted_exponents(ctx, chi, H.elements, np.append(0, ctx.exp[:k]))
@@ -133,9 +132,7 @@ def test_subgroup_path_equals_fft_and_naive(inst):
     assert np.max(np.abs(every - fft)) <= TOL
     assert abs(every[a] - shifted_sum(ctx, chi, H.elements, a, "exact").magnitude) <= TOL
     if not chi.is_principal:
-        peak = verifier._shift_peak(ctx, chi, H)
-        assert peak == np.abs(numeric_sums(rows[:, 1:], p - 1)).max()
-        assert abs(peak - coset[1:].max()) <= TOL
+        assert abs(check_theorem2(ctx, chi, H).computed - coset[1:].max()) <= TOL
 
 
 @cross_path
@@ -143,7 +140,8 @@ def test_subgroup_path_equals_fft_and_naive(inst):
 def test_kernel_peaks_equal_shifted_values_all(inst):
     ctx, chi, H, _ = inst
     vals = shifted_values_all(ctx, chi, H.elements)
-    _, (peaks, inner) = character_sum_moduli(ctx, [coset_shift_rows(ctx, H), [H.elements]])
+    _, (peaks,), _ = subgroup_moduli(ctx, [H], shifted=True, nonlinear=False)
+    _, inner = row_moduli(ctx, [H.elements])
     assert abs(peaks[chi.index] - np.max(np.abs(vals[1:]))) <= TOL
     assert abs(inner[chi.index] - abs(vals[0])) <= TOL
 
@@ -156,7 +154,7 @@ def test_coset_meanvalue2_equals_per_shift_sum(inst):
     # (1/(p-1)) sum over every character of |sum_{n in H} chi(n + a)|, term by term
     direct = sum(abs(shifted_sum(ctx, character(ctx, j), H.elements, a, "numeric").to_complex())
                  for j in range(p - 1)) / (p - 1)
-    (means,), _ = character_sum_moduli(ctx, [coset_shift_rows(ctx, H)])
+    means, _ = row_moduli(ctx, coset_shift_rows(ctx, H))
     assert means.shape == (k,)
     assert abs(means[ctx.dlog[a] % k] - direct) <= TOL
     assert abs(check_meanvalue2(ctx, H, a).computed - direct) <= TOL
@@ -168,7 +166,7 @@ def test_coset_nonlinear_equals_per_shift_sum(inst):
     ctx, chi, H, _ = inst
     every_shift = max(nonlinear_sum_xxa(ctx, chi, H, b, "numeric").magnitude
                       for b in range(1, ctx.p))
-    _, (peaks,) = character_sum_moduli(ctx, [nonlinear_rows(ctx, H)])
+    _, peaks = row_moduli(ctx, nonlinear_rows(ctx, H))
     assert abs(peaks[chi.index] - every_shift) <= TOL
     assert abs(check_nonlinear_bound_all_shifts(ctx, chi, H).computed - every_shift) <= TOL
 
@@ -358,9 +356,8 @@ def test_suite_verdicts_equal_standalone_checkers(budget):
     """The suite builds each claim's verdicts a batch at a time, and a budget cuts
     the last batch it reaches partway (budgets 1, 7 and 40 each end mid-batch at
     p <= 31).  Verdict for verdict, the suite keeps the grid's first instances and
-    matches each checker run alone: exactly for eq2 and lemma3 (the same
-    arithmetic), within TOL for the bounds, which the checkers take by the
-    single-character route."""
+    matches each checker run alone exactly: each checker reads the suite's
+    arithmetic on its one row."""
     seed = 5
     got = run_suite(3, 31, claims=SUITE_CLAIMS, seed=seed, budget=budget)
     for claim in SUITE_CLAIMS:
@@ -369,14 +366,13 @@ def test_suite_verdicts_equal_standalone_checkers(budget):
         by_params = {json.dumps({**v.params, **tag}, sort_keys=True): v for tag, v in expected}
         mine = [v for v in got if v.claim == claim]
         assert len(mine) == len(by_params) == len(expected), claim
-        exact = claim in ("eq2", "lemma3")
         for v in mine:
             alone = by_params[json.dumps(v.params, sort_keys=True)]
             assert (v.claim, v.mode, v.kind, v.note, v.passed) == (
                 alone.claim, alone.mode, alone.kind, alone.note, alone.passed)
             for field in ("computed", "target", "margin"):
                 a, b = getattr(v, field), getattr(alone, field)
-                assert a == b if exact else abs(a - b) <= TOL, (field, v.params)
+                assert a == b, (field, v.params)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -435,13 +431,13 @@ def test_stacked_lemma3_rows_equal_one_row_checks_and_each_form(p):
 
 
 def test_kernel_memory_is_bounded():
-    """|H| = 1 at p = 4001 gives 4000 rows: one (4000 x 4000) histogram and its
-    DFT would take more than 256 MB."""
+    """|H| = 1 at p = 4001 gives 4000 rows H + g^i: one (4000 x 4000) histogram
+    and its DFT would take more than 256 MB."""
     ctx = make_ctx(4001)
-    rows = coset_shift_rows(ctx, subgroup_of_order(ctx, 1))
+    H = subgroup_of_order(ctx, 1)
     tracemalloc.start()
     try:
-        (means,), (peaks,) = character_sum_moduli(ctx, [rows])
+        (means,), (peaks,), _ = subgroup_moduli(ctx, [H], shifted=True, nonlinear=False)
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,8 +447,8 @@ def test_kernel_memory_is_bounded():
 
 @pytest.mark.parametrize("p", [3, 13, 61, 101, 1009])
 def test_subgroup_moduli_equal_the_per_subgroup_kernel(p):
-    """One character_sum_moduli call over every subgroup's rows gives, bit for bit,
-    each subgroup's means, peaks and nonlinear peaks of the per-subgroup kernel calls.
+    """One subgroup_moduli call over every subgroup's rows gives, bit for bit, each
+    subgroup's means, peaks and nonlinear peaks of the per-subgroup reference calls.
     At p = 1009 the sigma(1008) = 3224 coset rows fill more than one chunk of
     HISTOGRAM_CELLS // 1008 = 1040 rows."""
     ctx = make_ctx(p)

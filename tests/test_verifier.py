@@ -543,13 +543,20 @@ class TestRunSuite:
     def test_subgroups_are_built_without_their_elements(self, monkeypatch):
         """subgroups(ctx), the granville and shkredov suite, whose sums are read off
         the certified dlog table, and the numeric bounds, whose rows are read off
-        one table of dlog(g^s + 1) per prime, build no element of any subgroup."""
+        one table of dlog(g^s + 1) per prime, in the suite and in each one-row
+        checker, build no element of any subgroup."""
         def unread(H):
             raise AssertionError(f"the elements of the subgroup of order {H.order} were read")
 
         monkeypatch.setattr(Subgroup, "elements", property(unread))
         ctx = make_ctx(61)
         assert [H.order for H in subgroups(ctx)] == list(ctx.divisors)
+        chi = character(ctx, 3)
+        for H in subgroups(ctx):
+            for v in (check_theorem2(ctx, chi, H), check_sharpened_theorem2(ctx, chi, H),
+                      check_eps_corollary(ctx, chi, H, 0.1), check_meanvalue2(ctx, H, 7),
+                      check_nonlinear_bound_all_shifts(ctx, chi, H)):
+                assert v.passed, v
         vs = run_suite(3, 211, claims=["granville", "shkredov"])
         assert vs and all(v.passed for v in vs)
         # a subgroup gives thm2, thm2_sharp, eps and nonlinear p - 2 rows each, and
